@@ -2,8 +2,8 @@
 
 Commands:
 
-* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes six files
-  (metadata.json, R.csv, C.csv, chi.csv, series.csv, invariants.json).
+* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes five files
+  (metadata.json, R.csv, C.csv, series.csv, invariants.json).
 * ``fdt``       -- lag-grid solve plus the derived constants.
 * ``sk``        -- two-body closed-form solve on the same artifact layout.
 * ``simulate``  -- conditioned finite-N Langevin runs with snapshot dumps.
@@ -70,46 +70,10 @@ def _block(raw: dict, name: str) -> dict:
     return b
 
 
-def parse_config(path: str | Path, command: str | None = None,
-                 seed: int | None = None) -> RunConfig:
-    """Read and validate a JSON run config.
-
-    ``command`` (from the CLI) must agree with the config's own command key
-    when both are present.  ``seed`` overrides the sim block and is folded
-    into the echoed config so that re-running from the echo reproduces the
-    run exactly.
-    """
+def _model_from_config(raw: dict):
+    """(nu, resolved ModelParams, grid or None) from a config dict."""
     from .model import Confinement, MixingFunction, ModelParams, validate
     from .volterra import TwoTimeGrid
-
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{p}: line {e.lineno} column {e.colno}: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(f"{p}: top level must be a JSON object")
-
-    cfg_cmd = raw.get("command")
-    if command is None:
-        command = cfg_cmd
-    if command is None:
-        raise ParseError("no command given (CLI argument or 'command' key)")
-    if cfg_cmd is not None and cfg_cmd != command:
-        raise ParseError(f"config command '{cfg_cmd}' != requested '{command}'")
-    if command not in COMMANDS:
-        raise ParseError(f"unknown command '{command}'")
-
-    if seed is not None:
-        raw.setdefault("sim", {})["seed"] = int(seed)
-
-    source = _block(raw, "report").get("source") or raw.get("source")
-    if command == "report":
-        if not source:
-            raise ParseError("report needs 'report.source' (a run directory)")
-        return RunConfig(command=command, raw=raw, source=str(source))
 
     model = _block(raw, "model")
     if not model:
@@ -155,11 +119,54 @@ def parse_config(path: str | Path, command: str | None = None,
                                       float(_need(g, "grid", "h")))
         except SpinbandError as e:
             raise ValidationError(f"grid block rejected: {e}") from e
+    return nu, params, grid
+
+
+def parse_config(path: str | Path, command: str | None = None,
+                 seed: int | None = None) -> RunConfig:
+    """Read and validate a JSON run config.
+
+    ``command`` (from the CLI) must agree with the config's own command key
+    when both are present.  ``seed`` overrides the sim block and is folded
+    into the echoed config so that re-running from the echo reproduces the
+    run exactly.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise ParseError(f"config file not found: {p}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{p}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{p}: top level must be a JSON object")
+
+    cfg_cmd = raw.get("command")
+    if command is None:
+        command = cfg_cmd
+    if command is None:
+        raise ParseError("no command given (CLI argument or 'command' key)")
+    if cfg_cmd is not None and cfg_cmd != command:
+        raise ParseError(f"config command '{cfg_cmd}' != requested '{command}'")
+    if command not in COMMANDS:
+        raise ParseError(f"unknown command '{command}'")
+
+    if seed is not None:
+        raw.setdefault("sim", {})["seed"] = int(seed)
+
+    source = _block(raw, "report").get("source") or raw.get("source")
+    if command == "report":
+        if not source:
+            raise ParseError("report needs 'report.source' (a run directory)")
+        return RunConfig(command=command, raw=raw, source=str(source))
+
+    nu, params, grid = _model_from_config(raw)
+    soft = not params.confinement.is_hard
 
     needs_grid = command in ("solve-hard", "solve-soft", "fdt", "sk", "compare")
     if needs_grid and grid is None:
         raise ParseError(f"command '{command}' needs a 'grid' block")
-    if command == "solve-soft" and kind != "soft":
+    if command == "solve-soft" and not soft:
         raise ParseError("solve-soft needs a soft 'constraint' block")
 
     sim = _block(raw, "sim") or None
@@ -168,11 +175,11 @@ def parse_config(path: str | Path, command: str | None = None,
             raise ParseError("command 'simulate' needs a 'sim' block")
         for key in ("N", "dt"):
             _need(sim, "sim", key)
-        if kind != "soft":
+        if not soft:
             raise ParseError("simulate needs a soft 'constraint' block")
 
     if command in ("sk", "compare") and _block(raw, "compare").get("against", "sk") == "sk":
-        if tuple(float(c) for c in coeffs) != (0.125,):
+        if nu.coeffs_sq != (0.125,):
             raise ValidationError(
                 "the closed form covers the two-body mixing r^2/8 only "
                 "(coeffs_sq == [0.125])")
@@ -196,7 +203,6 @@ def write_matrix_csv(path: Path, M, lower: bool = True) -> None:
     ``lower`` keeps j <= i only (enough for the symmetric C and the causal
     R); full storage is used for the empirical response, which is neither.
     """
-    import numpy as np
     n = M.shape[0]
     with open(path, "w") as f:
         f.write("i,j,value\n")
@@ -239,17 +245,6 @@ def read_series_csv(path: Path) -> dict:
     return {name: data[:, k].copy() for k, name in enumerate(names)}
 
 
-def _chi_from_response(R, h: float):
-    """Integrated response chi(s,t) = int_0^{min(s,t)} R(s,u) du, by trapezoid."""
-    import numpy as np
-    n1 = R.shape[0]
-    seg = 0.5 * h * (R[:, 1:] + R[:, :-1])
-    cum = np.concatenate([np.zeros((n1, 1)), np.cumsum(seg, axis=1)], axis=1)
-    rows = np.arange(n1)[:, None]
-    cols = np.minimum(np.arange(n1)[None, :], rows)
-    return cum[rows, cols]
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -271,10 +266,9 @@ def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
 
 
 def save_bundle(bundle, out: Path) -> None:
-    """Write R.csv, C.csv, chi.csv and series.csv for a solved bundle."""
+    """Write R.csv, C.csv and series.csv for a solved bundle."""
     write_matrix_csv(out / "R.csv", bundle.R)
     write_matrix_csv(out / "C.csv", bundle.C)
-    write_matrix_csv(out / "chi.csv", _chi_from_response(bundle.R, bundle.grid.h))
     write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H", "Hhat"),
                      (bundle.grid.times(), bundle.q, bundle.K, bundle.mu,
                       bundle.H, bundle.Hhat))
@@ -282,29 +276,16 @@ def save_bundle(bundle, out: Path) -> None:
 
 def load_bundle(rundir: str | Path):
     """Rebuild a TwoTimeBundle (and its metadata) from a run directory."""
-    from .model import Confinement, MixingFunction, ModelParams, validate
-    from .volterra import TwoTimeBundle, TwoTimeGrid
+    from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
     meta_path = rundir / "metadata.json"
     if not meta_path.exists():
         raise ParseError(f"{rundir}: no metadata.json (not a run directory?)")
     meta = json.loads(meta_path.read_text())
-    raw = meta["config"]
-    model = raw["model"]
-    cons = raw.get("constraint", {})
-    nu = MixingFunction(tuple(float(c) for c in model["coeffs_sq"]))
-    if cons.get("kind", "hard") == "soft":
-        confinement = Confinement.soft(float(cons["L"]), int(cons.get("k", 1)),
-                                       None if cons.get("phi") is None
-                                       else float(cons["phi"]))
-    else:
-        confinement = Confinement.hard()
-    params = validate(ModelParams(
-        beta=float(model["beta"]), q_star=float(model["q_star"]),
-        q_o=float(model.get("q_o", 0.0)), E_star=float(model.get("E_star", 0.0)),
-        G_star=float(model.get("G_star", 0.0)), confinement=confinement), nu)
-    grid = TwoTimeGrid.from_T(float(raw["grid"]["T"]), float(raw["grid"]["h"]))
+    nu, params, grid = _model_from_config(_block(meta, "config"))
+    if grid is None:
+        raise ParseError(f"{meta_path}: the config echo has no 'grid' block")
     series = read_series_csv(rundir / "series.csv")
     R = read_matrix_csv(rundir / "R.csv", grid.n)
     C = read_matrix_csv(rundir / "C.csv", grid.n, symmetric=True)
@@ -313,9 +294,6 @@ def load_bundle(rundir: str | Path):
         R=R, C=C, q=series["q"], K=series["K"], mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         diag_residual=meta.get("diag_residual"), params=params, nu=nu)
-    for arr in (bundle.R, bundle.C, bundle.q, bundle.K, bundle.mu,
-                bundle.H, bundle.Hhat):
-        arr.setflags(write=False)
     return bundle, meta
 
 
@@ -419,7 +397,6 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
     sol = solve_two_time(pars, cfg.grid)
     write_matrix_csv(out / "R.csv", sol.R)
     write_matrix_csv(out / "C.csv", sol.C)
-    write_matrix_csv(out / "chi.csv", _chi_from_response(sol.R, cfg.grid.h))
     ones = np.ones(cfg.grid.n + 1)
     write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H"),
                      (cfg.grid.times(), sol.q, ones, sol.mu, sol.H))
@@ -439,7 +416,6 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
-    import numpy as np
     from .simulate import (SimConfig, condition_disorder, empirical_observables,
                            error_functional, run_langevin, sample_disorder,
                            star_point)
@@ -494,10 +470,6 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_compare(cfg: RunConfig, out: Path) -> int:
-    import dataclasses
-
-    import numpy as np
-    from .model import Confinement
     from .sk import solve_two_time
     from .volterra import solve_hard, solve_soft
 
@@ -505,28 +477,19 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     tol = float(cfg.compare.get("tol", 5e-3))
     against = cfg.compare.get("against", "sk")
     if against == "sk":
-        bundle = (solve_soft if not cfg.params.confinement.is_hard
-                  else solve_hard)(cfg.params, cfg.nu, cfg.grid)
-        sol = solve_two_time(_sk_params(cfg), cfg.grid)
-        gaps = {name: float(np.abs(getattr(bundle, name)
-                                   - getattr(sol, name)).max())
-                for name in ("R", "C", "q", "mu", "H")}
-        passed = {name: gap <= tol for name, gap in gaps.items()}
-        report = {"against": "sk", "tol": tol, "gaps": gaps, "pass": passed,
-                  "passed": all(passed.values())}
-        report["audit"] = _audit_dict(bundle)
+        a = (solve_soft if not cfg.params.confinement.is_hard
+             else solve_hard)(cfg.params, cfg.nu, cfg.grid)
+        b = solve_two_time(_sk_params(cfg), cfg.grid)
     elif against == "soft":
         if cfg.params.confinement.is_hard:
             raise ValidationError("compare against=soft needs a soft constraint")
-        hard_params = dataclasses.replace(cfg.params,
-                                          confinement=Confinement.hard())
-        a = solve_hard(hard_params, cfg.nu, cfg.grid)
+        a = solve_hard(cfg.params, cfg.nu, cfg.grid)  # swaps in the hard constraint
         b = solve_soft(cfg.params, cfg.nu, cfg.grid)
-        report = compare_bundles(a, b, tol)
-        report["against"] = "soft"
-        report["audit"] = _audit_dict(a)
     else:
         raise ParseError(f"'compare.against' must be sk|soft, got '{against}'")
+    report = compare_bundles(a, b, tol)
+    report["against"] = against
+    report["audit"] = _audit_dict(a)
     _write_json(out / "report.json", report)
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0))
     return 0 if report["passed"] else 2

@@ -53,6 +53,7 @@ def solve_D(gamma: float, beta: float, nu: MixingFunction, grid: TwoTimeGrid):
     Predictor/corrector with trapezoid memory: each step solves the mildly
     implicit endpoint terms (the v=0 and v=s trapezoid ends involve the new
     D', D) by fixed-point iteration, which contracts at rate ~ h phi(1)/2.
+    Raises NotConverged when a step's iteration does not settle.
     """
     h, n = grid.h, grid.n
     b2 = beta * beta
@@ -82,6 +83,8 @@ def solve_D(gamma: float, beta: float, nu: MixingFunction, grid: TwoTimeGrid):
                 e_cur, d_cur = e_new, d_new
                 break
             e_cur, d_cur = e_new, d_new
+        else:  # also reached when the iterate is inf/NaN
+            raise NotConverged(f"lag step {i}: no fixed point in 40 iterations")
         D[i] = d_cur
         Dp[i] = e_cur
         phis[i] = phi(d_cur)
@@ -390,6 +393,17 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas,
     return out
 
 
+def _no_aging_gamma(alpha: float, a2: float, beta: float, q_star: float,
+                    v, nu: MixingFunction, denom: float) -> float:
+    """gamma(alpha) from the stationary energy identity; a2 = alpha^2 is
+    passed in so a caller holding the exact plateau value keeps its bits."""
+    b2 = beta * beta
+    x = alpha * q_star
+    return (0.5 + beta * x * v.derivative(x)
+            - 2.0 * b2 * nu.psi(x) * nu.nu(x, 1) * (1.0 - a2) / denom
+            - 2.0 * b2 * a2 * nu.nu(a2, 1))
+
+
 def no_aging_selfconsistent(params: ModelParams, nu: MixingFunction):
     """(mu_fn, kappas_fn) closing the localized candidate at each alpha.
 
@@ -406,15 +420,8 @@ def no_aging_selfconsistent(params: ModelParams, nu: MixingFunction):
     denom = nu.nu(qs * qs, 1)
     nup1 = nu.nu(1.0, 1)
 
-    def gamma_fn(a):
-        a2 = a * a
-        x = a * qs
-        return (0.5 + beta * x * v.derivative(x)
-                - 2.0 * b2 * nu.psi(x) * nu.nu(x, 1) * (1.0 - a2) / denom
-                - 2.0 * b2 * a2 * nu.nu(a2, 1))
-
     def mu_fn(a):
-        return gamma_fn(a) + 2.0 * b2 * nup1
+        return _no_aging_gamma(a, a * a, beta, qs, v, nu, denom) + 2.0 * b2 * nup1
 
     def kappas_fn(a):
         a2 = a * a
@@ -436,7 +443,7 @@ class NoAgingReport:
     d_inf: float
     gamma: float
     h_inf: float
-    residuals: tuple     # stationarity / energy / plateau identity residuals
+    residuals: tuple     # stationarity / plateau identity residuals
     beta_plus: float | None = None       # pure case: branch threshold in beta
     tap_ok: bool | None = None           # mixed case: stability inequality
     g_alpha_residual: float | None = None  # mixed case: G identity residual
@@ -464,8 +471,9 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     G = 2 beta nu''(q*^2)(1 - q*^2) + 1 / (2 beta (1 - q*^2)) and the
     stability inequality 1/beta > 2 sqrt(nu''(q*^2)) (1 - q*^2).
 
-    Always reported: gamma (from the energy identity), the three identity
-    residuals at (alpha, gamma), and H_inf = v(alpha q*) + 2 beta theta(alpha^2).
+    Always reported: gamma (from the energy identity), the stationarity and
+    plateau identity residuals at (alpha, gamma), and
+    H_inf = v(alpha q*) + 2 beta theta(alpha^2).
     """
     beta = params.beta
     qs = params.q_star
@@ -508,21 +516,16 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     v = vstar_build(nu, qs, params.E_star, params.G_star)
     denom = nu.nu(qs2, 1)
     x = alpha * qs
-    gamma = (0.5 + beta * x * v.derivative(x)
-             - 2.0 * b2 * nu.psi(x) * nu.nu(x, 1) * (1.0 - a2) / denom
-             - 2.0 * b2 * a2 * nu.nu(a2, 1))
+    gamma = _no_aging_gamma(alpha, a2, beta, qs, v, nu, denom)
     r1 = gamma * alpha - (beta * qs * v.derivative(x)
                           - 2.0 * b2 * qs * nu.nu(x, 2) * nu.nu(x, 1) * (1.0 - a2) / denom
                           - 2.0 * b2 * alpha * nu.nu(a2, 1))
-    r2 = (gamma - 0.5) - (beta * x * v.derivative(x)
-                          - 2.0 * b2 * nu.psi(x) * nu.nu(x, 1) * (1.0 - a2) / denom
-                          - 2.0 * b2 * a2 * nu.nu(a2, 1))
     bracket = 2.0 * b2 * (nu.nu(a2, 1) * denom - nu.nu(x, 1) ** 2) / denom
     r3_left = (gamma + 2.0 * b2 * nu.nu(a2, 1)) * (1.0 - a2) - 0.5 - bracket * (1.0 - a2)
     r3_zero = bracket * (1.0 - a2)
     h_inf = v.value(x) + 2.0 * beta * nu.theta(a2)
     return NoAgingReport(case=case, y=y, alpha=alpha, alpha_sq=a2, d_inf=a2,
                          gamma=gamma, h_inf=h_inf,
-                         residuals=(r1, r2, r3_left, r3_zero),
+                         residuals=(r1, r3_left, r3_zero),
                          beta_plus=beta_plus, tap_ok=tap_ok,
                          g_alpha_residual=g_alpha_residual)

@@ -33,7 +33,7 @@ from .errors import (Blowup, GridMismatch, HardConstraint, RankDeficient,
                      SizeOverflow, ValidationError)
 from .model import (Confinement, MixingFunction, ModelParams, f_prime,
                     validate, vstar_build)
-from .volterra import TwoTimeBundle
+from .volterra import TwoTimeBundle, integrated_response
 
 __all__ = [
     "Disorder",
@@ -49,7 +49,6 @@ __all__ = [
     "run_langevin",
     "empirical_observables",
     "error_functional",
-    "limit_integrated_response",
     "conditional_hessian_spectrum",
 ]
 
@@ -387,18 +386,6 @@ def empirical_observables(traj: Trajectory, sigma: np.ndarray,
                            q_avg=q.mean(axis=0), H_avg=H.mean(axis=0))
 
 
-def limit_integrated_response(limit: TwoTimeBundle) -> np.ndarray:
-    """chi(s,t) = int_0^{min(s,t)} R(s,u) du on the limit grid (trapezoid)."""
-    R = limit.R
-    h = limit.grid.h
-    n1 = R.shape[0]
-    cum = np.zeros_like(R)
-    cum[:, 1:] = np.cumsum(0.5 * h * (R[:, 1:] + R[:, :-1]), axis=1)
-    rows = np.arange(n1)[:, None]
-    cols = np.minimum(np.arange(n1)[None, :], rows)
-    return cum[rows, cols]
-
-
 def _snap_indices(times: np.ndarray, limit: TwoTimeBundle) -> np.ndarray:
     h = limit.grid.h
     idx = np.rint(times / h).astype(int)
@@ -417,7 +404,7 @@ def error_functional(emp: EmpiricalBundle, limit: TwoTimeBundle,
     """
     idx = _snap_indices(emp.times, limit)
     Cl = limit.C[np.ix_(idx, idx)]
-    chil = limit_integrated_response(limit)[np.ix_(idx, idx)]
+    chil = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)]
     ql = limit.q[idx]
     Hl = limit.H[idx]
 

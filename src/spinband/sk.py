@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Delocalized, DomainError, StepUnstable
-from .volterra import TwoTimeGrid, _trapz_dot
+from .volterra import TwoTimeGrid, _cumtrapz, _trapz_dot
 
 __all__ = [
     "SkParams",
@@ -201,6 +201,13 @@ def mgf_tail_integral(tau, beta: float, G: float, tol: float = 1e-12):
 # two-time march of the symmetric kernel M
 # ---------------------------------------------------------------------------
 
+def _damped_kernel(t: np.ndarray, beta: float, G: float) -> np.ndarray:
+    """L_G on the grid times t; the overflow-safe form needs G >= 1."""
+    if G >= 1.0:
+        return damped_mgf(t, beta, G)
+    return np.exp(-beta * G * t) * semicircle_mgf(t, beta)
+
+
 def _prefix_conv(kernel: np.ndarray, col: np.ndarray) -> np.ndarray:
     """First len entries of the full linear convolution kernel * col."""
     m = kernel.size
@@ -222,8 +229,7 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     """
     h, n = grid.h, grid.n
     b2 = beta * beta
-    lg = damped_mgf(grid.times(), beta, G) if G >= 1.0 else \
-        np.exp(-beta * G * grid.times()) * semicircle_mgf(grid.times(), beta)
+    lg = _damped_kernel(grid.times(), beta, G)
     M = np.zeros((n + 1, n + 1))
     Md = np.empty(n + 1)
     M[0, 0] = m0
@@ -282,8 +288,7 @@ def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
     M, Md = march_covariance(beta, G, qs2 - qo2, qo2, grid)
     lam = np.sqrt(qo2 + Md)
     q = qs * params.q_o / lam
-    lg = damped_mgf(grid.times(), beta, G) if G >= 1.0 else \
-        np.exp(-beta * G * grid.times()) * semicircle_mgf(grid.times(), beta)
+    lg = _damped_kernel(grid.times(), beta, G)
     idx = np.arange(n + 1)
     gap = idx[:, None] - idx[None, :]
     R = np.where(gap >= 0, lg[np.abs(gap)] * (lam[None, :] / lam[:, None]), 0.0)
@@ -357,10 +362,8 @@ def sk_asymptotics(params: SkParams, grid: TwoTimeGrid | None = None):
     if grid is None:
         grid = TwoTimeGrid(0.005, 2000)
     alpha_sq = 1.0 - y / params.beta
-    t = grid.times()
-    lg = damped_mgf(t, params.beta, params.G_star)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (lg[1:] + lg[:-1]))])
-    c_fdt = 1.0 - 0.5 * cum
+    lg = damped_mgf(grid.times(), params.beta, params.G_star)
+    c_fdt = 1.0 - 0.5 * _cumtrapz(lg, grid.h)
     mu_inf = params.beta * params.G_star
     h_inf = 0.5 * params.G_star - 0.25 / params.beta
     return alpha_sq, c_fdt, mu_inf, h_inf

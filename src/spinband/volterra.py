@@ -63,6 +63,7 @@ __all__ = [
     "InvariantReport",
     "solve_hard",
     "solve_soft",
+    "integrated_response",
     "response_integral_bound",
     "check_bundle",
     "soft_hard_gap",
@@ -109,7 +110,8 @@ class TwoTimeBundle:
     R[i, i] = 1 and zeros above the diagonal, C is symmetric with
     C[i, i] = K[i].  ``diag_residual`` is the hard-constraint diagnostic:
     the largest drift of the *unenforced* diagonal marched alongside
-    (None for soft runs, where K itself is the diagonal).
+    (None for soft runs, where K itself is the diagonal).  The arrays are
+    made read-only on construction.
     """
 
     grid: TwoTimeGrid
@@ -125,6 +127,10 @@ class TwoTimeBundle:
     params: ModelParams
     nu: MixingFunction
 
+    def __post_init__(self):
+        for arr in (self.R, self.C, self.q, self.K, self.mu, self.H, self.Hhat):
+            arr.setflags(write=False)
+
     def cbar(self) -> np.ndarray:
         """Recentred correlation C(s,t) - q(s) q(t) / q_star^2."""
         qs = self.params.q_star
@@ -138,10 +144,22 @@ def _trapz_dot(h: float, f: np.ndarray) -> float:
     return h * (f.sum() - 0.5 * (f[0] + f[-1]))
 
 
+def _cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, starting from 0."""
+    seg = np.cumsum(0.5 * h * (f[..., 1:] + f[..., :-1]), axis=-1)
+    return np.concatenate([np.zeros(f.shape[:-1] + (1,)), seg], axis=-1)
+
+
+def integrated_response(R: np.ndarray, h: float) -> np.ndarray:
+    """chi(s,t) = int_0^{min(s,t)} R(s,u) du on the grid, by trapezoid."""
+    rows = np.arange(R.shape[0])[:, None]
+    return _cumtrapz(R, h)[rows, np.minimum(rows.T, rows)]
+
+
 class _March:
     """Workspace for one solve; see the module docstring for the scheme."""
 
-    def __init__(self, params, nu, grid, hard, blowup, window, conditioned=True):
+    def __init__(self, params, nu, grid, hard, blowup, conditioned=True):
         self.params = validate(params, nu)
         self.nu = nu
         self.grid = grid
@@ -159,7 +177,6 @@ class _March:
         self.qs2 = self.params.q_star ** 2
         d = nu.nu(self.qs2, 1)
         self.denom = d if d > 0.0 else 1.0  # zero mixture: numerators vanish too
-        self.win = None if window is None else max(1, int(round(window / grid.h)))
 
         n = grid.n
         self.R = np.zeros((n + 1, n + 1))
@@ -176,19 +193,15 @@ class _March:
 
     # -- row-local quantities -------------------------------------------------
 
-    def _lo(self, r: int) -> int:
-        if self.win is None:
-            return 0
-        return max(0, r - self.win)
-
-    def _zint(self, r: int) -> float:
-        """int_0^s R(s,u) [psi(C(s,u)) - psi(q(s)) nu'(q(u))/D] du at s = t_r."""
-        lo = self._lo(r)
-        Rrow = self.R[r, lo:r + 1]
-        Crow = self.C[r, lo:r + 1]
-        integ = Rrow * (self.nu.psi(Crow)
-                        - self.corr * self.nu.psi(self.q[r])
-                        * self.nu.nu(self.q[lo:r + 1], 1) / self.denom)
+    def _zint(self, r: int, f=None) -> float:
+        """int_0^s R(s,u) [f(C(s,u)) - f(q(s)) nu'(q(u))/D] du at s = t_r,
+        with f = psi unless given (the energy uses f = nu')."""
+        f = self.nu.psi if f is None else f
+        Rrow = self.R[r, :r + 1]
+        Crow = self.C[r, :r + 1]
+        integ = Rrow * (f(Crow)
+                        - self.corr * f(self.q[r])
+                        * self.nu.nu(self.q[:r + 1], 1) / self.denom)
         return _trapz_dot(self.grid.h, integ)
 
     def _mu_row(self, r: int) -> float:
@@ -198,12 +211,10 @@ class _March:
     def _row_rhs(self, r: int, mu_r: float):
         """RHS of the R/C/q equations for all columns j = 0..r at row s = t_r."""
         h = self.grid.h
-        lo = self._lo(r)
-        sl = slice(lo, r + 1)
-        Rrow = self.R[r, sl]
-        Crow = self.C[r, sl]
+        Rrow = self.R[r, :r + 1]
+        Crow = self.C[r, :r + 1]
         qr = self.q[r]
-        qvec = self.q[sl]
+        qvec = self.q[:r + 1]
 
         nu1C = self.nu.nu(Crow, 1)
         nu2C = self.nu.nu(Crow, 2)
@@ -215,26 +226,23 @@ class _March:
         a = Rrow * nu2C                       # R(s,u) nu''(C(s,u))
         d = nu1C - self.corr * nu1_qr * nu1q / self.denom
 
-        Rblk = self.R[lo:r + 1, :r + 1]
-        Cblk = self.C[lo:r + 1, :r + 1]
+        Rblk = self.R[:r + 1, :r + 1]
+        Cblk = self.C[:r + 1, :r + 1]
 
         # int_t^s R(u,t) R(s,u) nu''(C(s,u)) du  (upper-triangle zeros truncate at u >= t)
         IR = h * (a @ Rblk)
-        IR[lo:] -= 0.5 * h * a           # endpoint u = t (R(t,t) = 1), for j >= lo
-        if lo > 0:
-            IR[:lo] -= 0.5 * h * a[0] * self.R[lo, :lo]   # windowed lower endpoint
+        IR -= 0.5 * h * a                # endpoint u = t (R(t,t) = 1)
         IR -= 0.5 * h * a[-1] * self.R[r, :r + 1]      # endpoint u = s
         F_R = -mu_r * self.R[r, :r + 1] + self.b2 * IR
 
         # int_0^s R(s,u) [nu''(C) C(u,t) - q(t) nu'(q(u)) nu''(q(s))/D] du
-        T1 = h * (a @ Cblk) - 0.5 * h * (a[0] * self.C[lo, :r + 1]
+        T1 = h * (a @ Cblk) - 0.5 * h * (a[0] * self.C[0, :r + 1]
                                          + a[-1] * self.C[r, :r + 1])
         Iq = _trapz_dot(h, Rrow * nu1q)
         # int_0^t R(t,u) [nu'(C(s,u)) - nu'(q(s)) nu'(q(u))/D] du
-        T2 = h * (self.R[:r + 1, sl] @ d)
-        T2 -= 0.5 * h * self.R[:r + 1, lo] * d[0]
-        T2[lo:] -= 0.5 * h * d
-        T2[:lo] = 0.0  # columns below the history window: treat as empty
+        T2 = h * (self.R[:r + 1, :r + 1] @ d)
+        T2 -= 0.5 * h * self.R[:r + 1, 0] * d[0]
+        T2 -= 0.5 * h * d
         qcol = self.q[: r + 1]
         F_C = (-mu_r * self.C[r, :r + 1]
                + self.b2 * (T1 - self.corr * qcol * (nu2_qr / self.denom) * Iq)
@@ -334,52 +342,44 @@ class _March:
                 raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): |value| = {worst:g}")
 
         # energy along the trajectory
+        def nu1(x):
+            return self.nu.nu(x, 1)
+
         Hhat = np.zeros(n + 1)
         for r in range(n + 1):
-            lo = self._lo(r)
-            Rrow = self.R[r, lo:r + 1]
-            integ = Rrow * (self.nu.nu(self.C[r, lo:r + 1], 1)
-                            - self.corr * self.nu.nu(self.q[r], 1)
-                            * self.nu.nu(self.q[lo:r + 1], 1) / self.denom)
-            Hhat[r] = self.beta * _trapz_dot(h, integ)
+            Hhat[r] = self.beta * self._zint(r, nu1)
         H = Hhat + self.v.value(self.q)
 
         diag_res = float(abs(self.Kpde - 1.0).max()) if self.hard else None
-        bundle = TwoTimeBundle(
+        return TwoTimeBundle(
             grid=self.grid,
             constraint="hard" if self.hard else "soft",
             R=self.R, C=self.C, q=self.q, K=self.K, mu=self.mu,
             H=H, Hhat=Hhat, diag_residual=diag_res,
             params=self.params, nu=self.nu,
         )
-        for arr in (bundle.R, bundle.C, bundle.q, bundle.K, bundle.mu, bundle.H, bundle.Hhat):
-            arr.setflags(write=False)
-        return bundle
 
 
 def solve_hard(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
-               blowup: float = 1e6, window: float | None = None,
-               conditioned: bool = True) -> TwoTimeBundle:
+               blowup: float = 1e6, conditioned: bool = True) -> TwoTimeBundle:
     """March the hard-constraint system (K == 1, closed-form multiplier mu).
 
-    ``window`` optionally drops history u < s - window from the s-integrals
-    (an approximation for very long runs; off by default).  ``conditioned``
-    False removes the critical-point drift and the cross-memory corrections,
-    reverting to the classical unconditioned mixed p-spin equations.
+    ``conditioned`` False removes the critical-point drift and the
+    cross-memory corrections, reverting to the classical unconditioned
+    mixed p-spin equations.
     """
     if not params.confinement.is_hard:
         params = dataclasses.replace(params, confinement=Confinement.hard())
-    return _March(params, nu, grid, hard=True, blowup=blowup, window=window,
+    return _March(params, nu, grid, hard=True, blowup=blowup,
                   conditioned=conditioned).run()
 
 
 def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
-               blowup: float = 1e6, window: float | None = None,
-               conditioned: bool = True) -> TwoTimeBundle:
+               blowup: float = 1e6, conditioned: bool = True) -> TwoTimeBundle:
     """March the soft-confinement system (K evolves, mu(s) = f'(K(s)))."""
     if params.confinement.is_hard:
         raise GridMismatch("solve_soft needs a soft confinement in params")
-    return _March(params, nu, grid, hard=False, blowup=blowup, window=window,
+    return _March(params, nu, grid, hard=False, blowup=blowup,
                   conditioned=conditioned).run()
 
 
@@ -397,16 +397,13 @@ def response_integral_bound(bundle: TwoTimeBundle, row_stride: int | None = None
     rows = sorted(set(range(0, n + 1, row_stride)) | {n})
     worst = -np.inf
     for r in rows:
-        row = bundle.R[r, : r + 1]
-        if r == 0:
-            worst = max(worst, 0.0)
-            continue
-        # cumulative trapezoid of R(s, .) from 0 to t_j
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (row[1:] + row[:-1]))))
+        cum = _cumtrapz(bundle.R[r, : r + 1], h)
         diff = cum[None, :] - cum[:, None]          # [j1, j2] = int_{t1}^{t2}
         tgap = h * (np.arange(r + 1)[None, :] - np.arange(r + 1)[:, None])
-        expr = np.triu(diff * diff - tgap)
-        worst = max(worst, float(expr.max()))
+        # in place: on the last row these (n+1)^2 arrays set the peak memory
+        diff *= diff
+        diff -= tgap
+        worst = max(worst, float(np.triu(diff).max()))
     return worst
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from spinband.errors import ParseError, ValidationError
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.625, "G_star": 1.25}
 
-SOLVE_FILES = {"metadata.json", "R.csv", "C.csv", "chi.csv", "series.csv",
+SOLVE_FILES = {"metadata.json", "R.csv", "C.csv", "series.csv",
                "invariants.json"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, name, payload):
@@ -62,7 +64,7 @@ def test_artifacts_roundtrip_bitwise(tmp_path):
     again = tmp_path / "again"
     again.mkdir()
     save_bundle(bundle, again)
-    for name in ("R.csv", "C.csv", "chi.csv", "series.csv"):
+    for name in ("R.csv", "C.csv", "series.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
     # the 17-digit dump reproduces every float64 exactly
     from spinband.volterra import solve_hard
@@ -70,6 +72,17 @@ def test_artifacts_roundtrip_bitwise(tmp_path):
     assert np.array_equal(bundle.R, direct.R)
     assert np.array_equal(bundle.C, direct.C)
     assert np.array_equal(bundle.q, direct.q)
+
+
+def test_load_bundle_rejects_a_malformed_config_echo(tmp_path):
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    out = tmp_path / "out"
+    main(["solve-hard", "--config", str(cfg), "--out", str(out)])
+    meta = json.loads((out / "metadata.json").read_text())
+    del meta["config"]["model"]["beta"]
+    (out / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(ParseError, match="model.beta"):
+        load_bundle(out)
 
 
 def test_rerun_from_metadata_echo(tmp_path):
@@ -80,7 +93,7 @@ def test_rerun_from_metadata_echo(tmp_path):
     cfg2 = write_cfg(tmp_path, "echo.json", echo)
     out2 = tmp_path / "two"
     assert main(["solve-hard", "--config", str(cfg2), "--out", str(out2)]) == 0
-    for name in ("R.csv", "C.csv", "chi.csv", "series.csv", "invariants.json"):
+    for name in ("R.csv", "C.csv", "series.csv", "invariants.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -141,6 +154,16 @@ def test_fdt_constants(tmp_path):
     series = read_series_csv(out / "series.csv")
     assert series["D"][0] == 1.0 and series["Dprime"][0] == -0.5
 
+    # low temperature on a coarse lag grid: the march diverges and the run
+    # must fail instead of writing inf/NaN
+    hot = write_cfg(tmp_path, "hot.json", {
+        "model": {"coeffs_sq": [0.0, 0.125], "beta": 10.0, "q_star": 1.0},
+        "grid": {"T": 20.0, "h": 0.1}, "fdt": {"gamma": 0.5}})
+    out3 = tmp_path / "hot"
+    with np.errstate(all="ignore"):
+        assert main(["fdt", "--config", str(hot), "--out", str(out3)]) == 1
+    assert not (out3 / "series.csv").exists()
+
     short = write_cfg(tmp_path, "short.json",
                       {**payload, "grid": {"T": 5.0, "h": 0.005}})
     out2 = tmp_path / "short"
@@ -155,8 +178,7 @@ def test_sk_closed_form_run(tmp_path):
     out = tmp_path / "out"
     assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "R.csv", "C.csv", "chi.csv", "series.csv",
-        "constants.json"}
+        "metadata.json", "R.csv", "C.csv", "series.csv", "constants.json"}
     con = json.loads((out / "constants.json").read_text())
     assert con["y"] == 0.5
     assert con["alpha_sq"] == 0.5
@@ -293,11 +315,22 @@ def test_threads_flag_sets_environment(tmp_path):
 
 
 def test_console_script(tmp_path):
+    """``python -m spinband`` in a fresh interpreter, where --threads can
+    still take effect because nothing on the way to it loads numpy."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     cfg = write_cfg(tmp_path, "run.json", solve_cfg())
     out = tmp_path / "out"
     proc = subprocess.run(
-        ["spinband", "solve-hard", "--config", str(cfg), "--out", str(out),
-         "--threads", "1"],
-        capture_output=True, text=True)
+        [sys.executable, "-m", "spinband", "solve-hard", "--config", str(cfg),
+         "--out", str(out), "--threads", "1"],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "invariants.json").exists()
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinband.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert probe.stdout.strip() == "False", probe.stderr
+    # the installed console script points at the same entry point
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'spinband = "spinband.cli:main"' in pyproject

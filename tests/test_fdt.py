@@ -9,7 +9,7 @@ from spinband.errors import (BelowCritical, NoBranch, NotBracketed,
 from spinband.fdt import (aging_constants, aging_kappa_update,
                           alpha_fixed_points, beta_c, d_infty, d_star,
                           kappa_values, localized_no_aging,
-                          no_aging_selfconsistent, solve_fdt)
+                          no_aging_selfconsistent, solve_D, solve_fdt)
 from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.volterra import TwoTimeGrid
 
@@ -22,6 +22,12 @@ def test_free_decay_is_exponential(sk_mixing):
     assert np.abs(sol.D - np.exp(-0.5 * tau)).max() < 1e-4
     assert sol.D_inf == 0.0
     assert sol.mu == 0.5
+
+
+def test_diverging_lag_march_raises(pure3_mixing):
+    """beta = 10 on a coarse lag grid overflows; no inf/NaN comes back."""
+    with np.errstate(all="ignore"), pytest.raises(NotConverged):
+        solve_D(0.5, 10.0, pure3_mixing, TwoTimeGrid.from_T(20.0, 0.1))
 
 
 def test_lag_profile_basics(sk_mixing):

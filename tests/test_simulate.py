@@ -12,10 +12,9 @@ from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
                                hamiltonian_and_grad,
-                               hamiltonian_and_grad_batch,
-                               limit_integrated_response, run_langevin,
+                               hamiltonian_and_grad_batch, run_langevin,
                                sample_disorder, sample_initial, star_point)
-from spinband.volterra import TwoTimeGrid, solve_soft
+from spinband.volterra import TwoTimeGrid, integrated_response, solve_soft
 
 
 def soft_params(L=20.0, q_o=0.5):
@@ -302,7 +301,7 @@ def test_empirical_identities(sk_mixing):
 
 def _bundle_from_limit(limit, times, idx):
     C = limit.C[np.ix_(idx, idx)][None]
-    chi = limit_integrated_response(limit)[np.ix_(idx, idx)][None]
+    chi = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)][None]
     q = limit.q[idx][None]
     H = limit.H[idx][None]
     return EmpiricalBundle(times=times, C=C, chi=chi, q=q, H=H,

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from spinband.errors import GridMismatch, StepUnstable
 from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.volterra import (TwoTimeGrid, check_bundle,
+from spinband.volterra import (TwoTimeGrid, check_bundle, integrated_response,
                                response_integral_bound, soft_hard_gap,
                                solve_hard, solve_soft)
 
@@ -64,14 +64,6 @@ def test_response_integral_bound(sk_hard_bundle):
     assert excess <= 2 * sk_hard_bundle.grid.h
 
 
-def test_window_covering_everything_is_exact(sk_params, sk_mixing):
-    grid = TwoTimeGrid.from_T(1.0, 0.02)
-    full = solve_hard(sk_params, sk_mixing, grid)
-    windowed = solve_hard(sk_params, sk_mixing, grid, window=5.0)
-    assert np.array_equal(full.R, windowed.R)
-    assert np.array_equal(full.C, windowed.C)
-
-
 def test_soft_solver_needs_soft_confinement(sk_params, sk_mixing):
     with pytest.raises(GridMismatch):
         solve_soft(sk_params, sk_mixing, TwoTimeGrid.from_T(1.0, 0.02))
@@ -106,7 +98,8 @@ def test_zero_start_reduces_to_unconditioned(sk_mixing):
 
 
 def test_free_dynamics_matches_ornstein_uhlenbeck():
-    """nu = 0 under the hard constraint: R(s,t) = e^{-(s-t)/2}, C = e^{-|s-t|/2}."""
+    """nu = 0 under the hard constraint: R(s,t) = e^{-(s-t)/2}, C = e^{-|s-t|/2},
+    chi(s,t) = 2 (e^{-(s - min(s,t))/2} - e^{-s/2})."""
     zero = MixingFunction((0.0,))
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.hard())
@@ -118,6 +111,9 @@ def test_free_dynamics_matches_ornstein_uhlenbeck():
     C_exact = np.exp(-0.5 * np.abs(gap))
     assert np.abs(b.R - R_exact).max() < 1e-6
     assert np.abs(b.C - C_exact).max() < 1e-6
+    s, m = t[:, None], np.minimum(t[:, None], t[None, :])
+    chi_exact = 2.0 * (np.exp(-0.5 * (s - m)) - np.exp(-0.5 * s))
+    assert np.abs(integrated_response(b.R, grid.h) - chi_exact).max() < 1e-6
     assert_allclose(b.mu, 0.5, rtol=0, atol=1e-12)
 
 
