@@ -440,7 +440,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
         cfg.params, cfg.nu)
     traj = run_langevin(J, cfg.params, scfg)
-    emp = empirical_observables(traj, star_point(N, cfg.params.q_star), J)
+    emp = empirical_observables(traj, star_point(N, cfg.params.q_star))
 
     K_avg = traj.K.mean(axis=1)
     write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N", "K_N"),

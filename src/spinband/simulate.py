@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 2 << 30  # bytes of dense coefficient storage
+_NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -217,7 +218,8 @@ def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
     """Vectorized over rows of X: returns (H values (R,), gradients (R, N)).
 
     For the symmetrized tensor A the order-p piece is <A, x^tensor p> with
-    gradient p * (A contracted p-1 times against x).
+    gradient p * (A contracted p-1 times against x), contracted from the
+    left one index per BLAS product (A is symmetric).
     """
     X = np.asarray(X, dtype=float)
     R, N = X.shape
@@ -225,16 +227,9 @@ def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
     grad = np.zeros((R, N))
     for p in J.active_orders():
         b = J.weight(p)
-        A = J.tensors[p]
-        if p == 2:
-            V = X @ A
-        elif p == 3:
-            W = (A.reshape(N * N, N) @ X.T).reshape(N, N, R)
-            V = np.einsum("ijr,rj->ri", W, X)
-        else:  # p == 4
-            W = (A.reshape(N ** 3, N) @ X.T).reshape(N, N, N, R)
-            W2 = np.einsum("ijkr,rk->ijr", W, X)
-            V = np.einsum("ijr,rj->ri", W2, X)
+        V = X @ J.tensors[p].reshape(N, -1)
+        for _ in range(p - 2):
+            V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
         H += b * np.einsum("ri,ri->r", V, X)
         grad += (b * p) * V
     return H, grad
@@ -294,6 +289,7 @@ class Trajectory:
     X: np.ndarray            # (S+1, R, N) snapshots of the state
     B: np.ndarray            # (S+1, R, N) accumulated Brownian increments
     K: np.ndarray            # (S+1, R)    radial observable |x|^2/N
+    H: np.ndarray            # (S+1, R)    energy density -H_J(x)/N
     config: SimConfig
     params: ModelParams
 
@@ -304,13 +300,16 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
 
     Replica r draws its own stream seeded by (config.seed, r); the initial
     point is drawn from the same stream before stepping, so two runs with
-    equal seeds share noise realizations exactly.
+    equal seeds share noise realizations exactly.  Increments are drawn in
+    blocks of _NOISE_BLOCK steps per replica, equal to one draw per step.
 
     ``noise``, when given, must hold the Brownian increments for every step,
     shape (n_steps, replicas, N); the per-replica generators then only supply
     the initial points.  This is what makes step-size refinement studies on a
     single fixed Brownian path possible: sum fine increments pairwise to get
     the coarse ones.
+
+    H comes from the run's own gradient calls, n_steps + 1 of them.
     """
     conf = config.confinement if config.confinement is not None else params.confinement
     if conf.kind != "soft":
@@ -323,7 +322,6 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     if J.N != N:
         raise ValidationError("disorder size does not match config.N")
     dt = config.dt
-    sq = math.sqrt(dt)
     if noise is not None and noise.shape != (config.n_steps, R, N):
         raise ValidationError(f"noise must have shape {(config.n_steps, R, N)}")
     rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
@@ -335,26 +333,30 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     Xs = np.empty((n_snap + 1, R, N))
     Bs = np.empty((n_snap + 1, R, N))
     Ks = np.empty((n_snap + 1, R))
-    Xs[0], Bs[0] = X, B
-    Ks[0] = np.einsum("ri,ri->r", X, X) / N
+    Hs = np.empty((n_snap + 1, R))
     beta = prm.beta
-    for step in range(1, config.n_steps + 1):
+    for step in range(config.n_steps + 1):
         K = np.einsum("ri,ri->r", X, X) / N
         if not np.all(np.isfinite(K)) or K.max() > 1e6:
-            raise Blowup(f"radial blow-up at step {step}: K = {K.max():g}")
-        _, grad = hamiltonian_and_grad_batch(J, X)
-        drift = -f_prime(prm, K)[:, None] * X - beta * grad
-        if noise is None:
-            inc = np.stack([rngs[r].standard_normal(N) for r in range(R)]) * sq
-        else:
-            inc = noise[step - 1]
-        X = X + dt * drift + inc
-        B = B + inc
+            raise Blowup(f"radial blow-up after step {step}: K = {K.max():g}")
+        Hv, grad = hamiltonian_and_grad_batch(J, X)
         if step % config.snap_stride == 0:
             k = step // config.snap_stride
-            Xs[k], Bs[k] = X, B
-            Ks[k] = np.einsum("ri,ri->r", X, X) / N
-    return Trajectory(times=times, X=Xs, B=Bs, K=Ks, config=config, params=prm)
+            Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
+        if step == config.n_steps:
+            break
+        j = step % _NOISE_BLOCK
+        if j == 0:
+            if noise is None:
+                incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
+                                 for g in rngs], axis=1) * math.sqrt(dt)
+            else:
+                incs = noise[step:step + _NOISE_BLOCK]
+        drift = -f_prime(prm, K)[:, None] * X - beta * grad
+        X = X + dt * drift + incs[j]
+        B = B + incs[j]
+    return Trajectory(times=times, X=Xs, B=Bs, K=Ks, H=Hs, config=config,
+                      params=prm)
 
 
 @dataclass
@@ -370,17 +372,14 @@ class EmpiricalBundle:
     H_avg: np.ndarray
 
 
-def empirical_observables(traj: Trajectory, sigma: np.ndarray,
-                          J: Disorder) -> EmpiricalBundle:
+def empirical_observables(traj: Trajectory,
+                          sigma: np.ndarray) -> EmpiricalBundle:
     """C_N, chi_N, q_N, H_N per replica plus their replica averages."""
-    S1, R, N = traj.X.shape
+    N = traj.X.shape[2]
     C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
     chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
     q = np.einsum("sri,i->rs", traj.X, sigma) / N
-    H = np.empty((R, S1))
-    for s in range(S1):
-        hv, _ = hamiltonian_and_grad_batch(J, traj.X[s])
-        H[:, s] = -hv / N
+    H = traj.H.T.copy()  # row-major, so H.mean(axis=0) sums replicas in order
     return EmpiricalBundle(times=traj.times, C=C, chi=chi, q=q, H=H,
                            C_avg=C.mean(axis=0), chi_avg=chi.mean(axis=0),
                            q_avg=q.mean(axis=0), H_avg=H.mean(axis=0))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, PhiNonpositive, StepUnstable
+from .errors import GridMismatch, NotConverged, PhiNonpositive, StepUnstable
 from .model import (
     Confinement,
     MixingFunction,
@@ -271,8 +271,8 @@ class _March:
             step = g / dg
             kappa -= step
             if abs(step) <= 1e-14 * max(1.0, abs(kappa)):
-                break
-        return kappa
+                return kappa
+        raise NotConverged(f"soft K Newton: 50 steps, last step {step:g}")
 
     # -- the march ------------------------------------------------------------
 

@@ -140,7 +140,7 @@ def _mc_error(params, nu, N, disorder_seed, sim_seed):
     cfg = SimConfig(N=N, dt=5e-4, T=2.0, seed=sim_seed, replicas=8,
                     snap_stride=20)
     traj = run_langevin(J, params, cfg)
-    emp = empirical_observables(traj, star_point(N, params.q_star), J)
+    emp = empirical_observables(traj, star_point(N, params.q_star))
     limit = solve_soft(params, nu, TwoTimeGrid.from_T(2.0, 0.01))
     return error_functional(emp, limit)
 

@@ -1,9 +1,11 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinband import simulate
 from spinband.errors import (Blowup, GridMismatch, HardConstraint,
                              SizeOverflow, ValidationError)
 from spinband.model import Confinement, MixingFunction, ModelParams
@@ -85,6 +87,20 @@ def test_gradient_matches_finite_differences():
         hr, gr = hamiltonian_and_grad(J, X[r])
         assert abs(Hb[r] - hr) <= 1e-12 * max(1.0, abs(hr))
         assert np.abs(Gb[r] - gr).max() <= 1e-12
+
+
+def test_energy_matches_the_sorted_tuple_sum():
+    """Independent oracle: H_J(x) = sum_p b_p sum_{i1<=..<=ip} J x_i1..x_ip."""
+    N = 5
+    nu = MixingFunction((0.04, 0.03, 0.02))
+    J = sample_disorder(N, nu, 13)
+    X = np.random.default_rng(2).standard_normal((4, N))
+    Hb, _ = hamiltonian_and_grad_batch(J, X)
+    for r, x in enumerate(X):
+        expect = sum(J.weight(p) * J.coupling(p, idx) * math.prod(x[list(idx)])
+                     for p in J.active_orders()
+                     for idx in combinations_with_replacement(range(N), p))
+        assert abs(Hb[r] - expect) <= 1e-12
 
 
 def test_initial_band_sampling():
@@ -221,8 +237,8 @@ def test_temperature_embedding_is_exact():
     tb = run_langevin(Jcb, pb, cfg)
     assert np.array_equal(ta.X, tb.X)
     sigma = star_point(N, 1.0)
-    ea = empirical_observables(ta, sigma, Jca)
-    eb = empirical_observables(tb, sigma, Jcb)
+    ea = empirical_observables(ta, sigma)
+    eb = empirical_observables(tb, sigma)
     assert np.array_equal(2.0 * ea.H, eb.H)
 
 
@@ -248,6 +264,65 @@ def test_refinement_on_a_shared_brownian_path(sk_mixing):
                                        replicas=R), noise=coarse)
 
 
+def _replica_run(J, prm, seed, R, N=12):
+    """80 steps: the noise blocks straddle snapshots and the last is partial."""
+    return run_langevin(J, prm, SimConfig(N=N, dt=0.01, T=0.8, seed=seed,
+                                          replicas=R, snap_stride=5))
+
+
+def test_enlarging_replicas_keeps_existing_members(sk_mixing):
+    prm = soft_params()
+    J = condition_disorder(sample_disorder(12, sk_mixing, 3), prm, sk_mixing)
+    t3 = _replica_run(J, prm, 31, 3)
+    t4 = _replica_run(J, prm, 31, 4)
+    assert np.array_equal(t3.X[0], t4.X[0, :3])
+    assert np.array_equal(t3.B, t4.B[:, :3])
+
+
+def test_increments_are_the_per_replica_streams(sk_mixing):
+    """B at each snapshot is the running sum of one N(0, dt) draw per step
+    from the replica's (seed, r) generator, taken after the initial point."""
+    prm = soft_params()
+    N, R, seed = 12, 3, 31
+    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm, sk_mixing)
+    traj = _replica_run(J, prm, seed, R, N)
+    for r in range(R):
+        assert np.array_equal(traj.X[0, r],
+                              sample_initial(N, prm.q_star, prm.q_o, (seed, r)))
+        rng = np.random.default_rng((seed, r))
+        rng.standard_normal(N - 1)          # the initial point's draw
+        b = np.zeros(N)
+        cfg = traj.config
+        for step in range(1, cfg.n_steps + 1):
+            b = b + rng.standard_normal(N) * math.sqrt(cfg.dt)
+            if step % cfg.snap_stride == 0:
+                assert np.array_equal(traj.B[step // cfg.snap_stride, r], b)
+
+
+def test_recorded_energies_match_the_kernel(mixed_mixing, monkeypatch):
+    """Trajectory.H is the energy density -H_J/N of each snapshot, taken from
+    the run's own gradient calls: n_steps + 1 of them, none per snapshot."""
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.soft(20.0, 1))
+    N = 10
+    J = condition_disorder(sample_disorder(N, mixed_mixing, 4), prm,
+                           mixed_mixing)
+    cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=8, replicas=3, snap_stride=5)
+    calls = []
+    kernel = simulate.hamiltonian_and_grad_batch
+    monkeypatch.setattr(simulate, "hamiltonian_and_grad_batch",
+                        lambda J, X: calls.append(1) or kernel(J, X))
+    traj = run_langevin(J, prm, cfg)
+    monkeypatch.undo()
+    assert len(calls) == cfg.n_steps + 1
+    assert traj.H.shape == (traj.times.size, 3)
+    for s in range(traj.times.size):
+        assert np.array_equal(traj.H[s],
+                              -hamiltonian_and_grad_batch(J, traj.X[s])[0] / N)
+    emp = empirical_observables(traj, star_point(N, prm.q_star))
+    assert np.array_equal(emp.H, traj.H.T)
+
+
 def test_rotations_about_the_conditioning_axis(sk_mixing):
     """Conjugating the conditioned couplings by a rotation fixing the first
     axis preserves the pinning exactly and the empirical laws statistically."""
@@ -265,8 +340,8 @@ def test_rotations_about_the_conditioning_axis(sk_mixing):
     assert abs(H + N * prm.E_star) / N <= 1e-12
     assert np.abs(g + prm.G_star * sigma).max() <= 1e-12
     cfg = SimConfig(N=N, dt=2e-3, T=1.0, seed=42, replicas=R, snap_stride=25)
-    ea = empirical_observables(run_langevin(J, prm, cfg), sigma, J)
-    eb = empirical_observables(run_langevin(Jr, prm, cfg), sigma, Jr)
+    ea = empirical_observables(run_langevin(J, prm, cfg), sigma)
+    eb = empirical_observables(run_langevin(Jr, prm, cfg), sigma)
     assert np.abs(ea.C_avg - eb.C_avg).max() <= 0.03
     assert np.abs(ea.q_avg - eb.q_avg).max() <= 0.04
 
@@ -288,7 +363,7 @@ def test_empirical_identities(sk_mixing):
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=9, replicas=3, snap_stride=5)
     traj = run_langevin(J, prm, cfg)
     sigma = star_point(N, 1.0)
-    emp = empirical_observables(traj, sigma, J)
+    emp = empirical_observables(traj, sigma)
     S1 = traj.times.size
     assert emp.C.shape == (3, S1, S1)
     for r in range(3):
@@ -332,7 +407,7 @@ def test_simulation_tracks_the_limit(sk_mixing):
     J = condition_disorder(sample_disorder(N, sk_mixing, 1234), prm, sk_mixing)
     cfg = SimConfig(N=N, dt=2e-3, T=0.5, seed=777, replicas=4, snap_stride=25)
     traj = run_langevin(J, prm, cfg)
-    emp = empirical_observables(traj, star_point(N, 1.0), J)
+    emp = empirical_observables(traj, star_point(N, 1.0))
     limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
     err = error_functional(emp, limit)
     per = error_functional(emp, limit, per_replica=True)

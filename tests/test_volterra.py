@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinband.errors import GridMismatch, StepUnstable
+from spinband.errors import GridMismatch, NotConverged, StepUnstable
 from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.volterra import (TwoTimeGrid, check_bundle, integrated_response,
-                               response_integral_bound, soft_hard_gap,
-                               solve_hard, solve_soft)
+from spinband.volterra import (TwoTimeGrid, _March, check_bundle,
+                               integrated_response, response_integral_bound,
+                               soft_hard_gap, solve_hard, solve_soft)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +124,29 @@ def test_blowup_guard_trips():
                       confinement=Confinement.hard())
     with pytest.raises(StepUnstable):
         solve_hard(prm, nu, TwoTimeGrid.from_T(6.0, 0.05), blowup=1e3)
+
+
+def test_soft_k_newton_cap_raises(sk_mixing):
+    """The semi-implicit K solve raises once its 50 Newton steps run out,
+    for a finite slowly contracting iteration and for a NaN target."""
+    prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
+                      G_star=1.25, confinement=Confinement.soft(20.0, 1))
+    march = _March(prm, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05), hard=False,
+                   blowup=1e6)
+
+    def tgt(fk):
+        return 1.0 - 0.05 * fk
+    tgt.slope = 0.05
+    root = march._k_solve(tgt, 2.0)
+    fp = 2.0 * 20.0 * (root - 1.0) + 0.5 * march.params.confinement.phi * root
+    assert abs(root - tgt(fp * root)) <= 1e-13
+
+    tgt.slope = 25.0        # Newton with a wrong slope contracts too slowly
+    with pytest.raises(NotConverged):
+        march._k_solve(tgt, 2.0)
+
+    def nan_tgt(fk):
+        return float("nan")
+    nan_tgt.slope = 0.05
+    with pytest.raises(NotConverged):
+        march._k_solve(nan_tgt, 1.0)
