@@ -275,18 +275,25 @@ def save_bundle(bundle, out: Path) -> None:
 
 
 def load_bundle(rundir: str | Path):
-    """Rebuild a TwoTimeBundle (and its metadata) from a run directory."""
+    """Rebuild a TwoTimeBundle (and its metadata) from a solve run directory.
+
+    Raises ParseError naming the first missing file or series column, so a
+    directory written by another command is rejected cleanly.
+    """
     from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
-    meta_path = rundir / "metadata.json"
-    if not meta_path.exists():
-        raise ParseError(f"{rundir}: no metadata.json (not a run directory?)")
-    meta = json.loads(meta_path.read_text())
+    for name in ("metadata.json", "series.csv", "R.csv", "C.csv"):
+        if not (rundir / name).exists():
+            raise ParseError(f"{rundir}: no {name} (not a solve-hard/solve-soft run)")
+    meta = json.loads((rundir / "metadata.json").read_text())
     nu, params, grid = _model_from_config(_block(meta, "config"))
     if grid is None:
-        raise ParseError(f"{meta_path}: the config echo has no 'grid' block")
+        raise ParseError(f"{rundir / 'metadata.json'}: the config echo has no 'grid' block")
     series = read_series_csv(rundir / "series.csv")
+    for col in ("q", "K", "mu", "H", "Hhat"):
+        if col not in series:
+            raise ParseError(f"{rundir / 'series.csv'}: no '{col}' column")
     R = read_matrix_csv(rundir / "R.csv", grid.n)
     C = read_matrix_csv(rundir / "C.csv", grid.n, symmetric=True)
     bundle = TwoTimeBundle(
@@ -434,8 +441,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         stride = int(round(cfg.grid.h / dt)) if cfg.grid else 1
     scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
                      replicas=int(sim.get("replicas", 4)),
-                     snap_stride=int(stride),
-                     confinement=cfg.params.confinement)
+                     snap_stride=int(stride))
     J = condition_disorder(
         sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
         cfg.params, cfg.nu)

@@ -42,6 +42,11 @@ __all__ = [
     "localized_no_aging",
 ]
 
+_N_SCAN = 10001  # sign-change scan points of the level-set and root searches
+_XTOL = 1e-10  # bisection width that ends those searches
+_TAIL_TOL = 1e-6  # kappa_values: how close D(T) must be to the plateau
+_BETA_TOL = 1e-8  # beta_c bisection width
+
 
 # ---------------------------------------------------------------------------
 # convolution Volterra march
@@ -141,23 +146,23 @@ def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
 # plateau / critical-temperature scans
 # ---------------------------------------------------------------------------
 
-def _sup_level_set(f, n_scan: int, xtol: float):
+def _sup_level_set(f):
     """sup{x in [0,1] : f(x) >= 0} by dense scan + boundary bisection.
 
     Returns None when no scanned point satisfies f >= 0.  f must be
     vectorized over numpy arrays.
     """
-    xs = np.linspace(0.0, 1.0, n_scan)
+    xs = np.linspace(0.0, 1.0, _N_SCAN)
     vals = f(xs)
     inside = np.flatnonzero(vals >= 0.0)
     if inside.size == 0:
         return None
     k = inside[-1]
-    if k == n_scan - 1:
+    if k == _N_SCAN - 1:
         return 1.0
     lo, hi = xs[k], xs[k + 1]
     for _ in range(200):
-        if hi - lo <= xtol:
+        if hi - lo <= _XTOL:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0.0:
@@ -167,8 +172,7 @@ def _sup_level_set(f, n_scan: int, xtol: float):
     return float(lo)
 
 
-def d_infty(gamma: float, beta: float, nu: MixingFunction,
-            n_scan: int = 10001, xtol: float = 1e-10) -> float | None:
+def d_infty(gamma: float, beta: float, nu: MixingFunction) -> float | None:
     """Plateau sup{x in [0,1] : (gamma + 2 beta^2 nu'(x)) (1 - x) >= 1/2}.
 
     None when the set is empty (only possible for gamma < 1/2).
@@ -180,18 +184,17 @@ def d_infty(gamma: float, beta: float, nu: MixingFunction,
     def f(x):
         return (gamma - 0.5) + 2.0 * b2 * nu.nu(x, 1) * (1.0 - x) - gamma * x
 
-    return _sup_level_set(f, n_scan, xtol)
+    return _sup_level_set(f)
 
 
-def d_star(beta: float, nu: MixingFunction,
-           n_scan: int = 10001, xtol: float = 1e-10) -> float | None:
+def d_star(beta: float, nu: MixingFunction) -> float | None:
     """sup{x in [0,1] : 4 beta^2 nu''(x) (1-x)^2 >= 1}; None if empty."""
     b2 = beta * beta
 
     def f(x):
         return 4.0 * b2 * nu.g(x) - 1.0
 
-    return _sup_level_set(f, n_scan, xtol)
+    return _sup_level_set(f)
 
 
 def _gamma_half_excess(beta: float, nu: MixingFunction) -> float:
@@ -212,7 +215,7 @@ def _gamma_half_excess(beta: float, nu: MixingFunction) -> float:
     return best
 
 
-def beta_c(nu: MixingFunction, hi: float = 100.0, tol: float = 1e-8) -> float:
+def beta_c(nu: MixingFunction, hi: float = 100.0) -> float:
     """Critical inverse temperature: sup{beta : the gamma = 1/2 plateau is 0}.
 
     Operationally: smallest beta at which (1/2 + 2 beta^2 nu'(x))(1 - x) >= 1/2
@@ -225,7 +228,7 @@ def beta_c(nu: MixingFunction, hi: float = 100.0, tol: float = 1e-8) -> float:
         raise NotBracketed(f"no positive plateau up to beta = {hi}")
     lo = 0.0
     hi_b = hi
-    while hi_b - lo > tol:
+    while hi_b - lo > _BETA_TOL:
         mid = 0.5 * (lo + hi_b)
         if _gamma_half_excess(mid, nu) >= 0.0:
             hi_b = mid
@@ -282,20 +285,19 @@ class KappaValues:
         return max(abs(a - b) for a, b in zip(self.quad, self.closed))
 
 
-def kappa_values(sol: FdtSolution, nu: MixingFunction,
-                 tail_tol: float = 1e-6) -> KappaValues:
+def kappa_values(sol: FdtSolution, nu: MixingFunction) -> KappaValues:
     """Integrated response constants, by grid quadrature and in closed form.
 
     kappa1 = int R nu''(D), kappa2 = int R, kappa3 = 0 in the lag regime;
     closed forms 2(nu'(1) - nu'(D_inf)) and 2(1 - D_inf).  Raises
-    NotConverged unless |D(T) - D_inf| <= tail_tol; the quadrature is only
+    NotConverged unless |D(T) - D_inf| <= 1e-6; the quadrature is only
     meaningful once the lag window has reached the plateau.
     """
     if sol.D_inf is None:
         raise NotConverged("no plateau value to converge to")
-    if abs(sol.D[-1] - sol.D_inf) > tail_tol:
+    if abs(sol.D[-1] - sol.D_inf) > _TAIL_TOL:
         raise NotConverged(
-            f"|D(T) - D_inf| = {abs(sol.D[-1] - sol.D_inf):g} > {tail_tol:g}")
+            f"|D(T) - D_inf| = {abs(sol.D[-1] - sol.D_inf):g} > {_TAIL_TOL:g}")
     h = sol.grid.h
     k1 = _trapz_dot(h, sol.R_fdt * nu.nu(sol.D, 2))
     k2 = _trapz_dot(h, sol.R_fdt)
@@ -322,8 +324,7 @@ def aging_kappa_update(kappas, A: float, d_inf: float, alpha: float,
 # fixed points of the overlap limit
 # ---------------------------------------------------------------------------
 
-def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas,
-                       n_scan: int = 10001, xtol: float = 1e-10) -> list:
+def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> list:
     """Roots alpha in [-1, 1] of the stationarity identity for q(s) -> alpha q_star.
 
     The identity (with D = nu'(q_star^2)):
@@ -334,7 +335,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas,
 
     ``mu`` and ``kappas`` may be numbers (a fixed working point) or callables
     of alpha (self-consistent substitution, see no_aging_selfconsistent).
-    Found by sign-change scan on n_scan points plus bisection to xtol; exact
+    Found by sign-change scan on 10001 points plus bisection to 1e-10; exact
     grid zeros are kept as roots.  Raises ValidationError when the identity
     is degenerate (numerically zero over the whole scan) or when mu <= 0.
     """
@@ -360,7 +361,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas,
                    - b2 * qs2 * nu.nu(x, 2) * nu.nu(x, 1) * k2 / denom
                    + b2 * x * k1))
 
-    xs = np.linspace(-1.0, 1.0, n_scan)
+    xs = np.linspace(-1.0, 1.0, _N_SCAN)
     vals = np.array([resid(a) for a in xs])
     scale = float(abs(vals).max())
     ref = max(1.0, abs(mu_fn(0.0)) * qs)
@@ -373,7 +374,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas,
         lo, hi = xs[j], xs[j + 1]
         flo = vals[j]
         for _ in range(200):
-            if hi - lo <= xtol:
+            if hi - lo <= _XTOL:
                 break
             mid = 0.5 * (lo + hi)
             fm = resid(mid)

@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import (Blowup, GridMismatch, HardConstraint, RankDeficient,
                      SizeOverflow, ValidationError)
-from .model import (Confinement, MixingFunction, ModelParams, f_prime,
-                    validate, vstar_build)
+from .model import MixingFunction, ModelParams, f_prime, validate, vstar_build
 from .volterra import TwoTimeBundle, integrated_response
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "conditional_hessian_spectrum",
 ]
 
-_DEFAULT_BUDGET = 2 << 30  # bytes of dense coefficient storage
+_BUDGET = 2 << 30  # bytes of dense coefficient storage
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 
 
@@ -103,26 +102,24 @@ def star_point(N: int, q_star: float) -> np.ndarray:
     return x
 
 
-def sample_disorder(N: int, nu: MixingFunction, seed,
-                    budget: int = _DEFAULT_BUDGET) -> Disorder:
+def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     """Draw unconditioned disorder for every order with positive weight.
 
     Sampling an i.i.d. N(0, N^{1-p}) tensor and averaging its index
     permutations yields exactly the sorted-tuple law with the multiplicity
     variance correction (per-orbit variance N^{1-p}/mult for A, hence
-    N^{1-p} * mult for J).
+    N^{1-p} * mult for J).  Any order is stored densely; raises SizeOverflow
+    when the stores together need more than 2 GiB.
     """
     if N < 2:
         raise ValidationError("need N >= 2")
     active = list(nu.active_orders)
     need = sum(8 * N ** p for p in active)
-    if need > budget:
-        raise SizeOverflow(f"dense store needs {need} bytes > budget {budget}")
+    if need > _BUDGET:
+        raise SizeOverflow(f"dense store needs {need} bytes > budget {_BUDGET}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for p in active:
-        if p > 4:
-            raise SizeOverflow(f"dense storage supports p <= 4, got {p}")
         std = N ** ((1 - p) / 2.0)
         b = rng.standard_normal((N,) * p) * std
         a = np.zeros_like(b)
@@ -265,7 +262,6 @@ class SimConfig:
     seed: int
     replicas: int = 8
     snap_stride: int = 1
-    confinement: Confinement | None = None  # None = take it from the params
 
     def __post_init__(self):
         if self.N < 2:
@@ -311,13 +307,9 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
 
     H comes from the run's own gradient calls, n_steps + 1 of them.
     """
-    conf = config.confinement if config.confinement is not None else params.confinement
-    if conf.kind != "soft":
+    if params.confinement.kind != "soft":
         raise HardConstraint("finite-N runs need a soft confinement")
-    prm = validate(ModelParams(beta=params.beta, q_star=params.q_star,
-                               q_o=params.q_o, E_star=params.E_star,
-                               G_star=params.G_star, confinement=conf),
-                   MixingFunction(J.coeffs_sq))
+    prm = validate(params, MixingFunction(J.coeffs_sq))
     N, R = config.N, config.replicas
     if J.N != N:
         raise ValidationError("disorder size does not match config.N")

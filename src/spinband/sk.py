@@ -86,6 +86,7 @@ class SkParams:
 # ---------------------------------------------------------------------------
 
 _SERIES_CUT = 20.0
+_TAIL_TOL = 1e-12  # mgf_tail_integral truncation: bound on the dropped tail
 
 
 def _mgf_series(z):
@@ -117,16 +118,7 @@ def semicircle_mgf(theta, beta: float = 1.0):
     arrays; theta must be >= 0.  Grows like e^z, so it overflows to inf for
     beta*theta beyond ~700 -- use damped_mgf for large arguments.
     """
-    z = np.asarray(beta * np.asarray(theta, dtype=float))
-    if np.any(z < 0):
-        raise DomainError("theta must be nonnegative")
-    small = z <= _SERIES_CUT
-    out = np.where(small, _mgf_series(np.where(small, z, 0.0)), 0.0)
-    if not np.all(small):
-        zb = np.where(small, _SERIES_CUT + 1.0, z)
-        big = np.exp(zb) * math.sqrt(2.0 / math.pi) * zb ** -1.5 * _mgf_asym_factor(zb)
-        out = np.where(small, out, big)
-    return float(out) if np.isscalar(theta) or np.asarray(theta).ndim == 0 else out
+    return damped_mgf(theta, beta, 0.0)
 
 
 def damped_mgf(theta, beta: float, G: float):
@@ -163,11 +155,11 @@ def resolvent_root(G: float) -> float:
     return 1.0 / (G + math.sqrt(G * G - 1.0))
 
 
-def mgf_tail_integral(tau, beta: float, G: float, tol: float = 1e-12):
+def mgf_tail_integral(tau, beta: float, G: float):
     """int_tau^infty L_G(u) du for each tau (scalar or ascending array).
 
     Gauss-Legendre panels of width <= 2 up to the cutoff U where the
-    exponential tail bound e^{-beta(G-1)U}/(beta(G-1)) drops below tol
+    exponential tail bound e^{-beta(G-1)U}/(beta(G-1)) drops below 1e-12
     (valid since L(u) <= e^{beta u}).  Requires G > 1.
     """
     if G <= 1.0:
@@ -179,7 +171,7 @@ def mgf_tail_integral(tau, beta: float, G: float, tol: float = 1e-12):
     else:
         order = None
     ts = taus[order] if order is not None else taus
-    U = max(float(ts[-1]) + 1.0, math.log(1.0 / (tol * rate)) / rate)
+    U = max(float(ts[-1]) + 1.0, math.log(1.0 / (_TAIL_TOL * rate)) / rate)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     # segment boundaries: the taus themselves plus a uniform fill up to U
     bounds = np.unique(np.concatenate([ts, np.linspace(float(ts[0]), U,
@@ -200,13 +192,6 @@ def mgf_tail_integral(tau, beta: float, G: float, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 # two-time march of the symmetric kernel M
 # ---------------------------------------------------------------------------
-
-def _damped_kernel(t: np.ndarray, beta: float, G: float) -> np.ndarray:
-    """L_G on the grid times t; the overflow-safe form needs G >= 1."""
-    if G >= 1.0:
-        return damped_mgf(t, beta, G)
-    return np.exp(-beta * G * t) * semicircle_mgf(t, beta)
-
 
 def _prefix_conv(kernel: np.ndarray, col: np.ndarray) -> np.ndarray:
     """First len entries of the full linear convolution kernel * col."""
@@ -229,7 +214,7 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     """
     h, n = grid.h, grid.n
     b2 = beta * beta
-    lg = _damped_kernel(grid.times(), beta, G)
+    lg = damped_mgf(grid.times(), beta, G)
     M = np.zeros((n + 1, n + 1))
     Md = np.empty(n + 1)
     M[0, 0] = m0
@@ -288,7 +273,7 @@ def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
     M, Md = march_covariance(beta, G, qs2 - qo2, qo2, grid)
     lam = np.sqrt(qo2 + Md)
     q = qs * params.q_o / lam
-    lg = _damped_kernel(grid.times(), beta, G)
+    lg = damped_mgf(grid.times(), beta, G)
     idx = np.arange(n + 1)
     gap = idx[:, None] - idx[None, :]
     R = np.where(gap >= 0, lg[np.abs(gap)] * (lam[None, :] / lam[:, None]), 0.0)

@@ -69,6 +69,11 @@ __all__ = [
     "soft_hard_gap",
 ]
 
+_BLOWUP = 1e6  # largest |value| a march row may reach before StepUnstable
+_AUDIT_TOL = 1e-8  # check_bundle tolerance
+_AUDIT_TIMES = 21  # check_bundle's Gram matrix size
+_BOUND_ROWS = 128  # response_integral_bound samples about this many rows
+
 
 @dataclass(frozen=True)
 class TwoTimeGrid:
@@ -159,12 +164,11 @@ def integrated_response(R: np.ndarray, h: float) -> np.ndarray:
 class _March:
     """Workspace for one solve; see the module docstring for the scheme."""
 
-    def __init__(self, params, nu, grid, hard, blowup, conditioned=True):
+    def __init__(self, params, nu, grid, hard, conditioned=True):
         self.params = validate(params, nu)
         self.nu = nu
         self.grid = grid
         self.hard = hard
-        self.blowup = blowup
         # corr = 0 reverts to the classical (unconditioned) mixed p-spin
         # system: zero drift polynomial and no cross-memory corrections.
         self.corr = 1.0 if conditioned else 0.0
@@ -179,17 +183,17 @@ class _March:
         self.denom = d if d > 0.0 else 1.0  # zero mixture: numerators vanish too
 
         n = grid.n
-        self.R = np.zeros((n + 1, n + 1))
+        self.R = np.eye(n + 1)  # R(s,s) = 1; rows only ever write u < s
         self.C = np.zeros((n + 1, n + 1))
         self.q = np.zeros(n + 1)
         self.K = np.ones(n + 1)
         self.mu = np.zeros(n + 1)
+        self.Hhat = np.zeros(n + 1)  # Hhat[0] = 0: an empty memory integral
         self.Kpde = np.ones(n + 1)  # hard: diagonal marched without enforcement
 
-        self.R[0, 0] = 1.0
         self.C[0, 0] = 1.0
         self.q[0] = self.params.q_o
-        self.mu[0] = self._mu_row(0) if hard else f_prime(self.params, 1.0)
+        self.mu[0] = self._mu(0)
 
     # -- row-local quantities -------------------------------------------------
 
@@ -204,7 +208,16 @@ class _March:
                         * self.nu.nu(self.q[:r + 1], 1) / self.denom)
         return _trapz_dot(self.grid.h, integ)
 
-    def _mu_row(self, r: int) -> float:
+    def _drive(self, r: int) -> float:
+        """beta^2 int R [psi(C) - psi(q) nu'(q)/D] + beta q v'(q) at s = t_r,
+        doubled: the memory and drift part of the soft K equation."""
+        return 2.0 * self.b2 * self._zint(r) + \
+            2.0 * self.beta * self.q[r] * self.v.derivative(self.q[r])
+
+    def _mu(self, r: int) -> float:
+        """Hard: the closed-form multiplier; soft: f'(K[r])."""
+        if not self.hard:
+            return f_prime(self.params, self.K[r])
         return (0.5 + self.b2 * self._zint(r)
                 + self.beta * self.q[r] * self.v.derivative(self.q[r]))
 
@@ -232,22 +245,20 @@ class _March:
         # int_t^s R(u,t) R(s,u) nu''(C(s,u)) du  (upper-triangle zeros truncate at u >= t)
         IR = h * (a @ Rblk)
         IR -= 0.5 * h * a                # endpoint u = t (R(t,t) = 1)
-        IR -= 0.5 * h * a[-1] * self.R[r, :r + 1]      # endpoint u = s
-        F_R = -mu_r * self.R[r, :r + 1] + self.b2 * IR
+        IR -= 0.5 * h * a[-1] * Rrow     # endpoint u = s
+        F_R = -mu_r * Rrow + self.b2 * IR
 
         # int_0^s R(s,u) [nu''(C) C(u,t) - q(t) nu'(q(u)) nu''(q(s))/D] du
-        T1 = h * (a @ Cblk) - 0.5 * h * (a[0] * self.C[0, :r + 1]
-                                         + a[-1] * self.C[r, :r + 1])
+        T1 = h * (a @ Cblk) - 0.5 * h * (a[0] * self.C[0, :r + 1] + a[-1] * Crow)
         Iq = _trapz_dot(h, Rrow * nu1q)
         # int_0^t R(t,u) [nu'(C(s,u)) - nu'(q(s)) nu'(q(u))/D] du
-        T2 = h * (self.R[:r + 1, :r + 1] @ d)
+        T2 = h * (Rblk @ d)
         T2 -= 0.5 * h * self.R[:r + 1, 0] * d[0]
         T2 -= 0.5 * h * d
-        qcol = self.q[: r + 1]
-        F_C = (-mu_r * self.C[r, :r + 1]
-               + self.b2 * (T1 - self.corr * qcol * (nu2_qr / self.denom) * Iq)
+        F_C = (-mu_r * Crow
+               + self.b2 * (T1 - self.corr * qvec * (nu2_qr / self.denom) * Iq)
                + self.b2 * T2
-               + self.beta * qcol * v1_qr)
+               + self.beta * qvec * v1_qr)
 
         F_q = (-mu_r * qr
                + self.b2 * (_trapz_dot(h, a * qvec)
@@ -255,19 +266,30 @@ class _March:
                + self.beta * self.qs2 * v1_qr)
         return F_R, F_C, F_q
 
-    # -- soft K step ----------------------------------------------------------
+    # -- one row step ---------------------------------------------------------
 
-    def _k_solve(self, target_fn, guess):
-        """Newton solve of kappa - target_fn(kappa) = 0 (semi-implicit K update)."""
-        p = self.params
-        conf = p.confinement
+    def _advance(self, i: int, scale: float, FR, FC, Fq) -> None:
+        """Row i+1 off the diagonal, and q[i+1], from row i plus scale * F."""
+        self.R[i + 1, :i + 1] = self.R[i, :i + 1] + scale * FR
+        self.C[i + 1, :i + 1] = self.C[i, :i + 1] + scale * FC
+        self.q[i + 1] = self.q[i] + scale * Fq
+
+    def _set_diag(self, r: int, k: float) -> None:
+        """K[r] = C[r, r] = k, and C's column r mirrors its row r."""
+        self.K[r] = k
+        self.C[r, r] = k
+        self.C[:r, r] = self.C[r, :r]
+
+    def _k_solve(self, base: float, c: float, guess: float) -> float:
+        """Newton solve of kappa = base - c f'(kappa) kappa (implicit K update)."""
+        conf = self.params.confinement
         kk = 2 * conf.k - 1
         kappa = guess
         for _ in range(50):
             fp = 2.0 * conf.L * (kappa - 1.0) + 0.5 * conf.phi * kappa ** kk
             dfp = 2.0 * conf.L + 0.5 * conf.phi * kk * kappa ** (kk - 1)
-            g = kappa - target_fn(fp * kappa)
-            dg = 1.0 + target_fn.slope * (dfp * kappa + fp)
+            g = kappa - (base - c * (fp * kappa))
+            dg = 1.0 + c * (dfp * kappa + fp)
             step = g / dg
             kappa -= step
             if abs(step) <= 1e-14 * max(1.0, abs(kappa)):
@@ -278,90 +300,59 @@ class _March:
 
     def run(self) -> TwoTimeBundle:
         n, h = self.grid.n, self.grid.h
-        p = self.params
+        K = self.K
+
+        def nu1(x):
+            return self.nu.nu(x, 1)
+
         for i in range(n):
-            mu_i = self.mu[i]
-            FR_i, FC_i, Fq_i = self._row_rhs(i, mu_i)
-            if not self.hard:
-                S_i = 2.0 * self.b2 * self._zint(i) + \
-                    2.0 * self.beta * self.q[i] * self.v.derivative(self.q[i])
-
-            # predictor row i+1
-            self.R[i + 1, :i + 1] = self.R[i, :i + 1] + h * FR_i
-            self.R[i + 1, i + 1] = 1.0
-            self.C[i + 1, :i + 1] = self.C[i, :i + 1] + h * FC_i
-            self.q[i + 1] = self.q[i] + h * Fq_i
+            FR_i, FC_i, Fq_i = self._row_rhs(i, self.mu[i])
+            # Euler predictor; soft: K* = K_i + h (1 - 2 f'(K*) K* + S_i)
             if self.hard:
-                k_pred = 1.0
+                k = 1.0
             else:
-                base = self.K[i] + h * (1.0 + S_i)
+                S_i = self._drive(i)
+                k = self._k_solve(K[i] + h * (1.0 + S_i), 2.0 * h, K[i])
+            self._advance(i, h, FR_i, FC_i, Fq_i)
+            self._set_diag(i + 1, k)
+            FR_p, FC_p, Fq_p = self._row_rhs(i + 1, self._mu(i + 1))
 
-                def tgt(fk):  # K* = K_i + h (1 - 2 f'(K*) K* + S_i)
-                    return base - 2.0 * h * fk
-                tgt.slope = 2.0 * h
-                k_pred = self._k_solve(tgt, self.K[i])
-            self.C[i + 1, i + 1] = k_pred
-            self.C[: i + 1, i + 1] = self.C[i + 1, :i + 1]
-
+            # trapezoid corrector
+            self._advance(i, 0.5 * h, FR_i + FR_p[:i + 1], FC_i + FC_p[:i + 1],
+                          Fq_i + Fq_p)
             if self.hard:
-                mu_pred = self._mu_row(i + 1)
-            else:
-                mu_pred = f_prime(p, k_pred)
-            FR_p, FC_p, Fq_p = self._row_rhs(i + 1, mu_pred)
-
-            # corrector
-            self.R[i + 1, :i + 1] = self.R[i, :i + 1] + 0.5 * h * (FR_i + FR_p[: i + 1])
-            self.R[i + 1, i + 1] = 1.0
-            self.C[i + 1, :i + 1] = self.C[i, :i + 1] + 0.5 * h * (FC_i + FC_p[: i + 1])
-            self.q[i + 1] = self.q[i] + 0.5 * h * (Fq_i + Fq_p)
-            if self.hard:
-                self.K[i + 1] = 1.0
                 # diagnostic: diagonal marched without enforcement,
                 # d/ds C(s,s) = 1 + 2 * (RHS of the C equation at t = s)
                 self.Kpde[i + 1] = self.Kpde[i] + 0.5 * h * (
                     (1.0 + 2.0 * FC_i[i]) + (1.0 + 2.0 * FC_p[i + 1]))
             else:
-                S_p = 2.0 * self.b2 * self._zint(i + 1) + \
-                    2.0 * self.beta * self.q[i + 1] * self.v.derivative(self.q[i + 1])
-                fk_i = f_prime(p, self.K[i])
-                base = self.K[i] + 0.5 * h * (
-                    (1.0 - 2.0 * fk_i * self.K[i] + S_i) + (1.0 + S_p))
-
-                def tgt(fk):
-                    return base - h * fk
-                tgt.slope = h
-                self.K[i + 1] = self._k_solve(tgt, k_pred)
-            self.C[i + 1, i + 1] = self.K[i + 1]
-            self.C[: i + 1, i + 1] = self.C[i + 1, :i + 1]
-            self.mu[i + 1] = self._mu_row(i + 1) if self.hard else f_prime(p, self.K[i + 1])
+                fk_i = f_prime(self.params, K[i])
+                base = K[i] + 0.5 * h * (
+                    (1.0 - 2.0 * fk_i * K[i] + S_i) + (1.0 + self._drive(i + 1)))
+                k = self._k_solve(base, h, k)
+            self._set_diag(i + 1, k)
+            self.mu[i + 1] = self._mu(i + 1)
 
             worst = max(abs(self.C[i + 1, : i + 2]).max(),
                         abs(self.R[i + 1, : i + 2]).max(),
-                        abs(self.q[i + 1]), abs(self.K[i + 1]))
-            if not np.isfinite(worst) or worst > self.blowup:
+                        abs(self.q[i + 1]), abs(K[i + 1]))
+            if not np.isfinite(worst) or worst > _BLOWUP:
                 raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): |value| = {worst:g}")
-
-        # energy along the trajectory
-        def nu1(x):
-            return self.nu.nu(x, 1)
-
-        Hhat = np.zeros(n + 1)
-        for r in range(n + 1):
-            Hhat[r] = self.beta * self._zint(r, nu1)
-        H = Hhat + self.v.value(self.q)
+            # row i+1 is final: later rows only write C right of its diagonal
+            self.Hhat[i + 1] = self.beta * self._zint(i + 1, nu1)
 
         diag_res = float(abs(self.Kpde - 1.0).max()) if self.hard else None
         return TwoTimeBundle(
             grid=self.grid,
             constraint="hard" if self.hard else "soft",
-            R=self.R, C=self.C, q=self.q, K=self.K, mu=self.mu,
-            H=H, Hhat=Hhat, diag_residual=diag_res,
-            params=self.params, nu=self.nu,
+            R=self.R, C=self.C, q=self.q, K=K, mu=self.mu,
+            H=self.Hhat + self.v.value(self.q), Hhat=self.Hhat,
+            diag_residual=diag_res, params=self.params, nu=self.nu,
         )
 
 
 def solve_hard(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
-               blowup: float = 1e6, conditioned: bool = True) -> TwoTimeBundle:
+               conditioned: bool = True) -> TwoTimeBundle:
     """March the hard-constraint system (K == 1, closed-form multiplier mu).
 
     ``conditioned`` False removes the critical-point drift and the
@@ -370,31 +361,27 @@ def solve_hard(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
     """
     if not params.confinement.is_hard:
         params = dataclasses.replace(params, confinement=Confinement.hard())
-    return _March(params, nu, grid, hard=True, blowup=blowup,
-                  conditioned=conditioned).run()
+    return _March(params, nu, grid, hard=True, conditioned=conditioned).run()
 
 
 def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
-               blowup: float = 1e6, conditioned: bool = True) -> TwoTimeBundle:
+               conditioned: bool = True) -> TwoTimeBundle:
     """March the soft-confinement system (K evolves, mu(s) = f'(K(s)))."""
     if params.confinement.is_hard:
         raise GridMismatch("solve_soft needs a soft confinement in params")
-    return _March(params, nu, grid, hard=False, blowup=blowup,
-                  conditioned=conditioned).run()
+    return _March(params, nu, grid, hard=False, conditioned=conditioned).run()
 
 
-def response_integral_bound(bundle: TwoTimeBundle, row_stride: int | None = None) -> float:
+def response_integral_bound(bundle: TwoTimeBundle) -> float:
     """Largest violation of |int_{t1}^{t2} R(s,u) du|^2 <= t2 - t1.
 
     Returns max over sampled rows s and all pairs t1 <= t2 <= s of
     (trapezoid integral)^2 - (t2 - t1); a negative return means the bound
-    holds everywhere sampled.  Rows are subsampled (default: about 128 rows
-    plus the final one) since the exact all-pairs scan is quadratic per row.
+    holds everywhere sampled.  Rows are subsampled (about 128 rows plus the
+    final one) since the exact all-pairs scan is quadratic per row.
     """
     n, h = bundle.grid.n, bundle.grid.h
-    if row_stride is None:
-        row_stride = max(1, n // 128)
-    rows = sorted(set(range(0, n + 1, row_stride)) | {n})
+    rows = sorted(set(range(0, n + 1, max(1, n // _BOUND_ROWS))) | {n})
     worst = -np.inf
     for r in rows:
         cum = _cumtrapz(bundle.R[r, : r + 1], h)
@@ -434,14 +421,13 @@ class InvariantReport:
                  "psd_min_eig", "diag_residual", "tol", "passed")}
 
 
-def check_bundle(bundle: TwoTimeBundle, tol: float = 1e-8,
-                 subgrid: int = 21) -> InvariantReport:
+def check_bundle(bundle: TwoTimeBundle) -> InvariantReport:
     """Audit the structural invariants of a solved bundle.
 
     Checks R and C diagonals, |q| <= q_star + tol, |C| <= 1 + tol under the
     hard constraint, and positive semi-definiteness of the recentred
-    correlation on an evenly spaced ``subgrid`` of times (min eigenvalue of
-    the Gram matrix >= -tol).
+    correlation on 21 evenly spaced times (min eigenvalue of the Gram
+    matrix >= -tol), with tol = 1e-8.
     """
     n = bundle.grid.n
     qs = bundle.params.q_star
@@ -451,12 +437,12 @@ def check_bundle(bundle: TwoTimeBundle, tol: float = 1e-8,
     c_excess = None
     if bundle.constraint == "hard":
         c_excess = float(abs(bundle.C).max() - 1.0)
-    idx = np.unique(np.round(np.linspace(0, n, min(subgrid, n + 1))).astype(int))
+    idx = np.unique(np.round(np.linspace(0, n, min(_AUDIT_TIMES, n + 1))).astype(int))
     gram = bundle.cbar()[np.ix_(idx, idx)]
     gram = 0.5 * (gram + gram.T)
     psd_min = float(np.linalg.eigvalsh(gram)[0])
     return InvariantReport(diag_R, diag_C, q_excess, c_excess, psd_min,
-                           bundle.diag_residual, tol)
+                           bundle.diag_residual, _AUDIT_TOL)
 
 
 def soft_hard_gap(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,

@@ -136,6 +136,24 @@ def test_report_reaudits_a_run(tmp_path):
     assert report["audit"]["passed"] is True
 
 
+def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
+    sk = tmp_path / "sk"
+    assert main(["sk", "--config", str(write_cfg(tmp_path, "sk.json", solve_cfg())),
+                 "--out", str(sk)]) == 0
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, "sim.json", solve_cfg(
+        grid={"T": 0.1, "h": 0.05}, constraint={"kind": "soft", "L": 100.0, "k": 1},
+        sim={"N": 16, "dt": 0.002, "seed": 1, "replicas": 2}))), "--out", str(sim)]) == 0
+    capsys.readouterr()
+    for src, missing in ((sk, "'Hhat' column"), (sim, "no series.csv")):
+        rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(src)}})
+        rep_out = tmp_path / f"rep_{src.name}"
+        assert main(["report", "--config", str(rep_cfg), "--out", str(rep_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and missing in err, err
+        assert not (rep_out / "report.json").exists()
+
+
 def test_fdt_constants(tmp_path):
     payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 0.3,
                          "q_star": 1.0},

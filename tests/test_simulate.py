@@ -90,17 +90,19 @@ def test_gradient_matches_finite_differences():
 
 
 def test_energy_matches_the_sorted_tuple_sum():
-    """Independent oracle: H_J(x) = sum_p b_p sum_{i1<=..<=ip} J x_i1..x_ip."""
+    """Independent oracle: H_J(x) = sum_p b_p sum_{i1<=..<=ip} J x_i1..x_ip,
+    for orders 2..4 and 2..5."""
     N = 5
-    nu = MixingFunction((0.04, 0.03, 0.02))
-    J = sample_disorder(N, nu, 13)
     X = np.random.default_rng(2).standard_normal((4, N))
-    Hb, _ = hamiltonian_and_grad_batch(J, X)
-    for r, x in enumerate(X):
-        expect = sum(J.weight(p) * J.coupling(p, idx) * math.prod(x[list(idx)])
-                     for p in J.active_orders()
-                     for idx in combinations_with_replacement(range(N), p))
-        assert abs(Hb[r] - expect) <= 1e-12
+    for coeffs in ((0.04, 0.03, 0.02), (0.04, 0.03, 0.02, 0.01)):
+        J = sample_disorder(N, MixingFunction(coeffs), 13)
+        assert J.active_orders() == list(range(2, len(coeffs) + 2))
+        Hb, _ = hamiltonian_and_grad_batch(J, X)
+        for r, x in enumerate(X):
+            expect = sum(J.weight(p) * J.coupling(p, idx) * math.prod(x[list(idx)])
+                         for p in J.active_orders()
+                         for idx in combinations_with_replacement(range(N), p))
+            assert abs(Hb[r] - expect) <= 1e-12
 
 
 def test_initial_band_sampling():
@@ -437,10 +439,9 @@ def test_hessian_spectrum_model(pure3_mixing):
 def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
     with pytest.raises(SizeOverflow):
         sample_disorder(700, pure3_mixing, 0)
-    with pytest.raises(SizeOverflow):
-        sample_disorder(500, pure3_mixing, 0, budget=10 ** 8)
-    with pytest.raises(SizeOverflow):
-        sample_disorder(2, MixingFunction((0.0, 0.0, 0.0, 0.125)), 0)
+    # any order within the byte budget: p = 5 at N = 2 is 256 bytes
+    assert sample_disorder(2, MixingFunction((0.0, 0.0, 0.0, 0.125)), 0
+                           ).tensors[5].shape == (2,) * 5
     with pytest.raises(ValidationError):
         sample_disorder(1, sk_mixing, 0)
     J = sample_disorder(8, sk_mixing, 1)

@@ -123,30 +123,59 @@ def test_blowup_guard_trips():
     prm = ModelParams(beta=6.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.hard())
     with pytest.raises(StepUnstable):
-        solve_hard(prm, nu, TwoTimeGrid.from_T(6.0, 0.05), blowup=1e3)
+        solve_hard(prm, nu, TwoTimeGrid.from_T(6.0, 0.05))
 
 
 def test_soft_k_newton_cap_raises(sk_mixing):
-    """The semi-implicit K solve raises once its 50 Newton steps run out,
-    for a finite slowly contracting iteration and for a NaN target."""
+    """kappa = base - c f'(kappa) kappa: a root when one exists, and
+    NotConverged once the 50 Newton steps run out (no real root, NaN base)."""
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
                       G_star=1.25, confinement=Confinement.soft(20.0, 1))
-    march = _March(prm, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05), hard=False,
-                   blowup=1e6)
+    march = _March(prm, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05), hard=False)
+    phi = march.params.confinement.phi
+    root = march._k_solve(1.0, 0.05, 2.0)
+    fp = 2.0 * 20.0 * (root - 1.0) + 0.5 * phi * root
+    assert abs(root - (1.0 - 0.05 * fp * root)) <= 1e-13
 
-    def tgt(fk):
-        return 1.0 - 0.05 * fk
-    tgt.slope = 0.05
-    root = march._k_solve(tgt, 2.0)
-    fp = 2.0 * 20.0 * (root - 1.0) + 0.5 * march.params.confinement.phi * root
-    assert abs(root - tgt(fp * root)) <= 1e-13
-
-    tgt.slope = 25.0        # Newton with a wrong slope contracts too slowly
+    # k = 1 makes the equation the quadratic c (2L + phi/2) kappa^2
+    # + (1 - 2 c L) kappa - base = 0, which has no real root for this base
+    base, c = -10.0, 0.05
+    assert (1.0 - 2 * c * 20.0) ** 2 + 4 * c * (40.0 + 0.5 * phi) * base < 0
     with pytest.raises(NotConverged):
-        march._k_solve(tgt, 2.0)
-
-    def nan_tgt(fk):
-        return float("nan")
-    nan_tgt.slope = 0.05
+        march._k_solve(base, c, 1.0)
     with pytest.raises(NotConverged):
-        march._k_solve(nan_tgt, 1.0)
+        march._k_solve(float("nan"), c, 1.0)
+
+
+@pytest.fixture(scope="module")
+def mixed_runs(mixed_mixing):
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.5, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.soft(100.0, 1))
+    grid = TwoTimeGrid.from_T(2.0, 0.02)
+    return solve_hard(prm, mixed_mixing, grid), solve_soft(prm, mixed_mixing, grid)
+
+
+def test_march_keeps_C_symmetric(sk_hard_bundle, mixed_runs):
+    for b in (sk_hard_bundle, *mixed_runs):
+        assert np.array_equal(b.C, b.C.T), b.constraint
+
+
+def test_hard_diagonal_residual_is_rounding_level(sk_hard_bundle, mixed_runs):
+    """The closed-form multiplier keeps the unenforced diagonal at 1."""
+    for b in (sk_hard_bundle, mixed_runs[0]):
+        assert b.diag_residual <= 1e-12
+
+
+def test_memory_energy_matches_an_independent_trapezoid(sk_hard_bundle, mixed_runs):
+    """Hhat(s) = beta int_0^s R(s,u) [nu'(C(s,u)) - nu'(q(s)) nu'(q(u)) / D] du,
+    recomputed from the stored R, C and q for every row at once."""
+    for b in (sk_hard_bundle, *mixed_runs):
+        h, n = b.grid.h, b.grid.n
+        nu1q = b.nu.nu(b.q, 1)
+        F = b.R * (b.nu.nu(b.C, 1)
+                   - np.outer(nu1q, nu1q) / b.nu.nu(b.params.q_star ** 2, 1))
+        F = np.tril(F)
+        idx = np.arange(n + 1)
+        Hhat = b.params.beta * h * (F.sum(axis=1) - 0.5 * (F[:, 0] + F[idx, idx]))
+        Hhat[0] = 0.0
+        assert_allclose(b.Hhat, Hhat, rtol=0, atol=1e-14)
