@@ -21,6 +21,7 @@ import in this file is local to the function that needs it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -212,17 +213,66 @@ def write_matrix_csv(path: Path, M, lower: bool = True) -> None:
             f.write("".join(f"{i},{j},{_fmt(row[j])}\n" for j in range(jmax)))
 
 
+_CHUNK_LINES = 4096  # lines parsed per np.loadtxt call: bounds the row buffer
+
+
+def _row_chunks(f, kinds, path: Path):
+    """The remaining lines of a CSV dump, parsed in chunks of structured rows.
+
+    One field per converter in ``kinds`` (int or float), parsed by
+    np.loadtxt (exact for the %.17g dump); yields at least one (maybe empty)
+    chunk.  A damaged line raises ParseError naming the file and the line.
+    """
+    import numpy as np
+    dtype = [(f"f{k}", np.intp if kind is int else float)
+             for k, kind in enumerate(kinds)]
+    lineno, empty = 2, True
+    while lines := list(itertools.islice(f, _CHUNK_LINES)):
+        try:
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as e:
+            for k, line in enumerate(lines):
+                try:
+                    if line.strip():  # np.loadtxt skips blank lines
+                        for kind, v in zip(kinds, line.split(","), strict=True):
+                            kind(v)
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno + k}: expected {len(kinds)} "
+                                     f"comma-separated numbers, got {line.rstrip()!r}") from None
+            raise ParseError(f"{path}: lines {lineno}-{lineno + len(lines) - 1}: {e}") from None
+        yield rows
+        lineno, empty = lineno + len(lines), False
+    if empty:
+        yield np.zeros(0, dtype)
+
+
 def read_matrix_csv(path: Path, n: int, symmetric: bool = False):
-    """Rebuild an (n+1, n+1) array from a triplet dump."""
+    """Rebuild an (n+1, n+1) array from a triplet dump.
+
+    The dump must hold every entry of the lower triangle (j <= i) or of the
+    whole matrix exactly once; ParseError names the file otherwise.
+    """
     import numpy as np
     M = np.zeros((n + 1, n + 1))
+    seen = np.zeros((n + 1, n + 1), dtype=bool)
+    count = 0
     with open(path) as f:
-        header = f.readline()
-        if header.strip() != "i,j,value":
+        if f.readline().strip() != "i,j,value":
             raise ParseError(f"{path}: expected 'i,j,value' header")
-        for line in f:
-            si, sj, sv = line.rstrip("\n").split(",")
-            M[int(si), int(sj)] = float(sv)
+        for rows in _row_chunks(f, (int, int, float), path):
+            i, j = rows["f0"], rows["f1"]
+            outside = (i < 0) | (i > n) | (j < 0) | (j > n)
+            if outside.any():
+                k = int(outside.argmax())
+                raise ParseError(f"{path}: entry ({i[k]}, {j[k]}) outside 0..{n}")
+            M[i, j] = rows["f2"]
+            seen[i, j] = True
+            count += rows.size
+    lower = np.tri(n + 1, dtype=bool)
+    if count != seen.sum() or not (seen.all() or np.array_equal(seen, lower)):
+        raise ParseError(f"{path}: expected each entry of the lower triangle "
+                         f"({lower.sum()} lines) or of the full matrix "
+                         f"({lower.size} lines) once, read {count} lines")
     if symmetric:
         iu = np.triu_indices(n + 1, k=1)
         M[iu] = M.T[iu]
@@ -237,12 +287,12 @@ def write_series_csv(path: Path, names, columns) -> None:
 
 
 def read_series_csv(path: Path) -> dict:
+    """Columns of a series dump, by header name."""
     import numpy as np
     with open(path) as f:
         names = f.readline().rstrip("\n").split(",")
-        rows = [[float(v) for v in line.rstrip("\n").split(",")] for line in f]
-    data = np.asarray(rows)
-    return {name: data[:, k].copy() for k, name in enumerate(names)}
+        rows = np.concatenate(list(_row_chunks(f, (float,) * len(names), path)))
+    return {name: rows[f"f{k}"].copy() for k, name in enumerate(names)}
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -278,7 +328,8 @@ def load_bundle(rundir: str | Path):
     """Rebuild a TwoTimeBundle (and its metadata) from a solve run directory.
 
     Raises ParseError naming the first missing file or series column, so a
-    directory written by another command is rejected cleanly.
+    directory written by another command is rejected cleanly, and naming the
+    file for a damaged line, a missing matrix entry or a short series.
     """
     from .volterra import TwoTimeBundle
 
@@ -294,6 +345,9 @@ def load_bundle(rundir: str | Path):
     for col in ("q", "K", "mu", "H", "Hhat"):
         if col not in series:
             raise ParseError(f"{rundir / 'series.csv'}: no '{col}' column")
+    if series["q"].shape[0] != grid.n + 1:
+        raise ParseError(f"{rundir / 'series.csv'}: {series['q'].shape[0]} rows, "
+                         f"the grid needs n + 1 = {grid.n + 1}")
     R = read_matrix_csv(rundir / "R.csv", grid.n)
     C = read_matrix_csv(rundir / "C.csv", grid.n, symmetric=True)
     bundle = TwoTimeBundle(

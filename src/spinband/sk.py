@@ -223,7 +223,10 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     def rhs(r):
         a = lg[r::-1]
         blk = M[: r + 1, : r + 1]
-        t1 = h * (a @ blk)
+        # the reversed view a is not BLAS-able, and matmul's loop for it is
+        # unblocked; einsum (no optimize) sums over j in the same order,
+        # ten times faster, and with no BLAS call stays thread-independent
+        t1 = h * np.einsum("j,ji->i", a, blk)
         t1 -= 0.5 * h * (a[0] * M[0, : r + 1] + M[r, : r + 1])  # a[r] = 1
         col = M[: r + 1, r]
         t2 = h * (_prefix_conv(lg[: r + 1], col)

@@ -376,9 +376,10 @@ def response_integral_bound(bundle: TwoTimeBundle) -> float:
     """Largest violation of |int_{t1}^{t2} R(s,u) du|^2 <= t2 - t1.
 
     Returns max over sampled rows s and all pairs t1 <= t2 <= s of
-    (trapezoid integral)^2 - (t2 - t1); a negative return means the bound
-    holds everywhere sampled.  Rows are subsampled (about 128 rows plus the
-    final one) since the exact all-pairs scan is quadratic per row.
+    (trapezoid integral)^2 - (t2 - t1).  The t1 = t2 pairs add exactly 0.0,
+    so the return is >= 0, and 0 means no sampled violation.  Rows are
+    subsampled (about 128 rows plus the final one) since the exact
+    all-pairs scan is quadratic per row.
     """
     n, h = bundle.grid.n, bundle.grid.h
     rows = sorted(set(range(0, n + 1, max(1, n // _BOUND_ROWS))) | {n})

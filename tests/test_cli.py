@@ -154,6 +154,49 @@ def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
         assert not (rep_out / "report.json").exists()
 
 
+def _append_partial_line(path):
+    with open(path, "a") as f:
+        f.write("5,1\n")
+    return f"line {len(path.read_text().splitlines())}: "
+
+
+def _append_index_past_n(path):
+    with open(path, "a") as f:
+        f.write("51,0,1.0\n")
+    return "entry (51, 0) outside 0..50"
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    return "or of the full matrix" if path.name != "series.csv" else "50 rows"
+
+
+def _shorten_a_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[10] = lines[10].rsplit(",", 1)[0] + "\n"
+    path.write_text("".join(lines))
+    return "line 11: expected 6 comma-separated numbers"
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("R.csv", _append_partial_line), ("R.csv", _append_index_past_n),
+    ("C.csv", _drop_last_line), ("series.csv", _shorten_a_row),
+    ("series.csv", _drop_last_line)])
+def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
+    out = tmp_path / "out"
+    assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
+                 "--out", str(out)]) == 0
+    expected = damage(out / name)
+    capsys.readouterr()
+    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
+    rep_out = tmp_path / "rep"
+    assert main(["report", "--config", str(rep_cfg), "--out", str(rep_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out / name}: "), err
+    assert expected in err, err
+    assert not (rep_out / "report.json").exists()
+
+
 def test_fdt_constants(tmp_path):
     payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 0.3,
                          "q_star": 1.0},
@@ -313,6 +356,13 @@ def test_matrix_csv_guards(tmp_path):
     write_matrix_csv(tmp_path / "sym.csv", M)
     back = read_matrix_csv(tmp_path / "sym.csv", 1, symmetric=True)
     assert np.array_equal(back, M)
+    # full storage reads back as is; a repeated entry is rejected
+    A = np.array([[1.0, -0.5], [0.25, 2.0]])
+    write_matrix_csv(tmp_path / "full.csv", A, lower=False)
+    assert np.array_equal(read_matrix_csv(tmp_path / "full.csv", 1), A)
+    bad.write_text("i,j,value\n0,0,1.0\n1,0,2.0\n1,0,2.0\n")
+    with pytest.raises(ParseError, match="once, read 3 lines"):
+        read_matrix_csv(bad, 1)
 
 
 def test_threads_flag_sets_environment(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from spinband.sk import (SkParams, damped_mgf, energy_from_mu,
                          solve_two_time, stationary_covariance,
                          superposition_gap)
 from spinband.volterra import TwoTimeGrid, solve_hard
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +193,35 @@ def test_matches_general_solver(ref, sk_params, sk_mixing):
     for name in ("R", "C", "q", "mu", "H"):
         gap = np.abs(getattr(general, name) - getattr(closed, name)).max()
         assert gap <= 2e-4, f"{name}: {gap}"
+
+
+_ORACLE_DIGEST = """
+import hashlib
+from spinband.sk import SkParams, solve_two_time
+from spinband.volterra import TwoTimeGrid
+sol = solve_two_time(SkParams(beta=1.0, G_star=1.25), TwoTimeGrid.from_T(10.0, 0.01))
+d = hashlib.sha256()
+for name in ("M", "M_diag", "Lam", "q", "R", "Cbar", "C", "mu", "H"):
+    d.update(getattr(sol, name).tobytes())
+print(d.hexdigest())
+"""
+
+
+def test_oracle_is_bitwise_independent_of_blas_threads():
+    """The sk march makes no BLAS call, so 1 and 2 threads give equal bytes.
+
+    Run at n = 1000, the compare-sk grid: on a 2-core host a BLAS matvec
+    in the march gave equal bytes at both thread counts up to n = 600 and
+    differed only from n = 800 on, so a small grid can miss the regression.
+    """
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _ORACLE_DIGEST],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
