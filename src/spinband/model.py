@@ -114,20 +114,20 @@ class MixingFunction:
     def nu(self, r, order: int = 0):
         """Evaluate nu^(order)(r) for order in {0, 1, 2, 3} (Horner form).
 
-        Accepts scalars or numpy arrays.
+        Accepts scalars (evaluated in Python floats, which round exactly as
+        the array path does) or numpy arrays.
         """
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be in 0..3")
         # Coefficient of r^(p-order) is c_p * p! / (p-order)!.
         p_low = max(2, order)
-        acc = np.zeros_like(np.asarray(r, dtype=float))
+        scalar = np.ndim(r) == 0
+        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
         for p in range(self.m, p_low - 1, -1):
             acc = acc * r + self.coeffs_sq[p - 2] * _falling(p, order)
         for _ in range(p_low - order):
             acc = acc * r
-        if np.ndim(r) == 0:
-            return float(acc)
-        return acc
+        return float(acc) if scalar else acc
 
     def psi(self, r):
         """psi(r) = r nu''(r) + nu'(r)."""
@@ -212,22 +212,20 @@ class DriftPolynomial:
         return all(c == 0.0 for c in self.coeffs)
 
     def value(self, r):
-        acc = np.zeros_like(np.asarray(r, dtype=float))
+        scalar = np.ndim(r) == 0
+        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
         for c in self.coeffs[::-1]:
             acc = acc * r + c
-        if np.ndim(r) == 0:
-            return float(acc)
-        return acc
+        return float(acc) if scalar else acc
 
     def derivative(self, r):
         """v'(r); satisfies v'(q_star^2) = G by construction."""
         n = len(self.coeffs)
-        acc = np.zeros_like(np.asarray(r, dtype=float))
+        scalar = np.ndim(r) == 0
+        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
         for p in range(n - 1, 0, -1):
             acc = acc * r + p * self.coeffs[p]
-        if np.ndim(r) == 0:
-            return float(acc)
-        return acc
+        return float(acc) if scalar else acc
 
 
 def _moment_matrix(nu: MixingFunction, q_star: float) -> np.ndarray:

@@ -73,6 +73,7 @@ _BLOWUP = 1e6  # largest |value| a march row may reach before StepUnstable
 _AUDIT_TOL = 1e-8  # check_bundle tolerance
 _AUDIT_TIMES = 21  # check_bundle's Gram matrix size
 _BOUND_ROWS = 128  # response_integral_bound samples about this many rows
+_BOUND_BLOCK = 64  # ... and scans this many t1 values of a row at once
 
 
 @dataclass(frozen=True)
@@ -136,11 +137,6 @@ class TwoTimeBundle:
         for arr in (self.R, self.C, self.q, self.K, self.mu, self.H, self.Hhat):
             arr.setflags(write=False)
 
-    def cbar(self) -> np.ndarray:
-        """Recentred correlation C(s,t) - q(s) q(t) / q_star^2."""
-        qs = self.params.q_star
-        return self.C - np.outer(self.q, self.q) / (qs * qs)
-
 
 def _trapz_dot(h: float, f: np.ndarray) -> float:
     """Trapezoid rule over equally spaced samples f[0..r]."""
@@ -190,36 +186,53 @@ class _March:
         self.mu = np.zeros(n + 1)
         self.Hhat = np.zeros(n + 1)  # Hhat[0] = 0: an empty memory integral
         self.Kpde = np.ones(n + 1)  # hard: diagonal marched without enforcement
+        # nu'(q(u)) for the written u, and nu', nu'', psi of the last written
+        # row of C: each write refreshes exactly what it wrote
+        self.nu1q = np.zeros(n + 1)
+        self.nu1C = np.zeros(n + 1)
+        self.nu2C = np.zeros(n + 1)
+        self.psiC = np.zeros(n + 1)
 
-        self.C[0, 0] = 1.0
-        self.q[0] = self.params.q_o
+        self._set_q(0, self.params.q_o)
+        self._set_diag(0, 1.0)
         self.mu[0] = self._mu(0)
 
     # -- row-local quantities -------------------------------------------------
 
-    def _zint(self, r: int, f=None) -> float:
+    def _set_q(self, r: int, value: float) -> None:
+        """q[r] = value, with nu'(q_r), nu''(q_r), psi(q_r) and v'(q_r)."""
+        self.q[r] = qr = value
+        self.nu1q[r] = self.nu1_qr = self.nu.nu(qr, 1)
+        self.nu2_qr = self.nu.nu(qr, 2)
+        self.psi_qr = qr * self.nu2_qr + self.nu1_qr
+        self.v1_qr = self.v.derivative(qr)
+
+    def _refresh(self, r: int, j) -> None:
+        """nu', nu'' and psi of C[r, j] (j an index or a slice)."""
+        c = self.C[r, j]
+        self.nu1C[j] = nu1 = self.nu.nu(c, 1)
+        self.nu2C[j] = nu2 = self.nu.nu(c, 2)
+        self.psiC[j] = c * nu2 + nu1
+
+    def _zint(self, r: int, fC: np.ndarray, f_qr: float) -> float:
         """int_0^s R(s,u) [f(C(s,u)) - f(q(s)) nu'(q(u))/D] du at s = t_r,
-        with f = psi unless given (the energy uses f = nu')."""
-        f = self.nu.psi if f is None else f
-        Rrow = self.R[r, :r + 1]
-        Crow = self.C[r, :r + 1]
-        integ = Rrow * (f(Crow)
-                        - self.corr * f(self.q[r])
-                        * self.nu.nu(self.q[:r + 1], 1) / self.denom)
+        from f on row r of C and f(q_r): f = psi, or nu' for the energy."""
+        integ = self.R[r, :r + 1] * (fC[:r + 1] - self.corr * f_qr
+                                     * self.nu1q[:r + 1] / self.denom)
         return _trapz_dot(self.grid.h, integ)
 
     def _drive(self, r: int) -> float:
         """beta^2 int R [psi(C) - psi(q) nu'(q)/D] + beta q v'(q) at s = t_r,
         doubled: the memory and drift part of the soft K equation."""
-        return 2.0 * self.b2 * self._zint(r) + \
-            2.0 * self.beta * self.q[r] * self.v.derivative(self.q[r])
+        return 2.0 * self.b2 * self._zint(r, self.psiC, self.psi_qr) + \
+            2.0 * self.beta * self.q[r] * self.v1_qr
 
     def _mu(self, r: int) -> float:
         """Hard: the closed-form multiplier; soft: f'(K[r])."""
         if not self.hard:
             return f_prime(self.params, self.K[r])
-        return (0.5 + self.b2 * self._zint(r)
-                + self.beta * self.q[r] * self.v.derivative(self.q[r]))
+        return (0.5 + self.b2 * self._zint(r, self.psiC, self.psi_qr)
+                + self.beta * self.q[r] * self.v1_qr)
 
     def _row_rhs(self, r: int, mu_r: float):
         """RHS of the R/C/q equations for all columns j = 0..r at row s = t_r."""
@@ -228,16 +241,10 @@ class _March:
         Crow = self.C[r, :r + 1]
         qr = self.q[r]
         qvec = self.q[:r + 1]
+        nu1q = self.nu1q[:r + 1]
 
-        nu1C = self.nu.nu(Crow, 1)
-        nu2C = self.nu.nu(Crow, 2)
-        nu1q = self.nu.nu(qvec, 1)
-        nu2_qr = self.nu.nu(qr, 2)
-        nu1_qr = self.nu.nu(qr, 1)
-        v1_qr = self.v.derivative(qr)
-
-        a = Rrow * nu2C                       # R(s,u) nu''(C(s,u))
-        d = nu1C - self.corr * nu1_qr * nu1q / self.denom
+        a = Rrow * self.nu2C[:r + 1]          # R(s,u) nu''(C(s,u))
+        d = self.nu1C[:r + 1] - self.corr * self.nu1_qr * nu1q / self.denom
 
         Rblk = self.R[:r + 1, :r + 1]
         Cblk = self.C[:r + 1, :r + 1]
@@ -256,14 +263,14 @@ class _March:
         T2 -= 0.5 * h * self.R[:r + 1, 0] * d[0]
         T2 -= 0.5 * h * d
         F_C = (-mu_r * Crow
-               + self.b2 * (T1 - self.corr * qvec * (nu2_qr / self.denom) * Iq)
+               + self.b2 * (T1 - self.corr * qvec * (self.nu2_qr / self.denom) * Iq)
                + self.b2 * T2
-               + self.beta * qvec * v1_qr)
+               + self.beta * qvec * self.v1_qr)
 
         F_q = (-mu_r * qr
                + self.b2 * (_trapz_dot(h, a * qvec)
-                            - self.corr * self.qs2 * (nu2_qr / self.denom) * Iq)
-               + self.beta * self.qs2 * v1_qr)
+                            - self.corr * self.qs2 * (self.nu2_qr / self.denom) * Iq)
+               + self.beta * self.qs2 * self.v1_qr)
         return F_R, F_C, F_q
 
     # -- one row step ---------------------------------------------------------
@@ -272,13 +279,15 @@ class _March:
         """Row i+1 off the diagonal, and q[i+1], from row i plus scale * F."""
         self.R[i + 1, :i + 1] = self.R[i, :i + 1] + scale * FR
         self.C[i + 1, :i + 1] = self.C[i, :i + 1] + scale * FC
-        self.q[i + 1] = self.q[i] + scale * Fq
+        self._refresh(i + 1, slice(0, i + 1))
+        self._set_q(i + 1, self.q[i] + scale * Fq)
 
     def _set_diag(self, r: int, k: float) -> None:
         """K[r] = C[r, r] = k, and C's column r mirrors its row r."""
         self.K[r] = k
         self.C[r, r] = k
         self.C[:r, r] = self.C[r, :r]
+        self._refresh(r, r)
 
     def _k_solve(self, base: float, c: float, guess: float) -> float:
         """Newton solve of kappa = base - c f'(kappa) kappa (implicit K update)."""
@@ -301,10 +310,6 @@ class _March:
     def run(self) -> TwoTimeBundle:
         n, h = self.grid.n, self.grid.h
         K = self.K
-
-        def nu1(x):
-            return self.nu.nu(x, 1)
-
         for i in range(n):
             FR_i, FC_i, Fq_i = self._row_rhs(i, self.mu[i])
             # Euler predictor; soft: K* = K_i + h (1 - 2 f'(K*) K* + S_i)
@@ -339,7 +344,7 @@ class _March:
             if not np.isfinite(worst) or worst > _BLOWUP:
                 raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): |value| = {worst:g}")
             # row i+1 is final: later rows only write C right of its diagonal
-            self.Hhat[i + 1] = self.beta * self._zint(i + 1, nu1)
+            self.Hhat[i + 1] = self.beta * self._zint(i + 1, self.nu1C, self.nu1_qr)
 
         diag_res = float(abs(self.Kpde - 1.0).max()) if self.hard else None
         return TwoTimeBundle(
@@ -373,26 +378,31 @@ def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
 
 
 def response_integral_bound(bundle: TwoTimeBundle) -> float:
-    """Largest violation of |int_{t1}^{t2} R(s,u) du|^2 <= t2 - t1.
+    """Normalised response bound: the bound holds when the return is <= 1.
 
-    Returns max over sampled rows s and all pairs t1 <= t2 <= s of
-    (trapezoid integral)^2 - (t2 - t1).  The t1 = t2 pairs add exactly 0.0,
-    so the return is >= 0, and 0 means no sampled violation.  Rows are
-    subsampled (about 128 rows plus the final one) since the exact
-    all-pairs scan is quadratic per row.
+    Returns the max over sampled rows s (about 128 rows plus the final one)
+    and over all pairs t1 < t2 <= s of |int_{t1}^{t2} R(s,u) du|^2 / (t2 - t1),
+    the integral by trapezoid.  The pairs of a row are scanned in blocks of
+    _BOUND_BLOCK t1 values against a strided view of 1 / (t2 - t1), so no
+    (n+1)^2 array is built.  A NaN in a sampled row makes the return NaN.
     """
+    from numpy.lib.stride_tricks import sliding_window_view
+
     n, h = bundle.grid.n, bundle.grid.h
     rows = sorted(set(range(0, n + 1, max(1, n // _BOUND_ROWS))) | {n})
-    worst = -np.inf
+    lag = np.zeros(2 * n + 1)                   # lag[n + k] = 1 / (k h), 0 for k <= 0
+    lag[n + 1:] = 1.0 / (h * np.arange(1, n + 1))
+    inv_gap = sliding_window_view(lag, n + 1)[::-1]     # [j1, j2] = lag[n + j2 - j1]
+    block_max = [0.0]
     for r in rows:
         cum = _cumtrapz(bundle.R[r, : r + 1], h)
-        diff = cum[None, :] - cum[:, None]          # [j1, j2] = int_{t1}^{t2}
-        tgap = h * (np.arange(r + 1)[None, :] - np.arange(r + 1)[:, None])
-        # in place: on the last row these (n+1)^2 arrays set the peak memory
-        diff *= diff
-        diff -= tgap
-        worst = max(worst, float(np.triu(diff).max()))
-    return worst
+        for b in range(0, r, _BOUND_BLOCK):
+            e = min(b + _BOUND_BLOCK, r)
+            ratio = cum[None, b + 1:] - cum[b:e, None]  # [j1, j2] = int_{t1}^{t2}
+            ratio *= ratio
+            ratio *= inv_gap[b:e, b + 1:r + 1]
+            block_max.append(ratio.max())
+    return float(np.max(block_max))
 
 
 @dataclass
@@ -437,9 +447,10 @@ def check_bundle(bundle: TwoTimeBundle) -> InvariantReport:
     q_excess = float(abs(bundle.q).max() - qs)
     c_excess = None
     if bundle.constraint == "hard":
-        c_excess = float(abs(bundle.C).max() - 1.0)
+        c_excess = float(max(bundle.C.max(), -bundle.C.min()) - 1.0)
     idx = np.unique(np.round(np.linspace(0, n, min(_AUDIT_TIMES, n + 1))).astype(int))
-    gram = bundle.cbar()[np.ix_(idx, idx)]
+    q = bundle.q[idx]
+    gram = bundle.C[np.ix_(idx, idx)] - np.outer(q, q) / (qs * qs)
     gram = 0.5 * (gram + gram.T)
     psd_min = float(np.linalg.eigvalsh(gram)[0])
     return InvariantReport(diag_R, diag_C, q_excess, c_excess, psd_min,

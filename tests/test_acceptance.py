@@ -85,7 +85,7 @@ def test_04_spherical_invariants(run1):
     n = run1.grid.n
     assert np.array_equal(np.diag(run1.C), np.ones(n + 1))   # enforced
     assert run1.diag_residual <= 1e-3                        # pre-enforcement
-    assert response_integral_bound(run1) <= 2.0 * run1.grid.h
+    assert 0 < response_integral_bound(run1) <= 1 + 1e-8
     report = check_bundle(run1)
     assert report.psd_min_eig >= -1e-8
     assert np.abs(run1.q).max() <= run1.params.q_star + 1e-8
@@ -214,3 +214,35 @@ def test_10_fdt_constants(pure3_mixing, sk_params, sk_mixing):
 
     rep = localized_no_aging(sk_params, sk_mixing)
     assert rep.beta_plus == rep.y
+
+
+@pytest.mark.parametrize("coeffs_sq, q_star, E_star, G_star", [
+    ((0.0, 0.125), 1.0, 2.0 / 3.0, 2.0),         # pure p = 3, alpha from d_star
+    ((0.0625, 0.0625), 0.8, 0.3, 1.65169)],      # mixed, G_star on the G identity
+    ids=["pure3", "mixed"])
+def test_11_long_time_march_reaches_the_localized_branch(coeffs_sq, q_star,
+                                                          E_star, G_star):
+    """From q_o = 0.5 the march at T = 30 sits within 1e-3 of the no-aging
+    limit: q / q_star -> alpha, mu -> phi(1) = gamma + 2 beta^2 nu'(1),
+    H -> H_inf."""
+    nu = MixingFunction(coeffs_sq)
+    prm = ModelParams(beta=1.0, q_star=q_star, q_o=0.5, E_star=E_star,
+                      G_star=G_star, confinement=Confinement.hard())
+    b = solve_hard(prm, nu, TwoTimeGrid.from_T(30.0, 0.02))
+    rep = localized_no_aging(b.params, nu)
+    assert abs(b.q[-1] / q_star - rep.alpha) <= 1e-3
+    assert abs(b.mu[-1] - (rep.gamma + 2.0 * prm.beta ** 2 * nu.nu(1.0, 1))) <= 1e-3
+    assert abs(b.H[-1] - rep.h_inf) <= 1e-3
+
+
+def test_12_long_time_march_on_the_fdt_branch(pure3_mixing):
+    """From q_o = 0.3 (below the middle self-consistent root) the pure p = 3
+    march at beta = 1 < beta_c relaxes to the FDT branch: mu -> phi(1) with
+    gamma = 1/2, and q keeps falling (slowly: q(30) is about 5e-3)."""
+    prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.3, E_star=2.0 / 3.0,
+                      G_star=2.0, confinement=Confinement.hard())
+    b = solve_hard(prm, pure3_mixing, TwoTimeGrid.from_T(30.0, 0.02))
+    assert abs(b.mu[-1] - (0.5 + 2.0 * prm.beta ** 2 * pure3_mixing.nu(1.0, 1))) <= 1e-3
+    late = b.q[b.grid.index_of(15.0):]
+    assert late[-1] < late[0] < prm.q_o
+    assert np.all(np.diff(late) < 0)

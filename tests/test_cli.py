@@ -44,7 +44,7 @@ def test_solve_hard_run(tmp_path):
     assert {p.name for p in out.iterdir()} == SOLVE_FILES
     invariants = json.loads((out / "invariants.json").read_text())
     assert invariants["passed"] is True
-    assert invariants["response_bound_excess"] <= invariants["response_bound_tol"]
+    assert invariants["response_bound_ratio"] <= 1 + invariants["response_bound_tol"]
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "solve-hard"
     assert meta["constraint"] == "hard"
@@ -178,10 +178,26 @@ def _shorten_a_row(path):
     return "line 11: expected 6 comma-separated numbers"
 
 
+def _nan_at_7_3(path):
+    lines = path.read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if line.startswith("7,3,"))
+    lines[k] = "7,3,nan\n"
+    path.write_text("".join(lines))
+    return f"line {k + 1}: non-finite value in '7,3,nan'"
+
+
+def _inf_in_a_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[10] = lines[10].rsplit(",", 1)[0] + ",inf\n"
+    path.write_text("".join(lines))
+    return "line 11: non-finite value in"
+
+
 @pytest.mark.parametrize("name, damage", [
     ("R.csv", _append_partial_line), ("R.csv", _append_index_past_n),
     ("C.csv", _drop_last_line), ("series.csv", _shorten_a_row),
-    ("series.csv", _drop_last_line)])
+    ("series.csv", _drop_last_line), ("R.csv", _nan_at_7_3),
+    ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
     assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),

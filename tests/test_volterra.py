@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from spinband.errors import GridMismatch, NotConverged, StepUnstable
 from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.volterra import (TwoTimeGrid, _March, check_bundle,
+from spinband.cli import _audit_dict
+from spinband.volterra import (_BOUND_ROWS, TwoTimeGrid, _March, check_bundle,
                                integrated_response, response_integral_bound,
                                soft_hard_gap, solve_hard, solve_soft)
 
@@ -60,8 +61,49 @@ def test_invariant_audit_passes(sk_hard_bundle):
 
 
 def test_response_integral_bound(sk_hard_bundle):
-    excess = response_integral_bound(sk_hard_bundle)
-    assert excess <= 2 * sk_hard_bundle.grid.h
+    ratio = response_integral_bound(sk_hard_bundle)
+    assert 0 < ratio <= 1 + 1e-8
+
+
+def _naive_bound_ratio(b):
+    """|int_{t1}^{t2} R(s,u) du|^2 / (t2 - t1) over every pair of every
+    sampled row, each integral accumulated outward from its own t1."""
+    n, h = b.grid.n, b.grid.h
+    worst = 0.0
+    for r in sorted(set(range(0, n + 1, max(1, n // _BOUND_ROWS))) | {n}):
+        row = b.R[r, :r + 1]
+        for j1 in range(r):
+            integral = np.cumsum(0.5 * h * (row[j1:-1] + row[j1 + 1:]))
+            worst = max(worst, (integral ** 2 / (h * np.arange(1, r - j1 + 1))).max())
+    return worst
+
+
+def test_response_bound_matches_a_naive_scan(sk_hard_bundle, mixed_mixing):
+    """The blocked scan equals the pair-by-pair one, at n = 200 (every row
+    sampled) and at n = 257 (every other row, partial last block)."""
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.5, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.hard())
+    mixed = solve_hard(prm, mixed_mixing, TwoTimeGrid.from_T(2.57, 0.01))
+    assert mixed.grid.n == 257
+    for b in (sk_hard_bundle, mixed):
+        assert_allclose(response_integral_bound(b), _naive_bound_ratio(b),
+                        rtol=1e-12, atol=0)
+
+
+def test_response_bound_fails_a_damaged_response(sk_hard_bundle):
+    """Tripling R off the diagonal breaks the bound and fails the audit;
+    a NaN in a sampled row makes the ratio NaN."""
+    b = sk_hard_bundle
+    R3 = 3.0 * b.R
+    np.fill_diagonal(R3, 1.0)
+    bad = dataclasses.replace(b, R=R3)
+    assert check_bundle(bad).passed
+    assert response_integral_bound(bad) > 1.0
+    assert _audit_dict(bad)["passed"] is False
+    assert _audit_dict(b)["passed"] is True
+    Rnan = b.R.copy()
+    Rnan[b.grid.n, 3] = np.nan
+    assert np.isnan(response_integral_bound(dataclasses.replace(b, R=Rnan)))
 
 
 def test_soft_solver_needs_soft_confinement(sk_params, sk_mixing):
@@ -179,3 +221,23 @@ def test_memory_energy_matches_an_independent_trapezoid(sk_hard_bundle, mixed_ru
         Hhat = b.params.beta * h * (F.sum(axis=1) - 0.5 * (F[:, 0] + F[idx, idx]))
         Hhat[0] = 0.0
         assert_allclose(b.Hhat, Hhat, rtol=0, atol=1e-14)
+
+
+def test_hard_multiplier_matches_an_independent_trapezoid(mixed_runs):
+    """mu(s) = 1/2 + beta^2 int_0^s R(s,u) [psi(C(s,u)) - psi(q(s)) nu'(q(u)) / D] du
+    + beta q(s) v'(q(s)), recomputed from the stored R, C and q for every row
+    at once: the march's cached nu', nu'' and psi must be those of the
+    final rows."""
+    from spinband.model import vstar_build
+    b = mixed_runs[0]
+    prm, h, n = b.params, b.grid.h, b.grid.n
+    nu1q = b.nu.nu(b.q, 1)
+    F = b.R * (b.nu.psi(b.C)
+               - np.outer(b.nu.psi(b.q), nu1q) / b.nu.nu(prm.q_star ** 2, 1))
+    F = np.tril(F)
+    idx = np.arange(n + 1)
+    memory = h * (F.sum(axis=1) - 0.5 * (F[:, 0] + F[idx, idx]))
+    memory[0] = 0.0
+    v = vstar_build(b.nu, prm.q_star, prm.E_star, prm.G_star)
+    mu = 0.5 + prm.beta ** 2 * memory + prm.beta * b.q * v.derivative(b.q)
+    assert_allclose(b.mu, mu, rtol=0, atol=1e-14)
