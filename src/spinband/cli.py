@@ -1,9 +1,9 @@
-"""Command-line front end: config parsing, run orchestration, CSV artifacts.
+"""Command-line front end: config parsing, run orchestration, artifacts.
 
 Commands:
 
 * ``solve-hard`` / ``solve-soft`` -- two-time solve; writes five files
-  (metadata.json, R.csv, C.csv, series.csv, invariants.json).
+  (metadata.json, R.npy, C.npy, series.csv, invariants.json).
 * ``fdt``       -- lag-grid solve plus the derived constants.
 * ``sk``        -- two-body closed-form solve on the same artifact layout.
 * ``simulate``  -- conditioned finite-N Langevin runs with snapshot dumps.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -198,92 +199,31 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def write_matrix_csv(path: Path, M, lower: bool = True) -> None:
-    """Triplet dump: header then one 'i,j,value' row per stored entry.
-
-    ``lower`` keeps j <= i only (enough for the symmetric C and the causal
-    R); full storage is used for the empirical response, which is neither.
-    """
-    n = M.shape[0]
+def write_matrix_csv(path: Path, M) -> None:
+    """Triplet dump of every entry: header then one 'i,j,value' row each."""
     with open(path, "w") as f:
         f.write("i,j,value\n")
-        for i in range(n):
-            row = M[i]
-            jmax = i + 1 if lower else M.shape[1]
-            f.write("".join(f"{i},{j},{_fmt(row[j])}\n" for j in range(jmax)))
+        for i, row in enumerate(M):
+            f.write("".join(f"{i},{j},{_fmt(v)}\n" for j, v in enumerate(row)))
 
 
-_CHUNK_LINES = 4096  # lines parsed per np.loadtxt call: bounds the row buffer
-
-
-def _row_chunks(f, kinds, path: Path):
-    """The remaining lines of a CSV dump, parsed in chunks of structured rows.
-
-    One field per converter in ``kinds`` (int or float), parsed by
-    np.loadtxt (exact for the %.17g dump); yields at least one (maybe empty)
-    chunk.  A damaged line, or a float field that is not finite (np.loadtxt
-    parses nan and inf), raises ParseError naming the file and the line.
-    """
+def read_matrix_csv(path: Path, n: int):
+    """An (n+1, n+1) array from an 'i,j,value' dump holding each entry once."""
     import numpy as np
-    dtype = [(f"f{k}", np.intp if kind is int else float)
-             for k, kind in enumerate(kinds)]
-    lineno, empty = 2, True
-    while lines := list(itertools.islice(f, _CHUNK_LINES)):
-        try:
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as e:
-            for k, line in enumerate(lines):
-                try:
-                    if line.strip():  # np.loadtxt skips blank lines
-                        for kind, v in zip(kinds, line.split(","), strict=True):
-                            kind(v)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno + k}: expected {len(kinds)} "
-                                     f"comma-separated numbers, got {line.rstrip()!r}") from None
-            raise ParseError(f"{path}: lines {lineno}-{lineno + len(lines) - 1}: {e}") from None
-        for k, kind in enumerate(kinds):
-            finite = np.isfinite(rows[f"f{k}"]) if kind is float else True
-            if not np.all(finite):
-                # the rows skip the blank lines that np.loadtxt drops
-                m = [m for m, line in enumerate(lines) if line.strip()][finite.argmin()]
-                raise ParseError(f"{path}: line {lineno + m}: non-finite value "
-                                 f"in {lines[m].rstrip()!r}")
-        yield rows
-        lineno, empty = lineno + len(lines), False
-    if empty:
-        yield np.zeros(0, dtype)
-
-
-def read_matrix_csv(path: Path, n: int, symmetric: bool = False):
-    """Rebuild an (n+1, n+1) array from a triplet dump.
-
-    The dump must hold every entry of the lower triangle (j <= i) or of the
-    whole matrix exactly once; ParseError names the file otherwise.
-    """
-    import numpy as np
-    M = np.zeros((n + 1, n + 1))
-    seen = np.zeros((n + 1, n + 1), dtype=bool)
-    count = 0
-    with open(path) as f:
-        if f.readline().strip() != "i,j,value":
-            raise ParseError(f"{path}: expected 'i,j,value' header")
-        for rows in _row_chunks(f, (int, int, float), path):
-            i, j = rows["f0"], rows["f1"]
-            outside = (i < 0) | (i > n) | (j < 0) | (j > n)
-            if outside.any():
-                k = int(outside.argmax())
-                raise ParseError(f"{path}: entry ({i[k]}, {j[k]}) outside 0..{n}")
-            M[i, j] = rows["f2"]
-            seen[i, j] = True
-            count += rows.size
-    lower = np.tri(n + 1, dtype=bool)
-    if count != seen.sum() or not (seen.all() or np.array_equal(seen, lower)):
-        raise ParseError(f"{path}: expected each entry of the lower triangle "
-                         f"({lower.sum()} lines) or of the full matrix "
-                         f"({lower.size} lines) once, read {count} lines")
-    if symmetric:
-        for i in range(n):  # row by row: no (n+1)^2 index or copy temporaries
-            M[i, i + 1:] = M[i + 1:, i]
+    cols = read_series_csv(path)
+    if list(cols) != ["i", "j", "value"]:
+        raise ParseError(f"{path}: expected 'i,j,value' header")
+    i, j = cols["i"], cols["j"]
+    outside = (i < 0) | (i > n) | (j < 0) | (j > n) | (i % 1 != 0) | (j % 1 != 0)
+    if outside.any():
+        k = int(outside.argmax())
+        raise ParseError(f"{path}: entry ({i[k]:g}, {j[k]:g}) is not an index in 0..{n}")
+    flat = (i * (n + 1) + j).astype(np.intp)
+    if (np.bincount(flat, minlength=(n + 1) ** 2) != 1).any():
+        raise ParseError(f"{path}: expected each of the {(n + 1) ** 2} entries once, "
+                         f"read {flat.size} lines")
+    M = np.empty((n + 1, n + 1))
+    M.flat[flat] = cols["value"]
     return M
 
 
@@ -295,12 +235,43 @@ def write_series_csv(path: Path, names, columns) -> None:
 
 
 def read_series_csv(path: Path) -> dict:
-    """Columns of a series dump, by header name."""
+    """Columns of a CSV dump of numbers, by header name.
+
+    Parsed by np.loadtxt (exact for the %.17g dump; blank lines are
+    skipped).  A line that is not one finite number per column (np.loadtxt
+    parses nan and inf) raises ParseError naming the file and the line.
+    """
     import numpy as np
     with open(path) as f:
         names = f.readline().rstrip("\n").split(",")
-        rows = np.concatenate(list(_row_chunks(f, (float,) * len(names), path)))
-    return {name: rows[f"f{k}"].copy() for k, name in enumerate(names)}
+        try:
+            rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+    if rows is not None and rows.size == 0:
+        rows = rows.reshape(0, len(names))
+    if rows is None or rows.shape[1] != len(names) or not np.isfinite(rows).all():
+        _raise_at_first_bad_line(path, len(names))
+    return {name: rows[:, k].copy() for k, name in enumerate(names)}
+
+
+def _raise_at_first_bad_line(path: Path, width: int):
+    """ParseError naming the first line of a dump that np.loadtxt rejected."""
+    with open(path) as f:
+        for lineno, line in enumerate(itertools.islice(f, 1, None), 2):
+            if not line.strip():
+                continue  # np.loadtxt skips blank lines
+            try:
+                values = [float(v) for v in line.split(",")]
+            except ValueError:
+                values = []
+            if len(values) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} "
+                                 f"comma-separated numbers, got {line.rstrip()!r}")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: line {lineno}: non-finite value "
+                                 f"in {line.rstrip()!r}")
+    raise ParseError(f"{path}: expected {width} comma-separated numbers per line")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -323,10 +294,32 @@ def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
     return meta
 
 
+def _write_two_time(out: Path, R, C) -> None:
+    """R.npy and C.npy: the full (n+1, n+1) float64 arrays, C-contiguous."""
+    import numpy as np
+    for name, M in (("R", R), ("C", C)):
+        np.save(out / f"{name}.npy", np.ascontiguousarray(M, dtype=np.float64))
+
+
+def _read_two_time(path: Path, n: int):
+    """An (n+1, n+1) finite float64 array from a .npy file, or ParseError."""
+    import numpy as np
+    try:
+        M = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise ParseError(f"{path}: not a readable .npy array: {e}") from None
+    if getattr(M, "dtype", None) != np.float64 or M.shape != (n + 1, n + 1):
+        raise ParseError(f"{path}: expected float64 of shape ({n + 1}, {n + 1}), "
+                         f"got {getattr(M, 'dtype', None)} {getattr(M, 'shape', None)}")
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ParseError(f"{path}: non-finite value {M[i, j]} at ({i}, {j})")
+    return M
+
+
 def save_bundle(bundle, out: Path) -> None:
-    """Write R.csv, C.csv and series.csv for a solved bundle."""
-    write_matrix_csv(out / "R.csv", bundle.R)
-    write_matrix_csv(out / "C.csv", bundle.C)
+    """Write R.npy, C.npy (full arrays) and series.csv for a solved bundle."""
+    _write_two_time(out, bundle.R, bundle.C)
     write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H", "Hhat"),
                      (bundle.grid.times(), bundle.q, bundle.K, bundle.mu,
                       bundle.H, bundle.Hhat))
@@ -337,12 +330,13 @@ def load_bundle(rundir: str | Path):
 
     Raises ParseError naming the first missing file or series column, so a
     directory written by another command is rejected cleanly, and naming the
-    file for a damaged line, a missing matrix entry or a short series.
+    file for a damaged line, a short series or a matrix that is not a finite
+    float64 array of the grid's shape.
     """
     from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
-    for name in ("metadata.json", "series.csv", "R.csv", "C.csv"):
+    for name in ("metadata.json", "series.csv", "R.npy", "C.npy"):
         if not (rundir / name).exists():
             raise ParseError(f"{rundir}: no {name} (not a solve-hard/solve-soft run)")
     meta = json.loads((rundir / "metadata.json").read_text())
@@ -356,11 +350,11 @@ def load_bundle(rundir: str | Path):
     if series["q"].shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'series.csv'}: {series['q'].shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
-    R = read_matrix_csv(rundir / "R.csv", grid.n)
-    C = read_matrix_csv(rundir / "C.csv", grid.n, symmetric=True)
     bundle = TwoTimeBundle(
         grid=grid, constraint=meta.get("constraint", "hard"),
-        R=R, C=C, q=series["q"], K=series["K"], mu=series["mu"],
+        R=_read_two_time(rundir / "R.npy", grid.n),
+        C=_read_two_time(rundir / "C.npy", grid.n),
+        q=series["q"], K=series["K"], mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         diag_residual=meta.get("diag_residual"), params=params, nu=nu)
     return bundle, meta
@@ -406,12 +400,17 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
         bundle = solve_hard(cfg.params, cfg.nu, cfg.grid)
     else:
         bundle = solve_soft(cfg.params, cfg.nu, cfg.grid)
-    save_bundle(bundle, out)
+    t1 = time.monotonic()
     audit = _audit_dict(bundle)
+    t2 = time.monotonic()
+    save_bundle(bundle, out)
     _write_json(out / "invariants.json", audit)
+    t3 = time.monotonic()
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, {
         "constraint": bundle.constraint,
         "diag_residual": bundle.diag_residual,
+        "timings": {"solve_s": round(t1 - t0, 3), "audit_s": round(t2 - t1, 3),
+                    "write_s": round(t3 - t2, 3)},
     }))
     return 0 if audit["passed"] else 2
 
@@ -463,8 +462,7 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
     t0 = time.monotonic()
     pars = _sk_params(cfg)
     sol = solve_two_time(pars, cfg.grid)
-    write_matrix_csv(out / "R.csv", sol.R)
-    write_matrix_csv(out / "C.csv", sol.C)
+    _write_two_time(out, sol.R, sol.C)
     ones = np.ones(cfg.grid.n + 1)
     write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H"),
                      (cfg.grid.times(), sol.q, ones, sol.mu, sol.H))
@@ -484,6 +482,7 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
+    import numpy as np
     from .simulate import (SimConfig, condition_disorder, empirical_observables,
                            error_functional, run_langevin, sample_disorder,
                            star_point)
@@ -512,14 +511,12 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     K_avg = traj.K.mean(axis=1)
     write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N", "K_N"),
                      (traj.times, emp.q_avg, emp.H_avg, K_avg))
-    with open(out / "per_replica.csv", "w") as f:
-        f.write("replica,t,q_N,H_N,K_N\n")
-        for r in range(scfg.replicas):
-            for k, t in enumerate(traj.times):
-                f.write(f"{r},{_fmt(t)},{_fmt(emp.q[r, k])},"
-                        f"{_fmt(emp.H[r, k])},{_fmt(traj.K[k, r])}\n")
-    write_matrix_csv(out / "C_N.csv", emp.C_avg, lower=False)
-    write_matrix_csv(out / "chi_N.csv", emp.chi_avg, lower=False)
+    reps, snaps = emp.q.shape  # replica-major rows
+    write_series_csv(out / "per_replica.csv", ("replica", "t", "q_N", "H_N", "K_N"),
+                     (np.repeat(np.arange(reps), snaps), np.tile(traj.times, reps),
+                      emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
+    write_matrix_csv(out / "C_N.csv", emp.C_avg)
+    write_matrix_csv(out / "chi_N.csv", emp.chi_avg)
 
     extra = {}
     if cfg.grid is not None:

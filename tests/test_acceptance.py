@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from spinband.fdt import (aging_constants, beta_c, kappa_values,
-                          localized_no_aging, solve_fdt)
+from spinband.fdt import (aging_constants, alpha_fixed_points, beta_c,
+                          kappa_values, localized_no_aging,
+                          no_aging_selfconsistent, solve_fdt)
 from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.simulate import (SimConfig, condition_disorder,
                                conditional_hessian_spectrum,
@@ -246,3 +247,18 @@ def test_12_long_time_march_on_the_fdt_branch(pure3_mixing):
     late = b.q[b.grid.index_of(15.0):]
     assert late[-1] < late[0] < prm.q_o
     assert np.all(np.diff(late) < 0)
+
+
+def test_13_long_time_march_off_the_g_identity():
+    """Mixed model at G_star = 2.0, off the G identity: the march at T = 30
+    sits within 1e-3 of the largest self-consistent no-aging root (about
+    0.872592, not q_star) and of that root's mu = phi(1)."""
+    nu = MixingFunction((0.0625, 0.0625))
+    prm = ModelParams(beta=1.0, q_star=0.8, q_o=0.5, E_star=0.3, G_star=2.0,
+                      confinement=Confinement.hard())
+    b = solve_hard(prm, nu, TwoTimeGrid.from_T(30.0, 0.02))
+    mu_fn, kappas_fn = no_aging_selfconsistent(b.params, nu)
+    alpha = max(alpha_fixed_points(b.params, nu, mu_fn, kappas_fn))
+    assert abs(alpha - 0.872592) <= 1e-5
+    assert abs(b.q[-1] / prm.q_star - alpha) <= 1e-3
+    assert abs(b.mu[-1] - mu_fn(alpha)) <= 1e-3

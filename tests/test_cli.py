@@ -15,7 +15,7 @@ from spinband.errors import ParseError, ValidationError
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.625, "G_star": 1.25}
 
-SOLVE_FILES = {"metadata.json", "R.csv", "C.csv", "series.csv",
+SOLVE_FILES = {"metadata.json", "R.npy", "C.npy", "series.csv",
                "invariants.json"}
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,10 +49,21 @@ def test_solve_hard_run(tmp_path):
     assert meta["command"] == "solve-hard"
     assert meta["constraint"] == "hard"
     assert meta["config"]["model"]["beta"] == 1.0
-    # triplet layout: strictly lower-triangular storage for R
-    lines = (out / "R.csv").read_text().splitlines()
-    assert lines[0] == "i,j,value"
-    assert all(int(l.split(",")[1]) <= int(l.split(",")[0]) for l in lines[1:])
+    # full float64 storage, R causal: zero strictly above the diagonal
+    R = np.load(out / "R.npy", allow_pickle=False)
+    assert R.dtype == np.float64 and R.shape == (51, 51)
+    assert not np.triu(R, 1).any()
+
+
+def test_solve_records_phase_timings(tmp_path):
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    out = tmp_path / "out"
+    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    timings = meta["timings"]
+    assert set(timings) == {"solve_s", "audit_s", "write_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings.values()) <= meta["wall_time_s"] + 0.01
 
 
 def test_artifacts_roundtrip_bitwise(tmp_path):
@@ -64,9 +75,9 @@ def test_artifacts_roundtrip_bitwise(tmp_path):
     again = tmp_path / "again"
     again.mkdir()
     save_bundle(bundle, again)
-    for name in ("R.csv", "C.csv", "series.csv"):
+    for name in ("R.npy", "C.npy", "series.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
-    # the 17-digit dump reproduces every float64 exactly
+    # .npy and the 17-digit series dump reproduce every float64 exactly
     from spinband.volterra import solve_hard
     direct = solve_hard(bundle.params, bundle.nu, bundle.grid)
     assert np.array_equal(bundle.R, direct.R)
@@ -93,7 +104,7 @@ def test_rerun_from_metadata_echo(tmp_path):
     cfg2 = write_cfg(tmp_path, "echo.json", echo)
     out2 = tmp_path / "two"
     assert main(["solve-hard", "--config", str(cfg2), "--out", str(out2)]) == 0
-    for name in ("R.csv", "C.csv", "series.csv", "invariants.json"):
+    for name in ("R.npy", "C.npy", "series.csv", "invariants.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -154,21 +165,36 @@ def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
         assert not (rep_out / "report.json").exists()
 
 
-def _append_partial_line(path):
-    with open(path, "a") as f:
-        f.write("5,1\n")
-    return f"line {len(path.read_text().splitlines())}: "
+def _truncate_100_bytes(path):
+    path.write_bytes(path.read_bytes()[:-100])
+    return "not a readable .npy array"
 
 
-def _append_index_past_n(path):
-    with open(path, "a") as f:
-        f.write("51,0,1.0\n")
-    return "entry (51, 0) outside 0..50"
+def _resave_n_by_n(path):
+    np.save(path, np.load(path)[:-1, :-1])
+    return "expected float64 of shape (51, 51), got float64 (50, 50)"
+
+
+def _resave_as_float32(path):
+    np.save(path, np.load(path).astype(np.float32))
+    return "expected float64 of shape (51, 51), got float32 (51, 51)"
+
+
+def _resave_as_object(path):
+    np.save(path, np.load(path).astype(object))
+    return "not a readable .npy array: Object arrays cannot be loaded"
+
+
+def _nan_at_7_3(path):
+    M = np.load(path)
+    M[7, 3] = np.nan
+    np.save(path, M)
+    return "non-finite value nan at (7, 3)"
 
 
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    return "or of the full matrix" if path.name != "series.csv" else "50 rows"
+    return "50 rows"
 
 
 def _shorten_a_row(path):
@@ -176,14 +202,6 @@ def _shorten_a_row(path):
     lines[10] = lines[10].rsplit(",", 1)[0] + "\n"
     path.write_text("".join(lines))
     return "line 11: expected 6 comma-separated numbers"
-
-
-def _nan_at_7_3(path):
-    lines = path.read_text().splitlines(keepends=True)
-    k = next(k for k, line in enumerate(lines) if line.startswith("7,3,"))
-    lines[k] = "7,3,nan\n"
-    path.write_text("".join(lines))
-    return f"line {k + 1}: non-finite value in '7,3,nan'"
 
 
 def _inf_in_a_row(path):
@@ -194,10 +212,10 @@ def _inf_in_a_row(path):
 
 
 @pytest.mark.parametrize("name, damage", [
-    ("R.csv", _append_partial_line), ("R.csv", _append_index_past_n),
-    ("C.csv", _drop_last_line), ("series.csv", _shorten_a_row),
-    ("series.csv", _drop_last_line), ("R.csv", _nan_at_7_3),
-    ("series.csv", _inf_in_a_row)])
+    ("R.npy", _truncate_100_bytes), ("C.npy", _resave_n_by_n),
+    ("R.npy", _resave_as_float32), ("R.npy", _nan_at_7_3),
+    ("C.npy", _resave_as_object), ("series.csv", _shorten_a_row),
+    ("series.csv", _drop_last_line), ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
     assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
@@ -255,7 +273,7 @@ def test_sk_closed_form_run(tmp_path):
     out = tmp_path / "out"
     assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "R.csv", "C.csv", "series.csv", "constants.json"}
+        "metadata.json", "R.npy", "C.npy", "series.csv", "constants.json"}
     con = json.loads((out / "constants.json").read_text())
     assert con["y"] == 0.5
     assert con["alpha_sq"] == 0.5
@@ -368,13 +386,9 @@ def test_matrix_csv_guards(tmp_path):
     bad.write_text("a,b,c\n0,0,1.0\n")
     with pytest.raises(ParseError):
         read_matrix_csv(bad, 1)
-    M = np.array([[1.0, 0.25], [0.25, 2.0]])
-    write_matrix_csv(tmp_path / "sym.csv", M)
-    back = read_matrix_csv(tmp_path / "sym.csv", 1, symmetric=True)
-    assert np.array_equal(back, M)
     # full storage reads back as is; a repeated entry is rejected
     A = np.array([[1.0, -0.5], [0.25, 2.0]])
-    write_matrix_csv(tmp_path / "full.csv", A, lower=False)
+    write_matrix_csv(tmp_path / "full.csv", A)
     assert np.array_equal(read_matrix_csv(tmp_path / "full.csv", 1), A)
     bad.write_text("i,j,value\n0,0,1.0\n1,0,2.0\n1,0,2.0\n")
     with pytest.raises(ParseError, match="once, read 3 lines"):
