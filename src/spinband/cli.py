@@ -505,8 +505,18 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     J = condition_disorder(
         sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
         cfg.params, cfg.nu)
+    t1 = time.monotonic()
     traj = run_langevin(J, cfg.params, scfg)
+    t2 = time.monotonic()
     emp = empirical_observables(traj, star_point(N, cfg.params.q_star))
+    t3 = time.monotonic()
+    extra = {}
+    if cfg.grid is not None:
+        limit = solve_soft(cfg.params, cfg.nu, cfg.grid)
+        err = error_functional(emp, limit)
+        per = error_functional(emp, limit, per_replica=True)
+        extra["error_functional"] = err
+    t4 = time.monotonic()
 
     K_avg = traj.K.mean(axis=1)
     write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N", "K_N"),
@@ -517,18 +527,17 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
                       emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
     write_matrix_csv(out / "C_N.csv", emp.C_avg)
     write_matrix_csv(out / "chi_N.csv", emp.chi_avg)
-
-    extra = {}
     if cfg.grid is not None:
-        limit = solve_soft(cfg.params, cfg.nu, cfg.grid)
-        err = error_functional(emp, limit)
-        per = error_functional(emp, limit, per_replica=True)
-        extra["error_functional"] = err
         _write_json(out / "report.json", {
             "error_functional": err,
             "per_replica": [float(v) for v in per],
             "grid": {"T": cfg.grid.h * cfg.grid.n, "h": cfg.grid.h},
         })
+    t5 = time.monotonic()
+    extra["timings"] = {
+        "disorder_s": round(t1 - t0, 3), "langevin_s": round(t2 - t1, 3),
+        "observables_s": round(t3 - t2, 3), "limit_s": round(t4 - t3, 3),
+        "write_s": round(t5 - t4, 3)}
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
     return 0
 

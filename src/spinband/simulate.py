@@ -205,28 +205,83 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
     return out
 
 
+@dataclass(frozen=True)
+class _PairStore:
+    """The couplings as the gradient kernel reads them.
+
+    ``stores[2]`` is the dense A^(2).  For p >= 3, ``stores[p]`` has one row
+    per first p-2 indices (flattened) and one column per cyclic pair (j, d),
+    j = 0..N-1, d = 0..N//2, holding w_d A[..., j, (j+d) mod N] with w_d = 1
+    at d = 0 and 2d = N and 2 otherwise: by the symmetry of A's last two
+    indices, pairs at cyclic distance d and N-d contribute equally, so the
+    store is about half the dense bytes and needs no index gather per call.
+    """
+
+    weights: dict
+    stores: dict
+
+    def active_orders(self):
+        return sorted(self.stores)
+
+
+def _pack(J: Disorder) -> _PairStore:
+    N = J.N
+    D = N // 2
+    j = np.arange(N)[:, None]
+    d = np.arange(D + 1)
+    cols = (j * N + (j + d) % N).ravel()
+    w = np.tile(np.where((d == 0) | (2 * d == N), 1.0, 2.0), N)
+    stores = {}
+    for p, A in J.tensors.items():
+        if p == 2:
+            stores[p] = A
+        else:
+            stores[p] = np.take(A.reshape(N ** (p - 2), N * N), cols, axis=1)
+            stores[p] *= w
+    return _PairStore({p: J.weight(p) for p in stores}, stores)
+
+
+def _pair_products(X: np.ndarray) -> np.ndarray:
+    """P[r, (j, d)] = x_j x_{(j+d) mod N}, in the column order of _pack."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    D = X.shape[1] // 2
+    ext = np.concatenate([X, X[:, :D]], axis=1)
+    P = X[:, :, None] * sliding_window_view(ext, D + 1, axis=1)
+    return P.reshape(X.shape[0], -1)
+
+
 def hamiltonian_and_grad(J: Disorder, x: np.ndarray):
-    """(H_J(x), grad H_J(x)) by dense symmetric contraction."""
+    """(H_J(x), grad H_J(x)) through the cyclic-pair kernel."""
     H, g = hamiltonian_and_grad_batch(J, x[None, :])
     return float(H[0]), g[0]
 
 
-def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
+def hamiltonian_and_grad_batch(J: Disorder | _PairStore, X: np.ndarray):
     """Vectorized over rows of X: returns (H values (R,), gradients (R, N)).
 
     For the symmetrized tensor A the order-p piece is <A, x^tensor p> with
-    gradient p * (A contracted p-1 times against x), contracted from the
-    left one index per BLAS product (A is symmetric).
+    gradient p * (A contracted p-1 times against x).  The order-2 piece is
+    one product X @ A.  For p >= 3 one product of the cyclic-pair store
+    against the pair products x_j x_{j+d} contracts A's last two indices,
+    and the remaining p-3 are contracted one per BLAS product.  ``J`` is a
+    Disorder, packed here, or the store run_langevin packs once per run.
     """
+    store = J if isinstance(J, _PairStore) else _pack(J)
     X = np.asarray(X, dtype=float)
     R, N = X.shape
     H = np.zeros(R)
     grad = np.zeros((R, N))
-    for p in J.active_orders():
-        b = J.weight(p)
-        V = X @ J.tensors[p].reshape(N, -1)
-        for _ in range(p - 2):
-            V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
+    P = None
+    for p in store.active_orders():
+        b = store.weights[p]
+        if p == 2:
+            V = X @ store.stores[p]
+        else:
+            if P is None:
+                P = _pair_products(X)
+            V = (store.stores[p] @ P.T).T
+            for _ in range(p - 3):
+                V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
         H += b * np.einsum("ri,ri->r", V, X)
         grad += (b * p) * V
     return H, grad
@@ -316,6 +371,7 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     dt = config.dt
     if noise is not None and noise.shape != (config.n_steps, R, N):
         raise ValidationError(f"noise must have shape {(config.n_steps, R, N)}")
+    store = _pack(J)
     rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
     X = np.stack([_initial_from_rng(rngs[r], N, prm.q_star, prm.q_o)
                   for r in range(R)])
@@ -331,7 +387,7 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
         K = np.einsum("ri,ri->r", X, X) / N
         if not np.all(np.isfinite(K)) or K.max() > 1e6:
             raise Blowup(f"radial blow-up after step {step}: K = {K.max():g}")
-        Hv, grad = hamiltonian_and_grad_batch(J, X)
+        Hv, grad = hamiltonian_and_grad_batch(store, X)
         if step % config.snap_stride == 0:
             k = step // config.snap_stride
             Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N

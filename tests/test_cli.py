@@ -310,6 +310,21 @@ def test_simulate_run(tmp_path):
     assert abs(C[0, 0] - 1.0) <= 1e-12
 
 
+def test_simulate_records_phase_timings(tmp_path):
+    payload = solve_cfg(grid={"T": 0.2, "h": 0.05},
+                        constraint={"kind": "soft", "L": 100.0, "k": 1},
+                        sim={"N": 16, "dt": 0.005, "seed": 7, "replicas": 2})
+    cfg = write_cfg(tmp_path, "sim.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    timings = meta["timings"]
+    assert set(timings) == {"disorder_s", "langevin_s", "observables_s",
+                            "limit_s", "write_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings.values()) <= meta["wall_time_s"] + 0.01
+
+
 def test_seed_override_is_echoed_and_deterministic(tmp_path):
     payload = solve_cfg(grid={"T": 0.5, "h": 0.05},
                         constraint={"kind": "soft", "L": 100.0, "k": 1},

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinband import simulate
 from spinband.errors import (Blowup, GridMismatch, HardConstraint,
-                             SizeOverflow, ValidationError)
-from spinband.model import Confinement, MixingFunction, ModelParams
+                             SizeOverflow, SpinbandError, ValidationError)
+from spinband.model import Confinement, MixingFunction, ModelParams, validate
 from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                condition_disorder,
                                conditional_hessian_spectrum,
@@ -17,6 +23,8 @@ from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                hamiltonian_and_grad_batch, run_langevin,
                                sample_disorder, sample_initial, star_point)
 from spinband.volterra import TwoTimeGrid, integrated_response, solve_soft
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def soft_params(L=20.0, q_o=0.5):
@@ -103,6 +111,115 @@ def test_energy_matches_the_sorted_tuple_sum():
                          for p in J.active_orders()
                          for idx in combinations_with_replacement(range(N), p))
             assert abs(Hb[r] - expect) <= 1e-12
+
+
+mixtures = st.dictionaries(st.sampled_from([2, 3, 4]),
+                           st.floats(min_value=0.01, max_value=1.0),
+                           min_size=1, max_size=3)
+
+
+def _mixing(weights: dict) -> MixingFunction:
+    return MixingFunction(tuple(weights.get(p, 0.0)
+                                for p in range(2, max(weights) + 1)))
+
+
+def _einsum_oracle(J, X, absolute=False):
+    """H and its gradient from the full dense tensors, one einsum per term.
+
+    The gradient sums the derivative over every index position, so it does
+    not lean on the symmetry of A.  With ``absolute`` every factor enters by
+    absolute value: the scale against which rounding is measured.
+    """
+    letters = "abcdefgh"
+    H = np.zeros(X.shape[0])
+    G = np.zeros(X.shape)
+    for p in J.active_orders():
+        A, Y, b = J.tensors[p], X, J.weight(p)
+        if absolute:
+            A, Y = np.abs(A), np.abs(X)
+        idx = letters[:p]
+        H += b * np.einsum(f"{idx},{','.join('r' + c for c in idx)}->r",
+                           A, *[Y] * p)
+        for pos in range(p):
+            rest = [c for k, c in enumerate(idx) if k != pos]
+            G += b * np.einsum(
+                f"{idx},{','.join('r' + c for c in rest)}->r{idx[pos]}",
+                A, *[Y] * (p - 1))
+    return H, G
+
+
+@given(weights=mixtures, N=st.integers(min_value=2, max_value=13),
+       R=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_a_dense_einsum(weights, N, R, seed):
+    """The cyclic-pair kernel against the dense tensors, both parities of N."""
+    J = sample_disorder(N, _mixing(weights), seed)
+    X = np.random.default_rng(seed).standard_normal((R, N))
+    H, G = hamiltonian_and_grad_batch(J, X)
+    He, Ge = _einsum_oracle(J, X)
+    Hs, Gs = _einsum_oracle(J, X, absolute=True)
+    assert np.all(np.abs(H - He) <= 1e-12 * Hs)
+    assert np.all(np.abs(G - Ge) <= 1e-12 * Gs.max(axis=1, keepdims=True))
+
+
+@given(weights=mixtures, N=st.integers(min_value=3, max_value=12),
+       q_star=st.floats(min_value=0.3, max_value=1.0),
+       E=st.floats(min_value=-1.0, max_value=1.0),
+       G=st.floats(min_value=-3.0, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conditioning_is_exact_for_random_mixtures(weights, N, q_star, E, G,
+                                                   seed):
+    """H(x*) = -N E* and grad H(x*) = -G* x* for any admissible mixture."""
+    nu = _mixing(weights)
+    if len(weights) == 1:  # a pure mixture admits one G* per E*
+        G = next(iter(weights)) * E / q_star ** 2
+    prm = ModelParams(beta=1.0, q_star=q_star, q_o=0.0, E_star=E, G_star=G,
+                      confinement=Confinement.hard())
+    try:
+        prm = validate(prm, nu)
+    except SpinbandError:
+        assume(False)
+    Jc = condition_disorder(sample_disorder(N, nu, seed), prm, nu)
+    sigma = star_point(N, q_star)
+    H, g = hamiltonian_and_grad(Jc, sigma)
+    assert abs(H + N * E) <= 1e-8 * N * max(abs(E), 1.0)
+    assert np.linalg.norm(g + G * sigma) <= \
+        1e-8 * max(np.linalg.norm(G * sigma), 1.0)
+
+
+_SIMULATE_DIGEST = """
+import hashlib
+from spinband.model import Confinement, MixingFunction, ModelParams
+from spinband.simulate import (SimConfig, condition_disorder, run_langevin,
+                               sample_disorder)
+nu = MixingFunction((0.0, 0.125))
+prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
+                  G_star=3.0 * 0.2 / 0.81, confinement=Confinement.soft(100.0, 1))
+J = condition_disorder(sample_disorder(160, nu, 11), prm, nu)
+traj = run_langevin(J, prm, SimConfig(N=160, dt=5e-4, T=0.05, seed=3, replicas=8))
+d = hashlib.sha256()
+for name in ("X", "B", "K", "H"):
+    d.update(getattr(traj, name).tobytes())
+print(d.hexdigest())
+"""
+
+
+def test_simulate_is_bitwise_independent_of_blas_threads():
+    """A pure p = 3 run at N = 160 (the simulate-p3 size), 8 replicas and
+    100 steps gives equal bytes under 1 and 2 OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _SIMULATE_DIGEST],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_initial_band_sampling():
