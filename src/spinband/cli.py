@@ -38,6 +38,7 @@ COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+_PROC_STATUS = Path("/proc/self/status")  # Linux per-process counters
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +295,18 @@ def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
     return meta
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set (VmHWM) in MiB; None without procfs."""
+    try:
+        with _PROC_STATUS.open() as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 2)
+    except OSError:
+        pass
+    return None
+
+
 def _write_two_time(out: Path, R, C) -> None:
     """R.npy and C.npy: the full (n+1, n+1) float64 arrays, C-contiguous."""
     import numpy as np
@@ -411,6 +424,7 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
         "diag_residual": bundle.diag_residual,
         "timings": {"solve_s": round(t1 - t0, 3), "audit_s": round(t2 - t1, 3),
                     "write_s": round(t3 - t2, 3)},
+        "peak_rss_mb": _peak_rss_mb(),
     }))
     return 0 if audit["passed"] else 2
 
@@ -483,9 +497,9 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
-    from .simulate import (SimConfig, condition_disorder, empirical_observables,
-                           error_functional, run_langevin, sample_disorder,
-                           star_point)
+    from .simulate import (SimConfig, _condition_in_place,
+                           empirical_observables, error_functional,
+                           run_langevin, sample_disorder, star_point)
     from .volterra import solve_soft
 
     t0 = time.monotonic()
@@ -502,7 +516,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
                      replicas=int(sim.get("replicas", 4)),
                      snap_stride=int(stride))
-    J = condition_disorder(
+    # conditioned in place: the run holds one dense copy of the disorder
+    J = _condition_in_place(
         sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
         cfg.params, cfg.nu)
     t1 = time.monotonic()
@@ -538,6 +553,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         "disorder_s": round(t1 - t0, 3), "langevin_s": round(t2 - t1, 3),
         "observables_s": round(t3 - t2, 3), "limit_s": round(t4 - t3, 3),
         "write_s": round(t5 - t4, 3)}
+    extra["peak_rss_mb"] = _peak_rss_mb()
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
     return 0
 

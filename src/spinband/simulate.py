@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
 
 _BUDGET = 2 << 30  # bytes of dense coefficient storage
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
+_SYM_BLOCK = 1 << 15  # most entries per block of the in-place symmetrization
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -108,7 +109,9 @@ def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     Sampling an i.i.d. N(0, N^{1-p}) tensor and averaging its index
     permutations yields exactly the sorted-tuple law with the multiplicity
     variance correction (per-orbit variance N^{1-p}/mult for A, hence
-    N^{1-p} * mult for J).  Any order is stored densely; raises SizeOverflow
+    N^{1-p} * mult for J).  The draw is scaled and averaged in place, so an
+    order holds one dense N^p array plus a workspace of at most p! blocks of
+    _SYM_BLOCK entries.  Any order is stored densely; raises SizeOverflow
     when the stores together need more than 2 GiB.
     """
     if N < 2:
@@ -120,14 +123,47 @@ def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     rng = np.random.default_rng(seed)
     tensors = {}
     for p in active:
-        std = N ** ((1 - p) / 2.0)
-        b = rng.standard_normal((N,) * p) * std
-        a = np.zeros_like(b)
-        for perm in permutations(range(p)):
-            a += b.transpose(perm)
-        a /= math.factorial(p)
-        tensors[p] = a
+        b = rng.standard_normal((N,) * p)
+        b *= N ** ((1 - p) / 2.0)
+        _symmetrize_in_place(b)
+        tensors[p] = b
     return Disorder(N=N, coeffs_sq=nu.coeffs_sq, tensors=tensors)
+
+
+def _block_edge(p: int) -> int:
+    """The largest block edge e with e**p <= _SYM_BLOCK."""
+    e = 1
+    while (e + 1) ** p <= _SYM_BLOCK:
+        e += 1
+    return e
+
+
+def _symmetrize_in_place(b: np.ndarray) -> None:
+    """Overwrite b with the mean of its index permutations.
+
+    The axes are cut into blocks of edge _block_edge(p).  Permuting the axes
+    maps a block tuple onto a permutation of itself, so the distinct
+    permutations of one sorted tuple (an orbit) read only blocks of that
+    orbit; each orbit is read whole before any of its blocks is written.
+    Every entry is 0 + the sum over itertools.permutations order, divided by
+    p!, the same float operations as averaging b.transpose(perm) over the
+    whole tensor.
+    """
+    p, N = b.ndim, b.shape[0]
+    e = _block_edge(p)
+    edges = [slice(k, min(k + e, N)) for k in range(0, N, e)]
+    views = [b.transpose(perm) for perm in permutations(range(p))]
+    for orbit in combinations_with_replacement(range(len(edges)), p):
+        sums = []
+        for t in set(permutations(orbit)):
+            sl = tuple(edges[k] for k in t)
+            acc = np.zeros([s.stop - s.start for s in sl])
+            for v in views:
+                acc += v[sl]
+            acc /= math.factorial(p)
+            sums.append((sl, acc))
+        for sl, acc in sums:
+            b[sl] = acc
 
 
 def _ones_tuple_slices(p: int):
@@ -144,11 +180,22 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
                        tangential_only: bool = False) -> Disorder:
     """Exact Gaussian conditioning on the critical-point event at x_star.
 
-    Returns a new Disorder; the input is left untouched.  With
-    ``tangential_only`` just the gradient components i >= 2 are pinned to
-    zero (the value/radial pair is left unconditioned) -- that variant is
-    what the conditional-covariance identity E[H(x)H(y)] = N Upsilon_N
-    refers to.
+    Returns a new Disorder and leaves the input untouched, at the price of
+    a copy of every tensor although only the lines through index
+    (0, ..., 0) change.  With ``tangential_only`` just the gradient
+    components i >= 2 are pinned to zero (the value/radial pair is left
+    unconditioned) -- that variant is what the conditional-covariance
+    identity E[H(x)H(y)] = N Upsilon_N refers to.
+    """
+    return _condition_in_place(J.copy(), params, nu, tangential_only)
+
+
+def _condition_in_place(J: Disorder, params: ModelParams, nu: MixingFunction,
+                        tangential_only: bool = False) -> Disorder:
+    """condition_disorder writing into J's own tensors; returns J.
+
+    For a caller that drops the unconditioned draw (the simulate command):
+    it then holds one dense copy of the disorder, not two.
     """
     N = J.N
     qs = params.q_star
@@ -157,23 +204,22 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
     if not active:
         if params.E_star != 0.0 or params.G_star != 0.0:
             raise ValidationError("zero mixture cannot match nonzero (E, G)")
-        return J.copy()
+        return J
     # fail fast on inconsistent pure data; also used below via its inner form
     vstar_build(nu, qs, params.E_star, params.G_star)
-    out = J.copy()
     bp = {p: J.weight(p) for p in active}
     var = {p: float(N) ** (1 - p) for p in active}
 
     if not tangential_only:
         a_E = np.array([bp[p] * root ** p for p in active])
         a_G = np.array([p * bp[p] * root ** (p - 1) for p in active])
-        u = np.array([out.coupling(p, (0,) * p) for p in active])
+        u = np.array([J.coupling(p, (0,) * p) for p in active])
         vdiag = np.array([var[p] for p in active])
         w_tgt = np.array([-N * params.E_star, -root * params.G_star])
         if len(active) == 1:
             p = active[0]
             u_new = np.array([w_tgt[0] / a_E[0]])
-            out.tensors[p][(0,) * p] = u_new[0]  # multiplicity 1
+            J.tensors[p][(0,) * p] = u_new[0]  # multiplicity 1
         else:
             A = np.vstack([a_E, a_G])
             S = (A * vdiag) @ A.T
@@ -184,7 +230,7 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
             lam = np.linalg.solve(S, gap)
             u_new = u - vdiag * (A.T @ lam)
             for k, p in enumerate(active):
-                out.tensors[p][(0,) * p] = u_new[k]
+                J.tensors[p][(0,) * p] = u_new[k]
 
     # tangential block: for each i >= 2 the constraint
     # sum_p b_p root^{p-1} J^(p)_{1..1,i} = 0, with Var(J) = p N^{1-p}
@@ -194,15 +240,15 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
         raise RankDeficient("tangential constraint has zero variance")
     g_cur = np.zeros(N - 1)
     for p in active:
-        g_cur += a_T[p] * p * out.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
+        g_cur += a_T[p] * p * J.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
     for p in active:
-        j_vec = p * out.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
+        j_vec = p * J.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
         j_new = j_vec - (var[p] * p * a_T[p] / denom) * g_cur
         a_val = j_new / p
         for sl in _ones_tuple_slices(p):
-            out.tensors[p][sl] = a_val
-    out.conditioned = True
-    return out
+            J.tensors[p][sl] = a_val
+    J.conditioned = True
+    return J
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,28 @@ def test_simulate_records_phase_timings(tmp_path):
     assert sum(timings.values()) <= meta["wall_time_s"] + 0.01
 
 
+def test_runs_record_their_peak_rss(tmp_path, monkeypatch):
+    """metadata.json carries the process's VmHWM in MiB: at least the dense
+    coupling store of a pure p = 3 simulate run; null without procfs."""
+    import spinband.cli as cli
+    N = 96
+    payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0,
+                         "q_o": 0.5, "E_star": 0.2, "G_star": 0.6},
+               "constraint": {"kind": "soft", "L": 100.0, "k": 1},
+               "sim": {"N": N, "dt": 0.005, "T": 0.01, "seed": 7, "replicas": 2}}
+    cfg = write_cfg(tmp_path, "sim.json", payload)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    peak = json.loads((out / "metadata.json").read_text())["peak_rss_mb"]
+    assert peak >= 8 * N ** 3 / 2 ** 20
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    monkeypatch.setattr(cli, "_PROC_STATUS", tmp_path / "no-such-file")
+    assert main(["solve-hard", "--config", str(cfg), "--out",
+                 str(tmp_path / "solve")]) == 0
+    meta = json.loads((tmp_path / "solve" / "metadata.json").read_text())
+    assert "peak_rss_mb" in meta and meta["peak_rss_mb"] is None
+
+
 def test_seed_override_is_echoed_and_deterministic(tmp_path):
     payload = solve_cfg(grid={"T": 0.5, "h": 0.05},
                         constraint={"kind": "soft", "L": 100.0, "k": 1},

@@ -2,7 +2,8 @@ import math
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+import tracemalloc
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,40 @@ def test_disorder_bookkeeping():
     dup = J.copy()
     dup.tensors[3][0, 0, 0] = 99.0
     assert J.tensors[3][0, 0, 0] != 99.0
+
+
+def _permutation_mean(N, nu, seed):
+    """The symmetrization as a whole-tensor sum over index permutations:
+    one N^p draw per order, scaled, then 0 + sum over itertools order / p!."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for p in nu.active_orders:
+        b = rng.standard_normal((N,) * p) * N ** ((1 - p) / 2.0)
+        a = np.zeros_like(b)
+        for perm in permutations(range(p)):
+            a += b.transpose(perm)
+        a /= math.factorial(p)
+        tensors[p] = a
+    return tensors
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_in_place_symmetrization_is_the_permutation_mean(p):
+    """Byte for byte, for N below, at and across the block edge (for p = 3:
+    2, 31, 32, 33, 70), so orbits of one block and of several occur."""
+    nu = MixingFunction((0.0,) * (p - 2) + (0.125,))
+    e = simulate._block_edge(p)
+    for N in (2, e - 1, e, e + 1, 2 * e + 6):
+        J = sample_disorder(N, nu, (p, N))
+        A = _permutation_mean(N, nu, (p, N))[p]
+        assert J.tensors[p].tobytes() == A.tobytes(), N
+
+
+def test_sampling_a_mixture_keeps_the_draw_order():
+    nu = MixingFunction((0.0625, 0.0625, 0.01))
+    J = sample_disorder(20, nu, 9)
+    for p, A in _permutation_mean(20, nu, 9).items():
+        assert J.tensors[p].tobytes() == A.tobytes()
 
 
 def test_hand_worked_quadratic():
@@ -250,6 +285,52 @@ def test_conditioning_pins_the_critical_point(mixed_mixing):
             Jcc = condition_disorder(Jc, prm, mixed_mixing)
             for p in Jc.active_orders():
                 assert np.abs(Jcc.tensors[p] - Jc.tensors[p]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tangential_only", [False, True])
+def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
+                                                        tangential_only):
+    """condition_disorder leaves its input's bytes alone, and the in-place
+    helper writes exactly the bytes it returns."""
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.hard())
+    J = sample_disorder(40, mixed_mixing, 6)
+    before = {p: A.tobytes() for p, A in J.tensors.items()}
+    Jc = condition_disorder(J, prm, mixed_mixing, tangential_only)
+    assert {p: A.tobytes() for p, A in J.tensors.items()} == before
+    assert not J.conditioned
+    Ji = simulate._condition_in_place(J, prm, mixed_mixing, tangential_only)
+    assert Ji is J and J.conditioned
+    assert {p: A.tobytes() for p, A in J.tensors.items()} == \
+        {p: A.tobytes() for p, A in Jc.tensors.items()}
+
+
+def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
+    """Sample, condition in place and pack (the simulate CLI's order) at
+    pure p = 3, N = 64: the traced peak stays within 1.6x the dense bytes;
+    a separate symmetrized copy or a conditioned copy would reach 2x.  A
+    first pass at N = 4 loads numpy's lazily imported modules, which would
+    otherwise count towards the peak."""
+    prm = validate(ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.2,
+                               G_star=0.6, confinement=Confinement.soft(100.0, 1)),
+                   pure3_mixing)
+
+    def chain(N):
+        J = simulate._condition_in_place(sample_disorder(N, pure3_mixing, 1),
+                                         prm, pure3_mixing)
+        return J, simulate._pack(J)
+
+    chain(4)
+    N = 64
+    tracemalloc.start()
+    try:
+        J, store = chain(N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = J.tensors[3].nbytes
+    assert dense == 8 * N ** 3 and store.stores[3].nbytes < dense
+    assert peak <= 1.6 * dense, peak / dense
 
 
 def test_conditioning_zero_targets(sk_mixing):
