@@ -497,7 +497,7 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
-    from .simulate import (SimConfig, _condition_in_place,
+    from .simulate import (SimConfig, condition_disorder,
                            empirical_observables, error_functional,
                            run_langevin, sample_disorder, star_point)
     from .volterra import solve_soft
@@ -517,7 +517,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
                      replicas=int(sim.get("replicas", 4)),
                      snap_stride=int(stride))
     # conditioned in place: the run holds one dense copy of the disorder
-    J = _condition_in_place(
+    J = condition_disorder(
         sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
         cfg.params, cfg.nu)
     t1 = time.monotonic()

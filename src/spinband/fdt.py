@@ -35,7 +35,6 @@ __all__ = [
     "aging_constants",
     "KappaValues",
     "kappa_values",
-    "aging_kappa_update",
     "alpha_fixed_points",
     "no_aging_selfconsistent",
     "NoAgingReport",
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 _N_SCAN = 10001  # sign-change scan points of the level-set and root searches
-_XTOL = 1e-10  # bisection width that ends those searches
+_XTOL = 1e-10  # bisection width that ends the level-set search
 _TAIL_TOL = 1e-6  # kappa_values: how close D(T) must be to the plateau
 _BETA_TOL = 1e-8  # beta_c bisection width
 
@@ -102,8 +101,7 @@ class FdtSolution:
 
     ``D_inf`` is None when the plateau set is empty (gamma < 1/2 and the
     landscape never compensates); then I and the closed-form kappas are
-    None as well.  ``alpha`` records the overlap limit the solution was
-    built for (0 unless produced by the localized branch analysis).
+    None as well.
     """
 
     grid: TwoTimeGrid
@@ -118,7 +116,6 @@ class FdtSolution:
     kappa1: float | None
     kappa2: float | None
     kappa3: float | None
-    alpha: float = 0.0
 
 
 def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
@@ -131,15 +128,19 @@ def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
         i_const = k1 = k2 = k3 = None
     else:
         i_const = gamma - 0.5 + 2.0 * beta * beta * dinf * nu.nu(dinf, 1)
-        k1 = 2.0 * (nu.nu(1.0, 1) - nu.nu(dinf, 1))
-        k2 = 2.0 * (1.0 - dinf)
-        k3 = 0.0
+        k1, k2, k3 = _plateau_kappas(dinf, nu)
     sol = FdtSolution(grid=grid, gamma=gamma, beta=beta, D=D, Dprime=Dp,
                       R_fdt=-2.0 * Dp, mu=mu, D_inf=dinf, I=i_const,
                       kappa1=k1, kappa2=k2, kappa3=k3)
     for arr in (sol.D, sol.Dprime, sol.R_fdt):
         arr.setflags(write=False)
     return sol
+
+
+def _plateau_kappas(d, nu: MixingFunction):
+    """Closed-form (kappa1, kappa2, kappa3) on the plateau d (scalar or array):
+    2 (nu'(1) - nu'(d)), 2 (1 - d) and 0."""
+    return (2.0 * (nu.nu(1.0, 1) - nu.nu(d, 1)), 2.0 * (1.0 - d), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +302,8 @@ def kappa_values(sol: FdtSolution, nu: MixingFunction) -> KappaValues:
     h = sol.grid.h
     k1 = _trapz_dot(h, sol.R_fdt * nu.nu(sol.D, 2))
     k2 = _trapz_dot(h, sol.R_fdt)
-    return KappaValues(
-        quad=(k1, k2, 0.0),
-        closed=(2.0 * (nu.nu(1.0, 1) - nu.nu(sol.D_inf, 1)),
-                2.0 * (1.0 - sol.D_inf), 0.0),
-    )
-
-
-def aging_kappa_update(kappas, A: float, d_inf: float, alpha: float,
-                       nu: MixingFunction):
-    """Add the aging-window contribution with weight A to (kappa1..kappa3)."""
-    k1, k2, k3 = kappas
-    a2 = alpha * alpha
-    return (
-        k1 + A * (nu.nu(d_inf, 1) - nu.nu(a2, 1)),
-        k2 + A * (d_inf - a2),
-        k3 + A * (d_inf * nu.nu(d_inf, 1) - a2 * nu.nu(a2, 1)),
-    )
+    return KappaValues(quad=(k1, k2, 0.0),
+                       closed=(sol.kappa1, sol.kappa2, sol.kappa3))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +320,12 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
                     + beta^2 alpha q* kappa1.
 
     ``mu`` and ``kappas`` may be numbers (a fixed working point) or callables
-    of alpha (self-consistent substitution, see no_aging_selfconsistent).
-    Found by sign-change scan on 10001 points plus bisection to 1e-10; exact
-    grid zeros are kept as roots.  Raises ValidationError when the identity
-    is degenerate (numerically zero over the whole scan) or when mu <= 0.
+    of alpha (self-consistent substitution, see no_aging_selfconsistent);
+    callables must accept a numpy array of alphas as well as a scalar.
+    Found by a sign-change scan on 10001 points, evaluated as one array,
+    plus bisection of each bracket down to adjacent floats; exact grid
+    zeros are kept as roots.  Raises ValidationError when the identity is
+    degenerate (numerically zero over the whole scan) or when mu <= 0.
     """
     beta = params.beta
     qs = params.q_star
@@ -362,7 +350,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
                    + b2 * x * k1))
 
     xs = np.linspace(-1.0, 1.0, _N_SCAN)
-    vals = np.array([resid(a) for a in xs])
+    vals = resid(xs)
     scale = float(abs(vals).max())
     ref = max(1.0, abs(mu_fn(0.0)) * qs)
     if scale <= 1e-12 * ref:
@@ -371,12 +359,9 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
     roots = [float(xs[j]) for j in np.flatnonzero(vals == 0.0)]
     sgn = np.sign(vals)
     for j in np.flatnonzero((sgn[:-1] * sgn[1:]) < 0.0):
-        lo, hi = xs[j], xs[j + 1]
+        lo, hi = float(xs[j]), float(xs[j + 1])
         flo = vals[j]
-        for _ in range(200):
-            if hi - lo <= _XTOL:
-                break
-            mid = 0.5 * (lo + hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             fm = resid(mid)
             if fm == 0.0:
                 lo = hi = mid
@@ -385,7 +370,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
                 lo, flo = mid, fm
             else:
                 hi = mid
-        roots.append(0.5 * (lo + hi))
+        roots.append(mid)
     roots.sort()
     out = []
     for r in roots:
@@ -394,11 +379,11 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
     return out
 
 
-def _no_aging_gamma(alpha: float, a2: float, beta: float, q_star: float,
-                    v, nu: MixingFunction, denom: float) -> float:
-    """gamma(alpha) from the stationary energy identity; a2 = alpha^2 is
-    passed in so a caller holding the exact plateau value keeps its bits."""
+def _no_aging_gamma(alpha, beta: float, q_star: float, v, nu: MixingFunction,
+                    denom: float):
+    """gamma(alpha) from the stationary energy identity (scalar or array)."""
     b2 = beta * beta
+    a2 = alpha * alpha
     x = alpha * q_star
     return (0.5 + beta * x * v.derivative(x)
             - 2.0 * b2 * nu.psi(x) * nu.nu(x, 1) * (1.0 - a2) / denom
@@ -422,11 +407,10 @@ def no_aging_selfconsistent(params: ModelParams, nu: MixingFunction):
     nup1 = nu.nu(1.0, 1)
 
     def mu_fn(a):
-        return _no_aging_gamma(a, a * a, beta, qs, v, nu, denom) + 2.0 * b2 * nup1
+        return _no_aging_gamma(a, beta, qs, v, nu, denom) + 2.0 * b2 * nup1
 
     def kappas_fn(a):
-        a2 = a * a
-        return (2.0 * (nup1 - nu.nu(a2, 1)), 2.0 * (1.0 - a2), 0.0)
+        return _plateau_kappas(a * a, nu)
 
     return mu_fn, kappas_fn
 
@@ -440,8 +424,7 @@ class NoAgingReport:
     case: str            # "pure" | "mixed"
     y: float
     alpha: float
-    alpha_sq: float
-    d_inf: float
+    alpha_sq: float      # also the plateau of the lag correlation
     gamma: float
     h_inf: float
     residuals: tuple     # stationarity / plateau identity residuals
@@ -459,18 +442,20 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
 
     Requires a steep conditioned gradient: G_star > 2 sqrt(nu''(q_star^2))
     (raises Unstable at or below the threshold, where the conditioned point
-    stops being a stable well).  y solves G_star = sqrt(nu''(q_star^2))
-    (y + 1/y), taking the smaller root.
+    stops being a stable well).
 
-    Pure mixture: the branch exists for beta > beta_plus =
-    y / (2 sqrt(g(1 - 2/m))), with alpha^2 the larger root of
-    4 beta^2 g(x) = y^2 -- equivalently the plateau of the dynamics at
-    effective inverse temperature beta / y.  Raises NoBranch otherwise.
+    alpha is the largest root of alpha_fixed_points with the self-consistent
+    substitution of no_aging_selfconsistent, for every mixture; raises
+    NoBranch when that root is not positive.
 
-    Mixed mixture: the candidate sits at alpha = q_star; the report carries
-    the residual of the G identity
-    G = 2 beta nu''(q*^2)(1 - q*^2) + 1 / (2 beta (1 - q*^2)) and the
-    stability inequality 1/beta > 2 sqrt(nu''(q*^2)) (1 - q*^2).
+    Diagnostics, not used to find alpha: y, the smaller root of
+    G_star = sqrt(nu''(q_star^2)) (y + 1/y).  Pure mixture: beta_plus =
+    y / (2 sqrt(g(1 - 2/m))), the threshold above which the branch exists;
+    there alpha^2 is the plateau d_star(beta / y).  Mixed mixture with
+    q_star < 1: the residual of the G identity
+    G = 2 beta nu''(q*^2)(1 - q*^2) + 1 / (2 beta (1 - q*^2)), on which
+    alpha = q_star, and the stability inequality
+    1/beta > 2 sqrt(nu''(q*^2)) (1 - q*^2).
 
     Always reported: gamma (from the energy identity), the stationarity and
     plateau identity residuals at (alpha, gamma), and
@@ -487,6 +472,10 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     thr = 2.0 * math.sqrt(nu2_qs2)
     if G <= thr:
         raise Unstable(f"G_star = {G:g} <= 2 sqrt(nu''(q*^2)) = {thr:g}")
+    alpha = max(alpha_fixed_points(params, nu, *no_aging_selfconsistent(params, nu)),
+                default=0.0)
+    if alpha <= 0.0:
+        raise NoBranch(f"largest self-consistent root is {alpha:g}")
     ghat = G / math.sqrt(nu2_qs2)
     y = 0.5 * (ghat - math.sqrt(ghat * ghat - 4.0))
 
@@ -495,29 +484,19 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     g_alpha_residual = None
     if nu.is_pure():
         case = "pure"
-        m = nu.pure_order()
-        am2 = 1.0 - 2.0 / m
-        beta_plus = y / (2.0 * math.sqrt(nu.g(am2)))
-        if beta <= beta_plus:
-            raise NoBranch(f"beta = {beta:g} <= beta_plus = {beta_plus:g}")
-        a2 = d_star(beta / y, nu)
-        if a2 is None or a2 <= 0.0:
-            raise NoBranch("no positive plateau at effective beta / y")
-        alpha = math.sqrt(a2)
+        beta_plus = y / (2.0 * math.sqrt(nu.g(1.0 - 2.0 / nu.pure_order())))
     else:
         case = "mixed"
-        alpha = qs
-        a2 = qs2
-        if a2 >= 1.0:
-            raise NoBranch("mixed branch needs q_star < 1")
-        g_alpha_residual = G - (2.0 * beta * nu.nu(a2, 2) * (1.0 - a2)
-                                + 1.0 / (2.0 * beta * (1.0 - a2)))
-        tap_ok = 1.0 / beta > 2.0 * math.sqrt(nu.nu(a2, 2)) * (1.0 - a2)
+        if qs2 < 1.0:
+            g_alpha_residual = G - (2.0 * beta * nu2_qs2 * (1.0 - qs2)
+                                    + 1.0 / (2.0 * beta * (1.0 - qs2)))
+            tap_ok = 1.0 / beta > thr * (1.0 - qs2)
 
+    a2 = alpha * alpha
     v = vstar_build(nu, qs, params.E_star, params.G_star)
     denom = nu.nu(qs2, 1)
     x = alpha * qs
-    gamma = _no_aging_gamma(alpha, a2, beta, qs, v, nu, denom)
+    gamma = _no_aging_gamma(alpha, beta, qs, v, nu, denom)
     r1 = gamma * alpha - (beta * qs * v.derivative(x)
                           - 2.0 * b2 * qs * nu.nu(x, 2) * nu.nu(x, 1) * (1.0 - a2) / denom
                           - 2.0 * b2 * alpha * nu.nu(a2, 1))
@@ -525,7 +504,7 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     r3_left = (gamma + 2.0 * b2 * nu.nu(a2, 1)) * (1.0 - a2) - 0.5 - bracket * (1.0 - a2)
     r3_zero = bracket * (1.0 - a2)
     h_inf = v.value(x) + 2.0 * beta * nu.theta(a2)
-    return NoAgingReport(case=case, y=y, alpha=alpha, alpha_sq=a2, d_inf=a2,
+    return NoAgingReport(case=case, y=y, alpha=alpha, alpha_sq=a2,
                          gamma=gamma, h_inf=h_inf,
                          residuals=(r1, r3_left, r3_zero),
                          beta_plus=beta_plus, tap_ok=tap_ok,

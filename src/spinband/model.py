@@ -198,15 +198,10 @@ class DriftPolynomial:
     """Radial drift profile v(r) = sum_p b_p^2 <v_p, (E, G)> r^p.
 
     ``coeffs[p]`` holds the coefficient of r^p (index = power, entries below
-    p=2 are zero).  ``inner`` maps each active order p to the solved inner
-    product <v_p, (E, G)>; it is what the finite-N conditioner reuses.
+    p=2 are zero).
     """
 
     coeffs: tuple
-    inner: dict
-    q_star: float
-    E: float
-    G: float
 
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
@@ -251,12 +246,9 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
     """
     m_top = nu.m
     coeffs = [0.0] * (m_top + 1)
-    inner: dict = {}
     if E == 0.0 and G == 0.0:
         # Linearity in (E, G): zero data gives the zero polynomial for any mixture.
-        for p in nu.active_orders:
-            inner[p] = 0.0
-        return DriftPolynomial(tuple(coeffs), inner, q_star, E, G)
+        return DriftPolynomial(tuple(coeffs))
     if nu.is_zero():
         raise SingularMatrix("no interaction terms to condition on")
     if nu.is_pure():
@@ -266,10 +258,8 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
             raise PureInconsistent(
                 f"pure order {m}: G={G!r} inconsistent with m E / q*^2 = {implied!r}"
             )
-        c = E * q_star ** (-2 * m)
-        coeffs[m] = c
-        inner[m] = c / nu.coeffs_sq[m - 2]
-        return DriftPolynomial(tuple(coeffs), inner, q_star, E, G)
+        coeffs[m] = E * q_star ** (-2 * m)
+        return DriftPolynomial(tuple(coeffs))
 
     M = _moment_matrix(nu, q_star)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -280,9 +270,8 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
     r2 = q_star * q_star
     for p in nu.active_orders:
         v_p = np.linalg.solve(M, np.array([r2, float(p)]))
-        inner[p] = float(v_p @ eg)
-        coeffs[p] = nu.coeffs_sq[p - 2] * inner[p]
-    return DriftPolynomial(tuple(coeffs), inner, q_star, E, G)
+        coeffs[p] = nu.coeffs_sq[p - 2] * float(v_p @ eg)
+    return DriftPolynomial(tuple(coeffs))
 
 
 def canonical_phi(params: ModelParams, nu: MixingFunction) -> float:

@@ -180,22 +180,13 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
                        tangential_only: bool = False) -> Disorder:
     """Exact Gaussian conditioning on the critical-point event at x_star.
 
-    Returns a new Disorder and leaves the input untouched, at the price of
-    a copy of every tensor although only the lines through index
-    (0, ..., 0) change.  With ``tangential_only`` just the gradient
-    components i >= 2 are pinned to zero (the value/radial pair is left
-    unconditioned) -- that variant is what the conditional-covariance
-    identity E[H(x)H(y)] = N Upsilon_N refers to.
-    """
-    return _condition_in_place(J.copy(), params, nu, tangential_only)
-
-
-def _condition_in_place(J: Disorder, params: ModelParams, nu: MixingFunction,
-                        tangential_only: bool = False) -> Disorder:
-    """condition_disorder writing into J's own tensors; returns J.
-
-    For a caller that drops the unconditioned draw (the simulate command):
-    it then holds one dense copy of the disorder, not two.
+    Conditions J in place and returns it: only the lines through index
+    (0, ..., 0) change, so a caller that drops the unconditioned draw holds
+    one dense copy of the disorder, not two.  A caller that still needs the
+    unconditioned draw passes ``J.copy()``.  With ``tangential_only`` just
+    the gradient components i >= 2 are pinned to zero (the value/radial
+    pair is left unconditioned) -- that variant is what the
+    conditional-covariance identity E[H(x)H(y)] = N Upsilon_N refers to.
     """
     N = J.N
     qs = params.q_star
@@ -205,7 +196,7 @@ def _condition_in_place(J: Disorder, params: ModelParams, nu: MixingFunction,
         if params.E_star != 0.0 or params.G_star != 0.0:
             raise ValidationError("zero mixture cannot match nonzero (E, G)")
         return J
-    # fail fast on inconsistent pure data; also used below via its inner form
+    # fail fast on inconsistent pure data
     vstar_build(nu, qs, params.E_star, params.G_star)
     bp = {p: J.weight(p) for p in active}
     var = {p: float(N) ** (1 - p) for p in active}

@@ -13,9 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from spinband.fdt import (aging_constants, alpha_fixed_points, beta_c,
-                          kappa_values, localized_no_aging,
-                          no_aging_selfconsistent, solve_fdt)
+from spinband.fdt import (aging_constants, beta_c, kappa_values,
+                          localized_no_aging, solve_fdt)
 from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.simulate import (SimConfig, condition_disorder,
                                conditional_hessian_spectrum,
@@ -218,7 +217,7 @@ def test_10_fdt_constants(pure3_mixing, sk_params, sk_mixing):
 
 
 @pytest.mark.parametrize("coeffs_sq, q_star, E_star, G_star", [
-    ((0.0, 0.125), 1.0, 2.0 / 3.0, 2.0),         # pure p = 3, alpha from d_star
+    ((0.0, 0.125), 1.0, 2.0 / 3.0, 2.0),         # pure p = 3
     ((0.0625, 0.0625), 0.8, 0.3, 1.65169)],      # mixed, G_star on the G identity
     ids=["pure3", "mixed"])
 def test_11_long_time_march_reaches_the_localized_branch(coeffs_sq, q_star,
@@ -251,14 +250,15 @@ def test_12_long_time_march_on_the_fdt_branch(pure3_mixing):
 
 def test_13_long_time_march_off_the_g_identity():
     """Mixed model at G_star = 2.0, off the G identity: the march at T = 30
-    sits within 1e-3 of the largest self-consistent no-aging root (about
-    0.872592, not q_star) and of that root's mu = phi(1)."""
+    sits within 1e-3 of the localized branch, whose alpha is the largest
+    self-consistent no-aging root (about 0.872592, not q_star), of its
+    mu = phi(1) and of its H_inf."""
     nu = MixingFunction((0.0625, 0.0625))
     prm = ModelParams(beta=1.0, q_star=0.8, q_o=0.5, E_star=0.3, G_star=2.0,
                       confinement=Confinement.hard())
     b = solve_hard(prm, nu, TwoTimeGrid.from_T(30.0, 0.02))
-    mu_fn, kappas_fn = no_aging_selfconsistent(b.params, nu)
-    alpha = max(alpha_fixed_points(b.params, nu, mu_fn, kappas_fn))
-    assert abs(alpha - 0.872592) <= 1e-5
-    assert abs(b.q[-1] / prm.q_star - alpha) <= 1e-3
-    assert abs(b.mu[-1] - mu_fn(alpha)) <= 1e-3
+    rep = localized_no_aging(b.params, nu)
+    assert abs(rep.alpha - 0.872592) <= 1e-5
+    assert abs(b.q[-1] / prm.q_star - rep.alpha) <= 1e-3
+    assert abs(b.mu[-1] - (rep.gamma + 2.0 * prm.beta ** 2 * nu.nu(1.0, 1))) <= 1e-3
+    assert abs(b.H[-1] - rep.h_inf) <= 1e-3

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
                           read_series_csv, save_bundle, write_matrix_csv)
 from spinband.errors import ParseError, ValidationError
@@ -469,3 +472,21 @@ def test_console_script(tmp_path):
     # the installed console script points at the same entry point
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert 'spinband = "spinband.cli:main"' in pyproject
+
+
+def test_traced_layers_and_exports_resolve():
+    """Every function perfbench/tracer.py wraps exists in its spinband
+    module, and every package-root re-export resolves: a rename that misses
+    either breaks traced benchmark runs or `spinband.<name>` silently."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # importing the tracer has no side effects
+    for layer, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"spinband.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for name, layer in spinband._EXPORTS.items():
+        module = importlib.import_module(f"spinband.{layer}")
+        assert hasattr(module, name), f"{layer}.{name}"
+        assert getattr(spinband, name) is getattr(module, name)

@@ -6,9 +6,8 @@ from numpy.testing import assert_allclose
 
 from spinband.errors import (BelowCritical, NoBranch, NotBracketed,
                              NotConverged, Unstable, ValidationError)
-from spinband.fdt import (aging_constants, aging_kappa_update,
-                          alpha_fixed_points, beta_c, d_infty, d_star,
-                          kappa_values, localized_no_aging,
+from spinband.fdt import (aging_constants, alpha_fixed_points, beta_c,
+                          d_infty, d_star, kappa_values, localized_no_aging,
                           no_aging_selfconsistent, solve_D, solve_fdt)
 from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.volterra import TwoTimeGrid
@@ -92,15 +91,6 @@ def test_kappa_needs_a_settled_tail(pure3_mixing):
         kappa_values(short, pure3_mixing)
 
 
-def test_aging_window_bookkeeping(sk_mixing):
-    out = aging_kappa_update((0.0, 0.0, 0.0), 1.0, 0.5, 0.0, sk_mixing)
-    assert_allclose(out, (0.125, 0.5, 0.0625), rtol=0, atol=1e-15)
-    # alpha = sqrt(d_inf) collapses the window contribution entirely
-    same = aging_kappa_update((1.0, 2.0, 3.0), 0.7, 0.5, math.sqrt(0.5),
-                              sk_mixing)
-    assert_allclose(same, (1.0, 2.0, 3.0), rtol=0, atol=1e-15)
-
-
 def test_overlap_fixed_points(sk_params, sk_mixing):
     # at a generic working point the only root is alpha = 0
     roots = alpha_fixed_points(sk_params, sk_mixing, 2.0, (0.1, 0.2, 0.0))
@@ -119,6 +109,26 @@ def test_selfconsistent_localized_roots(sk_params, sk_mixing):
     expect = (-math.sqrt(0.5), 0.0, math.sqrt(0.5))
     assert len(roots) == 3
     assert_allclose(roots, expect, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("coeffs_sq, q_star, E_star, G_star", [
+    ((0.125,), 1.0, 0.625, 1.25),
+    ((0.0, 0.125), 1.0, 2.0 / 3.0, 2.0),
+    ((0.0625, 0.0625), 0.8, 0.3, 2.0)])
+def test_selfconsistent_closure_is_elementwise(coeffs_sq, q_star, E_star,
+                                               G_star):
+    """alpha_fixed_points scans the closure on one array: that array's
+    values equal a per-point loop over the same alphas, bit for bit."""
+    nu = MixingFunction(coeffs_sq)
+    prm = ModelParams(beta=1.0, q_star=q_star, q_o=0.0, E_star=E_star,
+                      G_star=G_star, confinement=Confinement.hard())
+    mu_fn, kap_fn = no_aging_selfconsistent(prm, nu)
+    xs = np.linspace(-1.0, 1.0, 10001)
+    assert np.array_equal(mu_fn(xs), [mu_fn(a) for a in xs])
+    k1, k2, _ = kap_fn(xs)
+    loop = [kap_fn(a) for a in xs]
+    assert np.array_equal(k1, [k[0] for k in loop])
+    assert np.array_equal(k2, [k[1] for k in loop])
 
 
 def test_localized_branch_quadratic(sk_params, sk_mixing):
@@ -156,11 +166,55 @@ def test_localized_branch_guards(sk_mixing):
 
 
 def test_localized_branch_mixed(mixed_mixing):
+    """Off the G identity (G_star = 2.0) alpha is the largest self-consistent
+    root, which the march reaches (test_13), not q_star."""
     prm = ModelParams(beta=1.0, q_star=0.8, q_o=0.0, E_star=0.3, G_star=2.0,
                       confinement=Confinement.hard())
     rep = localized_no_aging(prm, mixed_mixing)
     assert rep.case == "mixed"
-    assert rep.alpha == prm.q_star
+    assert abs(rep.alpha - 0.872592) <= 1e-6
+    assert rep.alpha == max(alpha_fixed_points(
+        prm, mixed_mixing, *no_aging_selfconsistent(prm, mixed_mixing)))
     assert rep.tap_ok is True
     assert rep.g_alpha_residual is not None
     assert rep.beta_plus is None
+
+
+def test_localized_branch_closed_forms_check_the_root(pure3_mixing,
+                                                      mixed_mixing):
+    """The closed forms the root replaced agree with it where they apply:
+    pure p = 3 has a branch exactly above beta_plus = sqrt(3)/2, with
+    alpha^2 the plateau d_star(beta / y); the mixed model on the G identity
+    has alpha = q_star (to the rounding of G_star = 1.65169)."""
+    beta_plus = math.sqrt(3.0) / 2.0
+    for beta in (0.5, 0.866, 0.867, 0.9, 1.0):
+        prm = ModelParams(beta=beta, q_star=1.0, q_o=0.0, E_star=2.0 / 3.0,
+                          G_star=2.0, confinement=Confinement.hard())
+        if beta <= beta_plus:
+            with pytest.raises(NoBranch):
+                localized_no_aging(prm, pure3_mixing)
+            continue
+        rep = localized_no_aging(prm, pure3_mixing)
+        assert type(rep.alpha) is float
+        assert abs(rep.alpha_sq - d_star(beta / rep.y, pure3_mixing)) <= 1e-9
+
+    on_identity = ModelParams(beta=1.0, q_star=0.8, q_o=0.0, E_star=0.3,
+                              G_star=1.65169, confinement=Confinement.hard())
+    rep = localized_no_aging(on_identity, mixed_mixing)
+    assert abs(rep.alpha - 0.8) <= 1e-6
+    assert abs(rep.g_alpha_residual) <= 1e-5
+
+
+def test_localized_branch_mixed_at_unit_q_star(mixed_mixing):
+    """q_star = 1 leaves no G identity to check: the diagnostics stay None,
+    and where the only self-consistent root is 0 there is no branch."""
+    flat = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.3, G_star=2.0,
+                       confinement=Confinement.hard())
+    with pytest.raises(NoBranch):
+        localized_no_aging(flat, mixed_mixing)
+    deep = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=1.0, G_star=2.0,
+                       confinement=Confinement.hard())
+    rep = localized_no_aging(deep, mixed_mixing)
+    assert 0.0 < rep.alpha < 1.0
+    assert rep.tap_ok is None and rep.g_alpha_residual is None
+    assert max(abs(r) for r in rep.residuals[:2]) <= 1e-12

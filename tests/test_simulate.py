@@ -275,14 +275,14 @@ def test_conditioning_pins_the_critical_point(mixed_mixing):
         sigma = star_point(N, prm.q_star)
         for seed in (0, 1, 2):
             J = sample_disorder(N, mixed_mixing, seed)
-            Jc = condition_disorder(J, prm, mixed_mixing)
+            Jc = condition_disorder(J.copy(), prm, mixed_mixing)
             H, g = hamiltonian_and_grad(Jc, sigma)
             assert abs(H + N * prm.E_star) / N <= 1e-10
             scale = np.linalg.norm(prm.G_star * sigma)
             assert np.linalg.norm(g + prm.G_star * sigma) / scale <= 1e-10
             assert Jc.conditioned and not J.conditioned
             # conditioning an already conditioned draw is a fixed point
-            Jcc = condition_disorder(Jc, prm, mixed_mixing)
+            Jcc = condition_disorder(Jc.copy(), prm, mixed_mixing)
             for p in Jc.active_orders():
                 assert np.abs(Jcc.tensors[p] - Jc.tensors[p]).max() <= 1e-12
 
@@ -290,19 +290,23 @@ def test_conditioning_pins_the_critical_point(mixed_mixing):
 @pytest.mark.parametrize("tangential_only", [False, True])
 def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
                                                         tangential_only):
-    """condition_disorder leaves its input's bytes alone, and the in-place
-    helper writes exactly the bytes it returns."""
+    """condition_disorder writes into its argument and returns it: a copy
+    conditioned the same way gets the same bytes, the draw it was copied
+    from keeps its own, and the block with every index >= 1 is untouched."""
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
                       confinement=Confinement.hard())
     J = sample_disorder(40, mixed_mixing, 6)
-    before = {p: A.tobytes() for p, A in J.tensors.items()}
-    Jc = condition_disorder(J, prm, mixed_mixing, tangential_only)
-    assert {p: A.tobytes() for p, A in J.tensors.items()} == before
-    assert not J.conditioned
-    Ji = simulate._condition_in_place(J, prm, mixed_mixing, tangential_only)
+    before = {p: A.copy() for p, A in J.tensors.items()}
+    Jc = condition_disorder(J.copy(), prm, mixed_mixing, tangential_only)
+    assert Jc.conditioned and not J.conditioned
+    assert all(np.array_equal(J.tensors[p], A) for p, A in before.items())
+    Ji = condition_disorder(J, prm, mixed_mixing, tangential_only)
     assert Ji is J and J.conditioned
     assert {p: A.tobytes() for p, A in J.tensors.items()} == \
         {p: A.tobytes() for p, A in Jc.tensors.items()}
+    for p, A in before.items():
+        bulk = (slice(1, None),) * p
+        assert np.array_equal(J.tensors[p][bulk], A[bulk])
 
 
 def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
@@ -316,8 +320,8 @@ def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
                    pure3_mixing)
 
     def chain(N):
-        J = simulate._condition_in_place(sample_disorder(N, pure3_mixing, 1),
-                                         prm, pure3_mixing)
+        J = condition_disorder(sample_disorder(N, pure3_mixing, 1), prm,
+                               pure3_mixing)
         return J, simulate._pack(J)
 
     chain(4)
@@ -337,7 +341,7 @@ def test_conditioning_zero_targets(sk_mixing):
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.hard())
     J = sample_disorder(8, sk_mixing, 5)
-    Jc = condition_disorder(J, prm, sk_mixing)
+    Jc = condition_disorder(J.copy(), prm, sk_mixing)
     assert Jc.coupling(2, (0, 0)) == 0.0
     for i in range(1, 8):
         assert abs(Jc.coupling(2, (0, i))) <= 1e-15
