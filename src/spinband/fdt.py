@@ -458,8 +458,12 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     1/beta > 2 sqrt(nu''(q*^2)) (1 - q*^2).
 
     Always reported: gamma (from the energy identity), the stationarity and
-    plateau identity residuals at (alpha, gamma), and
-    H_inf = v(alpha q*) + 2 beta theta(alpha^2).
+    plateau identity residuals at (alpha, gamma), and the stationary limit
+    of the energy's memory integral,
+    H_inf = v(alpha q*) + 2 beta [nu(1) - nu(alpha^2)
+                                  - (1 - alpha^2) nu'(alpha q*)^2 / nu'(q*^2)],
+    which is v(alpha q*) + 2 beta theta(alpha^2) only where
+    nu'(alpha^2) nu'(q*^2) = nu'(alpha q*)^2 (pure mixtures, alpha = q*).
     """
     beta = params.beta
     qs = params.q_star
@@ -500,12 +504,11 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     r1 = gamma * alpha - (beta * qs * v.derivative(x)
                           - 2.0 * b2 * qs * nu.nu(x, 2) * nu.nu(x, 1) * (1.0 - a2) / denom
                           - 2.0 * b2 * alpha * nu.nu(a2, 1))
-    bracket = 2.0 * b2 * (nu.nu(a2, 1) * denom - nu.nu(x, 1) ** 2) / denom
-    r3_left = (gamma + 2.0 * b2 * nu.nu(a2, 1)) * (1.0 - a2) - 0.5 - bracket * (1.0 - a2)
-    r3_zero = bracket * (1.0 - a2)
-    h_inf = v.value(x) + 2.0 * beta * nu.theta(a2)
+    w = nu.nu(x, 1) ** 2 / denom  # nu'(alpha q*)^2 / nu'(q*^2)
+    r3_left = (gamma + 2.0 * b2 * w) * (1.0 - a2) - 0.5
+    h_inf = v.value(x) + 2.0 * beta * (nu.nu(1.0) - nu.nu(a2) - (1.0 - a2) * w)
     return NoAgingReport(case=case, y=y, alpha=alpha, alpha_sq=a2,
                          gamma=gamma, h_inf=h_inf,
-                         residuals=(r1, r3_left, r3_zero),
+                         residuals=(r1, r3_left),
                          beta_plus=beta_plus, tap_ok=tap_ok,
                          g_alpha_residual=g_alpha_residual)

@@ -114,10 +114,10 @@ class TwoTimeBundle:
 
     R and C are (n+1, n+1) arrays; R(s,t) lives in the lower triangle with
     R[i, i] = 1 and zeros above the diagonal, C is symmetric with
-    C[i, i] = K[i].  ``diag_residual`` is the hard-constraint diagnostic:
-    the largest drift of the *unenforced* diagonal marched alongside
-    (None for soft runs, where K itself is the diagonal).  The arrays are
-    made read-only on construction.
+    C[i, i] = K[i].  ``pc_gap`` is the march's local error monitor, for
+    both constraints: the largest |corrected - predicted| entry over the
+    R, C and q of every row, which falls as h^2.  The arrays are made
+    read-only on construction.
     """
 
     grid: TwoTimeGrid
@@ -129,7 +129,7 @@ class TwoTimeBundle:
     mu: np.ndarray
     H: np.ndarray
     Hhat: np.ndarray
-    diag_residual: float | None
+    pc_gap: float
     params: ModelParams
     nu: MixingFunction
 
@@ -185,7 +185,6 @@ class _March:
         self.K = np.ones(n + 1)
         self.mu = np.zeros(n + 1)
         self.Hhat = np.zeros(n + 1)  # Hhat[0] = 0: an empty memory integral
-        self.Kpde = np.ones(n + 1)  # hard: diagonal marched without enforcement
         # nu'(q(u)) for the written u, and nu', nu'', psi of the last written
         # row of C: each write refreshes exactly what it wrote
         self.nu1q = np.zeros(n + 1)
@@ -310,6 +309,7 @@ class _March:
     def run(self) -> TwoTimeBundle:
         n, h = self.grid.n, self.grid.h
         K = self.K
+        pc_gap = 0.0
         for i in range(n):
             FR_i, FC_i, Fq_i = self._row_rhs(i, self.mu[i])
             # Euler predictor; soft: K* = K_i + h (1 - 2 f'(K*) K* + S_i)
@@ -322,15 +322,13 @@ class _March:
             self._set_diag(i + 1, k)
             FR_p, FC_p, Fq_p = self._row_rhs(i + 1, self._mu(i + 1))
 
-            # trapezoid corrector
+            # trapezoid corrector: it moves row i+1 by h/2 (F_p - F_i)
             self._advance(i, 0.5 * h, FR_i + FR_p[:i + 1], FC_i + FC_p[:i + 1],
                           Fq_i + Fq_p)
-            if self.hard:
-                # diagnostic: diagonal marched without enforcement,
-                # d/ds C(s,s) = 1 + 2 * (RHS of the C equation at t = s)
-                self.Kpde[i + 1] = self.Kpde[i] + 0.5 * h * (
-                    (1.0 + 2.0 * FC_i[i]) + (1.0 + 2.0 * FC_p[i + 1]))
-            else:
+            pc_gap = max(pc_gap, 0.5 * h * max(
+                np.abs(FR_p[:i + 1] - FR_i).max(),
+                np.abs(FC_p[:i + 1] - FC_i).max(), abs(Fq_p - Fq_i)))
+            if not self.hard:
                 fk_i = f_prime(self.params, K[i])
                 base = K[i] + 0.5 * h * (
                     (1.0 - 2.0 * fk_i * K[i] + S_i) + (1.0 + self._drive(i + 1)))
@@ -346,13 +344,12 @@ class _March:
             # row i+1 is final: later rows only write C right of its diagonal
             self.Hhat[i + 1] = self.beta * self._zint(i + 1, self.nu1C, self.nu1_qr)
 
-        diag_res = float(abs(self.Kpde - 1.0).max()) if self.hard else None
         return TwoTimeBundle(
             grid=self.grid,
             constraint="hard" if self.hard else "soft",
             R=self.R, C=self.C, q=self.q, K=K, mu=self.mu,
             H=self.Hhat + self.v.value(self.q), Hhat=self.Hhat,
-            diag_residual=diag_res, params=self.params, nu=self.nu,
+            pc_gap=float(pc_gap), params=self.params, nu=self.nu,
         )
 
 
@@ -414,14 +411,15 @@ class InvariantReport:
     q_excess: float
     c_excess: float | None
     psd_min_eig: float
-    diag_residual: float | None
+    response_bound_ratio: float
     tol: float
 
     @property
     def passed(self) -> bool:
         ok = (self.diag_R <= self.tol and self.diag_C <= self.tol
               and self.q_excess <= self.tol
-              and self.psd_min_eig >= -self.tol)
+              and self.psd_min_eig >= -self.tol
+              and self.response_bound_ratio <= 1.0 + self.tol)  # NaN fails
         if self.c_excess is not None:
             ok = ok and self.c_excess <= self.tol
         return ok
@@ -429,16 +427,17 @@ class InvariantReport:
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in
                 ("diag_R", "diag_C", "q_excess", "c_excess",
-                 "psd_min_eig", "diag_residual", "tol", "passed")}
+                 "psd_min_eig", "response_bound_ratio", "tol", "passed")}
 
 
 def check_bundle(bundle: TwoTimeBundle) -> InvariantReport:
-    """Audit the structural invariants of a solved bundle.
+    """Audit a solved bundle; the report's ``passed`` is the whole gate.
 
     Checks R and C diagonals, |q| <= q_star + tol, |C| <= 1 + tol under the
-    hard constraint, and positive semi-definiteness of the recentred
+    hard constraint, positive semi-definiteness of the recentred
     correlation on 21 evenly spaced times (min eigenvalue of the Gram
-    matrix >= -tol), with tol = 1e-8.
+    matrix >= -tol), and response_integral_bound <= 1 + tol (a NaN ratio
+    fails), with tol = 1e-8.
     """
     n = bundle.grid.n
     qs = bundle.params.q_star
@@ -454,7 +453,7 @@ def check_bundle(bundle: TwoTimeBundle) -> InvariantReport:
     gram = 0.5 * (gram + gram.T)
     psd_min = float(np.linalg.eigvalsh(gram)[0])
     return InvariantReport(diag_R, diag_C, q_excess, c_excess, psd_min,
-                           bundle.diag_residual, _AUDIT_TOL)
+                           response_integral_bound(bundle), _AUDIT_TOL)
 
 
 def soft_hard_gap(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,

@@ -47,7 +47,7 @@ def test_solve_hard_run(tmp_path):
     assert {p.name for p in out.iterdir()} == SOLVE_FILES
     invariants = json.loads((out / "invariants.json").read_text())
     assert invariants["passed"] is True
-    assert invariants["response_bound_ratio"] <= 1 + invariants["response_bound_tol"]
+    assert invariants["response_bound_ratio"] <= 1 + invariants["tol"]
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "solve-hard"
     assert meta["constraint"] == "hard"
@@ -490,3 +490,41 @@ def test_traced_layers_and_exports_resolve():
         module = importlib.import_module(f"spinband.{layer}")
         assert hasattr(module, name), f"{layer}.{name}"
         assert getattr(spinband, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("sim", [
+    {"N": 16, "dt": 0.003, "seed": 7, "replicas": 2},           # stride 3 dt = 0.009
+    {"N": 16, "dt": 0.005, "T": 0.6, "seed": 7, "replicas": 2},  # past the grid's T
+], ids=["off-grid-stride", "past-grid-T"])
+def test_simulate_rejects_off_grid_snapshots_before_sampling(tmp_path, capsys,
+                                                             monkeypatch, sim):
+    """Snapshots that miss the limit grid exit 1 before any disorder is drawn."""
+    import spinband.simulate
+
+    def never(*args, **kwargs):
+        raise AssertionError("sample_disorder ran")
+
+    monkeypatch.setattr(spinband.simulate, "sample_disorder", never)
+    payload = solve_cfg(grid={"T": 0.27, "h": 0.01},
+                        constraint={"kind": "soft", "L": 100.0, "k": 1}, sim=sim)
+    cfg = write_cfg(tmp_path, "sim.json", payload)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "GridMismatch" in capsys.readouterr().err
+
+
+def test_readme_names_every_audit_and_diagnostic_key(tmp_path):
+    """The README's Artifacts section names, in backticks, every key of a
+    solve run's invariants.json and the diagnostic keys of its metadata.json,
+    so a renamed or added key cannot go undocumented."""
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg(grid={"T": 0.2, "h": 0.02}))
+    out = tmp_path / "out"
+    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    diagnostics = ("pc_gap", "peak_rss_mb", "timings")
+    assert all(k in meta for k in diagnostics)
+    keys = {*json.loads((out / "invariants.json").read_text()), *diagnostics,
+            *meta["timings"]}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
+    missing = sorted(k for k in keys if f"`{k}`" not in section)
+    assert not missing, missing

@@ -178,6 +178,7 @@ def test_localized_branch_mixed(mixed_mixing):
     assert rep.tap_ok is True
     assert rep.g_alpha_residual is not None
     assert rep.beta_plus is None
+    assert rep.residual_max <= 1e-12
 
 
 def test_localized_branch_closed_forms_check_the_root(pure3_mixing,
@@ -217,4 +218,4 @@ def test_localized_branch_mixed_at_unit_q_star(mixed_mixing):
     rep = localized_no_aging(deep, mixed_mixing)
     assert 0.0 < rep.alpha < 1.0
     assert rep.tap_ok is None and rep.g_alpha_residual is None
-    assert max(abs(r) for r in rep.residuals[:2]) <= 1e-12
+    assert rep.residual_max <= 1e-12
