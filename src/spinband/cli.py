@@ -2,10 +2,11 @@
 
 Commands:
 
-* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes five files
-  (metadata.json, R.npy, C.npy, series.csv, invariants.json).
+* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes four files
+  (metadata.json, RC.npy, series.csv, invariants.json).
 * ``fdt``       -- lag-grid solve plus the derived constants.
-* ``sk``        -- two-body closed-form solve on the same artifact layout.
+* ``sk``        -- two-body closed-form solve; writes metadata.json, RC.npy,
+  series.csv and constants.json.
 * ``simulate``  -- conditioned finite-N Langevin runs with snapshot dumps.
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
@@ -39,6 +40,7 @@ COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _PROC_STATUS = Path("/proc/self/status")  # Linux per-process counters
+_PACK_ROWS = 64  # RC.npy rows written or read per block
 
 
 # --------------------------------------------------------------------------
@@ -308,30 +310,104 @@ def _peak_rss_mb() -> float | None:
 
 
 def _write_two_time(out: Path, R, C) -> None:
-    """R.npy and C.npy: the full (n+1, n+1) float64 arrays, C-contiguous."""
-    import numpy as np
-    for name, M in (("R", R), ("C", C)):
-        np.save(out / f"{name}.npy", np.ascontiguousarray(M, dtype=np.float64))
+    """RC.npy: R and C packed on the triangle t <= s, streamed in row blocks.
 
-
-def _read_two_time(path: Path, n: int):
-    """An (n+1, n+1) finite float64 array from a .npy file, or ParseError."""
+    A float64 array of shape (n+1, n+2) in numpy's .npy format whose row i
+    holds R[i, 0..i] followed by C[i, i..n], so both diagonals are stored.
+    R must be exactly zero above the diagonal and C exactly symmetric (bit
+    for bit), or ValidationError names the first entry that would be lost
+    and no RC.npy is left behind.  No (n+1)^2 temporary is built.
+    """
     import numpy as np
+    R = np.asarray(R, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    m = R.shape[0]
+    if R.shape != (m, m) or C.shape != (m, m):
+        raise ValidationError(f"R {R.shape} and C {C.shape} must be one square shape")
+    Rbits, Cbits = R.view(np.uint64), C.view(np.uint64)  # -0.0 and NaN exactly
+    path = out / "RC.npy"
     try:
-        M = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as e:
-        raise ParseError(f"{path}: not a readable .npy array: {e}") from None
-    if getattr(M, "dtype", None) != np.float64 or M.shape != (n + 1, n + 1):
-        raise ParseError(f"{path}: expected float64 of shape ({n + 1}, {n + 1}), "
-                         f"got {getattr(M, 'dtype', None)} {getattr(M, 'shape', None)}")
-    if not np.isfinite(M).all():
-        i, j = np.argwhere(~np.isfinite(M))[0]
-        raise ParseError(f"{path}: non-finite value {M[i, j]} at ({i}, {j})")
-    return M
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": np.lib.format.dtype_to_descr(R.dtype),
+                "fortran_order": False, "shape": (m, m + 1)})
+            buf = np.empty((min(_PACK_ROWS, m), m + 1))
+            for b in range(0, m, _PACK_ROWS):
+                e = min(b + _PACK_ROWS, m)
+                for k, i in enumerate(range(b, e)):
+                    if Rbits[i, i + 1:].any():
+                        j = i + 1 + int(Rbits[i, i + 1:].argmax())
+                        raise ValidationError(
+                            f"R({i}, {j}) = {float(R[i, j])!r} lies above the diagonal")
+                    buf[k, :i + 1] = R[i, :i + 1]
+                    buf[k, i + 1:] = C[i, i:]
+                # rows b..e-1 left of column e against their mirror, in square
+                # tiles: a transposed operand is buffered, so keep it small
+                for c in range(0, e, _PACK_ROWS):
+                    bad = Cbits[b:e, c:c + _PACK_ROWS] != Cbits[c:c + _PACK_ROWS, b:e].T
+                    if bad.any():
+                        k, j = np.argwhere(bad)[0]
+                        s, t = b + k, c + j
+                        raise ValidationError(f"C({s}, {t}) = {float(C[s, t])!r} but "
+                                              f"C({t}, {s}) = {float(C[t, s])!r}")
+                f.write(buf[:e - b].data)
+    except ValidationError:
+        path.unlink()
+        raise
+
+
+def read_two_time(path: str | Path):
+    """(R, C) from an RC.npy written by a solve or sk run, or ParseError.
+
+    Checks the header (float64, C order, shape (m, m+1)) and the file size
+    before reading, then unpacks block by block: R with zeros above the
+    diagonal, C mirrored.  A non-finite entry is rejected with its matrix
+    and (s, t) index.
+    """
+    import numpy as np
+    fmt = np.lib.format
+    path = Path(path)
+    try:
+        with open(path, "rb") as f:
+            try:  # np.save writes a 2-D array's header as version 1.0
+                version = fmt.read_magic(f)
+                if version != (1, 0):
+                    raise ValueError(f".npy version {version}, expected (1, 0)")
+                shape, fortran, dtype = fmt.read_array_header_1_0(f)
+            except ValueError as e:
+                raise ParseError(f"{path}: not a readable .npy header: {e}") from None
+            m = shape[0] if len(shape) == 2 else -1
+            if dtype != np.float64 or fortran or shape != (m, m + 1):
+                raise ParseError(
+                    f"{path}: expected a C-order float64 (n + 1, n + 2) "
+                    f"triangle pack, got {dtype} {shape}"
+                    + (" in Fortran order" if fortran else ""))
+            size, need = os.fstat(f.fileno()).st_size, f.tell() + 8 * m * (m + 1)
+            if size != need:
+                raise ParseError(f"{path}: {size} bytes, the header's {shape} "
+                                 f"float64 array needs {need}")
+            R, C = np.zeros((m, m)), np.empty((m, m))
+            for b in range(0, m, _PACK_ROWS):
+                e = min(b + _PACK_ROWS, m)
+                blk = np.fromfile(f, dtype=np.float64, count=(e - b) * (m + 1))
+                blk = blk.reshape(e - b, m + 1)
+                if not np.isfinite(blk).all():
+                    k, j = np.argwhere(~np.isfinite(blk))[0]
+                    s = b + k
+                    where = f"R({s}, {j})" if j <= s else f"C({s}, {j - 1})"
+                    raise ParseError(f"{path}: non-finite value {blk[k, j]} at {where}")
+                for k, i in enumerate(range(b, e)):
+                    R[i, :i + 1] = blk[k, :i + 1]
+                    C[i, i:] = blk[k, i + 1:]
+                    C[i, b:i] = C[b:i, i]
+                C[b:e, :b] = C[:b, b:e].T
+    except OSError as e:
+        raise ParseError(f"{path}: not readable: {e}") from None
+    return R, C
 
 
 def save_bundle(bundle, out: Path) -> None:
-    """Write R.npy, C.npy (full arrays) and series.csv for a solved bundle."""
+    """Write RC.npy (R and C on the triangle) and series.csv for a bundle."""
     _write_two_time(out, bundle.R, bundle.C)
     write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H", "Hhat"),
                      (bundle.grid.times(), bundle.q, bundle.K, bundle.mu,
@@ -343,13 +419,13 @@ def load_bundle(rundir: str | Path):
 
     Raises ParseError naming the first missing file or series column, so a
     directory written by another command is rejected cleanly, and naming the
-    file for a damaged line, a short series or a matrix that is not a finite
-    float64 array of the grid's shape.
+    file for a damaged line, a short series or an RC.npy that read_two_time
+    rejects or that does not match the grid.
     """
     from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
-    for name in ("metadata.json", "series.csv", "R.npy", "C.npy"):
+    for name in ("metadata.json", "series.csv", "RC.npy"):
         if not (rundir / name).exists():
             raise ParseError(f"{rundir}: no {name} (not a solve-hard/solve-soft run)")
     meta = json.loads((rundir / "metadata.json").read_text())
@@ -363,31 +439,17 @@ def load_bundle(rundir: str | Path):
     if series["q"].shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'series.csv'}: {series['q'].shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
+    R, C = read_two_time(rundir / "RC.npy")
+    if R.shape[0] != grid.n + 1:
+        raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
+                         f"the grid needs n + 1 = {grid.n + 1}")
     bundle = TwoTimeBundle(
         grid=grid, constraint=meta.get("constraint", "hard"),
-        R=_read_two_time(rundir / "R.npy", grid.n),
-        C=_read_two_time(rundir / "C.npy", grid.n),
+        R=R, C=C,
         q=series["q"], K=series["K"], mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         pc_gap=float(_need(meta, "metadata", "pc_gap")), params=params, nu=nu)
     return bundle, meta
-
-
-# --------------------------------------------------------------------------
-# comparison
-# --------------------------------------------------------------------------
-
-def compare_bundles(a, b, tol: float) -> dict:
-    """Sup-norm gaps of (R, C, q, mu, H) between two solves on one grid."""
-    import numpy as np
-    if a.grid.n != b.grid.n or a.grid.h != b.grid.h:
-        raise GridMismatch(f"grids differ: (h={a.grid.h}, n={a.grid.n}) vs "
-                           f"(h={b.grid.h}, n={b.grid.n})")
-    gaps = {name: float(np.abs(getattr(a, name) - getattr(b, name)).max())
-            for name in ("R", "C", "q", "mu", "H")}
-    passed = {name: gap <= tol for name, gap in gaps.items()}
-    return {"tol": tol, "gaps": gaps, "pass": passed,
-            "passed": all(passed.values())}
 
 
 # --------------------------------------------------------------------------
@@ -555,7 +617,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
 
 def _run_compare(cfg: RunConfig, out: Path) -> int:
     from .sk import solve_two_time
-    from .volterra import check_bundle, solve_hard, solve_soft
+    from .volterra import check_bundle, compare_bundles, solve_hard, solve_soft
 
     t0 = time.monotonic()
     tol = float(cfg.compare.get("tol", 5e-3))

@@ -277,14 +277,16 @@ def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
     lam = np.sqrt(qo2 + Md)
     q = qs * params.q_o / lam
     lg = damped_mgf(grid.times(), beta, G)
-    idx = np.arange(n + 1)
-    gap = idx[:, None] - idx[None, :]
-    R = np.where(gap >= 0, lg[np.abs(gap)] * (lam[None, :] / lam[:, None]), 0.0)
-    Cbar = M / np.outer(lam, lam)
-    C = Cbar + np.outer(q, q) / qs2
     h = grid.h
+    # row by row, so no (n+1)^2 temporary is built beside the three results
+    R = np.zeros((n + 1, n + 1))
+    Cbar = np.empty((n + 1, n + 1))
+    C = np.empty((n + 1, n + 1))
     mu = np.empty(n + 1)
     for r in range(n + 1):
+        R[r, : r + 1] = lg[r::-1] * (lam[: r + 1] / lam[r])
+        np.divide(M[r], lam[r] * lam, out=Cbar[r])
+        np.add(Cbar[r], q[r] * q / qs2, out=C[r])
         mu[r] = 0.5 + 0.5 * beta * beta * _trapz_dot(h, R[r, : r + 1] * Cbar[r, : r + 1]) \
             + beta * G * qo2 / (lam[r] * lam[r])
     H = energy_from_mu(mu, beta)

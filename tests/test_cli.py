@@ -12,14 +12,14 @@ import pytest
 
 import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
-                          read_series_csv, save_bundle, write_matrix_csv)
+                          read_series_csv, read_two_time, save_bundle,
+                          write_matrix_csv)
 from spinband.errors import ParseError, ValidationError
 
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.625, "G_star": 1.25}
 
-SOLVE_FILES = {"metadata.json", "R.npy", "C.npy", "series.csv",
-               "invariants.json"}
+SOLVE_FILES = {"metadata.json", "RC.npy", "series.csv", "invariants.json"}
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,10 +52,11 @@ def test_solve_hard_run(tmp_path):
     assert meta["command"] == "solve-hard"
     assert meta["constraint"] == "hard"
     assert meta["config"]["model"]["beta"] == 1.0
-    # full float64 storage, R causal: zero strictly above the diagonal
-    R = np.load(out / "R.npy", allow_pickle=False)
-    assert R.dtype == np.float64 and R.shape == (51, 51)
-    assert not np.triu(R, 1).any()
+    # one float64 .npy, row i = R[i, 0..i] then C[i, i..n]: both diagonals
+    RC = np.load(out / "RC.npy", allow_pickle=False)
+    assert RC.dtype == np.float64 and RC.shape == (51, 52)
+    rows = np.arange(51)
+    assert (RC[rows, rows] == 1.0).all() and (RC[rows, rows + 1] == 1.0).all()
 
 
 def test_solve_records_phase_timings(tmp_path):
@@ -78,7 +79,7 @@ def test_artifacts_roundtrip_bitwise(tmp_path):
     again = tmp_path / "again"
     again.mkdir()
     save_bundle(bundle, again)
-    for name in ("R.npy", "C.npy", "series.csv"):
+    for name in ("RC.npy", "series.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
     # .npy and the 17-digit series dump reproduce every float64 exactly
     from spinband.volterra import solve_hard
@@ -107,7 +108,7 @@ def test_rerun_from_metadata_echo(tmp_path):
     cfg2 = write_cfg(tmp_path, "echo.json", echo)
     out2 = tmp_path / "two"
     assert main(["solve-hard", "--config", str(cfg2), "--out", str(out2)]) == 0
-    for name in ("R.npy", "C.npy", "series.csv", "invariants.json"):
+    for name in ("RC.npy", "series.csv", "invariants.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -170,29 +171,43 @@ def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
 
 def _truncate_100_bytes(path):
     path.write_bytes(path.read_bytes()[:-100])
-    return "not a readable .npy array"
+    return "21244 bytes, the header's (51, 52) float64 array needs 21344"
 
 
-def _resave_n_by_n(path):
-    np.save(path, np.load(path)[:-1, :-1])
-    return "expected float64 of shape (51, 51), got float64 (50, 50)"
+def _resave_unpacked(path):
+    np.save(path, read_two_time(path)[1])  # the old layout: full (n+1, n+1) C
+    return "expected a C-order float64 (n + 1, n + 2) triangle pack, got float64 (51, 51)"
 
 
 def _resave_as_float32(path):
     np.save(path, np.load(path).astype(np.float32))
-    return "expected float64 of shape (51, 51), got float32 (51, 51)"
+    return "triangle pack, got float32 (51, 52)"
 
 
 def _resave_as_object(path):
     np.save(path, np.load(path).astype(object))
-    return "not a readable .npy array: Object arrays cannot be loaded"
+    return "triangle pack, got object (51, 52)"
 
 
-def _nan_at_7_3(path):
-    M = np.load(path)
-    M[7, 3] = np.nan
-    np.save(path, M)
-    return "non-finite value nan at (7, 3)"
+def _nan_in_the_r_part(path):
+    RC = np.load(path)
+    RC[7, 3] = np.nan
+    np.save(path, RC)
+    return "non-finite value nan at R(7, 3)"
+
+
+def _nan_in_the_c_part(path):
+    RC = np.load(path)
+    RC[3, 7] = np.nan  # row 3 holds C[3, 3..50] from column 4 on
+    np.save(path, RC)
+    return "non-finite value nan at C(3, 6)"
+
+
+def _pack_for_another_grid(path):
+    R, C = read_two_time(path)
+    from spinband.cli import _write_two_time
+    _write_two_time(path.parent, R[:41, :41], C[:41, :41])
+    return "41 rows, the grid needs n + 1 = 51"
 
 
 def _drop_last_line(path):
@@ -215,9 +230,10 @@ def _inf_in_a_row(path):
 
 
 @pytest.mark.parametrize("name, damage", [
-    ("R.npy", _truncate_100_bytes), ("C.npy", _resave_n_by_n),
-    ("R.npy", _resave_as_float32), ("R.npy", _nan_at_7_3),
-    ("C.npy", _resave_as_object), ("series.csv", _shorten_a_row),
+    ("RC.npy", _truncate_100_bytes), ("RC.npy", _resave_unpacked),
+    ("RC.npy", _resave_as_float32), ("RC.npy", _resave_as_object),
+    ("RC.npy", _nan_in_the_r_part), ("RC.npy", _nan_in_the_c_part),
+    ("RC.npy", _pack_for_another_grid), ("series.csv", _shorten_a_row),
     ("series.csv", _drop_last_line), ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
@@ -232,6 +248,85 @@ def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     assert err.startswith(f"error: ParseError: {out / name}: "), err
     assert expected in err, err
     assert not (rep_out / "report.json").exists()
+
+
+def test_report_rejects_a_run_with_the_old_matrix_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
+                 "--out", str(out)]) == 0
+    R, C = read_two_time(out / "RC.npy")
+    np.save(out / "R.npy", R)
+    np.save(out / "C.npy", C)
+    (out / "RC.npy").unlink()
+    capsys.readouterr()
+    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
+    assert main(["report", "--config", str(rep_cfg), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out}: no RC.npy"), err
+
+
+@pytest.mark.parametrize("command, constraint", [
+    ("solve-hard", None), ("solve-soft", {"kind": "soft", "L": 100.0, "k": 1}),
+    ("sk", None)])
+def test_rc_npy_round_trips_bitwise(tmp_path, command, constraint):
+    """read_two_time returns the solver's R and C bit for bit."""
+    from spinband.cli import _sk_params
+    from spinband.sk import solve_two_time
+    from spinband.volterra import solve_hard, solve_soft
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg(constraint=constraint))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rc = parse_config(cfg, command=command)
+    if command == "sk":
+        direct = solve_two_time(_sk_params(rc), rc.grid)
+    else:
+        solve = solve_hard if command == "solve-hard" else solve_soft
+        direct = solve(rc.params, rc.nu, rc.grid)
+    R, C = read_two_time(out / "RC.npy")
+    assert R.tobytes() == direct.R.tobytes()
+    assert C.tobytes() == direct.C.tobytes()
+
+
+@pytest.mark.parametrize("matrix, s, t, value, message", [
+    ("R", 3, 5, 0.5, r"R\(3, 5\) = 0.5 lies above the diagonal"),
+    ("R", 3, 5, -0.0, r"R\(3, 5\) = -0.0 lies above the diagonal"),
+    ("C", 7, 2, 0.25, r"C\(2, 7\) = .* but C\(7, 2\) = 0.25")])
+def test_rc_writer_refuses_what_the_pack_would_drop(tmp_path, matrix, s, t,
+                                                    value, message):
+    """The pack keeps R for t <= s and C for t >= s only, so the writer
+    refuses (and leaves no RC.npy) when the dropped half is not exactly
+    R's zeros or C's mirror, signed zeros included."""
+    from spinband.cli import _write_two_time
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    out = tmp_path / "out"
+    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
+    bundle, _ = load_bundle(out)
+    arrays = {"R": bundle.R.copy(), "C": bundle.C.copy()}
+    arrays[matrix][s, t] = value
+    (out / "RC.npy").unlink()
+    with pytest.raises(ValidationError, match=message):
+        _write_two_time(out, arrays["R"], arrays["C"])
+    assert not (out / "RC.npy").exists()
+
+
+def test_save_bundle_streams_its_matrices(tmp_path):
+    """save_bundle at n = 400 allocates less than a quarter of one (n+1)^2
+    float64 array: RC.npy is written in row blocks, never assembled."""
+    import tracemalloc
+    from spinband.volterra import solve_hard
+    rc = parse_config(write_cfg(tmp_path, "run.json", solve_cfg(grid={"T": 4.0, "h": 0.01})),
+                      command="solve-hard")
+    bundle = solve_hard(rc.params, rc.nu, rc.grid)
+    assert bundle.grid.n == 400
+    tracemalloc.start()
+    try:
+        save_bundle(bundle, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 401 ** 2 / 4, peak
+    R, C = read_two_time(tmp_path / "RC.npy")
+    assert R.tobytes() == bundle.R.tobytes() and C.tobytes() == bundle.C.tobytes()
 
 
 def test_fdt_constants(tmp_path):
@@ -276,7 +371,7 @@ def test_sk_closed_form_run(tmp_path):
     out = tmp_path / "out"
     assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "R.npy", "C.npy", "series.csv", "constants.json"}
+        "metadata.json", "RC.npy", "series.csv", "constants.json"}
     con = json.loads((out / "constants.json").read_text())
     assert con["y"] == 0.5
     assert con["alpha_sq"] == 0.5
@@ -513,17 +608,19 @@ def test_simulate_rejects_off_grid_snapshots_before_sampling(tmp_path, capsys,
 
 
 def test_readme_names_every_audit_and_diagnostic_key(tmp_path):
-    """The README's Artifacts section names, in backticks, every key of a
-    solve run's invariants.json and the diagnostic keys of its metadata.json,
-    so a renamed or added key cannot go undocumented."""
+    """The README's Artifacts section names, in backticks, every file a
+    solve-hard and an sk run write, every key of a solve run's
+    invariants.json and the diagnostic keys of its metadata.json, so a
+    renamed or added file or key cannot go undocumented."""
     cfg = write_cfg(tmp_path, "run.json", solve_cfg(grid={"T": 0.2, "h": 0.02}))
-    out = tmp_path / "out"
+    out, sk = tmp_path / "out", tmp_path / "sk"
     assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["sk", "--config", str(cfg), "--out", str(sk)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
     diagnostics = ("pc_gap", "peak_rss_mb", "timings")
     assert all(k in meta for k in diagnostics)
     keys = {*json.loads((out / "invariants.json").read_text()), *diagnostics,
-            *meta["timings"]}
+            *meta["timings"], *(p.name for d in (out, sk) for p in d.iterdir())}
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
     missing = sorted(k for k in keys if f"`{k}`" not in section)
