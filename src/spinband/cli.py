@@ -124,6 +124,8 @@ def _model_from_config(raw: dict):
                                       float(_need(g, "grid", "h")))
         except SpinbandError as e:
             raise ValidationError(f"grid block rejected: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"grid block malformed: {e}") from None
     return nu, params, grid
 
 
@@ -291,6 +293,7 @@ def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
         "wall_time_s": round(wall, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if extra:
         meta.update(extra)
@@ -475,7 +478,6 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
         "pc_gap": bundle.pc_gap,
         "timings": {"solve_s": round(t1 - t0, 3), "audit_s": round(t2 - t1, 3),
                     "write_s": round(t3 - t2, 3)},
-        "peak_rss_mb": _peak_rss_mb(),
     }))
     return 0 if audit["passed"] else 2
 
@@ -555,18 +557,24 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
 
     t0 = time.monotonic()
     sim = dict(cfg.sim)
-    N = int(sim["N"])
-    dt = float(sim["dt"])
-    T = float(sim.get("T", cfg.grid.h * cfg.grid.n if cfg.grid else 0.0))
-    if T <= 0:
-        raise ValidationError("simulate needs sim.T (or a grid block)")
-    seed = int(sim.get("seed", 0))
-    stride = sim.get("snap_stride")
-    if stride is None:
-        stride = int(round(cfg.grid.h / dt)) if cfg.grid else 1
-    scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
-                     replicas=int(sim.get("replicas", 4)),
-                     snap_stride=int(stride))
+    try:  # every sim value is checked before any work is done
+        N = int(sim["N"])
+        dt = float(sim["dt"])
+        T = float(sim.get("T", cfg.grid.h * cfg.grid.n if cfg.grid else 0.0))
+        if T <= 0:
+            raise ValidationError("simulate needs sim.T (or a grid block)")
+        seed = int(sim.get("seed", 0))
+        stride = sim.get("snap_stride")
+        if stride is None:
+            stride = int(round(cfg.grid.h / dt)) if cfg.grid and dt > 0 else 1
+        scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
+                         replicas=int(sim.get("replicas", 4)),
+                         snap_stride=int(stride))
+        disorder_seed = int(sim.get("disorder_seed", seed))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"sim block malformed: {e}") from None
+    if disorder_seed < 0:
+        raise ValidationError("sim.disorder_seed must be nonnegative")
     if cfg.grid is not None:  # checked before the run, not after it
         try:
             cfg.grid.index_of(scfg.snap_stride * dt)
@@ -574,9 +582,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         except GridMismatch as e:
             raise GridMismatch(f"snapshots miss the limit grid: {e}") from None
     # conditioned in place: the run holds one dense copy of the disorder
-    J = condition_disorder(
-        sample_disorder(N, cfg.nu, int(sim.get("disorder_seed", seed))),
-        cfg.params, cfg.nu)
+    J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed),
+                           cfg.params, cfg.nu)
     t1 = time.monotonic()
     traj = run_langevin(J, cfg.params, scfg)
     t2 = time.monotonic()
@@ -610,7 +617,6 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         "disorder_s": round(t1 - t0, 3), "langevin_s": round(t2 - t1, 3),
         "observables_s": round(t3 - t2, 3), "limit_s": round(t4 - t3, 3),
         "write_s": round(t5 - t4, 3)}
-    extra["peak_rss_mb"] = _peak_rss_mb()
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
     return 0
 

@@ -358,8 +358,14 @@ class SimConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ValidationError("need N >= 2")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
+        if not 0 < self.T < math.inf:
+            raise ValidationError("T must be positive and finite")
+        if self.replicas < 1 or self.snap_stride < 1:
+            raise ValidationError("need replicas >= 1 and snap_stride >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
             raise ValidationError("T must be an integer multiple of dt")

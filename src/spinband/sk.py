@@ -5,7 +5,7 @@ with Lambda(s) = sqrt(q_o^2 + M(s)) one has
 
     q(s)      = q_star q_o / Lambda(s),
     R(s, t)   = Lambda(t)/Lambda(s) * L_G(s - t),
-    Cbar(s,t) = M(s, t) / (Lambda(s) Lambda(t)),
+    C(s, t)   = M(s, t) / (Lambda(s) Lambda(t)) + q(s) q(t) / q_star^2,
 
 where L(theta) = (2/pi) int_{-1}^{1} e^{beta theta x} sqrt(1 - x^2) dx is the
 semicircle moment generating function, L_G(theta) = e^{-beta G theta} L(theta)
@@ -206,7 +206,7 @@ def _prefix_conv(kernel: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
                      grid: TwoTimeGrid, blowup: float = 1e12):
-    """Predictor-corrector march of the linear M system; returns (M, M_diag).
+    """Predictor-corrector march of the linear M system; returns M.
 
     ``m0`` is M(0,0) and ``qo_sq`` the constant source in the diagonal ODE.
     The equations are linear in (m0, qo_sq), and the discrete scheme
@@ -216,9 +216,7 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     b2 = beta * beta
     lg = damped_mgf(grid.times(), beta, G)
     M = np.zeros((n + 1, n + 1))
-    Md = np.empty(n + 1)
     M[0, 0] = m0
-    Md[0] = m0
 
     def rhs(r):
         a = lg[r::-1]
@@ -232,69 +230,60 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
         t2 = h * (_prefix_conv(lg[: r + 1], col)
                   - 0.5 * (lg[: r + 1] * col[0] + col))
         f_off = -beta * G * M[r, : r + 1] + 0.25 * b2 * (t1 + t2)
-        f_diag = qo_sq + (1.0 - 2.0 * beta * G) * Md[r] + b2 * t1[r]
+        f_diag = qo_sq + (1.0 - 2.0 * beta * G) * M[r, r] + b2 * t1[r]
         return f_off, f_diag
 
     for i in range(n):
         f1, f1d = rhs(i)
         M[i + 1, : i + 1] = M[i, : i + 1] + h * f1[: i + 1]
-        M[i + 1, i + 1] = Md[i] + h * f1d
+        M[i + 1, i + 1] = M[i, i] + h * f1d
         M[: i + 2, i + 1] = M[i + 1, : i + 2]
-        Md[i + 1] = M[i + 1, i + 1]
         f2, f2d = rhs(i + 1)
         M[i + 1, : i + 1] = M[i, : i + 1] + 0.5 * h * (f1[: i + 1] + f2[: i + 1])
-        M[i + 1, i + 1] = Md[i] + 0.5 * h * (f1d + f2d)
+        M[i + 1, i + 1] = M[i, i] + 0.5 * h * (f1d + f2d)
         M[: i + 2, i + 1] = M[i + 1, : i + 2]
-        Md[i + 1] = M[i + 1, i + 1]
-        mx = abs(Md[i + 1])
+        mx = abs(M[i + 1, i + 1])
         if not math.isfinite(mx) or mx > blowup:
             raise StepUnstable(f"kernel march blew up at step {i + 1}: {mx:g}")
-    return M, Md
+    return M
 
 
 @dataclass
 class SkSolution:
     grid: TwoTimeGrid
     params: SkParams
-    M: np.ndarray
-    M_diag: np.ndarray
-    Lam: np.ndarray
     q: np.ndarray
     R: np.ndarray
-    Cbar: np.ndarray
     C: np.ndarray
     mu: np.ndarray
     H: np.ndarray
 
 
 def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
-    """March M and assemble q, R, Cbar, C, mu, H by the closed formulas."""
+    """March M and assemble q, R, C, mu, H by the closed formulas; C is
+    written over M row by row, since row r of M is read only at step r."""
     beta, G, qs = params.beta, params.G_star, params.q_star
     qs2 = qs * qs
     qo2 = params.q_o ** 2
     n = grid.n
-    M, Md = march_covariance(beta, G, qs2 - qo2, qo2, grid)
-    lam = np.sqrt(qo2 + Md)
+    C = march_covariance(beta, G, qs2 - qo2, qo2, grid)
+    lam = np.sqrt(qo2 + C.diagonal())
     q = qs * params.q_o / lam
     lg = damped_mgf(grid.times(), beta, G)
     h = grid.h
-    # row by row, so no (n+1)^2 temporary is built beside the three results
     R = np.zeros((n + 1, n + 1))
-    Cbar = np.empty((n + 1, n + 1))
-    C = np.empty((n + 1, n + 1))
+    cbar = np.empty(n + 1)  # row r of Cbar = M/(Lambda Lambda^T)
     mu = np.empty(n + 1)
     for r in range(n + 1):
         R[r, : r + 1] = lg[r::-1] * (lam[: r + 1] / lam[r])
-        np.divide(M[r], lam[r] * lam, out=Cbar[r])
-        np.add(Cbar[r], q[r] * q / qs2, out=C[r])
-        mu[r] = 0.5 + 0.5 * beta * beta * _trapz_dot(h, R[r, : r + 1] * Cbar[r, : r + 1]) \
+        np.divide(C[r], lam[r] * lam, out=cbar)
+        np.add(cbar, q[r] * q / qs2, out=C[r])
+        mu[r] = 0.5 + 0.5 * beta * beta * _trapz_dot(h, R[r, : r + 1] * cbar[: r + 1]) \
             + beta * G * qo2 / (lam[r] * lam[r])
     H = energy_from_mu(mu, beta)
-    sol = SkSolution(grid=grid, params=params, M=M, M_diag=Md, Lam=lam, q=q,
-                     R=R, Cbar=Cbar, C=C, mu=mu, H=H)
-    for arr in (sol.M, sol.M_diag, sol.Lam, sol.q, sol.R, sol.Cbar, sol.C, sol.mu, sol.H):
+    for arr in (q, R, C, mu, H):
         arr.setflags(write=False)
-    return sol
+    return SkSolution(grid=grid, params=params, q=q, R=R, C=C, mu=mu, H=H)
 
 
 def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
@@ -305,21 +294,23 @@ def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
     M_src: M(0)=0 unit source).  The scheme is linear, so this gap is pure
     rounding noise.
 
-    ``gauge_gap``: sup |M_hom - e^{-beta G (s+t)} M_free| with M_free the
-    undamped (G=0, sourceless) solution; the continuum identity is exact but
-    the discrete time-stepping does not commute with the exponential tilt,
-    so this gap is an O(h^2) convergence diagnostic, not an identity.
+    ``gauge_gap``: sup |M_hom - e^{-beta (G-1)(s+t)} M_1| with M_1 the
+    sourceless solution at G = 1, which stays bounded where the undamped
+    (G = 0) one grows like e^{2 beta t} past the march's blow-up guard.  The
+    continuum identity is exact for any reference G, but the discrete time
+    stepping does not commute with the exponential tilt, so this gap is an
+    O(h^2) convergence diagnostic, not an identity.
     """
     beta, G, qs = params.beta, params.G_star, params.q_star
     qo2 = params.q_o ** 2
-    full, _ = march_covariance(beta, G, qs * qs - qo2, qo2, grid)
-    hom, _ = march_covariance(beta, G, 1.0, 0.0, grid)
-    src, _ = march_covariance(beta, G, 0.0, 1.0, grid)
+    full = march_covariance(beta, G, qs * qs - qo2, qo2, grid)
+    hom = march_covariance(beta, G, 1.0, 0.0, grid)
+    src = march_covariance(beta, G, 0.0, 1.0, grid)
     lin = float(np.abs(full - ((qs * qs - qo2) * hom + qo2 * src)).max())
-    free, _ = march_covariance(beta, 0.0, 1.0, 0.0, grid)
+    ref = march_covariance(beta, 1.0, 1.0, 0.0, grid)
     t = grid.times()
-    tilt = np.exp(-beta * G * (t[:, None] + t[None, :]))
-    gauge = float(np.abs(hom - tilt * free).max())
+    tilt = np.exp(-beta * (G - 1.0) * (t[:, None] + t[None, :]))
+    gauge = float(np.abs(hom - tilt * ref).max())
     return {"linear_gap": lin, "gauge_gap": gauge}
 
 

@@ -95,7 +95,12 @@ class TwoTimeGrid:
 
     @staticmethod
     def from_T(T: float, h: float) -> "TwoTimeGrid":
-        n = int(round(T / h))
+        if not (0.0 <= T < np.inf and 0.0 < h < np.inf):  # NaN fails too
+            raise GridMismatch(f"need finite T >= 0 and h > 0, got T={T}, h={h}")
+        steps = T / h
+        if steps == np.inf:
+            raise GridMismatch(f"T={T} over h={h} overflows the step count")
+        n = int(round(steps))
         if abs(n * h - T) > 1e-9 * max(1.0, T):
             raise GridMismatch(f"T={T} is not an integer multiple of h={h}")
         return TwoTimeGrid(h, n)

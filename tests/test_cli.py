@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,6 +389,17 @@ def test_sk_closed_form_run(tmp_path):
                  str(tmp_path / "b")]) == 1
 
 
+def test_sk_gauge_audit_runs_at_late_times(tmp_path):
+    """At T = 20 an undamped gauge reference grows like e^{2t} past the
+    march's blow-up guard; the G = 1 reference stays bounded."""
+    cfg = write_cfg(tmp_path, "sk.json", solve_cfg(grid={"T": 20.0, "h": 0.05}))
+    out = tmp_path / "out"
+    assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
+    gaps = json.loads((out / "constants.json").read_text())["superposition"]
+    assert gaps["gauge_gap"] <= 1e-3
+    assert gaps["linear_gap"] <= 1e-8
+
+
 def test_simulate_run(tmp_path):
     payload = solve_cfg(grid={"T": 0.5, "h": 0.05},
                         constraint={"kind": "soft", "L": 100.0, "k": 1},
@@ -424,8 +436,9 @@ def test_simulate_records_phase_timings(tmp_path):
 
 
 def test_runs_record_their_peak_rss(tmp_path, monkeypatch):
-    """metadata.json carries the process's VmHWM in MiB: at least the dense
-    coupling store of a pure p = 3 simulate run; null without procfs."""
+    """Every run's metadata.json carries the process's VmHWM in MiB: at
+    least the dense coupling store of a pure p = 3 simulate run; null
+    without procfs."""
     import spinband.cli as cli
     N = 96
     payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0,
@@ -438,6 +451,10 @@ def test_runs_record_their_peak_rss(tmp_path, monkeypatch):
     peak = json.loads((out / "metadata.json").read_text())["peak_rss_mb"]
     assert peak >= 8 * N ** 3 / 2 ** 20
     cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    peak = json.loads((out / "metadata.json").read_text())["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
     monkeypatch.setattr(cli, "_PROC_STATUS", tmp_path / "no-such-file")
     assert main(["solve-hard", "--config", str(cfg), "--out",
                  str(tmp_path / "solve")]) == 0
@@ -500,6 +517,36 @@ def test_error_exits(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg4),
                  "--out", str(tmp_path / "x")]) == 1
     assert "Blowup" in capsys.readouterr().err
+
+
+_SIM = {"N": 16, "dt": 0.005, "seed": 7, "replicas": 2}
+
+
+@pytest.mark.parametrize("grid, sim", [
+    ({"T": 1.0, "h": 0}, None),
+    ({"T": 1.0, "h": "x"}, None),
+    ({"T": math.nan, "h": 0.02}, None),
+    ({"T": 1e300, "h": 1e-300}, None),
+    (None, {**_SIM, "N": "x"}),
+    (None, {**_SIM, "replicas": 0}),
+    (None, {**_SIM, "snap_stride": 0}),
+    (None, {**_SIM, "seed": -1}),
+], ids=["grid.h=0", "grid.h=x", "grid.T=nan", "T/h-overflows", "sim.N=x",
+        "sim.replicas=0", "sim.snap_stride=0", "sim.seed=-1"])
+def test_malformed_grid_and_sim_values_exit_1(tmp_path, capsys, grid, sim):
+    """A grid or sim value that is not a usable number is an error line
+    naming a ParseError, ValidationError or GridMismatch, not a traceback."""
+    if sim is None:
+        command, payload = "solve-hard", solve_cfg(grid=grid)
+    else:
+        command = "simulate"
+        payload = solve_cfg(grid={"T": 0.2, "h": 0.05},
+                            constraint={"kind": "soft", "L": 100.0, "k": 1},
+                            sim=sim)
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: (ParseError|ValidationError|GridMismatch): ", err), err
 
 
 def test_parse_config_details(tmp_path):

@@ -99,15 +99,23 @@ def test_parameter_guards():
         SkParams(beta=1.0, G_star=1.25, q_star=0.5, q_o=0.6)
 
 
+def _kernel(params, grid):
+    qo2 = params.q_o ** 2
+    return march_covariance(params.beta, params.G_star,
+                            params.q_star ** 2 - qo2, qo2, grid)
+
+
 def test_two_time_structure(ref, ref_solution):
     sol = ref_solution
     assert abs(sol.C[0, 0] - 1.0) <= 1e-12
     assert_allclose(np.diag(sol.R), 1.0, rtol=0, atol=0)
     assert sol.q[0] == ref.q_o
-    assert np.array_equal(sol.M, sol.M.T)
-    assert np.array_equal(np.diag(sol.M), sol.M_diag)
-    assert_allclose(sol.Lam, np.sqrt(ref.q_o ** 2 + sol.M_diag), rtol=0, atol=0)
-    assert_allclose(sol.C, sol.Cbar + np.outer(sol.q, sol.q) / ref.q_star ** 2,
+    M = _kernel(ref, sol.grid)
+    assert np.array_equal(M, M.T)
+    lam = np.sqrt(ref.q_o ** 2 + np.diag(M))
+    assert_allclose(sol.q, ref.q_star * ref.q_o / lam, rtol=0, atol=0)
+    assert_allclose(sol.C, M / np.outer(lam, lam)
+                    + np.outer(sol.q, sol.q) / ref.q_star ** 2,
                     rtol=0, atol=1e-15)
     assert sol.mu[0] == 0.5 + ref.beta * ref.G_star * ref.q_o ** 2
     assert_allclose(sol.H, energy_from_mu(sol.mu, ref.beta), rtol=0, atol=0)
@@ -138,11 +146,11 @@ def test_stationary_identity(ref):
 
 
 def test_kernel_becomes_stationary(ref, ref_solution):
-    sol = ref_solution
-    grid = sol.grid
+    grid = ref_solution.grid
+    M = _kernel(ref, grid)
     i0 = grid.index_of(10.0)
     qo2 = ref.q_o ** 2
-    worst = max(abs(sol.M[grid.index_of(10.0 + tau), i0] / qo2
+    worst = max(abs(M[grid.index_of(10.0 + tau), i0] / qo2
                     - stationary_covariance(tau, ref))
                 for tau in (0.0, 0.5, 1.0, 2.0))
     assert worst <= 5e-3
@@ -152,6 +160,21 @@ def test_superposition_of_elementary_solutions(ref):
     gaps = superposition_gap(ref, TwoTimeGrid.from_T(2.0, 0.02))
     assert gaps["linear_gap"] <= 1e-8          # exact for the discrete scheme
     assert gaps["gauge_gap"] <= 1e-3           # O(h^2) discretization diagnostic
+
+
+def test_oracle_holds_two_square_arrays(ref):
+    """C is built in the kernel's place, so the solve's traced peak stays
+    below 2.5 (n+1)^2 floats: R and C, plus O(n) rows."""
+    import tracemalloc
+    solve_two_time(ref, TwoTimeGrid.from_T(0.1, 0.02))  # numpy's lazy imports
+    grid = TwoTimeGrid(0.02, 400)
+    tracemalloc.start()
+    try:
+        solve_two_time(ref, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * (grid.n + 1) ** 2, peak
 
 
 def test_long_time_constants(ref):
@@ -201,7 +224,7 @@ from spinband.sk import SkParams, solve_two_time
 from spinband.volterra import TwoTimeGrid
 sol = solve_two_time(SkParams(beta=1.0, G_star=1.25), TwoTimeGrid.from_T(10.0, 0.01))
 d = hashlib.sha256()
-for name in ("M", "M_diag", "Lam", "q", "R", "Cbar", "C", "mu", "H"):
+for name in ("q", "R", "C", "mu", "H"):
     d.update(getattr(sol, name).tobytes())
 print(d.hexdigest())
 """
