@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
@@ -69,9 +70,12 @@ class Disorder:
     """Dense symmetric coefficient store.
 
     ``tensors[p]`` holds A^(p) with A[any permutation of i1..ip] =
-    J_{sorted tuple} / multiplicity, so contractions against x^{tensor p}
-    reproduce the sorted-tuple sum exactly, and J itself is recovered by
-    ``coupling``.
+    J_{sorted tuple} / multiplicity, bit for bit, so contractions against
+    x^{tensor p} reproduce the sorted-tuple sum exactly, and J itself is
+    recovered by ``coupling``.  run_langevin and hamiltonian_and_grad_batch
+    rewrite the p >= 3 tensors in place for the length of a call and
+    restore them bit for bit, so one Disorder must not be shared by
+    concurrent calls.
     """
 
     N: int
@@ -110,9 +114,11 @@ def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     permutations yields exactly the sorted-tuple law with the multiplicity
     variance correction (per-orbit variance N^{1-p}/mult for A, hence
     N^{1-p} * mult for J).  The draw is scaled and averaged in place, so an
-    order holds one dense N^p array plus a workspace of at most p! blocks of
-    _SYM_BLOCK entries.  Any order is stored densely; raises SizeOverflow
-    when the stores together need more than 2 GiB.
+    order holds one dense N^p array plus a workspace of one block of at most
+    _SYM_BLOCK entries (and a transient copy of it on diagonal blocks).  Any order is stored densely; raises SizeOverflow
+    when the stores together need more than 2 GiB.  run_langevin packs its
+    pair store in these arrays' own buffers, so the budget is the coupling
+    peak of a whole run.
     """
     if N < 2:
         raise ValidationError("need N >= 2")
@@ -139,31 +145,46 @@ def _block_edge(p: int) -> int:
 
 
 def _symmetrize_in_place(b: np.ndarray) -> None:
-    """Overwrite b with the mean of its index permutations.
+    """Overwrite b with the mean of its index permutations, exactly symmetric.
 
     The axes are cut into blocks of edge _block_edge(p).  Permuting the axes
     maps a block tuple onto a permutation of itself, so the distinct
     permutations of one sorted tuple (an orbit) read only blocks of that
-    orbit; each orbit is read whole before any of its blocks is written.
-    Every entry is 0 + the sum over itertools.permutations order, divided by
-    p!, the same float operations as averaging b.transpose(perm) over the
-    whole tensor.
+    orbit.  The orbit's sorted block is summed once, read whole before any
+    block of the orbit is written: each entry is 0 + the sum over
+    itertools.permutations order, divided by p!, the same float operations
+    as averaging b.transpose(perm) over the whole tensor.  Every entry of
+    every block of the orbit then takes the value at its sorted index, so
+    all permutations of an index tuple hold one float.
     """
     p, N = b.ndim, b.shape[0]
     e = _block_edge(p)
     edges = [slice(k, min(k + e, N)) for k in range(0, N, e)]
-    views = [b.transpose(perm) for perm in permutations(range(p))]
+    perms = list(permutations(range(p)))
+    views = [b.transpose(perm) for perm in perms]
     for orbit in combinations_with_replacement(range(len(edges)), p):
-        sums = []
-        for t in set(permutations(orbit)):
-            sl = tuple(edges[k] for k in t)
-            acc = np.zeros([s.stop - s.start for s in sl])
-            for v in views:
-                acc += v[sl]
-            acc /= math.factorial(p)
-            sums.append((sl, acc))
-        for sl, acc in sums:
-            b[sl] = acc
+        sl = tuple(edges[k] for k in orbit)
+        acc = np.zeros([s.stop - s.start for s in sl])
+        for v in views:
+            acc += v[sl]
+        acc /= math.factorial(p)
+        # within runs of equal blocks each entry takes the value at its
+        # sorted local index: the comparators of a bubble sort of the index,
+        # applied last to first, each copy one adjacent axis pair's sorted
+        # side over its unsorted side
+        swaps = [k for top in range(p - 1, 0, -1) for k in range(top)
+                 if orbit[k] == orbit[k + 1]]
+        for k in reversed(swaps):
+            n = acc.shape[k]
+            above = np.arange(n)[:, None] > np.arange(n)
+            np.copyto(acc, acc.swapaxes(k, k + 1), where=above.reshape(
+                (1,) * k + (n, n) + (1,) * (p - k - 2)))
+        written = set()
+        for perm in perms:
+            t = tuple(orbit[k] for k in perm)
+            if t not in written:
+                written.add(t)
+                b[tuple(edges[k] for k in t)] = acc.transpose(perm)
 
 
 def _ones_tuple_slices(p: int):
@@ -252,6 +273,7 @@ class _PairStore:
     at d = 0 and 2d = N and 2 otherwise: by the symmetry of A's last two
     indices, pairs at cyclic distance d and N-d contribute equally, so the
     store is about half the dense bytes and needs no index gather per call.
+    It is a view of A's own buffer, valid inside ``_packed`` only.
     """
 
     weights: dict
@@ -261,25 +283,97 @@ class _PairStore:
         return sorted(self.stores)
 
 
-def _pack(J: Disorder) -> _PairStore:
-    N = J.N
-    D = N // 2
+def _pair_columns(N: int):
+    """Flat slab positions of the store's columns (j, (j+d) mod N), of their
+    mirrors ((j+d) mod N, j), and the weights w_d of the columns."""
     j = np.arange(N)[:, None]
-    d = np.arange(D + 1)
-    cols = (j * N + (j + d) % N).ravel()
-    w = np.tile(np.where((d == 0) | (2 * d == N), 1.0, 2.0), N)
+    d = np.arange(N // 2 + 1)
+    k = (j + d) % N
+    w = np.where((d == 0) | (2 * d == N), 1.0, 2.0)
+    return (j * N + k).ravel(), (k * N + j).ravel(), np.tile(w, N)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _pack_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite A with its pair store; return the store, a C-contiguous
+    (N^{p-2}, K) view of A's buffer, K = N(N//2 + 1) <= N^2.
+
+    Store row i comes from slab i (A at flattened first indices i) and lands
+    at flat offset i K, below the end of slab i, so no write reaches a slab
+    not yet read.  The pack refuses with ValidationError, leaving A as it
+    was, a tensor that _unpack_in_place could not rebuild bit for bit: one
+    that is not a C-contiguous, writeable float64 array, one with a dropped
+    mirror entry that differs in any bit from the kept one, or one with a
+    kept entry x for which w_d * x / w_d is not x.
+    """
+    if A.dtype != np.float64 or not (A.flags.c_contiguous
+                                     and A.flags.writeable):
+        raise ValidationError("the pair store needs a C-contiguous, "
+                              "writeable float64 tensor")
+    N = A.shape[0]
+    cols, mirror, w = _pair_columns(N)
+    K = cols.size
+    slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
+    kept, back, row = np.empty(K), np.empty(K), np.empty(K)
+    for i, slab in enumerate(slabs):
+        np.take(slab, cols, out=kept, mode="clip")
+        np.take(slab, mirror, out=back, mode="clip")
+        symmetric = _same_bits(kept, back)
+        with np.errstate(over="ignore"):
+            np.multiply(kept, w, out=row)
+        if not (symmetric
+                and _same_bits(np.divide(row, w, out=back), kept)):
+            _unpack_in_place(A, i)
+            raise ValidationError(
+                f"order-{A.ndim} couplings in slab {i} are not bitwise "
+                "symmetric in their last two indices (or overflow w_d x), "
+                "so the in-place pair store could not restore them")
+        flat[i * K:(i + 1) * K] = row
+    return flat[:slabs.shape[0] * K].reshape(-1, K)
+
+
+def _unpack_in_place(A: np.ndarray, rows: int | None = None) -> None:
+    """Rebuild A from the pair store in its first ``rows`` (default all) store
+    rows, last row first: slab i overlaps only store rows >= i, and it is
+    gathered from row i / w_d, each entry from its own column or its
+    mirror's, so A[i, j, k] = A[i, k, j] = row / w_d."""
+    N = A.shape[0]
+    cols, mirror, w = _pair_columns(N)
+    K = cols.size
+    src = np.empty(N * N, dtype=np.intp)
+    src[mirror] = np.arange(K)
+    src[cols] = np.arange(K)
+    slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
+    vals = np.empty(K)
+    for i in reversed(range(slabs.shape[0] if rows is None else rows)):
+        np.divide(flat[i * K:(i + 1) * K], w, out=vals)
+        np.take(vals, src, out=slabs[i], mode="clip")
+
+
+@contextmanager
+def _packed(J: Disorder):
+    """J's couplings as a _PairStore for the length of a with block.
+
+    The p >= 3 stores are built in the tensors' own buffers, and on exit,
+    also when the block raises, the tensors are rebuilt from them bit for
+    bit: a run holds one dense copy of the couplings, and J is what went in.
+    """
     stores = {}
-    for p, A in J.tensors.items():
-        if p == 2:
-            stores[p] = A
-        else:
-            stores[p] = np.take(A.reshape(N ** (p - 2), N * N), cols, axis=1)
-            stores[p] *= w
-    return _PairStore({p: J.weight(p) for p in stores}, stores)
+    try:
+        for p, A in J.tensors.items():
+            stores[p] = A if p == 2 else _pack_in_place(A)
+        yield _PairStore({p: J.weight(p) for p in stores}, stores)
+    finally:
+        for p in stores:  # a refused tensor is not here: it restored itself
+            if p != 2:
+                _unpack_in_place(J.tensors[p])
 
 
 def _pair_products(X: np.ndarray) -> np.ndarray:
-    """P[r, (j, d)] = x_j x_{(j+d) mod N}, in the column order of _pack."""
+    """P[r, (j, d)] = x_j x_{(j+d) mod N}, in the store's column order."""
     from numpy.lib.stride_tricks import sliding_window_view
     D = X.shape[1] // 2
     ext = np.concatenate([X, X[:, :D]], axis=1)
@@ -301,26 +395,29 @@ def hamiltonian_and_grad_batch(J: Disorder | _PairStore, X: np.ndarray):
     one product X @ A.  For p >= 3 one product of the cyclic-pair store
     against the pair products x_j x_{j+d} contracts A's last two indices,
     and the remaining p-3 are contracted one per BLAS product.  ``J`` is a
-    Disorder, packed here, or the store run_langevin packs once per run.
+    Disorder, or the store run_langevin packs once per run.  A Disorder's
+    p >= 3 tensors are packed in place for the call and restored bit for
+    bit after it, so one Disorder must not be shared by concurrent calls or
+    runs.
     """
-    store = J if isinstance(J, _PairStore) else _pack(J)
     X = np.asarray(X, dtype=float)
     R, N = X.shape
     H = np.zeros(R)
     grad = np.zeros((R, N))
     P = None
-    for p in store.active_orders():
-        b = store.weights[p]
-        if p == 2:
-            V = X @ store.stores[p]
-        else:
-            if P is None:
-                P = _pair_products(X)
-            V = (store.stores[p] @ P.T).T
-            for _ in range(p - 3):
-                V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
-        H += b * np.einsum("ri,ri->r", V, X)
-        grad += (b * p) * V
+    with _packed(J) if isinstance(J, Disorder) else nullcontext(J) as store:
+        for p in store.active_orders():
+            b = store.weights[p]
+            if p == 2:
+                V = X @ store.stores[p]
+            else:
+                if P is None:
+                    P = _pair_products(X)
+                V = (store.stores[p] @ P.T).T
+                for _ in range(p - 3):
+                    V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
+            H += b * np.einsum("ri,ri->r", V, X)
+            grad += (b * p) * V
     return H, grad
 
 
@@ -404,6 +501,14 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     the coarse ones.
 
     H comes from the run's own gradient calls, n_steps + 1 of them.
+
+    J's p >= 3 tensors hold the kernel's pair store, built in their own
+    buffers, for the length of the run, and are rebuilt bit for bit when it
+    ends, also when it raises (Blowup included): the run holds one dense
+    copy of the couplings.  So one Disorder must not be shared by
+    concurrent runs or kernel calls.  A tensor that is not exactly
+    symmetric in its last two indices raises ValidationError before the
+    first step, unchanged.
     """
     if params.confinement.kind != "soft":
         raise HardConstraint("finite-N runs need a soft confinement")
@@ -414,7 +519,6 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     dt = config.dt
     if noise is not None and noise.shape != (config.n_steps, R, N):
         raise ValidationError(f"noise must have shape {(config.n_steps, R, N)}")
-    store = _pack(J)
     rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
     X = np.stack([_initial_from_rng(rngs[r], N, prm.q_star, prm.q_o)
                   for r in range(R)])
@@ -426,26 +530,28 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     Ks = np.empty((n_snap + 1, R))
     Hs = np.empty((n_snap + 1, R))
     beta = prm.beta
-    for step in range(config.n_steps + 1):
-        K = np.einsum("ri,ri->r", X, X) / N
-        if not np.all(np.isfinite(K)) or K.max() > 1e6:
-            raise Blowup(f"radial blow-up after step {step}: K = {K.max():g}")
-        Hv, grad = hamiltonian_and_grad_batch(store, X)
-        if step % config.snap_stride == 0:
-            k = step // config.snap_stride
-            Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
-        if step == config.n_steps:
-            break
-        j = step % _NOISE_BLOCK
-        if j == 0:
-            if noise is None:
-                incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
-                                 for g in rngs], axis=1) * math.sqrt(dt)
-            else:
-                incs = noise[step:step + _NOISE_BLOCK]
-        drift = -f_prime(prm, K)[:, None] * X - beta * grad
-        X = X + dt * drift + incs[j]
-        B = B + incs[j]
+    with _packed(J) as store:
+        for step in range(config.n_steps + 1):
+            K = np.einsum("ri,ri->r", X, X) / N
+            if not np.all(np.isfinite(K)) or K.max() > 1e6:
+                raise Blowup(f"radial blow-up after step {step}: "
+                             f"K = {K.max():g}")
+            Hv, grad = hamiltonian_and_grad_batch(store, X)
+            if step % config.snap_stride == 0:
+                k = step // config.snap_stride
+                Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
+            if step == config.n_steps:
+                break
+            j = step % _NOISE_BLOCK
+            if j == 0:
+                if noise is None:
+                    incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
+                                     for g in rngs], axis=1) * math.sqrt(dt)
+                else:
+                    incs = noise[step:step + _NOISE_BLOCK]
+            drift = -f_prime(prm, K)[:, None] * X - beta * grad
+            X = X + dt * drift + incs[j]
+            B = B + incs[j]
     return Trajectory(times=times, X=Xs, B=Bs, K=Ks, H=Hs, config=config,
                       params=prm)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Delocalized, DomainError, StepUnstable
-from .volterra import TwoTimeGrid, _cumtrapz, _trapz_dot
+from .volterra import _GAP_ROWS, TwoTimeGrid, _cumtrapz, _trapz_dot
 
 __all__ = [
     "SkParams",
@@ -303,15 +303,25 @@ def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
     """
     beta, G, qs = params.beta, params.G_star, params.q_star
     qo2 = params.q_o ** 2
-    full = march_covariance(beta, G, qs * qs - qo2, qo2, grid)
-    hom = march_covariance(beta, G, 1.0, 0.0, grid)
-    src = march_covariance(beta, G, 0.0, 1.0, grid)
-    lin = float(np.abs(full - ((qs * qs - qo2) * hom + qo2 * src)).max())
-    ref = march_covariance(beta, 1.0, 1.0, 0.0, grid)
     t = grid.times()
-    tilt = np.exp(-beta * (G - 1.0) * (t[:, None] + t[None, :]))
-    gauge = float(np.abs(hom - tilt * ref).max())
-    return {"linear_gap": lin, "gauge_gap": gauge}
+    rows = [slice(b, b + _GAP_ROWS) for b in range(0, grid.n + 1, _GAP_ROWS)]
+    # at most three (n+1)^2 marches are live, and the gaps are taken by
+    # row block: ref is dropped before full and src are marched
+    hom = march_covariance(beta, G, 1.0, 0.0, grid)
+    ref = march_covariance(beta, 1.0, 1.0, 0.0, grid)
+    rate = -beta * (G - 1.0)
+    gauge = np.max([np.abs(hom[r] - np.exp(rate * (t[r, None] + t)) * ref[r])
+                    .max() for r in rows])
+    del ref
+    full = march_covariance(beta, G, qs * qs - qo2, qo2, grid)
+    src = march_covariance(beta, G, 0.0, 1.0, grid)
+    lin = []
+    for r in rows:
+        d = (qs * qs - qo2) * hom[r]
+        d += qo2 * src[r]
+        lin.append(np.abs(np.subtract(full[r], d, out=d), out=d).max())
+    lin = np.max(lin)
+    return {"linear_gap": float(lin), "gauge_gap": float(gauge)}
 
 
 # ---------------------------------------------------------------------------

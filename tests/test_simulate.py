@@ -66,7 +66,8 @@ def test_disorder_bookkeeping():
 
 def _permutation_mean(N, nu, seed):
     """The symmetrization as a whole-tensor sum over index permutations:
-    one N^p draw per order, scaled, then 0 + sum over itertools order / p!."""
+    one N^p draw per order, scaled, then 0 + sum over itertools order / p!,
+    read at each entry's sorted index (the entry that order sums first)."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for p in nu.active_orders:
@@ -75,7 +76,15 @@ def _permutation_mean(N, nu, seed):
         for perm in permutations(range(p)):
             a += b.transpose(perm)
         a /= math.factorial(p)
-        tensors[p] = a
+        # the entries that perm sorts read a at (I[perm[0]], I[perm[1]], ..)
+        ix = np.ogrid[(slice(0, N),) * p]
+        sym = np.empty_like(a)
+        for perm in permutations(range(p)):
+            mask = np.ones(a.shape, dtype=bool)
+            for k in range(p - 1):
+                mask &= ix[perm[k]] <= ix[perm[k + 1]]
+            np.copyto(sym, a.transpose(np.argsort(perm)), where=mask)
+        tensors[p] = sym
     return tensors
 
 
@@ -89,6 +98,18 @@ def test_in_place_symmetrization_is_the_permutation_mean(p):
         J = sample_disorder(N, nu, (p, N))
         A = _permutation_mean(N, nu, (p, N))[p]
         assert J.tensors[p].tobytes() == A.tobytes(), N
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_sampled_tensors_are_exactly_symmetric(p):
+    """Every swap of two adjacent indices leaves every bit in place, below,
+    at and across the block edge of the in-place symmetrization."""
+    nu = MixingFunction((0.0,) * (p - 2) + (0.125,))
+    e = simulate._block_edge(p)
+    for N in (e - 1, e, e + 1, 2 * e + 3):
+        A = sample_disorder(N, nu, (p, N, 1)).tensors[p].view(np.int64)
+        for k in range(p - 1):
+            assert np.array_equal(A, A.swapaxes(k, k + 1)), (N, k)
 
 
 def test_sampling_a_mixture_keeps_the_draw_order():
@@ -310,11 +331,12 @@ def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
 
 
 def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
-    """Sample, condition in place and pack (the simulate CLI's order) at
-    pure p = 3, N = 64: the traced peak stays within 1.6x the dense bytes;
-    a separate symmetrized copy or a conditioned copy would reach 2x.  A
-    first pass at N = 4 loads numpy's lazily imported modules, which would
-    otherwise count towards the peak."""
+    """Sample, condition in place and pack in place (the simulate CLI's
+    order) at pure p = 3, N = 128: the traced peak stays within 1.15x the
+    dense bytes; a separate pair store (half the dense bytes), symmetrized
+    copy or conditioned copy would break that bound.  A first pass at N = 4 loads
+    numpy's lazily imported modules, which would otherwise count towards
+    the peak."""
     prm = validate(ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.2,
                                G_star=0.6, confinement=Confinement.soft(100.0, 1)),
                    pure3_mixing)
@@ -322,19 +344,115 @@ def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
     def chain(N):
         J = condition_disorder(sample_disorder(N, pure3_mixing, 1), prm,
                                pure3_mixing)
-        return J, simulate._pack(J)
+        with simulate._packed(J) as store:
+            rows = store.stores[3].shape
+        return J, rows
 
     chain(4)
-    N = 64
+    N = 128
     tracemalloc.start()
     try:
-        J, store = chain(N)
+        J, rows = chain(N)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     dense = J.tensors[3].nbytes
-    assert dense == 8 * N ** 3 and store.stores[3].nbytes < dense
-    assert peak <= 1.6 * dense, peak / dense
+    assert dense == 8 * N ** 3 and rows == (N, N * (N // 2 + 1))
+    assert peak <= 1.15 * dense, peak / dense
+
+
+def _gathered_store(A):
+    """The pair store as a separate gathered array: the reference layout."""
+    N = A.shape[0]
+    j = np.arange(N)[:, None]
+    d = np.arange(N // 2 + 1)
+    cols = (j * N + (j + d) % N).ravel()
+    w = np.tile(np.where((d == 0) | (2 * d == N), 1.0, 2.0), N)
+    return np.take(A.reshape(-1, N * N), cols, axis=1) * w
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 11])
+def test_the_in_place_store_is_the_gathered_store(N):
+    """Byte for byte at both parities of N and orders 3 to 5, and the kernel
+    gives the same bits from either store."""
+    J = sample_disorder(N, MixingFunction((0.04, 0.03, 0.02, 0.01)), N)
+    ref = simulate._PairStore(
+        {p: J.weight(p) for p in J.tensors},
+        {p: A if p == 2 else _gathered_store(A) for p, A in J.tensors.items()})
+    X = np.random.default_rng(N).standard_normal((3, N))
+    H, G = hamiltonian_and_grad_batch(J, X)
+    Hr, Gr = hamiltonian_and_grad_batch(ref, X)
+    assert H.tobytes() == Hr.tobytes() and G.tobytes() == Gr.tobytes()
+    with simulate._packed(J) as store:
+        for p in (3, 4, 5):
+            assert store.stores[p].flags.c_contiguous
+            assert store.stores[p].tobytes() == ref.stores[p].tobytes(), p
+
+
+def _digest(J):
+    return {p: A.tobytes() for p, A in J.tensors.items()}
+
+
+def test_runs_and_kernel_calls_restore_the_couplings(mixed_mixing,
+                                                     pure3_mixing):
+    """J's tensors are bit for bit what went in after a run, after a kernel
+    call on the Disorder and after a run that blows up part way."""
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.soft(20.0, 1))
+    J = condition_disorder(sample_disorder(13, mixed_mixing, 4), prm,
+                           mixed_mixing)
+    before = _digest(J)
+    run_langevin(J, prm, SimConfig(N=13, dt=0.01, T=0.1, seed=1, replicas=2))
+    assert _digest(J) == before
+    hamiltonian_and_grad_batch(J, np.ones((2, 13)))
+    assert _digest(J) == before
+    hot = ModelParams(beta=8.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
+                      confinement=Confinement.soft(0.001, 1))
+    Jb = sample_disorder(8, pure3_mixing, 1)
+    before = _digest(Jb)
+    with pytest.raises(Blowup, match="after step [1-9]"):
+        run_langevin(Jb, hot, SimConfig(N=8, dt=0.01, T=2.0, seed=2,
+                                        replicas=2))
+    assert _digest(Jb) == before
+
+
+def _nudge_a_mirror(A):
+    idx = (5,) * (A.ndim - 3) + (9, 2, 7)
+    A[idx] = np.nextafter(A[idx], math.inf)
+    return A
+
+
+def _overflow_on_doubling(A):
+    A[...] = 1e308
+    return A
+
+
+def _fortran_order(A):
+    return np.asfortranarray(A)
+
+
+@pytest.mark.parametrize("p, damage", [
+    (3, _nudge_a_mirror), (4, _nudge_a_mirror), (4, _overflow_on_doubling),
+    (4, _fortran_order)])
+def test_a_pack_refuses_what_it_cannot_restore(p, damage):
+    """A tensor whose restore could not be exact is refused with
+    ValidationError, by a run before its first step and by a kernel call;
+    the rows packed before the bad slab, and for p = 4 the p = 3 tensor
+    packed before it, are rebuilt, so every tensor comes back unchanged."""
+    nu = MixingFunction((0.04, 0.03, 0.02))
+    prm = validate(ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
+                               G_star=0.8, confinement=Confinement.soft(20.0, 2)),
+                   nu)
+    J = sample_disorder(12, nu, 3)
+    J.tensors[p] = damage(J.tensors[p])
+    before = _digest(J)
+    refusal = "bitwise symmetric|C-contiguous"
+    with pytest.raises(ValidationError, match=refusal):
+        run_langevin(J, prm, SimConfig(N=12, dt=0.01, T=0.1, seed=0))
+    assert _digest(J) == before
+    with pytest.raises(ValidationError, match=refusal):
+        hamiltonian_and_grad_batch(J, np.ones((1, 12)))
+    assert _digest(J) == before
 
 
 def test_conditioning_zero_targets(sk_mixing):

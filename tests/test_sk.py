@@ -177,6 +177,21 @@ def test_oracle_holds_two_square_arrays(ref):
     assert peak < 2.5 * 8 * (grid.n + 1) ** 2, peak
 
 
+def test_superposition_audit_holds_three_square_arrays(ref):
+    """The audit marches four kernels but keeps at most three, and takes
+    its gaps by row block: traced peak below 3.5 (n+1)^2 floats."""
+    import tracemalloc
+    superposition_gap(ref, TwoTimeGrid.from_T(0.1, 0.02))  # lazy imports
+    grid = TwoTimeGrid(0.02, 400)
+    tracemalloc.start()
+    try:
+        superposition_gap(ref, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * (grid.n + 1) ** 2, peak
+
+
 def test_long_time_constants(ref):
     alpha_sq, c_fdt, mu_inf, h_inf = sk_asymptotics(ref)
     assert alpha_sq == 0.5
