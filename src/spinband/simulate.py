@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (Blowup, GridMismatch, HardConstraint, RankDeficient,
                      SizeOverflow, ValidationError)
@@ -55,6 +56,7 @@ __all__ = [
 _BUDGET = 2 << 30  # bytes of dense coefficient storage
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 _SYM_BLOCK = 1 << 15  # most entries per block of the in-place symmetrization
+_PACK_BLOCK = 1 << 15  # most entries per block of the in-place pack and unpack
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -269,28 +271,84 @@ class _PairStore:
 
     ``stores[2]`` is the dense A^(2).  For p >= 3, ``stores[p]`` has one row
     per first p-2 indices (flattened) and one column per cyclic pair (j, d),
-    j = 0..N-1, d = 0..N//2, holding w_d A[..., j, (j+d) mod N] with w_d = 1
-    at d = 0 and 2d = N and 2 otherwise: by the symmetry of A's last two
-    indices, pairs at cyclic distance d and N-d contribute equally, so the
-    store is about half the dense bytes and needs no index gather per call.
-    It is a view of A's own buffer, valid inside ``_packed`` only.
+    j = 0..N-1, d = 0..N//2, holding A[..., j, (j+d) mod N]: A is symmetric
+    in its last two indices, so the pair at cyclic distance N-d is the one
+    at d read from the other end, and the store is about half the dense
+    bytes.  It is a view of A's own buffer, valid inside ``_packed`` only.
+    ``folds`` holds the kernel's workspace per (R, N), built on first use,
+    so a run builds it once.
     """
 
     weights: dict
     stores: dict
+    folds: dict = field(default_factory=dict)
 
     def active_orders(self):
         return sorted(self.stores)
 
+    def fold(self, X: np.ndarray) -> "_Fold":
+        """The workspace for X's shape, loaded with X."""
+        if X.shape not in self.folds:
+            self.folds[X.shape] = _Fold(*X.shape)
+        fold = self.folds[X.shape]
+        fold.load(X)
+        return fold
+
+
+class _Fold:
+    """Folds the left product Y = L @ S back into the gradient.
+
+    With L = x^{tensor (p-2)} (X itself for p = 3) and S the pair store,
+    Y[r, (j, d)] = U[j, (j+d) mod N] for the symmetric U = A contracted
+    p-2 times against x, and the kernel needs V_m = sum_k U[m, k] x_k.
+    With D = N//2 and E = N - D - 1, row m of V reads its pairs at
+    distance d = 0..D from Y's row m, and those at distance N - e,
+    e = 1..E, from row m - e, column e: each part is one einsum over
+    strided views.  The product is written into a buffer with E wrap rows
+    above it, which take a copy of its last E rows, and X into one that
+    carries its cyclic ends, so no view needs a modulus.
+    """
+
+    def __init__(self, R: int, N: int):
+        D, E = N // 2, N - N // 2 - 1
+        W = D + 1
+        self.E = E
+        buf = np.empty((R, (E + N) * W))
+        self.xs = np.empty((R, E + N + D))  # x_{N-E..N-1}, x, x_{0..D-1}
+        f = buf.itemsize
+        self.Y = buf[:, E * W:]
+        self.wrap, self.tail = buf[:, :E * W], buf[:, N * W:]
+        bs, xs = buf.strides[0], self.xs.strides[0]
+        self.near = (self.Y.reshape(R, N, W),
+                     as_strided(self.xs[:, E:], (R, N, W), (xs, f, f)))
+        # column e' + 1 of row E + m - e' - 1: a step of W - 1 back per e'
+        self.far = (as_strided(buf[:, (E - 1) * W + 1:], (R, N, E),
+                               (bs, W * f, -D * f)),
+                    as_strided(self.xs[:, E - 1:], (R, N, E), (xs, f, -f))
+                    ) if E else None
+
+    def load(self, X: np.ndarray) -> None:
+        N, E = X.shape[1], self.E
+        self.xs[:, E:E + N] = X
+        self.xs[:, :E] = X[:, N - E:]
+        self.xs[:, E + N:] = X[:, :N // 2]
+
+    def __call__(self, L: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """V = (L @ S) folded, shape (R, N)."""
+        np.matmul(L, S, out=self.Y)
+        V = np.einsum("rmd,rmd->rm", *self.near)
+        if self.far is not None:
+            self.wrap[...] = self.tail
+            V += np.einsum("rme,rme->rm", *self.far)
+        return V
+
 
 def _pair_columns(N: int):
-    """Flat slab positions of the store's columns (j, (j+d) mod N), of their
-    mirrors ((j+d) mod N, j), and the weights w_d of the columns."""
+    """Flat slab positions of the store's columns (j, (j+d) mod N),
+    j = 0..N-1, d = 0..N//2, and of their mirrors ((j+d) mod N, j)."""
     j = np.arange(N)[:, None]
-    d = np.arange(N // 2 + 1)
-    k = (j + d) % N
-    w = np.where((d == 0) | (2 * d == N), 1.0, 2.0)
-    return (j * N + k).ravel(), (k * N + j).ravel(), np.tile(w, N)
+    k = (j + np.arange(N // 2 + 1)) % N
+    return (j * N + k).ravel(), (k * N + j).ravel()
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -301,56 +359,60 @@ def _pack_in_place(A: np.ndarray) -> np.ndarray:
     """Overwrite A with its pair store; return the store, a C-contiguous
     (N^{p-2}, K) view of A's buffer, K = N(N//2 + 1) <= N^2.
 
-    Store row i comes from slab i (A at flattened first indices i) and lands
-    at flat offset i K, below the end of slab i, so no write reaches a slab
-    not yet read.  The pack refuses with ValidationError, leaving A as it
-    was, a tensor that _unpack_in_place could not rebuild bit for bit: one
-    that is not a C-contiguous, writeable float64 array, one with a dropped
-    mirror entry that differs in any bit from the kept one, or one with a
-    kept entry x for which w_d * x / w_d is not x.
+    Store row i is a gather from slab i (A at flattened first indices i)
+    and lands at flat offset i K, below the end of slab i.  Rows move a
+    block at a time: the block's slabs are gathered into a bounded
+    workspace, with their mirror entries, before any of the block is
+    written, so no write reaches a slab not yet read.  The pack refuses
+    with ValidationError, leaving A as it was, a tensor that
+    _unpack_in_place could not rebuild bit for bit: one that is not a
+    C-contiguous, writeable float64 array, or one with a dropped mirror
+    entry that differs in any bit from the kept one.
     """
     if A.dtype != np.float64 or not (A.flags.c_contiguous
                                      and A.flags.writeable):
         raise ValidationError("the pair store needs a C-contiguous, "
                               "writeable float64 tensor")
     N = A.shape[0]
-    cols, mirror, w = _pair_columns(N)
+    cols, mirror = _pair_columns(N)
     K = cols.size
     slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
-    kept, back, row = np.empty(K), np.empty(K), np.empty(K)
-    for i, slab in enumerate(slabs):
-        np.take(slab, cols, out=kept, mode="clip")
-        np.take(slab, mirror, out=back, mode="clip")
-        symmetric = _same_bits(kept, back)
-        with np.errstate(over="ignore"):
-            np.multiply(kept, w, out=row)
-        if not (symmetric
-                and _same_bits(np.divide(row, w, out=back), kept)):
+    n, step = slabs.shape[0], max(1, _PACK_BLOCK // K)
+    kept, back = np.empty((step, K)), np.empty((step, K))
+    for i in range(0, n, step):
+        b = min(step, n - i)
+        np.take(slabs[i:i + b], cols, axis=1, out=kept[:b], mode="clip")
+        np.take(slabs[i:i + b], mirror, axis=1, out=back[:b], mode="clip")
+        if not _same_bits(kept[:b], back[:b]):
             _unpack_in_place(A, i)
             raise ValidationError(
-                f"order-{A.ndim} couplings in slab {i} are not bitwise "
-                "symmetric in their last two indices (or overflow w_d x), "
-                "so the in-place pair store could not restore them")
-        flat[i * K:(i + 1) * K] = row
-    return flat[:slabs.shape[0] * K].reshape(-1, K)
+                f"order-{A.ndim} couplings in slabs {i}..{i + b - 1} are not "
+                "bitwise symmetric in their last two indices, so the "
+                "in-place pair store could not restore them")
+        flat[i * K:(i + b) * K] = kept[:b].ravel()
+    return flat[:n * K].reshape(-1, K)
 
 
 def _unpack_in_place(A: np.ndarray, rows: int | None = None) -> None:
-    """Rebuild A from the pair store in its first ``rows`` (default all) store
-    rows, last row first: slab i overlaps only store rows >= i, and it is
-    gathered from row i / w_d, each entry from its own column or its
-    mirror's, so A[i, j, k] = A[i, k, j] = row / w_d."""
+    """Rebuild A from the pair store in its first ``rows`` (default all)
+    store rows, a block of rows at a time, last block first: slab i
+    overlaps only store rows >= i, so the block's rows are copied out and
+    its slabs gathered from the copy, each entry from its own column or its
+    mirror's, so A[i, j, k] = A[i, k, j] = the stored value."""
     N = A.shape[0]
-    cols, mirror, w = _pair_columns(N)
+    cols, mirror = _pair_columns(N)
     K = cols.size
     src = np.empty(N * N, dtype=np.intp)
     src[mirror] = np.arange(K)
     src[cols] = np.arange(K)
     slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
-    vals = np.empty(K)
-    for i in reversed(range(slabs.shape[0] if rows is None else rows)):
-        np.divide(flat[i * K:(i + 1) * K], w, out=vals)
-        np.take(vals, src, out=slabs[i], mode="clip")
+    n = slabs.shape[0] if rows is None else rows
+    step = max(1, _PACK_BLOCK // K)
+    vals = np.empty((step, K))
+    for i in reversed(range(0, n, step)):
+        b = min(step, n - i)
+        vals[:b] = flat[i * K:(i + b) * K].reshape(b, K)
+        np.take(vals[:b], src, axis=1, out=slabs[i:i + b], mode="clip")
 
 
 @contextmanager
@@ -372,15 +434,6 @@ def _packed(J: Disorder):
                 _unpack_in_place(J.tensors[p])
 
 
-def _pair_products(X: np.ndarray) -> np.ndarray:
-    """P[r, (j, d)] = x_j x_{(j+d) mod N}, in the store's column order."""
-    from numpy.lib.stride_tricks import sliding_window_view
-    D = X.shape[1] // 2
-    ext = np.concatenate([X, X[:, :D]], axis=1)
-    P = X[:, :, None] * sliding_window_view(ext, D + 1, axis=1)
-    return P.reshape(X.shape[0], -1)
-
-
 def hamiltonian_and_grad(J: Disorder, x: np.ndarray):
     """(H_J(x), grad H_J(x)) through the cyclic-pair kernel."""
     H, g = hamiltonian_and_grad_batch(J, x[None, :])
@@ -391,31 +444,33 @@ def hamiltonian_and_grad_batch(J: Disorder | _PairStore, X: np.ndarray):
     """Vectorized over rows of X: returns (H values (R,), gradients (R, N)).
 
     For the symmetrized tensor A the order-p piece is <A, x^tensor p> with
-    gradient p * (A contracted p-1 times against x).  The order-2 piece is
-    one product X @ A.  For p >= 3 one product of the cyclic-pair store
-    against the pair products x_j x_{j+d} contracts A's last two indices,
-    and the remaining p-3 are contracted one per BLAS product.  ``J`` is a
-    Disorder, or the store run_langevin packs once per run.  A Disorder's
-    p >= 3 tensors are packed in place for the call and restored bit for
-    bit after it, so one Disorder must not be shared by concurrent calls or
-    runs.
+    gradient p * V, V = A contracted p-1 times against x.  The order-2
+    piece is one product X @ A.  For p >= 3 the left product of
+    x^{tensor (p-2)} (one row per row of X) against the cyclic-pair store
+    contracts A's first p-2 indices, and _Fold contracts the last one from
+    the pairs it holds.  ``J`` is a Disorder, or the store run_langevin
+    packs once per run, whose workspace then persists across the run's
+    calls.  A Disorder's p >= 3 tensors are packed in place for the call
+    and restored bit for bit after it, so one Disorder must not be shared
+    by concurrent calls or runs.
     """
     X = np.asarray(X, dtype=float)
     R, N = X.shape
     H = np.zeros(R)
     grad = np.zeros((R, N))
-    P = None
+    fold = None
     with _packed(J) if isinstance(J, Disorder) else nullcontext(J) as store:
         for p in store.active_orders():
             b = store.weights[p]
             if p == 2:
                 V = X @ store.stores[p]
             else:
-                if P is None:
-                    P = _pair_products(X)
-                V = (store.stores[p] @ P.T).T
+                if fold is None:
+                    fold = store.fold(X)
+                L = X
                 for _ in range(p - 3):
-                    V = np.matmul(V.reshape(R, -1, N), X[:, :, None])[:, :, 0]
+                    L = (L[:, :, None] * X[:, None, :]).reshape(R, -1)
+                V = fold(L, store.stores[p])
             H += b * np.einsum("ri,ri->r", V, X)
             grad += (b * p) * V
     return H, grad

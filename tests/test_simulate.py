@@ -204,6 +204,16 @@ def _einsum_oracle(J, X, absolute=False):
     return H, G
 
 
+def _assert_kernel_matches_the_oracle(J, X):
+    """The kernel's H and gradient within 1e-12 of the oracle, relative to
+    the absolute-value scale (per row for the gradient)."""
+    H, G = hamiltonian_and_grad_batch(J, X)
+    He, Ge = _einsum_oracle(J, X)
+    Hs, Gs = _einsum_oracle(J, X, absolute=True)
+    assert np.all(np.abs(H - He) <= 1e-12 * Hs)
+    assert np.all(np.abs(G - Ge) <= 1e-12 * Gs.max(axis=1, keepdims=True))
+
+
 @given(weights=mixtures, N=st.integers(min_value=2, max_value=13),
        R=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -211,12 +221,20 @@ def _einsum_oracle(J, X, absolute=False):
 def test_kernel_matches_a_dense_einsum(weights, N, R, seed):
     """The cyclic-pair kernel against the dense tensors, both parities of N."""
     J = sample_disorder(N, _mixing(weights), seed)
-    X = np.random.default_rng(seed).standard_normal((R, N))
-    H, G = hamiltonian_and_grad_batch(J, X)
-    He, Ge = _einsum_oracle(J, X)
-    Hs, Gs = _einsum_oracle(J, X, absolute=True)
-    assert np.all(np.abs(H - He) <= 1e-12 * Hs)
-    assert np.all(np.abs(G - Ge) <= 1e-12 * Gs.max(axis=1, keepdims=True))
+    _assert_kernel_matches_the_oracle(
+        J, np.random.default_rng(seed).standard_normal((R, N)))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_kernel_matches_a_dense_einsum_at_the_smallest_sizes(p, N):
+    """Pure order p at N = 2, 3, 4: N = 2 has no pair read from an earlier
+    row (E = 0), N = 3 one with a wrap, N = 4 an even N//2."""
+    weights = [0.0] * (p - 1)
+    weights[-1] = 1.0
+    J = sample_disorder(N, MixingFunction(tuple(weights)), 10 * p + N)
+    _assert_kernel_matches_the_oracle(
+        J, np.random.default_rng(N).standard_normal((3, N)))
 
 
 @given(weights=mixtures, N=st.integers(min_value=3, max_value=12),
@@ -246,15 +264,16 @@ def test_conditioning_is_exact_for_random_mixtures(weights, N, q_star, E, G,
 
 
 _SIMULATE_DIGEST = """
-import hashlib
+import hashlib, sys
 from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.simulate import (SimConfig, condition_disorder, run_langevin,
                                sample_disorder)
+N = int(sys.argv[1])
 nu = MixingFunction((0.0, 0.125))
 prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
                   G_star=3.0 * 0.2 / 0.81, confinement=Confinement.soft(100.0, 1))
-J = condition_disorder(sample_disorder(160, nu, 11), prm, nu)
-traj = run_langevin(J, prm, SimConfig(N=160, dt=5e-4, T=0.05, seed=3, replicas=8))
+J = condition_disorder(sample_disorder(N, nu, 11), prm, nu)
+traj = run_langevin(J, prm, SimConfig(N=N, dt=5e-4, T=0.05, seed=3, replicas=8))
 d = hashlib.sha256()
 for name in ("X", "B", "K", "H"):
     d.update(getattr(traj, name).tobytes())
@@ -262,16 +281,18 @@ print(d.hexdigest())
 """
 
 
-def test_simulate_is_bitwise_independent_of_blas_threads():
-    """A pure p = 3 run at N = 160 (the simulate-p3 size), 8 replicas and
-    100 steps gives equal bytes under 1 and 2 OpenBLAS threads."""
+@pytest.mark.parametrize("N", [100, 160, 200])
+def test_simulate_is_bitwise_independent_of_blas_threads(N):
+    """A pure p = 3 run with 8 replicas and 100 steps gives equal bytes
+    under 1 and 2 OpenBLAS threads, at the simulate-p3 size N = 160 and
+    at sizes on either side of it."""
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             env[var] = threads
-        proc = subprocess.run([sys.executable, "-c", _SIMULATE_DIGEST],
+        proc = subprocess.run([sys.executable, "-c", _SIMULATE_DIGEST, str(N)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
@@ -365,10 +386,8 @@ def _gathered_store(A):
     """The pair store as a separate gathered array: the reference layout."""
     N = A.shape[0]
     j = np.arange(N)[:, None]
-    d = np.arange(N // 2 + 1)
-    cols = (j * N + (j + d) % N).ravel()
-    w = np.tile(np.where((d == 0) | (2 * d == N), 1.0, 2.0), N)
-    return np.take(A.reshape(-1, N * N), cols, axis=1) * w
+    cols = (j * N + (j + np.arange(N // 2 + 1)) % N).ravel()
+    return np.take(A.reshape(-1, N * N), cols, axis=1)
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 11])
@@ -422,18 +441,12 @@ def _nudge_a_mirror(A):
     return A
 
 
-def _overflow_on_doubling(A):
-    A[...] = 1e308
-    return A
-
-
 def _fortran_order(A):
     return np.asfortranarray(A)
 
 
 @pytest.mark.parametrize("p, damage", [
-    (3, _nudge_a_mirror), (4, _nudge_a_mirror), (4, _overflow_on_doubling),
-    (4, _fortran_order)])
+    (3, _nudge_a_mirror), (4, _nudge_a_mirror), (4, _fortran_order)])
 def test_a_pack_refuses_what_it_cannot_restore(p, damage):
     """A tensor whose restore could not be exact is refused with
     ValidationError, by a run before its first step and by a kernel call;
@@ -452,6 +465,37 @@ def test_a_pack_refuses_what_it_cannot_restore(p, damage):
     assert _digest(J) == before
     with pytest.raises(ValidationError, match=refusal):
         hamiltonian_and_grad_batch(J, np.ones((1, 12)))
+    assert _digest(J) == before
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_a_refused_pack_rebuilds_the_blocks_before_it(p, monkeypatch):
+    """With five store rows per block, the bad slab sits in a later block
+    than the first (slab 9 at p = 3, 69 at p = 4), so the refusal rebuilds
+    whole blocks already packed, and the last block is short."""
+    monkeypatch.setattr(simulate, "_PACK_BLOCK", 5 * 12 * 7)
+    J = sample_disorder(12, MixingFunction((0.04, 0.03, 0.02)), 3)
+    J.tensors[p] = _nudge_a_mirror(J.tensors[p])
+    before = _digest(J)
+    with pytest.raises(ValidationError, match="slabs (5..9|65..69) are not"):
+        hamiltonian_and_grad_batch(J, np.ones((1, 12)))
+    assert _digest(J) == before
+
+
+def test_couplings_near_the_float_limit_pack_and_restore():
+    """Couplings of 1e308, whose doubling would overflow, pack into a store
+    that holds them as they are, and a kernel call gives the dense
+    contraction's result and leaves every tensor bit for bit as it was."""
+    J = sample_disorder(12, MixingFunction((0.04, 0.03, 0.02)), 3)
+    J.tensors[4][...] = 1e308
+    before = _digest(J)
+    with simulate._packed(J) as store:
+        assert store.stores[4].tobytes() == \
+            np.full((144, 12 * 7), 1e308).tobytes()
+    assert _digest(J) == before
+    X = np.random.default_rng(3).uniform(-1e-78, 1e-78, (2, 12))
+    assert np.all(np.isfinite(_einsum_oracle(J, X, absolute=True)[1]))
+    _assert_kernel_matches_the_oracle(J, X)
     assert _digest(J) == before
 
 
