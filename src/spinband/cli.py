@@ -581,7 +581,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
             cfg.grid.index_of(T)
         except GridMismatch as e:
             raise GridMismatch(f"snapshots miss the limit grid: {e}") from None
-    # conditioned in place: the run holds one dense copy of the disorder
+    # conditioned in place: the run holds one copy of the couplings
     J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed),
                            cfg.params, cfg.nu)
     t1 = time.monotonic()

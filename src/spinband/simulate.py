@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -53,10 +51,9 @@ __all__ = [
     "conditional_hessian_spectrum",
 ]
 
-_BUDGET = 2 << 30  # bytes of dense coefficient storage
+_BUDGET = 2 << 30  # bytes of coupling storage while sampling
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
-_SYM_BLOCK = 1 << 15  # most entries per block of the in-place symmetrization
-_PACK_BLOCK = 1 << 15  # most entries per block of the in-place pack and unpack
+_ROW_BLOCK = 1 << 14  # most store entries ranked per block while sampling
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -69,21 +66,30 @@ def _multiplicity(idx: tuple) -> int:
 
 @dataclass
 class Disorder:
-    """Dense symmetric coefficient store.
+    """The couplings, stored as the gradient kernel reads them.
 
-    ``tensors[p]`` holds A^(p) with A[any permutation of i1..ip] =
-    J_{sorted tuple} / multiplicity, bit for bit, so contractions against
-    x^{tensor p} reproduce the sorted-tuple sum exactly, and J itself is
-    recovered by ``coupling``.  run_langevin and hamiltonian_and_grad_batch
-    rewrite the p >= 3 tensors in place for the length of a call and
-    restore them bit for bit, so one Disorder must not be shared by
-    concurrent calls.
+    A^(p) is the symmetric tensor with A[any permutation of t] = J_t/mult(t)
+    for each sorted index tuple t, so contractions against x^{tensor p}
+    reproduce the sorted-tuple sum, and J itself is recovered by
+    ``coupling``.  ``tensors[2]`` is A^(2), dense.  For p >= 3,
+    ``tensors[p]`` is A^(p)'s cyclic-pair store: one row per first p-2
+    indices (flattened), one column per pair (j, d), j = 0..N-1,
+    d = 0..N//2, holding A[..., j, (j+d) mod N].  A is symmetric in its
+    last two indices, so the pair at cyclic distance N-d is the one at d
+    read from the other end, and the store holds about half of A's N^p
+    entries; at even N the columns at d = N//2 hold each such pair twice,
+    once from each end.  ``folds`` holds the kernel's workspace per (R, N),
+    built on first use, so a run builds it once; kernel calls on one
+    Disorder share it, so they must not run at the same time in different
+    threads.
     """
 
     N: int
     coeffs_sq: tuple
     tensors: dict
     conditioned: bool = False
+    folds: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def active_orders(self):
         return sorted(self.tensors)
@@ -93,13 +99,37 @@ class Disorder:
 
     def coupling(self, p: int, idx: tuple) -> float:
         """The raw coupling J^(p) at a (not necessarily sorted) index tuple."""
-        t = tuple(sorted(idx))
-        return float(self.tensors[p][t]) * _multiplicity(t)
+        if len(idx) != p or not all(0 <= i < self.N for i in idx):
+            raise ValidationError(f"need {p} indices in 0..{self.N - 1}")
+        at = _position(self.N, np.array(idx)[:, None])
+        return float(self.tensors[p].flat[at[0]]) * _multiplicity(idx)
 
     def copy(self) -> "Disorder":
         return Disorder(self.N, self.coeffs_sq,
                         {p: a.copy() for p, a in self.tensors.items()},
                         self.conditioned)
+
+    def fold(self, X: np.ndarray) -> "_Fold":
+        """The kernel's workspace for X's shape, loaded with X."""
+        if X.shape not in self.folds:
+            self.folds[X.shape] = _Fold(*X.shape)
+        fold = self.folds[X.shape]
+        fold.load(X)
+        return fold
+
+
+def _position(N: int, idx: np.ndarray) -> np.ndarray:
+    """Flat positions in ``tensors[p]`` of A at the index tuples idx, shape
+    (p, n).  For p >= 3 a tuple (..., j, k) with (k - j) mod N > N//2 is
+    read as (..., k, j), the same entry of A, which the store holds."""
+    p = idx.shape[0]
+    if p == 2:
+        return idx[0] * N + idx[1]
+    *head, j, k = idx
+    D = N // 2
+    d = (k - j) % N
+    j, d = np.where(d <= D, j, k), np.minimum(d, N - d)
+    return (np.ravel_multi_index(head, (N,) * (p - 2)) * N + j) * (D + 1) + d
 
 
 def star_point(N: int, q_star: float) -> np.ndarray:
@@ -109,94 +139,94 @@ def star_point(N: int, q_star: float) -> np.ndarray:
     return x
 
 
+def _coupling_bytes(N: int, orders) -> int:
+    """Bytes sampling holds at its peak: every order's store, plus the
+    largest draw (N^2 values at p = 2, one per sorted tuple for p >= 3)."""
+    stores = sum(N * N if p == 2 else N ** (p - 1) * (N // 2 + 1)
+                 for p in orders)
+    draw = max((N * N if p == 2 else math.comb(N + p - 1, p) for p in orders),
+               default=0)
+    return 8 * (stores + draw)
+
+
 def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     """Draw unconditioned disorder for every order with positive weight.
 
-    Sampling an i.i.d. N(0, N^{1-p}) tensor and averaging its index
-    permutations yields exactly the sorted-tuple law with the multiplicity
-    variance correction (per-orbit variance N^{1-p}/mult for A, hence
-    N^{1-p} * mult for J).  The draw is scaled and averaged in place, so an
-    order holds one dense N^p array plus a workspace of one block of at most
-    _SYM_BLOCK entries (and a transient copy of it on diagonal blocks).  Any order is stored densely; raises SizeOverflow
-    when the stores together need more than 2 GiB.  run_langevin packs its
-    pair store in these arrays' own buffers, so the budget is the coupling
-    peak of a whole run.
+    The orders draw from one generator, ascending.  Order 2 scales an
+    i.i.d. N x N draw by N^{-1/2} and stores (b + b^T)/2.  Each order
+    p >= 3 takes one N(0, 1) draw per sorted index tuple t, in colex order
+    (rank sum_m C(t_m + m, m + 1)), scales it by sqrt(N^{1-p}/mult(t)) and
+    gathers it into the store position of every permutation of t.  That is
+    the law of the permutation mean of an i.i.d. N(0, N^{1-p}) tensor: the
+    sorted-tuple law with the multiplicity variance correction (variance
+    N^{1-p}/mult for A, hence N^{1-p} mult for J).  Raises SizeOverflow
+    when the stores and the largest draw together need more than 2 GiB:
+    that is the coupling peak of a whole run.
     """
     if N < 2:
         raise ValidationError("need N >= 2")
     active = list(nu.active_orders)
-    need = sum(8 * N ** p for p in active)
+    need = _coupling_bytes(N, active)
     if need > _BUDGET:
-        raise SizeOverflow(f"dense store needs {need} bytes > budget {_BUDGET}")
+        raise SizeOverflow(f"couplings need {need} bytes > budget {_BUDGET}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for p in active:
-        b = rng.standard_normal((N,) * p)
-        b *= N ** ((1 - p) / 2.0)
-        _symmetrize_in_place(b)
-        tensors[p] = b
+        if p == 2:
+            b = rng.standard_normal((N, N))
+            b *= N ** ((1 - p) / 2.0)
+            tensors[p] = b + b.T
+            tensors[p] /= 2
+        else:
+            tensors[p] = _sample_store(rng, N, p)
     return Disorder(N=N, coeffs_sq=nu.coeffs_sq, tensors=tensors)
 
 
-def _block_edge(p: int) -> int:
-    """The largest block edge e with e**p <= _SYM_BLOCK."""
-    e = 1
-    while (e + 1) ** p <= _SYM_BLOCK:
-        e += 1
-    return e
+def _sample_store(rng, N: int, p: int) -> np.ndarray:
+    """The cyclic-pair store of an order-p >= 3 draw (see sample_disorder).
 
-
-def _symmetrize_in_place(b: np.ndarray) -> None:
-    """Overwrite b with the mean of its index permutations, exactly symmetric.
-
-    The axes are cut into blocks of edge _block_edge(p).  Permuting the axes
-    maps a block tuple onto a permutation of itself, so the distinct
-    permutations of one sorted tuple (an orbit) read only blocks of that
-    orbit.  The orbit's sorted block is summed once, read whole before any
-    block of the orbit is written: each entry is 0 + the sum over
-    itertools.permutations order, divided by p!, the same float operations
-    as averaging b.transpose(perm) over the whole tensor.  Every entry of
-    every block of the orbit then takes the value at its sorted index, so
-    all permutations of an index tuple hold one float.
+    Each block of store rows ranks its entries' sorted tuples without
+    sorting them: the row's p-2 indices are sorted once, and the column's
+    pair (lo, hi) goes in after the equal ones.  So row index h at sorted
+    place a moves up one place per column index below it, lo lands after
+    the row indices <= lo, and hi after lo and the row indices <= hi.  The
+    same pass counts the tuple's repeated indices for mult(t) =
+    p!/prod l_k!: each index adds a factor of one plus the copies of it
+    already counted.
     """
-    p, N = b.ndim, b.shape[0]
-    e = _block_edge(p)
-    edges = [slice(k, min(k + e, N)) for k in range(0, N, e)]
-    perms = list(permutations(range(p)))
-    views = [b.transpose(perm) for perm in perms]
-    for orbit in combinations_with_replacement(range(len(edges)), p):
-        sl = tuple(edges[k] for k in orbit)
-        acc = np.zeros([s.stop - s.start for s in sl])
-        for v in views:
-            acc += v[sl]
-        acc /= math.factorial(p)
-        # within runs of equal blocks each entry takes the value at its
-        # sorted local index: the comparators of a bubble sort of the index,
-        # applied last to first, each copy one adjacent axis pair's sorted
-        # side over its unsorted side
-        swaps = [k for top in range(p - 1, 0, -1) for k in range(top)
-                 if orbit[k] == orbit[k + 1]]
-        for k in reversed(swaps):
-            n = acc.shape[k]
-            above = np.arange(n)[:, None] > np.arange(n)
-            np.copyto(acc, acc.swapaxes(k, k + 1), where=above.reshape(
-                (1,) * k + (n, n) + (1,) * (p - k - 2)))
-        written = set()
-        for perm in perms:
-            t = tuple(orbit[k] for k in perm)
-            if t not in written:
-                written.add(t)
-                b[tuple(edges[k] for k in t)] = acc.transpose(perm)
-
-
-def _ones_tuple_slices(p: int):
-    """Index expressions selecting A at tuples with one free index, rest 0."""
-    out = []
-    for pos in range(p):
-        idx = [0] * p
-        idx[pos] = slice(1, None)
-        out.append(tuple(idx))
-    return out
+    w = rng.standard_normal(math.comb(N + p - 1, p))
+    D = N // 2
+    K = N * (D + 1)
+    j = np.arange(K) // (D + 1)
+    k = (j + np.arange(K) % (D + 1)) % N
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    hi_on_lo = 1 + (lo == hi)  # hi's tie factor from lo alone
+    # rank term of index v at sorted place a, C(v + a, a + 1), at a N + v
+    T = np.array([math.comb(v + a, a + 1) for a in range(p) for v in range(N)])
+    S = np.empty((N ** (p - 2), K))
+    step = max(1, _ROW_BLOCK // K)
+    for i in range(0, S.shape[0], step):
+        rows = np.arange(i, min(i + step, S.shape[0]))
+        head = np.sort(np.unravel_index(rows, (N,) * (p - 2)), axis=0)
+        head = head[:, :, None]
+        rank, at_lo, at_hi = 0, 0, 1  # at_*: places of lo, hi in the tuple
+        ties, lo_ties, hi_ties = 1, 1, hi_on_lo
+        for a, h in enumerate(head):
+            h_le_lo, h_le_hi = h <= lo, h <= hi
+            # h sits at place a + 2, less one per column index >= h
+            ge_h = np.add(h_le_lo, h_le_hi, dtype=int)
+            rank = rank + T[(a + 2) * N + h - N * ge_h]
+            at_lo = at_lo + h_le_lo
+            at_hi = at_hi + h_le_hi
+            ties = ties * (1 + (head[:a] == h).sum(axis=0))
+            lo_ties = lo_ties + (h == lo)
+            hi_ties = hi_ties + (h == hi)
+        rank += T[at_lo * N + lo]
+        rank += T[at_hi * N + hi]
+        mult = math.factorial(p) / (ties * lo_ties * hi_ties)
+        np.multiply(w[rank], np.sqrt(N ** (1 - p) / mult),
+                    out=S[i:i + rows.size])
+    return S
 
 
 def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
@@ -205,7 +235,7 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
 
     Conditions J in place and returns it: only the lines through index
     (0, ..., 0) change, so a caller that drops the unconditioned draw holds
-    one dense copy of the disorder, not two.  A caller that still needs the
+    one copy of the couplings, not two.  A caller that still needs the
     unconditioned draw passes ``J.copy()``.  With ``tangential_only`` just
     the gradient components i >= 2 are pinned to zero (the value/radial
     pair is left unconditioned) -- that variant is what the
@@ -227,13 +257,13 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
     if not tangential_only:
         a_E = np.array([bp[p] * root ** p for p in active])
         a_G = np.array([p * bp[p] * root ** (p - 1) for p in active])
-        u = np.array([J.coupling(p, (0,) * p) for p in active])
+        # J at (0, ..., 0) is A there (multiplicity 1), the first entry
+        # of either layout
+        u = np.array([J.tensors[p].flat[0] for p in active])
         vdiag = np.array([var[p] for p in active])
         w_tgt = np.array([-N * params.E_star, -root * params.G_star])
         if len(active) == 1:
-            p = active[0]
             u_new = np.array([w_tgt[0] / a_E[0]])
-            J.tensors[p][(0,) * p] = u_new[0]  # multiplicity 1
         else:
             A = np.vstack([a_E, a_G])
             S = (A * vdiag) @ A.T
@@ -243,8 +273,8 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
             gap = A @ u - w_tgt
             lam = np.linalg.solve(S, gap)
             u_new = u - vdiag * (A.T @ lam)
-            for k, p in enumerate(active):
-                J.tensors[p][(0,) * p] = u_new[k]
+        for p, value in zip(active, u_new):
+            J.tensors[p].flat[0] = value
 
     # tangential block: for each i >= 2 the constraint
     # sum_p b_p root^{p-1} J^(p)_{1..1,i} = 0, with Var(J) = p N^{1-p}
@@ -252,47 +282,23 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
     denom = sum(var[p] * p * a_T[p] ** 2 for p in active)
     if denom <= 0:
         raise RankDeficient("tangential constraint has zero variance")
+    # row m: positions of A at (0, ..., 0, i, 0, ..., 0), i = 1..N-1 at place m
+    lines = {}
+    for p in active:
+        idx = np.zeros((p, p, N - 1), dtype=int)
+        idx[np.arange(p), np.arange(p)] = np.arange(1, N)
+        lines[p] = _position(N, idx.reshape(p, -1)).reshape(p, N - 1)
     g_cur = np.zeros(N - 1)
     for p in active:
-        g_cur += a_T[p] * p * J.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
+        g_cur += a_T[p] * p * J.tensors[p].flat[lines[p][-1]]
     for p in active:
-        j_vec = p * J.tensors[p][(0,) * (p - 1) + (slice(1, None),)]
+        j_vec = p * J.tensors[p].flat[lines[p][-1]]
         j_new = j_vec - (var[p] * p * a_T[p] / denom) * g_cur
         a_val = j_new / p
-        for sl in _ones_tuple_slices(p):
-            J.tensors[p][sl] = a_val
+        for at in lines[p]:
+            J.tensors[p].flat[at] = a_val
     J.conditioned = True
     return J
-
-
-@dataclass(frozen=True)
-class _PairStore:
-    """The couplings as the gradient kernel reads them.
-
-    ``stores[2]`` is the dense A^(2).  For p >= 3, ``stores[p]`` has one row
-    per first p-2 indices (flattened) and one column per cyclic pair (j, d),
-    j = 0..N-1, d = 0..N//2, holding A[..., j, (j+d) mod N]: A is symmetric
-    in its last two indices, so the pair at cyclic distance N-d is the one
-    at d read from the other end, and the store is about half the dense
-    bytes.  It is a view of A's own buffer, valid inside ``_packed`` only.
-    ``folds`` holds the kernel's workspace per (R, N), built on first use,
-    so a run builds it once.
-    """
-
-    weights: dict
-    stores: dict
-    folds: dict = field(default_factory=dict)
-
-    def active_orders(self):
-        return sorted(self.stores)
-
-    def fold(self, X: np.ndarray) -> "_Fold":
-        """The workspace for X's shape, loaded with X."""
-        if X.shape not in self.folds:
-            self.folds[X.shape] = _Fold(*X.shape)
-        fold = self.folds[X.shape]
-        fold.load(X)
-        return fold
 
 
 class _Fold:
@@ -343,136 +349,38 @@ class _Fold:
         return V
 
 
-def _pair_columns(N: int):
-    """Flat slab positions of the store's columns (j, (j+d) mod N),
-    j = 0..N-1, d = 0..N//2, and of their mirrors ((j+d) mod N, j)."""
-    j = np.arange(N)[:, None]
-    k = (j + np.arange(N // 2 + 1)) % N
-    return (j * N + k).ravel(), (k * N + j).ravel()
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _pack_in_place(A: np.ndarray) -> np.ndarray:
-    """Overwrite A with its pair store; return the store, a C-contiguous
-    (N^{p-2}, K) view of A's buffer, K = N(N//2 + 1) <= N^2.
-
-    Store row i is a gather from slab i (A at flattened first indices i)
-    and lands at flat offset i K, below the end of slab i.  Rows move a
-    block at a time: the block's slabs are gathered into a bounded
-    workspace, with their mirror entries, before any of the block is
-    written, so no write reaches a slab not yet read.  The pack refuses
-    with ValidationError, leaving A as it was, a tensor that
-    _unpack_in_place could not rebuild bit for bit: one that is not a
-    C-contiguous, writeable float64 array, or one with a dropped mirror
-    entry that differs in any bit from the kept one.
-    """
-    if A.dtype != np.float64 or not (A.flags.c_contiguous
-                                     and A.flags.writeable):
-        raise ValidationError("the pair store needs a C-contiguous, "
-                              "writeable float64 tensor")
-    N = A.shape[0]
-    cols, mirror = _pair_columns(N)
-    K = cols.size
-    slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
-    n, step = slabs.shape[0], max(1, _PACK_BLOCK // K)
-    kept, back = np.empty((step, K)), np.empty((step, K))
-    for i in range(0, n, step):
-        b = min(step, n - i)
-        np.take(slabs[i:i + b], cols, axis=1, out=kept[:b], mode="clip")
-        np.take(slabs[i:i + b], mirror, axis=1, out=back[:b], mode="clip")
-        if not _same_bits(kept[:b], back[:b]):
-            _unpack_in_place(A, i)
-            raise ValidationError(
-                f"order-{A.ndim} couplings in slabs {i}..{i + b - 1} are not "
-                "bitwise symmetric in their last two indices, so the "
-                "in-place pair store could not restore them")
-        flat[i * K:(i + b) * K] = kept[:b].ravel()
-    return flat[:n * K].reshape(-1, K)
-
-
-def _unpack_in_place(A: np.ndarray, rows: int | None = None) -> None:
-    """Rebuild A from the pair store in its first ``rows`` (default all)
-    store rows, a block of rows at a time, last block first: slab i
-    overlaps only store rows >= i, so the block's rows are copied out and
-    its slabs gathered from the copy, each entry from its own column or its
-    mirror's, so A[i, j, k] = A[i, k, j] = the stored value."""
-    N = A.shape[0]
-    cols, mirror = _pair_columns(N)
-    K = cols.size
-    src = np.empty(N * N, dtype=np.intp)
-    src[mirror] = np.arange(K)
-    src[cols] = np.arange(K)
-    slabs, flat = A.reshape(-1, N * N), A.reshape(-1)
-    n = slabs.shape[0] if rows is None else rows
-    step = max(1, _PACK_BLOCK // K)
-    vals = np.empty((step, K))
-    for i in reversed(range(0, n, step)):
-        b = min(step, n - i)
-        vals[:b] = flat[i * K:(i + b) * K].reshape(b, K)
-        np.take(vals[:b], src, axis=1, out=slabs[i:i + b], mode="clip")
-
-
-@contextmanager
-def _packed(J: Disorder):
-    """J's couplings as a _PairStore for the length of a with block.
-
-    The p >= 3 stores are built in the tensors' own buffers, and on exit,
-    also when the block raises, the tensors are rebuilt from them bit for
-    bit: a run holds one dense copy of the couplings, and J is what went in.
-    """
-    stores = {}
-    try:
-        for p, A in J.tensors.items():
-            stores[p] = A if p == 2 else _pack_in_place(A)
-        yield _PairStore({p: J.weight(p) for p in stores}, stores)
-    finally:
-        for p in stores:  # a refused tensor is not here: it restored itself
-            if p != 2:
-                _unpack_in_place(J.tensors[p])
-
-
 def hamiltonian_and_grad(J: Disorder, x: np.ndarray):
     """(H_J(x), grad H_J(x)) through the cyclic-pair kernel."""
     H, g = hamiltonian_and_grad_batch(J, x[None, :])
     return float(H[0]), g[0]
 
 
-def hamiltonian_and_grad_batch(J: Disorder | _PairStore, X: np.ndarray):
+def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
     """Vectorized over rows of X: returns (H values (R,), gradients (R, N)).
 
-    For the symmetrized tensor A the order-p piece is <A, x^tensor p> with
+    For the symmetric tensor A the order-p piece is <A, x^tensor p> with
     gradient p * V, V = A contracted p-1 times against x.  The order-2
     piece is one product X @ A.  For p >= 3 the left product of
     x^{tensor (p-2)} (one row per row of X) against the cyclic-pair store
     contracts A's first p-2 indices, and _Fold contracts the last one from
-    the pairs it holds.  ``J`` is a Disorder, or the store run_langevin
-    packs once per run, whose workspace then persists across the run's
-    calls.  A Disorder's p >= 3 tensors are packed in place for the call
-    and restored bit for bit after it, so one Disorder must not be shared
-    by concurrent calls or runs.
+    the pairs it holds, in J's workspace for X's shape.  J's couplings
+    are only read.
     """
     X = np.asarray(X, dtype=float)
     R, N = X.shape
     H = np.zeros(R)
     grad = np.zeros((R, N))
-    fold = None
-    with _packed(J) if isinstance(J, Disorder) else nullcontext(J) as store:
-        for p in store.active_orders():
-            b = store.weights[p]
-            if p == 2:
-                V = X @ store.stores[p]
-            else:
-                if fold is None:
-                    fold = store.fold(X)
-                L = X
-                for _ in range(p - 3):
-                    L = (L[:, :, None] * X[:, None, :]).reshape(R, -1)
-                V = fold(L, store.stores[p])
-            H += b * np.einsum("ri,ri->r", V, X)
-            grad += (b * p) * V
+    for p in J.active_orders():
+        b = J.weight(p)
+        if p == 2:
+            V = X @ J.tensors[p]
+        else:
+            L = X
+            for _ in range(p - 3):
+                L = (L[:, :, None] * X[:, None, :]).reshape(R, -1)
+            V = J.fold(X)(L, J.tensors[p])
+        H += b * np.einsum("ri,ri->r", V, X)
+        grad += (b * p) * V
     return H, grad
 
 
@@ -555,15 +463,8 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     single fixed Brownian path possible: sum fine increments pairwise to get
     the coarse ones.
 
-    H comes from the run's own gradient calls, n_steps + 1 of them.
-
-    J's p >= 3 tensors hold the kernel's pair store, built in their own
-    buffers, for the length of the run, and are rebuilt bit for bit when it
-    ends, also when it raises (Blowup included): the run holds one dense
-    copy of the couplings.  So one Disorder must not be shared by
-    concurrent runs or kernel calls.  A tensor that is not exactly
-    symmetric in its last two indices raises ValidationError before the
-    first step, unchanged.
+    H comes from the run's own gradient calls, n_steps + 1 of them.  J's
+    couplings are only read: the kernel contracts its stores as they are.
     """
     if params.confinement.kind != "soft":
         raise HardConstraint("finite-N runs need a soft confinement")
@@ -585,28 +486,27 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     Ks = np.empty((n_snap + 1, R))
     Hs = np.empty((n_snap + 1, R))
     beta = prm.beta
-    with _packed(J) as store:
-        for step in range(config.n_steps + 1):
-            K = np.einsum("ri,ri->r", X, X) / N
-            if not np.all(np.isfinite(K)) or K.max() > 1e6:
-                raise Blowup(f"radial blow-up after step {step}: "
-                             f"K = {K.max():g}")
-            Hv, grad = hamiltonian_and_grad_batch(store, X)
-            if step % config.snap_stride == 0:
-                k = step // config.snap_stride
-                Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
-            if step == config.n_steps:
-                break
-            j = step % _NOISE_BLOCK
-            if j == 0:
-                if noise is None:
-                    incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
-                                     for g in rngs], axis=1) * math.sqrt(dt)
-                else:
-                    incs = noise[step:step + _NOISE_BLOCK]
-            drift = -f_prime(prm, K)[:, None] * X - beta * grad
-            X = X + dt * drift + incs[j]
-            B = B + incs[j]
+    for step in range(config.n_steps + 1):
+        K = np.einsum("ri,ri->r", X, X) / N
+        if not np.all(np.isfinite(K)) or K.max() > 1e6:
+            raise Blowup(f"radial blow-up after step {step}: "
+                         f"K = {K.max():g}")
+        Hv, grad = hamiltonian_and_grad_batch(J, X)
+        if step % config.snap_stride == 0:
+            k = step // config.snap_stride
+            Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
+        if step == config.n_steps:
+            break
+        j = step % _NOISE_BLOCK
+        if j == 0:
+            if noise is None:
+                incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
+                                 for g in rngs], axis=1) * math.sqrt(dt)
+            else:
+                incs = noise[step:step + _NOISE_BLOCK]
+        drift = -f_prime(prm, K)[:, None] * X - beta * grad
+        X = X + dt * drift + incs[j]
+        B = B + incs[j]
     return Trajectory(times=times, X=Xs, B=Bs, K=Ks, H=Hs, config=config,
                       params=prm)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
@@ -60,63 +61,93 @@ def test_disorder_bookkeeping():
     # coupling is symmetric under index permutation
     assert J.coupling(3, (2, 0, 1)) == J.coupling(3, (0, 1, 2))
     dup = J.copy()
-    dup.tensors[3][0, 0, 0] = 99.0
-    assert J.tensors[3][0, 0, 0] != 99.0
+    dup.tensors[3][0, 0] = 99.0
+    assert J.tensors[3][0, 0] != 99.0
+    for bad in ((0, 1), (0, 1, 6), (0, -1, 2)):
+        with pytest.raises(ValidationError):
+            J.coupling(3, bad)
 
 
-def _permutation_mean(N, nu, seed):
-    """The symmetrization as a whole-tensor sum over index permutations:
-    one N^p draw per order, scaled, then 0 + sum over itertools order / p!,
-    read at each entry's sorted index (the entry that order sums first)."""
+def _gathered_store(A):
+    """The pair store of a dense tensor A, gathered: the reference layout."""
+    N = A.shape[0]
+    j = np.arange(N)[:, None]
+    cols = (j * N + (j + np.arange(N // 2 + 1)) % N).ravel()
+    return np.take(A.reshape(-1, N * N), cols, axis=1)
+
+
+def _dense(J, p):
+    """A^(p) as a dense N^p array: order 2 as stored; for p >= 3 the entry
+    at last pair (j, k) is read from the mirror column (k, (j - k) mod N)
+    where the store holds one, else from its own column (j, (k - j) mod N)."""
+    A, N = J.tensors[p], J.N
+    if p == 2:
+        return A
+    j, k = np.divmod(np.arange(N * N), N)
+    W = N // 2 + 1
+    d, m = (k - j) % N, (j - k) % N
+    src = np.where(m < W, k * W + m, j * W + d)
+    return np.take(A, src, axis=1).reshape((N,) * p)
+
+
+def _reference_sample(N, nu, seed):
+    """sample_disorder as a loop over sorted tuples: order 2 is (b + b^T)/2
+    of the scaled N x N draw; each order p >= 3 takes one draw per sorted
+    tuple t, in colex order, and writes it, times sqrt(N^{1-p}/mult(t)),
+    at every permutation of t of a dense tensor, whose store it returns."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for p in nu.active_orders:
-        b = rng.standard_normal((N,) * p) * N ** ((1 - p) / 2.0)
-        a = np.zeros_like(b)
-        for perm in permutations(range(p)):
-            a += b.transpose(perm)
-        a /= math.factorial(p)
-        # the entries that perm sorts read a at (I[perm[0]], I[perm[1]], ..)
-        ix = np.ogrid[(slice(0, N),) * p]
-        sym = np.empty_like(a)
-        for perm in permutations(range(p)):
-            mask = np.ones(a.shape, dtype=bool)
-            for k in range(p - 1):
-                mask &= ix[perm[k]] <= ix[perm[k + 1]]
-            np.copyto(sym, a.transpose(np.argsort(perm)), where=mask)
-        tensors[p] = sym
+        if p == 2:
+            b = rng.standard_normal((N, N)) * N ** -0.5
+            tensors[p] = (b + b.T) / 2
+            continue
+        A = np.empty((N,) * p)
+        for t in sorted(combinations_with_replacement(range(N), p),
+                        key=lambda t: t[::-1]):
+            mult = math.factorial(p) // math.prod(
+                math.factorial(c) for c in Counter(t).values())
+            value = rng.standard_normal() * math.sqrt(N ** (1 - p) / mult)
+            for perm in permutations(t):
+                A[perm] = value
+        tensors[p] = _gathered_store(A)
     return tensors
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_in_place_symmetrization_is_the_permutation_mean(p):
-    """Byte for byte, for N below, at and across the block edge (for p = 3:
-    2, 31, 32, 33, 70), so orbits of one block and of several occur."""
+def _digest(J):
+    return {p: A.tobytes() for p, A in J.tensors.items()}
+
+
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_sampling_is_the_reference_loop(p, N):
+    """Byte for byte at both parities of N; at p = 5, N = 8 the 512 store
+    rows take two blocks of the sampler, the last one short."""
     nu = MixingFunction((0.0,) * (p - 2) + (0.125,))
-    e = simulate._block_edge(p)
-    for N in (2, e - 1, e, e + 1, 2 * e + 6):
-        J = sample_disorder(N, nu, (p, N))
-        A = _permutation_mean(N, nu, (p, N))[p]
-        assert J.tensors[p].tobytes() == A.tobytes(), N
+    J = sample_disorder(N, nu, (p, N))
+    assert J.tensors[p].tobytes() == _reference_sample(N, nu, (p, N))[p].tobytes()
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_sampled_tensors_are_exactly_symmetric(p):
-    """Every swap of two adjacent indices leaves every bit in place, below,
-    at and across the block edge of the in-place symmetrization."""
+    """Every swap of two adjacent indices of the dense rebuild leaves every
+    bit in place, at both parities of N."""
     nu = MixingFunction((0.0,) * (p - 2) + (0.125,))
-    e = simulate._block_edge(p)
-    for N in (e - 1, e, e + 1, 2 * e + 3):
-        A = sample_disorder(N, nu, (p, N, 1)).tensors[p].view(np.int64)
+    for N in (2, 3, 8, 11):
+        A = _dense(sample_disorder(N, nu, (p, N, 1)), p).view(np.int64)
         for k in range(p - 1):
             assert np.array_equal(A, A.swapaxes(k, k + 1)), (N, k)
 
 
 def test_sampling_a_mixture_keeps_the_draw_order():
+    """Orders 2, 3 and 4 draw from one generator in that order, and the
+    order-2 tensor is (b + b^T)/2 of the first, scaled draw."""
     nu = MixingFunction((0.0625, 0.0625, 0.01))
-    J = sample_disorder(20, nu, 9)
-    for p, A in _permutation_mean(20, nu, 9).items():
-        assert J.tensors[p].tobytes() == A.tobytes()
+    J = sample_disorder(9, nu, 9)
+    ref = _reference_sample(9, nu, 9)
+    assert sorted(ref) == J.active_orders() == [2, 3, 4]
+    for p, A in ref.items():
+        assert J.tensors[p].tobytes() == A.tobytes(), p
 
 
 def test_hand_worked_quadratic():
@@ -190,7 +221,7 @@ def _einsum_oracle(J, X, absolute=False):
     H = np.zeros(X.shape[0])
     G = np.zeros(X.shape)
     for p in J.active_orders():
-        A, Y, b = J.tensors[p], X, J.weight(p)
+        A, Y, b = _dense(J, p), X, J.weight(p)
         if absolute:
             A, Y = np.abs(A), np.abs(X)
         idx = letters[:p]
@@ -338,84 +369,69 @@ def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
                       confinement=Confinement.hard())
     J = sample_disorder(40, mixed_mixing, 6)
-    before = {p: A.copy() for p, A in J.tensors.items()}
+    before = J.copy()
     Jc = condition_disorder(J.copy(), prm, mixed_mixing, tangential_only)
     assert Jc.conditioned and not J.conditioned
-    assert all(np.array_equal(J.tensors[p], A) for p, A in before.items())
+    assert _digest(J) == _digest(before)
     Ji = condition_disorder(J, prm, mixed_mixing, tangential_only)
     assert Ji is J and J.conditioned
-    assert {p: A.tobytes() for p, A in J.tensors.items()} == \
-        {p: A.tobytes() for p, A in Jc.tensors.items()}
-    for p, A in before.items():
+    assert _digest(J) == _digest(Jc)
+    for p in J.active_orders():
         bulk = (slice(1, None),) * p
-        assert np.array_equal(J.tensors[p][bulk], A[bulk])
+        assert np.array_equal(_dense(J, p)[bulk], _dense(before, p)[bulk])
 
 
-def test_the_cli_disorder_chain_holds_one_dense_copy(pure3_mixing):
-    """Sample, condition in place and pack in place (the simulate CLI's
-    order) at pure p = 3, N = 128: the traced peak stays within 1.15x the
-    dense bytes; a separate pair store (half the dense bytes), symmetrized
-    copy or conditioned copy would break that bound.  A first pass at N = 4 loads
-    numpy's lazily imported modules, which would otherwise count towards
-    the peak."""
+def test_the_cli_disorder_chain_holds_one_store(pure3_mixing):
+    """Sample and condition in place (the simulate CLI's order) at pure
+    p = 3, N = 128: the traced peak stays within 1.5x the store's bytes
+    (8.5 MB).  The draw vector adds 2.9 MB; a dense N^3 copy (16.8 MB) or a
+    conditioned copy of the store would break that bound.  A first pass at
+    N = 4 loads numpy's lazily imported modules, which would otherwise
+    count towards the peak."""
     prm = validate(ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.2,
                                G_star=0.6, confinement=Confinement.soft(100.0, 1)),
                    pure3_mixing)
 
     def chain(N):
-        J = condition_disorder(sample_disorder(N, pure3_mixing, 1), prm,
-                               pure3_mixing)
-        with simulate._packed(J) as store:
-            rows = store.stores[3].shape
-        return J, rows
+        return condition_disorder(sample_disorder(N, pure3_mixing, 1), prm,
+                                  pure3_mixing)
 
     chain(4)
     N = 128
     tracemalloc.start()
     try:
-        J, rows = chain(N)
+        J = chain(N)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    dense = J.tensors[3].nbytes
-    assert dense == 8 * N ** 3 and rows == (N, N * (N // 2 + 1))
-    assert peak <= 1.15 * dense, peak / dense
-
-
-def _gathered_store(A):
-    """The pair store as a separate gathered array: the reference layout."""
-    N = A.shape[0]
-    j = np.arange(N)[:, None]
-    cols = (j * N + (j + np.arange(N // 2 + 1)) % N).ravel()
-    return np.take(A.reshape(-1, N * N), cols, axis=1)
+    store = J.tensors[3]
+    assert store.shape == (N, N * (N // 2 + 1)) and store.flags.c_contiguous
+    assert peak <= 1.5 * store.nbytes, peak / store.nbytes
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 11])
 def test_the_in_place_store_is_the_gathered_store(N):
-    """Byte for byte at both parities of N and orders 3 to 5, and the kernel
-    gives the same bits from either store."""
-    J = sample_disorder(N, MixingFunction((0.04, 0.03, 0.02, 0.01)), N)
-    ref = simulate._PairStore(
-        {p: J.weight(p) for p in J.tensors},
-        {p: A if p == 2 else _gathered_store(A) for p, A in J.tensors.items()})
-    X = np.random.default_rng(N).standard_normal((3, N))
-    H, G = hamiltonian_and_grad_batch(J, X)
-    Hr, Gr = hamiltonian_and_grad_batch(ref, X)
-    assert H.tobytes() == Hr.tobytes() and G.tobytes() == Gr.tobytes()
-    with simulate._packed(J) as store:
+    """Each p >= 3 store, orders 3 to 5, is byte for byte the pair store
+    gathered from its own dense rebuild, at both parities of N, as sampled
+    and as conditioned.  The rebuild reads the columns at d = N/2 of an
+    even N through their mirrors, so the two copies of each such pair hold
+    one float: conditioning writes both."""
+    nu = MixingFunction((0.04, 0.03, 0.02, 0.01))
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.hard())
+    J = sample_disorder(N, nu, N)
+    for Jx in (J, condition_disorder(J.copy(), prm, nu)):
         for p in (3, 4, 5):
-            assert store.stores[p].flags.c_contiguous
-            assert store.stores[p].tobytes() == ref.stores[p].tobytes(), p
-
-
-def _digest(J):
-    return {p: A.tobytes() for p, A in J.tensors.items()}
+            A = Jx.tensors[p]
+            assert A.flags.c_contiguous
+            assert A.tobytes() == _gathered_store(_dense(Jx, p)).tobytes(), p
 
 
 def test_runs_and_kernel_calls_restore_the_couplings(mixed_mixing,
                                                      pure3_mixing):
-    """J's tensors are bit for bit what went in after a run, after a kernel
-    call on the Disorder and after a run that blows up part way."""
+    """Runs and kernel calls only read the couplings: J's stores are bit
+    for bit what went in after a run, after a kernel call and after a run
+    that blows up part way."""
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
                       confinement=Confinement.soft(20.0, 1))
     J = condition_disorder(sample_disorder(13, mixed_mixing, 4), prm,
@@ -435,64 +451,13 @@ def test_runs_and_kernel_calls_restore_the_couplings(mixed_mixing,
     assert _digest(Jb) == before
 
 
-def _nudge_a_mirror(A):
-    idx = (5,) * (A.ndim - 3) + (9, 2, 7)
-    A[idx] = np.nextafter(A[idx], math.inf)
-    return A
-
-
-def _fortran_order(A):
-    return np.asfortranarray(A)
-
-
-@pytest.mark.parametrize("p, damage", [
-    (3, _nudge_a_mirror), (4, _nudge_a_mirror), (4, _fortran_order)])
-def test_a_pack_refuses_what_it_cannot_restore(p, damage):
-    """A tensor whose restore could not be exact is refused with
-    ValidationError, by a run before its first step and by a kernel call;
-    the rows packed before the bad slab, and for p = 4 the p = 3 tensor
-    packed before it, are rebuilt, so every tensor comes back unchanged."""
-    nu = MixingFunction((0.04, 0.03, 0.02))
-    prm = validate(ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
-                               G_star=0.8, confinement=Confinement.soft(20.0, 2)),
-                   nu)
-    J = sample_disorder(12, nu, 3)
-    J.tensors[p] = damage(J.tensors[p])
-    before = _digest(J)
-    refusal = "bitwise symmetric|C-contiguous"
-    with pytest.raises(ValidationError, match=refusal):
-        run_langevin(J, prm, SimConfig(N=12, dt=0.01, T=0.1, seed=0))
-    assert _digest(J) == before
-    with pytest.raises(ValidationError, match=refusal):
-        hamiltonian_and_grad_batch(J, np.ones((1, 12)))
-    assert _digest(J) == before
-
-
-@pytest.mark.parametrize("p", [3, 4])
-def test_a_refused_pack_rebuilds_the_blocks_before_it(p, monkeypatch):
-    """With five store rows per block, the bad slab sits in a later block
-    than the first (slab 9 at p = 3, 69 at p = 4), so the refusal rebuilds
-    whole blocks already packed, and the last block is short."""
-    monkeypatch.setattr(simulate, "_PACK_BLOCK", 5 * 12 * 7)
-    J = sample_disorder(12, MixingFunction((0.04, 0.03, 0.02)), 3)
-    J.tensors[p] = _nudge_a_mirror(J.tensors[p])
-    before = _digest(J)
-    with pytest.raises(ValidationError, match="slabs (5..9|65..69) are not"):
-        hamiltonian_and_grad_batch(J, np.ones((1, 12)))
-    assert _digest(J) == before
-
-
 def test_couplings_near_the_float_limit_pack_and_restore():
-    """Couplings of 1e308, whose doubling would overflow, pack into a store
-    that holds them as they are, and a kernel call gives the dense
-    contraction's result and leaves every tensor bit for bit as it was."""
+    """Couplings of 1e308, whose doubling would overflow, give the dense
+    contraction's result, and a kernel call leaves every store bit for bit
+    as it was."""
     J = sample_disorder(12, MixingFunction((0.04, 0.03, 0.02)), 3)
     J.tensors[4][...] = 1e308
     before = _digest(J)
-    with simulate._packed(J) as store:
-        assert store.stores[4].tobytes() == \
-            np.full((144, 12 * 7), 1e308).tobytes()
-    assert _digest(J) == before
     X = np.random.default_rng(3).uniform(-1e-78, 1e-78, (2, 12))
     assert np.all(np.isfinite(_einsum_oracle(J, X, absolute=True)[1]))
     _assert_kernel_matches_the_oracle(J, X)
@@ -801,11 +766,15 @@ def test_hessian_spectrum_model(pure3_mixing):
 
 
 def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
+    # the store plus the draw vector: pure p = 3 fits the budget up to
+    # N = 737, checked without sampling it
+    assert simulate._coupling_bytes(737, [3]) <= simulate._BUDGET \
+        < simulate._coupling_bytes(738, [3])
     with pytest.raises(SizeOverflow):
-        sample_disorder(700, pure3_mixing, 0)
-    # any order within the byte budget: p = 5 at N = 2 is 256 bytes
-    assert sample_disorder(2, MixingFunction((0.0, 0.0, 0.0, 0.125)), 0
-                           ).tensors[5].shape == (2,) * 5
+        sample_disorder(738, pure3_mixing, 0)
+    # any order within the byte budget: p = 5 at N = 2
+    J = sample_disorder(2, MixingFunction((0.0, 0.0, 0.0, 0.125)), 0)
+    assert _dense(J, 5).shape == (2,) * 5
     with pytest.raises(ValidationError):
         sample_disorder(1, sk_mixing, 0)
     J = sample_disorder(8, sk_mixing, 1)
