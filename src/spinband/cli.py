@@ -161,20 +161,22 @@ def parse_config(path: str | Path, command: str | None = None,
     if seed is not None:
         raw.setdefault("sim", {})["seed"] = int(seed)
 
-    source = _block(raw, "report").get("source") or raw.get("source")
     if command == "report":
+        source = _block(raw, "report").get("source")
         if not source:
             raise ParseError("report needs 'report.source' (a run directory)")
         return RunConfig(command=command, raw=raw, source=str(source))
 
     nu, params, grid = _model_from_config(raw)
-    soft = not params.confinement.is_hard
+    kind = params.confinement.kind
 
     needs_grid = command in ("solve-hard", "solve-soft", "fdt", "sk", "compare")
     if needs_grid and grid is None:
         raise ParseError(f"command '{command}' needs a 'grid' block")
-    if command == "solve-soft" and not soft:
-        raise ParseError("solve-soft needs a soft 'constraint' block")
+    # a solve run's bundle takes its constraint from the config echo
+    if command in ("solve-hard", "solve-soft") and command != f"solve-{kind}":
+        raise ParseError(f"{command} needs a {command.removeprefix('solve-')} "
+                         "'constraint' block")
 
     sim = _block(raw, "sim") or None
     if command == "simulate":
@@ -182,7 +184,7 @@ def parse_config(path: str | Path, command: str | None = None,
             raise ParseError("command 'simulate' needs a 'sim' block")
         for key in ("N", "dt"):
             _need(sim, "sim", key)
-        if not soft:
+        if kind != "soft":
             raise ParseError("simulate needs a soft 'constraint' block")
 
     if command in ("sk", "compare") and _block(raw, "compare").get("against", "sk") == "sk":
@@ -192,8 +194,7 @@ def parse_config(path: str | Path, command: str | None = None,
                 "(coeffs_sq == [0.125])")
 
     return RunConfig(command=command, raw=raw, nu=nu, params=params, grid=grid,
-                     sim=sim, fdt=_block(raw, "fdt"), compare=_block(raw, "compare"),
-                     source=source)
+                     sim=sim, fdt=_block(raw, "fdt"), compare=_block(raw, "compare"))
 
 
 # --------------------------------------------------------------------------
@@ -447,8 +448,7 @@ def load_bundle(rundir: str | Path):
         raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
     bundle = TwoTimeBundle(
-        grid=grid, constraint=meta.get("constraint", "hard"),
-        R=R, C=C,
+        grid=grid, R=R, C=C,
         q=series["q"], K=series["K"], mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         pc_gap=float(_need(meta, "metadata", "pc_gap")), params=params, nu=nu)
@@ -552,7 +552,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
     from .simulate import (SimConfig, condition_disorder,
                            empirical_observables, error_functional,
-                           run_langevin, sample_disorder, star_point)
+                           run_langevin, sample_disorder)
     from .volterra import solve_soft
 
     t0 = time.monotonic()
@@ -568,7 +568,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         if stride is None:
             stride = int(round(cfg.grid.h / dt)) if cfg.grid and dt > 0 else 1
         scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
-                         replicas=int(sim.get("replicas", 4)),
+                         replicas=int(sim.get("replicas", SimConfig.replicas)),
                          snap_stride=int(stride))
         disorder_seed = int(sim.get("disorder_seed", seed))
     except (TypeError, ValueError, OverflowError) as e:
@@ -582,12 +582,11 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         except GridMismatch as e:
             raise GridMismatch(f"snapshots miss the limit grid: {e}") from None
     # conditioned in place: the run holds one copy of the couplings
-    J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed),
-                           cfg.params, cfg.nu)
+    J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed), cfg.params)
     t1 = time.monotonic()
     traj = run_langevin(J, cfg.params, scfg)
     t2 = time.monotonic()
-    emp = empirical_observables(traj, star_point(N, cfg.params.q_star))
+    emp = empirical_observables(traj)
     t3 = time.monotonic()
     extra = {}
     if cfg.grid is not None:

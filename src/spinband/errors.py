@@ -23,10 +23,6 @@ class HardConstraint(SpinbandError):
     """A soft-confinement quantity was requested under the hard constraint."""
 
 
-class PhiMismatch(SpinbandError):
-    """Explicit phi disagrees with the value implied by the hard constraint."""
-
-
 class ValidationError(SpinbandError):
     """Parameter set fails a structural validity check."""
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     HardConstraint,
-    PhiMismatch,
     PureInconsistent,
     SingularMatrix,
     ValidationError,
@@ -146,8 +145,10 @@ class MixingFunction:
 class Confinement:
     """Radial confinement: hard sphere or soft well f(r) = L(r-1)^2 + (phi/4k) r^{2k}.
 
-    ``phi=None`` means "canonical": resolve to 1 + 2 beta q_o v'(q_o) during
-    validation, the unique choice that starts the norm process at equilibrium.
+    Only the soft well has L, k and phi; the hard sphere has none.  A soft
+    ``phi=None`` means "canonical": validation resolves it to
+    1 + 2 beta q_o v'(q_o), the unique choice that starts the norm process
+    at equilibrium.
     """
 
     kind: str  # "hard" | "soft"
@@ -156,8 +157,8 @@ class Confinement:
     phi: float | None = None
 
     @staticmethod
-    def hard(phi: float | None = None) -> "Confinement":
-        return Confinement("hard", None, None, phi)
+    def hard() -> "Confinement":
+        return Confinement("hard")
 
     @staticmethod
     def soft(L: float, k: int = 1, phi: float | None = None) -> "Confinement":
@@ -281,10 +282,11 @@ def canonical_phi(params: ModelParams, nu: MixingFunction) -> float:
 
 
 def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
-    """Check parameter consistency and return a copy with phi resolved.
+    """Check parameter consistency and return the params with phi resolved.
 
-    Raises ValidationError / PureInconsistent / PhiMismatch as appropriate.
-    The returned params always carry a concrete confinement phi.
+    Raises ValidationError / PureInconsistent as appropriate.  A soft
+    confinement comes back with a concrete phi (the canonical one when none
+    was given); a hard one has no phi and comes back unchanged.
     """
     if not params.beta >= 0:
         raise ValidationError("beta must be >= 0")
@@ -302,24 +304,18 @@ def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
     vstar_build(nu, params.q_star, params.E_star, params.G_star)
 
     conf = params.confinement
-    phi0 = canonical_phi(params, nu)
     if conf.is_hard:
-        if conf.phi is not None and abs(conf.phi - phi0) > 1e-10 * max(1.0, abs(phi0)):
-            raise PhiMismatch(
-                f"hard constraint implies phi={phi0!r}, config says {conf.phi!r}"
-            )
-        conf = dataclasses.replace(conf, phi=phi0)
-    else:
-        if conf.L is None or not conf.L > 0:
-            raise ValidationError("soft confinement needs L > 0")
-        if conf.k is None or conf.k < 1 or conf.k != int(conf.k):
-            raise ValidationError("soft confinement needs integer k >= 1")
-        if 4 * conf.k <= nu.m:
-            raise ValidationError(
-                f"confinement exponent too small: need 4k > m (k={conf.k}, m={nu.m})"
-            )
-        if conf.phi is None:
-            conf = dataclasses.replace(conf, phi=phi0)
+        return params
+    if conf.L is None or not conf.L > 0:
+        raise ValidationError("soft confinement needs L > 0")
+    if conf.k is None or conf.k < 1 or conf.k != int(conf.k):
+        raise ValidationError("soft confinement needs integer k >= 1")
+    if 4 * conf.k <= nu.m:
+        raise ValidationError(
+            f"confinement exponent too small: need 4k > m (k={conf.k}, m={nu.m})"
+        )
+    if conf.phi is None:
+        conf = dataclasses.replace(conf, phi=canonical_phi(params, nu))
     return dataclasses.replace(params, confinement=conf)
 
 

@@ -185,14 +185,13 @@ def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
 def _sample_store(rng, N: int, p: int) -> np.ndarray:
     """The cyclic-pair store of an order-p >= 3 draw (see sample_disorder).
 
-    Each block of store rows ranks its entries' sorted tuples without
-    sorting them: the row's p-2 indices are sorted once, and the column's
-    pair (lo, hi) goes in after the equal ones.  So row index h at sorted
-    place a moves up one place per column index below it, lo lands after
-    the row indices <= lo, and hi after lo and the row indices <= hi.  The
-    same pass counts the tuple's repeated indices for mult(t) =
-    p!/prod l_k!: each index adds a factor of one plus the copies of it
-    already counted.
+    Each block of store rows sorts its entries' index tuples by
+    compare-exchanges (np.minimum/np.maximum): the row's p-2 indices are
+    sorted once, then the column's pair (lo, hi) is inserted, lo and then
+    hi moving down past every larger index.  The sorted tuple t gives the
+    rank sum_a C(t_a + a, a + 1), and its runs of equal indices give
+    prod l_k! for mult(t) = p!/prod l_k!: the a-th copy of an index
+    multiplies by a.
     """
     w = rng.standard_normal(math.comb(N + p - 1, p))
     D = N // 2
@@ -200,7 +199,6 @@ def _sample_store(rng, N: int, p: int) -> np.ndarray:
     j = np.arange(K) // (D + 1)
     k = (j + np.arange(K) % (D + 1)) % N
     lo, hi = np.minimum(j, k), np.maximum(j, k)
-    hi_on_lo = 1 + (lo == hi)  # hi's tie factor from lo alone
     # rank term of index v at sorted place a, C(v + a, a + 1), at a N + v
     T = np.array([math.comb(v + a, a + 1) for a in range(p) for v in range(N)])
     S = np.empty((N ** (p - 2), K))
@@ -208,38 +206,33 @@ def _sample_store(rng, N: int, p: int) -> np.ndarray:
     for i in range(0, S.shape[0], step):
         rows = np.arange(i, min(i + step, S.shape[0]))
         head = np.sort(np.unravel_index(rows, (N,) * (p - 2)), axis=0)
-        head = head[:, :, None]
-        rank, at_lo, at_hi = 0, 0, 1  # at_*: places of lo, hi in the tuple
-        ties, lo_ties, hi_ties = 1, 1, hi_on_lo
-        for a, h in enumerate(head):
-            h_le_lo, h_le_hi = h <= lo, h <= hi
-            # h sits at place a + 2, less one per column index >= h
-            ge_h = np.add(h_le_lo, h_le_hi, dtype=int)
-            rank = rank + T[(a + 2) * N + h - N * ge_h]
-            at_lo = at_lo + h_le_lo
-            at_hi = at_hi + h_le_hi
-            ties = ties * (1 + (head[:a] == h).sum(axis=0))
-            lo_ties = lo_ties + (h == lo)
-            hi_ties = hi_ties + (h == hi)
-        rank += T[at_lo * N + lo]
-        rank += T[at_hi * N + hi]
-        mult = math.factorial(p) / (ties * lo_ties * hi_ties)
+        t = [*head[:, :, None], lo, hi]
+        for m in (p - 2, p - 1):  # insert lo, then hi
+            for a in range(m - 1, -1, -1):
+                t[a], t[a + 1] = np.minimum(t[a], t[a + 1]), np.maximum(t[a], t[a + 1])
+        rank = sum(T[a * N + v] for a, v in enumerate(t))
+        run = ties = 1
+        for a in range(1, p):
+            run = run * (t[a] == t[a - 1]) + 1
+            ties = ties * run
+        mult = math.factorial(p) / ties
         np.multiply(w[rank], np.sqrt(N ** (1 - p) / mult),
                     out=S[i:i + rows.size])
     return S
 
 
-def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
+def condition_disorder(J: Disorder, params: ModelParams,
                        tangential_only: bool = False) -> Disorder:
     """Exact Gaussian conditioning on the critical-point event at x_star.
 
-    Conditions J in place and returns it: only the lines through index
-    (0, ..., 0) change, so a caller that drops the unconditioned draw holds
-    one copy of the couplings, not two.  A caller that still needs the
-    unconditioned draw passes ``J.copy()``.  With ``tangential_only`` just
-    the gradient components i >= 2 are pinned to zero (the value/radial
-    pair is left unconditioned) -- that variant is what the
-    conditional-covariance identity E[H(x)H(y)] = N Upsilon_N refers to.
+    The mixture is J's own (``J.coeffs_sq``).  Conditions J in place and
+    returns it: only the lines through index (0, ..., 0) change, so a
+    caller that drops the unconditioned draw holds one copy of the
+    couplings, not two.  A caller that still needs the unconditioned draw
+    passes ``J.copy()``.  With ``tangential_only`` just the gradient
+    components i >= 2 are pinned to zero (the value/radial pair is left
+    unconditioned) -- that variant is what the conditional-covariance
+    identity E[H(x)H(y)] = N Upsilon_N refers to.
     """
     N = J.N
     qs = params.q_star
@@ -250,7 +243,7 @@ def condition_disorder(J: Disorder, params: ModelParams, nu: MixingFunction,
             raise ValidationError("zero mixture cannot match nonzero (E, G)")
         return J
     # fail fast on inconsistent pure data
-    vstar_build(nu, qs, params.E_star, params.G_star)
+    vstar_build(MixingFunction(J.coeffs_sq), qs, params.E_star, params.G_star)
     bp = {p: J.weight(p) for p in active}
     var = {p: float(N) ** (1 - p) for p in active}
 
@@ -412,7 +405,7 @@ class SimConfig:
     dt: float
     T: float
     seed: int
-    replicas: int = 8
+    replicas: int = 4
     snap_stride: int = 1
 
     def __post_init__(self):
@@ -524,12 +517,13 @@ class EmpiricalBundle:
     H_avg: np.ndarray
 
 
-def empirical_observables(traj: Trajectory,
-                          sigma: np.ndarray) -> EmpiricalBundle:
-    """C_N, chi_N, q_N, H_N per replica plus their replica averages."""
+def empirical_observables(traj: Trajectory) -> EmpiricalBundle:
+    """C_N, chi_N, q_N, H_N per replica plus their replica averages; q_N is
+    the overlap with the run's conditioning point x_star."""
     N = traj.X.shape[2]
     C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
     chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
+    sigma = star_point(N, traj.params.q_star)
     q = np.einsum("sri,i->rs", traj.X, sigma) / N
     H = traj.H.T.copy()  # row-major, so H.mean(axis=0) sums replicas in order
     return EmpiricalBundle(times=traj.times, C=C, chi=chi, q=q, H=H,

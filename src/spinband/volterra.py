@@ -123,12 +123,12 @@ class TwoTimeBundle:
     R[i, i] = 1 and zeros above the diagonal, C is symmetric with
     C[i, i] = K[i].  ``pc_gap`` is the march's local error monitor, for
     both constraints: the largest |corrected - predicted| entry over the
-    R, C and q of every row, which falls as h^2.  The arrays are made
+    R, C and q of every row, which falls as h^2.  ``constraint`` is the
+    kind of ``params.confinement``, "hard" or "soft".  The arrays are made
     read-only on construction.
     """
 
     grid: TwoTimeGrid
-    constraint: str  # "hard" | "soft"
     R: np.ndarray
     C: np.ndarray
     q: np.ndarray
@@ -143,6 +143,10 @@ class TwoTimeBundle:
     def __post_init__(self):
         for arr in (self.R, self.C, self.q, self.K, self.mu, self.H, self.Hhat):
             arr.setflags(write=False)
+
+    @property
+    def constraint(self) -> str:
+        return self.params.confinement.kind
 
 
 def _trapz_dot(h: float, f: np.ndarray) -> float:
@@ -167,11 +171,11 @@ def integrated_response(R: np.ndarray, h: float) -> np.ndarray:
 class _March:
     """Workspace for one solve; see the module docstring for the scheme."""
 
-    def __init__(self, params, nu, grid, hard, conditioned=True):
+    def __init__(self, params, nu, grid, conditioned=True):
         self.params = validate(params, nu)
         self.nu = nu
         self.grid = grid
-        self.hard = hard
+        self.hard = self.params.confinement.is_hard
         # corr = 0 reverts to the classical (unconditioned) mixed p-spin
         # system: zero drift polynomial and no cross-memory corrections.
         self.corr = 1.0 if conditioned else 0.0
@@ -353,7 +357,6 @@ class _March:
 
         return TwoTimeBundle(
             grid=self.grid,
-            constraint="hard" if self.hard else "soft",
             R=self.R, C=self.C, q=self.q, K=K, mu=self.mu,
             H=self.Hhat + self.v.value(self.q), Hhat=self.Hhat,
             pc_gap=float(pc_gap), params=self.params, nu=self.nu,
@@ -370,7 +373,7 @@ def solve_hard(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
     """
     if not params.confinement.is_hard:
         params = dataclasses.replace(params, confinement=Confinement.hard())
-    return _March(params, nu, grid, hard=True, conditioned=conditioned).run()
+    return _March(params, nu, grid, conditioned=conditioned).run()
 
 
 def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
@@ -378,7 +381,7 @@ def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
     """March the soft-confinement system (K evolves, mu(s) = f'(K(s)))."""
     if params.confinement.is_hard:
         raise GridMismatch("solve_soft needs a soft confinement in params")
-    return _March(params, nu, grid, hard=False, conditioned=conditioned).run()
+    return _March(params, nu, grid, conditioned=conditioned).run()
 
 
 def response_integral_bound(bundle: TwoTimeBundle) -> float:

@@ -135,11 +135,11 @@ def test_06_quadratic_analytic_identities(sk_params, sk_mixing):
 
 
 def _mc_error(params, nu, N, disorder_seed, sim_seed):
-    J = condition_disorder(sample_disorder(N, nu, disorder_seed), params, nu)
+    J = condition_disorder(sample_disorder(N, nu, disorder_seed), params)
     cfg = SimConfig(N=N, dt=5e-4, T=2.0, seed=sim_seed, replicas=8,
                     snap_stride=20)
     traj = run_langevin(J, params, cfg)
-    emp = empirical_observables(traj, star_point(N, params.q_star))
+    emp = empirical_observables(traj)
     limit = solve_soft(params, nu, TwoTimeGrid.from_T(2.0, 0.01))
     return error_functional(emp, limit)
 
@@ -166,8 +166,7 @@ def test_08_conditioning_exactness_and_mean(mixed_mixing):
         sigma = star_point(N, prm.q_star)
         scale = np.linalg.norm(prm.G_star * sigma)
         for seed in range(50):
-            Jc = condition_disorder(sample_disorder(N, mixed_mixing, seed),
-                                    prm, mixed_mixing)
+            Jc = condition_disorder(sample_disorder(N, mixed_mixing, seed), prm)
             H, g = hamiltonian_and_grad(Jc, sigma)
             assert abs(H + N * prm.E_star) / N <= 1e-8
             assert np.linalg.norm(g + prm.G_star * sigma) / scale <= 1e-8
@@ -181,7 +180,7 @@ def test_08_conditioning_exactness_and_mean(mixed_mixing):
                   [qs2 * mix.nu(qs2, 1), mix.psi(qs2)]])
     samples = {p: np.empty(draws) for p in (2, 3, 4)}
     for k in range(draws):
-        Jc = condition_disorder(sample_disorder(N, mix, k), prm, mix)
+        Jc = condition_disorder(sample_disorder(N, mix, k), prm)
         for p in (2, 3, 4):
             samples[p][k] = Jc.coupling(p, (0,) * p)
     for p in (2, 3, 4):

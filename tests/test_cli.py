@@ -152,6 +152,24 @@ def test_report_reaudits_a_run(tmp_path):
     assert report["audit"]["passed"] is True
 
 
+def test_report_takes_the_constraint_from_the_config_echo(tmp_path):
+    """A solve-soft run re-audits as soft with no 'constraint' key in its
+    metadata.json: the report's audit is the run's own invariants.json."""
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg(
+        constraint={"kind": "soft", "L": 100.0, "k": 1}))
+    out = tmp_path / "out"
+    assert main(["solve-soft", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta.pop("constraint") == "soft"
+    (out / "metadata.json").write_text(json.dumps(meta))
+    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
+    rep_out = tmp_path / "rep"
+    assert main(["report", "--config", str(rep_cfg), "--out", str(rep_out)]) == 0
+    audit = json.loads((rep_out / "report.json").read_text())["audit"]
+    assert audit == json.loads((out / "invariants.json").read_text())
+    assert audit["c_excess"] is None
+
+
 def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
     sk = tmp_path / "sk"
     assert main(["sk", "--config", str(write_cfg(tmp_path, "sk.json", solve_cfg())),
@@ -436,20 +454,29 @@ def test_simulate_records_phase_timings(tmp_path):
 
 
 def test_runs_record_their_peak_rss(tmp_path, monkeypatch):
-    """Every run's metadata.json carries the process's VmHWM in MiB: at
-    least the coupling store of a pure p = 3 simulate run; null without
+    """Every run's metadata.json carries the process's VmHWM in MiB, and it
+    covers the couplings: fresh pure p = 3 simulate processes at N = 200
+    and N = 8 differ by at least 0.9 of the N = 200 store.  Null without
     procfs."""
     import spinband.cli as cli
-    N = 96
-    payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0,
-                         "q_o": 0.5, "E_star": 0.2, "G_star": 0.6},
-               "constraint": {"kind": "soft", "L": 100.0, "k": 1},
-               "sim": {"N": N, "dt": 0.005, "T": 0.01, "seed": 7, "replicas": 2}}
-    cfg = write_cfg(tmp_path, "sim.json", payload)
-    out = tmp_path / "sim"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    peak = json.loads((out / "metadata.json").read_text())["peak_rss_mb"]
-    assert peak >= 8 * N * N * (N // 2 + 1) / 2 ** 20
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def simulate_peak(N):
+        payload = {"model": {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0,
+                             "q_o": 0.5, "E_star": 0.2, "G_star": 0.6},
+                   "constraint": {"kind": "soft", "L": 100.0, "k": 1},
+                   "sim": {"N": N, "dt": 0.005, "T": 0.01, "seed": 7, "replicas": 2}}
+        cfg = write_cfg(tmp_path, f"sim{N}.json", payload)
+        out = tmp_path / f"sim{N}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinband", "simulate", "--config", str(cfg),
+             "--out", str(out), "--threads", "1"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads((out / "metadata.json").read_text())["peak_rss_mb"]
+
+    store_mib = 8 * 200 * 200 * (200 // 2 + 1) / 2 ** 20
+    assert simulate_peak(200) - simulate_peak(8) >= 0.9 * store_mib
     cfg = write_cfg(tmp_path, "run.json", solve_cfg())
     out = tmp_path / "compare"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
@@ -503,6 +530,16 @@ def test_error_exits(tmp_path, capsys):
     soft_missing = write_cfg(tmp_path, "sm.json", solve_cfg())
     assert main(["solve-soft", "--config", str(soft_missing),
                  "--out", str(tmp_path / "x")]) == 1
+    assert "solve-soft needs a soft 'constraint' block" in capsys.readouterr().err
+    soft = write_cfg(tmp_path, "soft.json", solve_cfg(
+        constraint={"kind": "soft", "L": 100.0, "k": 1}))
+    assert main(["solve-hard", "--config", str(soft),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "solve-hard needs a hard 'constraint' block" in capsys.readouterr().err
+    top_level = write_cfg(tmp_path, "top.json", {"source": str(tmp_path / "x")})
+    assert main(["report", "--config", str(top_level),
+                 "--out", str(tmp_path / "y")]) == 1
+    assert "report needs 'report.source'" in capsys.readouterr().err
 
     nogrid = solve_cfg()
     del nogrid["grid"]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinband.errors import (HardConstraint, PhiMismatch, PureInconsistent,
-                             ValidationError)
+from spinband.errors import HardConstraint, PureInconsistent, ValidationError
 from spinband.model import (Confinement, MixingFunction, ModelParams,
                             canonical_phi, f_prime, validate, vstar_build)
 
@@ -129,13 +128,6 @@ def test_validate_rejections(sk_mixing):
                  sk_mixing)
 
 
-def test_hard_phi_mismatch_detected(sk_mixing):
-    p = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625, G_star=1.25,
-                    confinement=Confinement.hard(phi=0.123))
-    with pytest.raises(PhiMismatch):
-        validate(p, sk_mixing)
-
-
 def test_zero_mixture_requires_zero_conditioning():
     zero = MixingFunction((0.0,))
     p = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.1, G_star=0.0,
@@ -157,6 +149,7 @@ def test_f_prime_soft_and_hard(sk_mixing):
     hard = validate(ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
                                 G_star=1.25, confinement=Confinement.hard()),
                     sk_mixing)
+    assert hard.confinement == Confinement.hard()  # no phi to resolve
     with pytest.raises(HardConstraint):
         f_prime(hard, 1.0)
 

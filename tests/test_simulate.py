@@ -286,7 +286,7 @@ def test_conditioning_is_exact_for_random_mixtures(weights, N, q_star, E, G,
         prm = validate(prm, nu)
     except SpinbandError:
         assume(False)
-    Jc = condition_disorder(sample_disorder(N, nu, seed), prm, nu)
+    Jc = condition_disorder(sample_disorder(N, nu, seed), prm)
     sigma = star_point(N, q_star)
     H, g = hamiltonian_and_grad(Jc, sigma)
     assert abs(H + N * E) <= 1e-8 * N * max(abs(E), 1.0)
@@ -303,7 +303,7 @@ N = int(sys.argv[1])
 nu = MixingFunction((0.0, 0.125))
 prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
                   G_star=3.0 * 0.2 / 0.81, confinement=Confinement.soft(100.0, 1))
-J = condition_disorder(sample_disorder(N, nu, 11), prm, nu)
+J = condition_disorder(sample_disorder(N, nu, 11), prm)
 traj = run_langevin(J, prm, SimConfig(N=N, dt=5e-4, T=0.05, seed=3, replicas=8))
 d = hashlib.sha256()
 for name in ("X", "B", "K", "H"):
@@ -348,14 +348,14 @@ def test_conditioning_pins_the_critical_point(mixed_mixing):
         sigma = star_point(N, prm.q_star)
         for seed in (0, 1, 2):
             J = sample_disorder(N, mixed_mixing, seed)
-            Jc = condition_disorder(J.copy(), prm, mixed_mixing)
+            Jc = condition_disorder(J.copy(), prm)
             H, g = hamiltonian_and_grad(Jc, sigma)
             assert abs(H + N * prm.E_star) / N <= 1e-10
             scale = np.linalg.norm(prm.G_star * sigma)
             assert np.linalg.norm(g + prm.G_star * sigma) / scale <= 1e-10
             assert Jc.conditioned and not J.conditioned
             # conditioning an already conditioned draw is a fixed point
-            Jcc = condition_disorder(Jc.copy(), prm, mixed_mixing)
+            Jcc = condition_disorder(Jc.copy(), prm)
             for p in Jc.active_orders():
                 assert np.abs(Jcc.tensors[p] - Jc.tensors[p]).max() <= 1e-12
 
@@ -370,10 +370,10 @@ def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
                       confinement=Confinement.hard())
     J = sample_disorder(40, mixed_mixing, 6)
     before = J.copy()
-    Jc = condition_disorder(J.copy(), prm, mixed_mixing, tangential_only)
+    Jc = condition_disorder(J.copy(), prm, tangential_only)
     assert Jc.conditioned and not J.conditioned
     assert _digest(J) == _digest(before)
-    Ji = condition_disorder(J, prm, mixed_mixing, tangential_only)
+    Ji = condition_disorder(J, prm, tangential_only)
     assert Ji is J and J.conditioned
     assert _digest(J) == _digest(Jc)
     for p in J.active_orders():
@@ -393,8 +393,7 @@ def test_the_cli_disorder_chain_holds_one_store(pure3_mixing):
                    pure3_mixing)
 
     def chain(N):
-        return condition_disorder(sample_disorder(N, pure3_mixing, 1), prm,
-                                  pure3_mixing)
+        return condition_disorder(sample_disorder(N, pure3_mixing, 1), prm)
 
     chain(4)
     N = 128
@@ -420,7 +419,7 @@ def test_the_in_place_store_is_the_gathered_store(N):
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
                       confinement=Confinement.hard())
     J = sample_disorder(N, nu, N)
-    for Jx in (J, condition_disorder(J.copy(), prm, nu)):
+    for Jx in (J, condition_disorder(J.copy(), prm)):
         for p in (3, 4, 5):
             A = Jx.tensors[p]
             assert A.flags.c_contiguous
@@ -434,8 +433,7 @@ def test_runs_and_kernel_calls_restore_the_couplings(mixed_mixing,
     that blows up part way."""
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
                       confinement=Confinement.soft(20.0, 1))
-    J = condition_disorder(sample_disorder(13, mixed_mixing, 4), prm,
-                           mixed_mixing)
+    J = condition_disorder(sample_disorder(13, mixed_mixing, 4), prm)
     before = _digest(J)
     run_langevin(J, prm, SimConfig(N=13, dt=0.01, T=0.1, seed=1, replicas=2))
     assert _digest(J) == before
@@ -468,7 +466,7 @@ def test_conditioning_zero_targets(sk_mixing):
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.hard())
     J = sample_disorder(8, sk_mixing, 5)
-    Jc = condition_disorder(J.copy(), prm, sk_mixing)
+    Jc = condition_disorder(J.copy(), prm)
     assert Jc.coupling(2, (0, 0)) == 0.0
     for i in range(1, 8):
         assert abs(Jc.coupling(2, (0, i))) <= 1e-15
@@ -476,11 +474,11 @@ def test_conditioning_zero_targets(sk_mixing):
 
     zero = MixingFunction((0.0,))
     Jz = sample_disorder(8, zero, 5)
-    assert condition_disorder(Jz, prm, zero).tensors == {}
+    assert condition_disorder(Jz, prm).tensors == {}
     bad = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.3, G_star=0.9,
                       confinement=Confinement.hard())
     with pytest.raises(ValidationError):
-        condition_disorder(Jz, bad, zero)
+        condition_disorder(Jz, bad)
 
 
 def test_pinned_coupling_matches_conditional_mean(mixed_mixing):
@@ -494,8 +492,7 @@ def test_pinned_coupling_matches_conditional_mean(mixed_mixing):
     M = np.array([[qs2 * mixed_mixing.nu(qs2, 0), qs2 * mixed_mixing.nu(qs2, 1)],
                   [qs2 * mixed_mixing.nu(qs2, 1), mixed_mixing.psi(qs2)]])
     for seed in (0, 1):
-        Jc = condition_disorder(sample_disorder(N, mixed_mixing, seed),
-                                prm, mixed_mixing)
+        Jc = condition_disorder(sample_disorder(N, mixed_mixing, seed), prm)
         for p in (2, 3):
             vp = np.linalg.solve(M, np.array([qs2, float(p)]))
             expect = (-mixed_mixing.weight(p) * N ** (1 - p / 2.0) * qs ** p
@@ -526,7 +523,7 @@ def test_tangential_covariance_identity(mixed_mixing):
     acc = np.empty(2000)
     for k in range(acc.size):
         J = sample_disorder(N, mixed_mixing, (18, k))
-        Jt = condition_disorder(J, prm, mixed_mixing, tangential_only=True)
+        Jt = condition_disorder(J, prm, tangential_only=True)
         hx, _ = hamiltonian_and_grad(Jt, x)
         hy, _ = hamiltonian_and_grad(Jt, y)
         acc[k] = hx * hy / N
@@ -559,24 +556,23 @@ def test_temperature_embedding_is_exact():
     Ja = sample_disorder(N, nu_a, 11)
     Jb = Disorder(N, nu_b.coeffs_sq,
                   {p: a.copy() for p, a in Ja.tensors.items()})
-    Jca = condition_disorder(Ja, pa, nu_a)
-    Jcb = condition_disorder(Jb, pb, nu_b)
+    Jca = condition_disorder(Ja, pa)
+    Jcb = condition_disorder(Jb, pb)
     for p in (2, 3):
         assert np.array_equal(Jca.tensors[p], Jcb.tensors[p])
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=5, replicas=4)
     ta = run_langevin(Jca, pa, cfg)
     tb = run_langevin(Jcb, pb, cfg)
     assert np.array_equal(ta.X, tb.X)
-    sigma = star_point(N, 1.0)
-    ea = empirical_observables(ta, sigma)
-    eb = empirical_observables(tb, sigma)
+    ea = empirical_observables(ta)
+    eb = empirical_observables(tb)
     assert np.array_equal(2.0 * ea.H, eb.H)
 
 
 def test_refinement_on_a_shared_brownian_path(sk_mixing):
     prm = soft_params()
     N, R = 16, 4
-    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm)
     rng = np.random.default_rng(99)
     fine = rng.standard_normal((500, R, N)) * math.sqrt(1e-3)
     coarse = fine.reshape(250, 2, R, N).sum(axis=1)
@@ -603,7 +599,7 @@ def _replica_run(J, prm, seed, R, N=12):
 
 def test_enlarging_replicas_keeps_existing_members(sk_mixing):
     prm = soft_params()
-    J = condition_disorder(sample_disorder(12, sk_mixing, 3), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(12, sk_mixing, 3), prm)
     t3 = _replica_run(J, prm, 31, 3)
     t4 = _replica_run(J, prm, 31, 4)
     assert np.array_equal(t3.X[0], t4.X[0, :3])
@@ -615,7 +611,7 @@ def test_increments_are_the_per_replica_streams(sk_mixing):
     from the replica's (seed, r) generator, taken after the initial point."""
     prm = soft_params()
     N, R, seed = 12, 3, 31
-    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm)
     traj = _replica_run(J, prm, seed, R, N)
     for r in range(R):
         assert np.array_equal(traj.X[0, r],
@@ -636,8 +632,7 @@ def test_recorded_energies_match_the_kernel(mixed_mixing, monkeypatch):
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
                       confinement=Confinement.soft(20.0, 1))
     N = 10
-    J = condition_disorder(sample_disorder(N, mixed_mixing, 4), prm,
-                           mixed_mixing)
+    J = condition_disorder(sample_disorder(N, mixed_mixing, 4), prm)
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=8, replicas=3, snap_stride=5)
     calls = []
     kernel = simulate.hamiltonian_and_grad_batch
@@ -650,7 +645,7 @@ def test_recorded_energies_match_the_kernel(mixed_mixing, monkeypatch):
     for s in range(traj.times.size):
         assert np.array_equal(traj.H[s],
                               -hamiltonian_and_grad_batch(J, traj.X[s])[0] / N)
-    emp = empirical_observables(traj, star_point(N, prm.q_star))
+    emp = empirical_observables(traj)
     assert np.array_equal(emp.H, traj.H.T)
 
 
@@ -659,7 +654,7 @@ def test_rotations_about_the_conditioning_axis(sk_mixing):
     axis preserves the pinning exactly and the empirical laws statistically."""
     prm = soft_params()
     N, R = 32, 32
-    J = condition_disorder(sample_disorder(N, sk_mixing, 21), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(N, sk_mixing, 21), prm)
     block, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((N - 1,
                                                                       N - 1)))
     Q = np.eye(N)
@@ -671,8 +666,8 @@ def test_rotations_about_the_conditioning_axis(sk_mixing):
     assert abs(H + N * prm.E_star) / N <= 1e-12
     assert np.abs(g + prm.G_star * sigma).max() <= 1e-12
     cfg = SimConfig(N=N, dt=2e-3, T=1.0, seed=42, replicas=R, snap_stride=25)
-    ea = empirical_observables(run_langevin(J, prm, cfg), sigma)
-    eb = empirical_observables(run_langevin(Jr, prm, cfg), sigma)
+    ea = empirical_observables(run_langevin(J, prm, cfg))
+    eb = empirical_observables(run_langevin(Jr, prm, cfg))
     assert np.abs(ea.C_avg - eb.C_avg).max() <= 0.03
     assert np.abs(ea.q_avg - eb.q_avg).max() <= 0.04
 
@@ -690,11 +685,10 @@ def test_soft_confinement_controls_the_radius():
 def test_empirical_identities(sk_mixing):
     prm = soft_params()
     N = 16
-    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm)
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=9, replicas=3, snap_stride=5)
     traj = run_langevin(J, prm, cfg)
-    sigma = star_point(N, 1.0)
-    emp = empirical_observables(traj, sigma)
+    emp = empirical_observables(traj)
     S1 = traj.times.size
     assert emp.C.shape == (3, S1, S1)
     for r in range(3):
@@ -735,10 +729,10 @@ def test_error_functional_properties(sk_mixing):
 def test_simulation_tracks_the_limit(sk_mixing):
     prm = soft_params(L=100.0)
     N = 64
-    J = condition_disorder(sample_disorder(N, sk_mixing, 1234), prm, sk_mixing)
+    J = condition_disorder(sample_disorder(N, sk_mixing, 1234), prm)
     cfg = SimConfig(N=N, dt=2e-3, T=0.5, seed=777, replicas=4, snap_stride=25)
     traj = run_langevin(J, prm, cfg)
-    emp = empirical_observables(traj, star_point(N, 1.0))
+    emp = empirical_observables(traj)
     limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
     err = error_functional(emp, limit)
     per = error_functional(emp, limit, per_replica=True)

@@ -171,7 +171,7 @@ def test_soft_k_newton_cap_raises(sk_mixing):
     NotConverged once the 50 Newton steps run out (no real root, NaN base)."""
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
                       G_star=1.25, confinement=Confinement.soft(20.0, 1))
-    march = _March(prm, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05), hard=False)
+    march = _March(prm, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05))
     phi = march.params.confinement.phi
     root = march._k_solve(1.0, 0.05, 2.0)
     fp = 2.0 * 20.0 * (root - 1.0) + 0.5 * phi * root
