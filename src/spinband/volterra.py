@@ -35,9 +35,13 @@ corrector pass per row, trapezoid quadrature for all memory integrals.  The
 soft K equation is the one stiff scalar (relaxation rate ~ 4L), so its
 -2 f'(K) K term is treated implicitly (scalar Newton) inside the same
 predictor/corrector pattern; everything else stays explicit.  R and C are
-kept as full (n+1)^2 arrays -- the upper triangle of R is structurally zero
-and C mirrors its lower triangle -- so each row update is a handful of BLAS
-matrix-vector products and the whole solve costs O(n^3) flops, O(n^2) memory.
+full (n+1)^2 arrays stacked in one (2, n+1, n+1) array -- the upper triangle
+of R is structurally zero and C mirrors its lower triangle.  Each pass
+evaluates row s once, against the trapezoid weights times R(s,.): one product
+with them gives every memory integral behind mu, H and the soft drive, and two
+BLAS matrix-vector products (over the stacked [R; C] block, and over R) give
+the R and C right-hand sides with the endpoint halves folded in.  The solve
+costs O(n^3) flops and O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -108,6 +112,12 @@ class TwoTimeGrid:
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.n + 1)
 
+    def trapezoid(self, r: int) -> np.ndarray:
+        """Trapezoid weights over t_0..t_r: h, halved at both ends; 0 for r = 0."""
+        w = np.full(r + 1, self.h)
+        w[0] = w[r] = 0.5 * self.h if r else 0.0
+        return w
+
     def index_of(self, t: float) -> int:
         i = int(round(t / self.h))
         if not (0 <= i <= self.n) or abs(i * self.h - t) > 1e-9 * max(1.0, self.T):
@@ -125,7 +135,8 @@ class TwoTimeBundle:
     both constraints: the largest |corrected - predicted| entry over the
     R, C and q of every row, which falls as h^2.  ``constraint`` is the
     kind of ``params.confinement``, "hard" or "soft".  The arrays are made
-    read-only on construction.
+    read-only on construction; from solve_hard and solve_soft, R and C are
+    read-only views into one stacked (2, n+1, n+1) array.
     """
 
     grid: TwoTimeGrid
@@ -188,108 +199,102 @@ class _March:
         self.qs2 = self.params.q_star ** 2
         d = nu.nu(self.qs2, 1)
         self.denom = d if d > 0.0 else 1.0  # zero mixture: numerators vanish too
+        # Horner coefficients, top power first, of nu'', nu'/r and v' (as in model)
+        c, v = nu.coeffs_sq, self.v.coeffs
+        self.horner = [(c[p - 2] * (p * (p - 1)), c[p - 2] * p)
+                       for p in range(nu.m, 1, -1)]
+        self.horner_cols = list(np.array(self.horner)[:, :, None])
+        self.dv = [p * v[p] for p in range(len(v) - 1, 0, -1)]
 
         n = grid.n
-        self.R = np.eye(n + 1)  # R(s,s) = 1; rows only ever write u < s
-        self.C = np.zeros((n + 1, n + 1))
+        self.RC = np.zeros((2, n + 1, n + 1))
+        self.R, self.C = self.RC
+        np.fill_diagonal(self.R, 1.0)  # R(s,s) = 1; rows only ever write u < s
         self.q = np.zeros(n + 1)
         self.K = np.ones(n + 1)
         self.mu = np.zeros(n + 1)
-        self.Hhat = np.zeros(n + 1)  # Hhat[0] = 0: an empty memory integral
-        # nu'(q(u)) for the written u, and nu', nu'', psi of the last written
-        # row of C: each write refreshes exactly what it wrote
-        self.nu1q = np.zeros(n + 1)
-        self.nu1C = np.zeros(n + 1)
-        self.nu2C = np.zeros(n + 1)
-        self.psiC = np.zeros(n + 1)
-
+        self.Hhat = np.zeros(n + 1)
+        # nu'', nu', psi of the last written row of C and nu'(q) of the written q;
+        # each write refreshes what it wrote.  G = W[1:] feeds the memory integrals.
+        self.W = np.zeros((4, n + 1))
+        self.one = self._nu_at(1.0)  # the hard diagonal, C(s,s) = 1
         self._set_q(0, self.params.q_o)
         self._set_diag(0, 1.0)
-        self.mu[0] = self._mu(0)
 
     # -- row-local quantities -------------------------------------------------
 
+    def _nu_at(self, x: float):
+        """nu''(x), nu'(x) and psi(x) of a float, rounded as MixingFunction.nu."""
+        nu2 = nu1 = 0.0
+        for a2, a1 in self.horner:
+            nu2, nu1 = nu2 * x + a2, nu1 * x + a1
+        nu1 *= x
+        return nu2, nu1, x * nu2 + nu1
+
     def _set_q(self, r: int, value: float) -> None:
         """q[r] = value, with nu'(q_r), nu''(q_r), psi(q_r) and v'(q_r)."""
-        self.q[r] = qr = value
-        self.nu1q[r] = self.nu1_qr = self.nu.nu(qr, 1)
-        self.nu2_qr = self.nu.nu(qr, 2)
-        self.psi_qr = qr * self.nu2_qr + self.nu1_qr
-        self.v1_qr = self.v.derivative(qr)
+        self.q[r] = qr = float(value)
+        self.nu2_qr, self.nu1_qr, self.psi_qr = self._nu_at(qr)
+        self.W[3, r] = self.nu1_qr
+        v1 = 0.0
+        for a in self.dv:
+            v1 = v1 * qr + a
+        self.v1_qr = v1
 
-    def _refresh(self, r: int, j) -> None:
-        """nu', nu'' and psi of C[r, j] (j an index or a slice)."""
-        c = self.C[r, j]
-        self.nu1C[j] = nu1 = self.nu.nu(c, 1)
-        self.nu2C[j] = nu2 = self.nu.nu(c, 2)
-        self.psiC[j] = c * nu2 + nu1
+    def _refresh(self, r: int) -> None:
+        """nu'', nu', psi of C[r, :r] into W: one in-place pass, rounded as model."""
+        c, d, psi = self.C[r, :r], self.W[:2, :r], self.W[2, :r]
+        d.fill(0.0)
+        for a in self.horner_cols:
+            d *= c
+            d += a
+        d[1] *= c
+        np.multiply(c, d[0], out=psi)
+        psi += d[1]
 
-    def _zint(self, r: int, fC: np.ndarray, f_qr: float) -> float:
-        """int_0^s R(s,u) [f(C(s,u)) - f(q(s)) nu'(q(u))/D] du at s = t_r,
-        from f on row r of C and f(q_r): f = psi, or nu' for the energy."""
-        integ = self.R[r, :r + 1] * (fC[:r + 1] - self.corr * f_qr
-                                     * self.nu1q[:r + 1] / self.denom)
-        return _trapz_dot(self.grid.h, integ)
+    def _memory(self, r: int):
+        """Row s = t_r's weights wR = h R(s,.), halved at u = 0 and u = s, and from
+        G @ wR: Iq = int R(s,u) nu'(q(u)) du, mu, Hhat and the soft drive."""
+        wR = self.grid.trapezoid(r)
+        wR *= self.R[r, :r + 1]
+        I1, Ipsi, Iq = self.W[1:, :r + 1] @ wR
+        sub = self.corr * Iq / self.denom
+        memory = self.b2 * (Ipsi - self.psi_qr * sub)
+        drift = self.beta * self.q[r] * self.v1_qr
+        mu = 0.5 + memory + drift if self.hard else f_prime(self.params, self.K[r])
+        return wR, Iq, mu, self.beta * (I1 - self.nu1_qr * sub), 2.0 * (memory + drift)
 
-    def _drive(self, r: int) -> float:
-        """beta^2 int R [psi(C) - psi(q) nu'(q)/D] + beta q v'(q) at s = t_r,
-        doubled: the memory and drift part of the soft K equation."""
-        return 2.0 * self.b2 * self._zint(r, self.psiC, self.psi_qr) + \
-            2.0 * self.beta * self.q[r] * self.v1_qr
-
-    def _mu(self, r: int) -> float:
-        """Hard: the closed-form multiplier; soft: f'(K[r])."""
-        if not self.hard:
-            return f_prime(self.params, self.K[r])
-        return (0.5 + self.b2 * self._zint(r, self.psiC, self.psi_qr)
-                + self.beta * self.q[r] * self.v1_qr)
-
-    def _row_rhs(self, r: int, mu_r: float):
-        """RHS of the R/C/q equations for all columns j = 0..r at row s = t_r."""
-        h = self.grid.h
-        Rrow = self.R[r, :r + 1]
-        Crow = self.C[r, :r + 1]
-        qr = self.q[r]
-        qvec = self.q[:r + 1]
-        nu1q = self.nu1q[:r + 1]
-
-        a = Rrow * self.nu2C[:r + 1]          # R(s,u) nu''(C(s,u))
-        d = self.nu1C[:r + 1] - self.corr * self.nu1_qr * nu1q / self.denom
-
-        Rblk = self.R[:r + 1, :r + 1]
-        Cblk = self.C[:r + 1, :r + 1]
-
-        # int_t^s R(u,t) R(s,u) nu''(C(s,u)) du  (upper-triangle zeros truncate at u >= t)
-        IR = h * (a @ Rblk)
-        IR -= 0.5 * h * a                # endpoint u = t (R(t,t) = 1)
-        IR -= 0.5 * h * a[-1] * Rrow     # endpoint u = s
-        F_R = -mu_r * Rrow + self.b2 * IR
-
-        # int_0^s R(s,u) [nu''(C) C(u,t) - q(t) nu'(q(u)) nu''(q(s))/D] du
-        T1 = h * (a @ Cblk) - 0.5 * h * (a[0] * self.C[0, :r + 1] + a[-1] * Crow)
-        Iq = _trapz_dot(h, Rrow * nu1q)
-        # int_0^t R(t,u) [nu'(C(s,u)) - nu'(q(s)) nu'(q(u))/D] du
-        T2 = h * (Rblk @ d)
-        T2 -= 0.5 * h * self.R[:r + 1, 0] * d[0]
-        T2 -= 0.5 * h * d
-        F_C = (-mu_r * Crow
-               + self.b2 * (T1 - self.corr * qvec * (self.nu2_qr / self.denom) * Iq)
-               + self.b2 * T2
-               + self.beta * qvec * self.v1_qr)
-
-        F_q = (-mu_r * qr
-               + self.b2 * (_trapz_dot(h, a * qvec)
-                            - self.corr * self.qs2 * (self.nu2_qr / self.denom) * Iq)
-               + self.beta * self.qs2 * self.v1_qr)
-        return F_R, F_C, F_q
+    def _row(self, r: int):
+        """Evaluate row s = t_r once: mu, Hhat, the soft drive, the stacked
+        right-hand side F = [F_R; F_C] over columns 0..r, and F_q."""
+        m, h = r + 1, self.grid.h
+        wR, Iq, mu, hhat, drive = self._memory(r)
+        nu2 = self.W[0, :m]
+        wa = wR * nu2
+        # [int_t^s R(u,t) a(u) du; int_0^s a(u) C(u,t) du], a = R(s,.) nu''(C(s,.)):
+        # R(u,t) = 0 for u < t starts the R integral at u = t: halve it there (t > 0)
+        F = wa @ self.RC[:, :m, :m]
+        F[0, 1:] -= 0.5 * h * (self.R[r, 1:m] * nu2[1:])
+        # + int_0^t R(t,u) d(u) du, d = nu'(C(s,u)) - nu'(q(s)) nu'(q(u)) / D
+        d = self.W[1, :m] - (self.corr * self.nu1_qr / self.denom) * self.W[3, :m]
+        wd = h * d
+        wd[0] *= 0.5
+        F[1] += self.R[:m, :m] @ wd
+        F[1] -= 0.5 * h * d
+        F *= self.b2
+        F -= mu * self.RC[:, r, :m]
+        kq = self.b2 * self.corr * self.nu2_qr / self.denom * Iq
+        F[1] += (self.beta * self.v1_qr - kq) * self.q[:m]
+        Fq = (-mu * self.q[r] + self.b2 * (wa @ self.q[:m]) - self.qs2 * kq
+              + self.beta * self.qs2 * self.v1_qr)
+        return mu, hhat, drive, F, Fq
 
     # -- one row step ---------------------------------------------------------
 
-    def _advance(self, i: int, scale: float, FR, FC, Fq) -> None:
-        """Row i+1 off the diagonal, and q[i+1], from row i plus scale * F."""
-        self.R[i + 1, :i + 1] = self.R[i, :i + 1] + scale * FR
-        self.C[i + 1, :i + 1] = self.C[i, :i + 1] + scale * FC
-        self._refresh(i + 1, slice(0, i + 1))
+    def _advance(self, i: int, scale: float, F, Fq) -> None:
+        """Rows i+1 of R and C off the diagonal, and q[i+1]: row i + scale F."""
+        self.RC[:, i + 1, :i + 1] = self.RC[:, i, :i + 1] + scale * F
+        self._refresh(i + 1)
         self._set_q(i + 1, self.q[i] + scale * Fq)
 
     def _set_diag(self, r: int, k: float) -> None:
@@ -297,7 +302,7 @@ class _March:
         self.K[r] = k
         self.C[r, r] = k
         self.C[:r, r] = self.C[r, :r]
-        self._refresh(r, r)
+        self.W[:3, r] = self.one if self.hard else self._nu_at(k)
 
     def _k_solve(self, base: float, c: float, guess: float) -> float:
         """Newton solve of kappa = base - c f'(kappa) kappa (implicit K update)."""
@@ -319,46 +324,41 @@ class _March:
 
     def run(self) -> TwoTimeBundle:
         n, h = self.grid.n, self.grid.h
-        K = self.K
+        K, q = self.K, self.q
         pc_gap = 0.0
+        self.mu[0], self.Hhat[0], S_i, F_i, Fq_i = self._row(0)  # Hhat[0] = 0
         for i in range(n):
-            FR_i, FC_i, Fq_i = self._row_rhs(i, self.mu[i])
             # Euler predictor; soft: K* = K_i + h (1 - 2 f'(K*) K* + S_i)
             if self.hard:
                 k = 1.0
             else:
-                S_i = self._drive(i)
                 k = self._k_solve(K[i] + h * (1.0 + S_i), 2.0 * h, K[i])
-            self._advance(i, h, FR_i, FC_i, Fq_i)
+            self._advance(i, h, F_i, Fq_i)
             self._set_diag(i + 1, k)
-            FR_p, FC_p, Fq_p = self._row_rhs(i + 1, self._mu(i + 1))
+            F_p, Fq_p = self._row(i + 1)[3:]
+            F_p = F_p[:, :i + 1]
 
             # trapezoid corrector: it moves row i+1 by h/2 (F_p - F_i)
-            self._advance(i, 0.5 * h, FR_i + FR_p[:i + 1], FC_i + FC_p[:i + 1],
-                          Fq_i + Fq_p)
-            pc_gap = max(pc_gap, 0.5 * h * max(
-                np.abs(FR_p[:i + 1] - FR_i).max(),
-                np.abs(FC_p[:i + 1] - FC_i).max(), abs(Fq_p - Fq_i)))
+            self._advance(i, 0.5 * h, F_i + F_p, Fq_i + Fq_p)
+            pc_gap = max(pc_gap, 0.5 * h * max(np.abs(F_p - F_i).max(),
+                                               abs(Fq_p - Fq_i)))
             if not self.hard:
-                fk_i = f_prime(self.params, K[i])
-                base = K[i] + 0.5 * h * (
-                    (1.0 - 2.0 * fk_i * K[i] + S_i) + (1.0 + self._drive(i + 1)))
+                base = K[i] + 0.5 * h * ((1.0 - 2.0 * self.mu[i] * K[i] + S_i)
+                                         + (1.0 + self._memory(i + 1)[4]))
                 k = self._k_solve(base, h, k)
             self._set_diag(i + 1, k)
-            self.mu[i + 1] = self._mu(i + 1)
-
-            worst = max(abs(self.C[i + 1, : i + 2]).max(),
-                        abs(self.R[i + 1, : i + 2]).max(),
-                        abs(self.q[i + 1]), abs(K[i + 1]))
-            if not np.isfinite(worst) or worst > _BLOWUP:
-                raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): |value| = {worst:g}")
             # row i+1 is final: later rows only write C right of its diagonal
-            self.Hhat[i + 1] = self.beta * self._zint(i + 1, self.nu1C, self.nu1_qr)
+            self.mu[i + 1], self.Hhat[i + 1], S_i, F_i, Fq_i = self._row(i + 1)
+
+            sizes = abs(self.RC[:, i + 1, :i + 2]).max(), abs(q[i + 1]), abs(K[i + 1])
+            if not all(size <= _BLOWUP for size in sizes):  # a NaN fails this too
+                raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): "
+                                   f"|value| = {np.max(sizes):g}")
 
         return TwoTimeBundle(
             grid=self.grid,
-            R=self.R, C=self.C, q=self.q, K=K, mu=self.mu,
-            H=self.Hhat + self.v.value(self.q), Hhat=self.Hhat,
+            R=self.R, C=self.C, q=q, K=K, mu=self.mu,
+            H=self.Hhat + self.v.value(q), Hhat=self.Hhat,
             pc_gap=float(pc_gap), params=self.params, nu=self.nu,
         )
 

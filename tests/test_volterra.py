@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spinband.errors import GridMismatch, NotConverged, StepUnstable
-from spinband.model import Confinement, MixingFunction, ModelParams
+from spinband.model import (Confinement, MixingFunction, ModelParams, f_prime,
+                             vstar_build)
 from spinband.volterra import (_BOUND_ROWS, TwoTimeGrid, _March, check_bundle,
                                integrated_response, response_integral_bound,
                                soft_hard_gap, solve_hard, solve_soft)
@@ -164,6 +167,85 @@ def test_blowup_guard_trips():
                       confinement=Confinement.hard())
     with pytest.raises(StepUnstable):
         solve_hard(prm, nu, TwoTimeGrid.from_T(6.0, 0.05))
+
+
+@pytest.mark.parametrize("where", ["R", "q", "K"])
+def test_blowup_guard_trips_on_a_nan_in_any_one_value(mixed_mixing, where):
+    """A NaN in only R's row, only q or only K of a finished row raises
+    StepUnstable (Python's max drops a NaN that is not its first argument)."""
+    class Poisoned(_March):
+        def _row(self, r):
+            out = super()._row(r)
+            if r == 3:  # the corrector overwrites the predicted row's NaN
+                arr, idx = {"R": (self.R, (3, 1)), "q": (self.q, 3),
+                            "K": (self.K, 3)}[where]
+                arr[idx] = np.nan
+            return out
+
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.5, E_star=0.3, G_star=0.8,
+                      confinement=Confinement.hard())
+    with pytest.raises(StepUnstable, match=r"row 3 .*nan"):
+        Poisoned(prm, mixed_mixing, TwoTimeGrid.from_T(0.2, 0.02)).run()
+
+
+def _reference_row(b, corr):
+    """mu, Hhat, the soft drive, F_R, F_C and F_q of the last row s = t_n of a
+    bundle, one loop per trapezoid integral, straight from the module
+    docstring's equations (corr = 0: no subtraction terms and v = 0)."""
+    nu, prm, h, s = b.nu, b.params, b.grid.h, b.grid.n
+    R, C, q, beta, b2 = b.R, b.C, b.q, prm.beta, prm.beta ** 2
+    v = vstar_build(nu, prm.q_star, corr * prm.E_star, corr * prm.G_star)
+    D, qs2 = nu.nu(prm.q_star ** 2, 1), prm.q_star ** 2
+    n1, n2, qs = (lambda x: nu.nu(x, 1)), (lambda x: nu.nu(x, 2)), q[s]
+    vq = v.derivative(qs)
+
+    def trap(lo, hi, f):
+        return h * sum((0.5 if u in (lo, hi) else 1.0) * f(u)
+                       for u in range(lo, hi + 1)) if hi > lo else 0.0
+
+    def energy(row, u):  # R(row,u) [nu'(C(s,u)) - nu'(q(s)) nu'(q(u)) / D]
+        return R[row, u] * (n1(C[s, u]) - corr * n1(qs) * n1(q[u]) / D)
+
+    memory = trap(0, s, lambda u: R[s, u] * (nu.psi(C[s, u])
+                                              - corr * nu.psi(qs) * n1(q[u]) / D))
+    mu = (0.5 + b2 * memory + beta * qs * vq if b.constraint == "hard"
+          else f_prime(prm, b.K[s]))
+    FR = [-mu * R[s, t] + b2 * trap(t, s, lambda u: R[u, t] * R[s, u] * n2(C[s, u]))
+          for t in range(s + 1)]
+    FC = [-mu * C[s, t]
+          + b2 * trap(0, s, lambda u: R[s, u] * (n2(C[s, u]) * C[u, t] - corr * q[t]
+                                                 * n1(q[u]) * n2(qs) / D))
+          + b2 * trap(0, t, lambda u: energy(t, u))
+          + beta * q[t] * vq for t in range(s + 1)]
+    Fq = (-mu * qs + b2 * trap(0, s, lambda u: R[s, u] * (
+        q[u] * n2(C[s, u]) - corr * qs2 * n1(q[u]) * n2(qs) / D)) + beta * qs2 * vq)
+    return (mu, beta * trap(0, s, lambda u: energy(s, u)),
+            2.0 * (b2 * memory + beta * qs * vq), np.array([FR, FC]), Fq)
+
+
+@given(pure=st.booleans(), hard=st.booleans(), conditioned=st.booleans(),
+       beta=st.floats(0.2, 1.2), q_star=st.floats(0.8, 1.0),
+       frac=st.floats(-1.0, 1.0), E=st.floats(-0.3, 0.3), G=st.floats(-0.5, 1.0),
+       L=st.floats(10.0, 50.0), h=st.floats(0.01, 0.05))
+@settings(max_examples=60, deadline=None)
+def test_row_matches_a_looped_reference(pure, hard, conditioned, beta, q_star, frac,
+                                        E, G, L, h):
+    """The march's one weighted evaluation of its last row (n = 12) equals the
+    looped trapezoid sums to 1e-13, and its nu'', nu', psi rows and nu'(q)
+    are bitwise MixingFunction's."""
+    nu = MixingFunction((0.0, 0.125) if pure else (0.0625, 0.0625))
+    if pure:
+        G = 3.0 * E / q_star ** 2
+    conf = Confinement.hard() if hard else Confinement.soft(L, 1)
+    prm = ModelParams(beta=beta, q_star=q_star, q_o=frac * q_star, E_star=E,
+                      G_star=G, confinement=conf)
+    march = _March(prm, nu, TwoTimeGrid(h, 12), conditioned=conditioned)
+    b = march.run()
+    got, want = march._row(12), _reference_row(b, 1.0 if conditioned else 0.0)
+    for g, w in zip(got, want):
+        assert_allclose(g, w, rtol=0, atol=1e-13)
+    C, q = b.C[12], b.q
+    assert_array_equal(march.W, [nu.nu(C, 2), nu.nu(C, 1), nu.psi(C), nu.nu(q, 1)])
 
 
 def test_soft_k_newton_cap_raises(sk_mixing):
