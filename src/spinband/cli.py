@@ -201,16 +201,20 @@ def parse_config(path: str | Path, command: str | None = None,
 # serialization
 # --------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_FMT = "%.17g"  # 17 significant digits round-trip every float64
 
 
 def write_matrix_csv(path: Path, M) -> None:
-    """Triplet dump of every entry: header then one 'i,j,value' row each."""
+    """Triplet dump of every entry: header then one 'i,j,value' row each.
+
+    Each matrix row is one %-format of a template holding its lines."""
+    import numpy as np
+    M = np.asarray(M)
+    cells = ["", *(f",{j},{_FMT}\n" for j in range(M.shape[-1]))]
     with open(path, "w") as f:
         f.write("i,j,value\n")
         for i, row in enumerate(M):
-            f.write("".join(f"{i},{j},{_fmt(v)}\n" for j, v in enumerate(row)))
+            f.write(str(i).join(cells) % tuple(row.tolist()))
 
 
 def read_matrix_csv(path: Path, n: int):
@@ -234,10 +238,13 @@ def read_matrix_csv(path: Path, n: int):
 
 
 def write_series_csv(path: Path, names, columns) -> None:
+    """One header line, then one line per row of the equal-length columns,
+    each one %-format (numpy scalars format as the floats they hold)."""
+    line = ",".join([_FMT] * len(columns)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*columns, strict=True):
+            f.write(line % row)
 
 
 def read_series_csv(path: Path) -> dict:

@@ -54,6 +54,7 @@ __all__ = [
 _BUDGET = 2 << 30  # bytes of coupling storage while sampling
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 _ROW_BLOCK = 1 << 14  # most store entries ranked per block while sampling
+_OBS_BLOCK = 32  # snapshot rows of C per einsum in empirical_observables
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -373,7 +374,8 @@ def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
                 L = (L[:, :, None] * X[:, None, :]).reshape(R, -1)
             V = J.fold(X)(L, J.tensors[p])
         H += b * np.einsum("ri,ri->r", V, X)
-        grad += (b * p) * V
+        V *= b * p
+        grad += V
     return H, grad
 
 
@@ -448,7 +450,9 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     Replica r draws its own stream seeded by (config.seed, r); the initial
     point is drawn from the same stream before stepping, so two runs with
     equal seeds share noise realizations exactly.  Increments are drawn in
-    blocks of _NOISE_BLOCK steps per replica, equal to one draw per step.
+    blocks of _NOISE_BLOCK steps per replica, equal to one draw per step,
+    each straight into the replica's row of one preallocated buffer.  X and
+    B are updated in place.
 
     ``noise``, when given, must hold the Brownian increments for every step,
     shape (n_steps, replicas, N); the per-replica generators then only supply
@@ -479,9 +483,13 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     Ks = np.empty((n_snap + 1, R))
     Hs = np.empty((n_snap + 1, R))
     beta = prm.beta
+    if noise is None:
+        block = np.empty((R, _NOISE_BLOCK, N))
+        incs = block.transpose(1, 0, 2)  # step-major, as ``noise`` is
+    drift = np.empty((R, N))
     for step in range(config.n_steps + 1):
         K = np.einsum("ri,ri->r", X, X) / N
-        if not np.all(np.isfinite(K)) or K.max() > 1e6:
+        if not K.max() <= 1e6:  # a NaN fails the comparison too
             raise Blowup(f"radial blow-up after step {step}: "
                          f"K = {K.max():g}")
         Hv, grad = hamiltonian_and_grad_batch(J, X)
@@ -493,13 +501,19 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
         j = step % _NOISE_BLOCK
         if j == 0:
             if noise is None:
-                incs = np.stack([g.standard_normal((_NOISE_BLOCK, N))
-                                 for g in rngs], axis=1) * math.sqrt(dt)
+                for g, out in zip(rngs, block):
+                    g.standard_normal(out=out)
+                block *= math.sqrt(dt)
             else:
                 incs = noise[step:step + _NOISE_BLOCK]
-        drift = -f_prime(prm, K)[:, None] * X - beta * grad
-        X = X + dt * drift + incs[j]
-        B = B + incs[j]
+        # X + dt (-f'(K) X - beta grad) + dB, rounded in that order
+        np.multiply(-f_prime(prm, K)[:, None], X, out=drift)
+        grad *= beta
+        drift -= grad
+        drift *= dt
+        X += drift
+        X += incs[j]
+        B += incs[j]
     return Trajectory(times=times, X=Xs, B=Bs, K=Ks, H=Hs, config=config,
                       params=prm)
 
@@ -521,14 +535,44 @@ def empirical_observables(traj: Trajectory) -> EmpiricalBundle:
     """C_N, chi_N, q_N, H_N per replica plus their replica averages; q_N is
     the overlap with the run's conditioning point x_star."""
     N = traj.X.shape[2]
-    C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
-    chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
+    C, chi = _replica_products(traj.X, traj.B)
+    C /= N
+    chi /= N
     sigma = star_point(N, traj.params.q_star)
     q = np.einsum("sri,i->rs", traj.X, sigma) / N
     H = traj.H.T.copy()  # row-major, so H.mean(axis=0) sums replicas in order
     return EmpiricalBundle(times=traj.times, C=C, chi=chi, q=q, H=H,
                            C_avg=C.mean(axis=0), chi_avg=chi.mean(axis=0),
                            q_avg=q.mean(axis=0), H_avg=H.mean(axis=0))
+
+
+def _replica_products(X: np.ndarray, B: np.ndarray):
+    """Per replica r, C[r] = X_r X_r^T and chi[r] = X_r B_r^T over snapshots.
+
+    Each replica's X and B are copied out once, contiguous, and every
+    product is a two-operand einsum over them: no BLAS, so the bytes do not
+    depend on the thread count.  C is symmetric bitwise (each entry sums
+    the same products in the same order), so only its lower triangle is
+    computed, _OBS_BLOCK rows at a time, and each block is mirrored.  Both
+    keep the replica axis innermost, as the three-operand einsum
+    "sri,tri->rst" lays its result out, so their replica means sum in the
+    order that einsum's result does.
+    """
+    S, R, N = X.shape
+    C = np.empty((S, S, R)).transpose(2, 0, 1)
+    chi = np.empty((S, S, R)).transpose(2, 0, 1)
+    x, b = np.empty((S, N)), np.empty((S, N))
+    for r in range(R):
+        x[...], b[...] = X[:, r], B[:, r]
+        # fresh contiguous results, copied in: an einsum into a strided
+        # out= sums in another order
+        chi[r] = np.einsum("si,ti->st", x, b)
+        for lo in range(0, S, _OBS_BLOCK):
+            hi = min(lo + _OBS_BLOCK, S)
+            rows = np.einsum("si,ti->st", x[lo:hi], x[:hi])
+            C[r, lo:hi, :hi] = rows
+            C[r, :hi, lo:hi] = rows.T
+    return C, chi
 
 
 def _snap_indices(times: np.ndarray, limit: TwoTimeBundle) -> np.ndarray:

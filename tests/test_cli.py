@@ -14,7 +14,7 @@ import pytest
 import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
                           read_series_csv, read_two_time, save_bundle,
-                          write_matrix_csv)
+                          write_matrix_csv, write_series_csv)
 from spinband.errors import ParseError, ValidationError
 
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
@@ -612,6 +612,32 @@ def test_matrix_csv_guards(tmp_path):
     bad.write_text("i,j,value\n0,0,1.0\n1,0,2.0\n1,0,2.0\n")
     with pytest.raises(ParseError, match="once, read 3 lines"):
         read_matrix_csv(bad, 1)
+
+
+def test_writers_match_the_per_entry_format(tmp_path):
+    """The row-at-a-time writers give the bytes of formatting entry by
+    entry with %.17g: signed zeros, a subnormal, +-1e308 and integer
+    columns, whether held as floats, int64 or Python ints."""
+    M = np.array([[0.0, -0.0, 5e-324, 1e308, 3.0],
+                  [-1e308, 1.0 / 3.0, -2.5e-310, 7.0, -4.0],
+                  [math.pi, -0.1, 1e-300, 2.0 ** 60, 0.0]])
+    write_matrix_csv(tmp_path / "m.csv", M)
+    want = "i,j,value\n" + "".join(f"{i},{j},{'%.17g' % v}\n"
+                                   for i, row in enumerate(M)
+                                   for j, v in enumerate(row))
+    assert (tmp_path / "m.csv").read_text() == want
+    columns = (np.arange(3), [7, -8, 2 ** 40], *M.T)
+    names = [f"c{k}" for k in range(len(columns))]
+    write_series_csv(tmp_path / "s.csv", names, columns)
+    want = ",".join(names) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+    assert (tmp_path / "s.csv").read_text() == want
+
+
+def test_series_writer_refuses_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_series_csv(tmp_path / "s.csv", ("a", "b"),
+                         (np.arange(3.0), np.arange(2.0)))
 
 
 def test_threads_flag_sets_environment(tmp_path):

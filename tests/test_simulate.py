@@ -16,7 +16,8 @@ from numpy.testing import assert_allclose
 from spinband import simulate
 from spinband.errors import (Blowup, GridMismatch, HardConstraint,
                              SizeOverflow, SpinbandError, ValidationError)
-from spinband.model import Confinement, MixingFunction, ModelParams, validate
+from spinband.model import (Confinement, MixingFunction, ModelParams,
+                            f_prime, validate)
 from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                condition_disorder,
                                conditional_hessian_spectrum,
@@ -297,7 +298,8 @@ def test_conditioning_is_exact_for_random_mixtures(weights, N, q_star, E, G,
 _SIMULATE_DIGEST = """
 import hashlib, sys
 from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.simulate import (SimConfig, condition_disorder, run_langevin,
+from spinband.simulate import (SimConfig, condition_disorder,
+                               empirical_observables, run_langevin,
                                sample_disorder)
 N = int(sys.argv[1])
 nu = MixingFunction((0.0, 0.125))
@@ -305,18 +307,21 @@ prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
                   G_star=3.0 * 0.2 / 0.81, confinement=Confinement.soft(100.0, 1))
 J = condition_disorder(sample_disorder(N, nu, 11), prm)
 traj = run_langevin(J, prm, SimConfig(N=N, dt=5e-4, T=0.05, seed=3, replicas=8))
+emp = empirical_observables(traj)
 d = hashlib.sha256()
 for name in ("X", "B", "K", "H"):
     d.update(getattr(traj, name).tobytes())
+for name in ("C", "chi"):
+    d.update(getattr(emp, name).tobytes())
 print(d.hexdigest())
 """
 
 
 @pytest.mark.parametrize("N", [100, 160, 200])
 def test_simulate_is_bitwise_independent_of_blas_threads(N):
-    """A pure p = 3 run with 8 replicas and 100 steps gives equal bytes
-    under 1 and 2 OpenBLAS threads, at the simulate-p3 size N = 160 and
-    at sizes on either side of it."""
+    """A pure p = 3 run with 8 replicas and 100 steps, and its empirical C
+    and chi, give equal bytes under 1 and 2 OpenBLAS threads, at the
+    simulate-p3 size N = 160 and at sizes on either side of it."""
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -647,6 +652,108 @@ def test_recorded_energies_match_the_kernel(mixed_mixing, monkeypatch):
                               -hamiltonian_and_grad_batch(J, traj.X[s])[0] / N)
     emp = empirical_observables(traj)
     assert np.array_equal(emp.H, traj.H.T)
+
+
+def _allocating_run(J, prm, config, noise=None):
+    """run_langevin's step loop with a fresh array for every operation, and
+    the kernel's allocating gradient sum (orders 2 and 3): the reference
+    the in-place loop must match bitwise."""
+    prm = validate(prm, MixingFunction(J.coeffs_sq))
+    N, R, dt = config.N, config.replicas, config.dt
+    rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
+    X = np.stack([simulate._initial_from_rng(g, N, prm.q_star, prm.q_o)
+                  for g in rngs])
+    B = np.zeros((R, N))
+    Xs, Bs, Ks, Hs = [], [], [], []
+    for step in range(config.n_steps + 1):
+        K = np.einsum("ri,ri->r", X, X) / N
+        H, grad = np.zeros(R), np.zeros((R, N))
+        for p in J.active_orders():
+            b = J.weight(p)
+            V = X @ J.tensors[2] if p == 2 else J.fold(X)(X, J.tensors[3])
+            H += b * np.einsum("ri,ri->r", V, X)
+            grad += (b * p) * V
+        if step % config.snap_stride == 0:
+            Xs.append(X), Bs.append(B), Ks.append(K), Hs.append(-H / N)
+        if step == config.n_steps:
+            break
+        j = step % simulate._NOISE_BLOCK
+        if j == 0:
+            if noise is None:
+                incs = np.stack([g.standard_normal((simulate._NOISE_BLOCK, N))
+                                 for g in rngs], axis=1) * math.sqrt(dt)
+            else:
+                incs = noise[step:step + simulate._NOISE_BLOCK]
+        drift = -f_prime(prm, K)[:, None] * X - prm.beta * grad
+        X = X + dt * drift + incs[j]
+        B = B + incs[j]
+    return [np.array(a) for a in (Xs, Bs, Ks, Hs)]
+
+
+@pytest.mark.parametrize("supplied", [False, True])
+@pytest.mark.parametrize("weights", [(0.125,), (0.0625, 0.0625)])
+def test_in_place_steps_match_the_allocating_loop(weights, supplied):
+    """45 steps (the last noise block partial), snapshots every 5: X, B, K
+    and H equal the allocating loop's bytes, with generator noise and with
+    supplied increments, at p = 2 and for the (2, 3) mixture."""
+    # G* = 2 E*/q*^2, as the pure p = 2 model needs
+    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
+                      G_star=0.6 / 0.81, confinement=Confinement.soft(20.0, 1))
+    N, R = 12, 3
+    J = condition_disorder(sample_disorder(N, MixingFunction(weights), 4), prm)
+    cfg = SimConfig(N=N, dt=0.01, T=0.45, seed=8, replicas=R, snap_stride=5)
+    assert cfg.n_steps == 45 and cfg.n_steps % simulate._NOISE_BLOCK
+    noise = None
+    if supplied:
+        noise = np.random.default_rng(5).standard_normal((45, R, N)) * 0.1
+    traj = run_langevin(J, prm, cfg, noise=noise)
+    ref = _allocating_run(J, prm, cfg, noise)
+    for name, want in zip(("X", "B", "K", "H"), ref):
+        got = getattr(traj, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def _trajectory(S, R, N, seed):
+    rng = np.random.default_rng(seed)
+    cfg = SimConfig(N=N, dt=0.01, T=0.01 * (S - 1), seed=0, replicas=R)
+    return simulate.Trajectory(
+        times=np.arange(S) * 0.01, X=rng.standard_normal((S, R, N)),
+        B=rng.standard_normal((S, R, N)).cumsum(axis=0),
+        K=rng.random((S, R)), H=rng.standard_normal((S, R)), config=cfg,
+        params=ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
+                           G_star=0.8, confinement=Confinement.soft(20.0, 1)))
+
+
+@pytest.mark.parametrize("R", [1, 8])
+@pytest.mark.parametrize("S", [11, 201])
+def test_observables_are_the_three_operand_einsum(S, R):
+    """Per replica, C and chi have the bytes of the einsum "sri,tri->rst"
+    over all snapshots at once (divided by N), and so do the replica
+    means: 11 snapshots fit one row block of C, 201 make six full blocks
+    and a partial one."""
+    N = 100
+    traj = _trajectory(S, R, N, S * R)
+    C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
+    chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
+    emp = empirical_observables(traj)
+    for r in range(R):
+        assert emp.C[r].tobytes() == C[r].tobytes()
+        assert emp.chi[r].tobytes() == chi[r].tobytes()
+    assert emp.C_avg.tobytes() == C.mean(axis=0).tobytes()
+    assert emp.chi_avg.tobytes() == chi.mean(axis=0).tobytes()
+
+
+def test_blowup_guard_trips_on_a_nan_in_a_later_replica(sk_mixing):
+    """A NaN increment in replica 2 of 4 makes its K NaN at the next step,
+    and the guard, one reduction over all replicas, raises on it."""
+    prm = soft_params()
+    N, R = 12, 4
+    J = condition_disorder(sample_disorder(N, sk_mixing, 3), prm)
+    cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=8, replicas=R)
+    noise = np.random.default_rng(2).standard_normal((20, R, N)) * 0.1
+    noise[6, 2, 5] = np.nan
+    with pytest.raises(Blowup, match="after step 7"):
+        run_langevin(J, prm, cfg, noise=noise)
 
 
 def test_rotations_about_the_conditioning_axis(sk_mixing):
