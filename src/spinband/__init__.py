@@ -51,6 +51,7 @@ _EXPORTS = {
     "condition_disorder": "simulate",
     "run_langevin": "simulate",
     "empirical_observables": "simulate",
+    "limit_at_snapshots": "simulate",
     "error_functional": "simulate",
     "conditional_hessian_spectrum": "simulate",
     "SpinbandError": "errors",

@@ -54,6 +54,7 @@ class RunConfig:
     nu: Any = None            # MixingFunction
     params: Any = None        # resolved ModelParams
     grid: Any = None          # TwoTimeGrid or None
+    sk: Any = None            # SkParams for sk and for compare against sk
     sim: dict | None = None
     fdt: dict = field(default_factory=dict)
     compare: dict = field(default_factory=dict)
@@ -187,14 +188,27 @@ def parse_config(path: str | Path, command: str | None = None,
         if kind != "soft":
             raise ParseError("simulate needs a soft 'constraint' block")
 
-    if command in ("sk", "compare") and _block(raw, "compare").get("against", "sk") == "sk":
+    compare = _block(raw, "compare")
+    against = compare.get("against", "sk")
+    if command == "compare" and against not in ("sk", "soft"):
+        raise ParseError(f"'compare.against' must be sk|soft, got '{against}'")
+    if command == "compare" and against == "soft" and kind != "soft":
+        raise ValidationError("compare against=soft needs a soft constraint")
+    sk = None
+    if command == "sk" or (command == "compare" and against == "sk"):
+        from .sk import SkParams
         if nu.coeffs_sq != (0.125,):
             raise ValidationError(
                 "the closed form covers the two-body mixing r^2/8 only "
                 "(coeffs_sq == [0.125])")
+        try:  # rejected here, not after a general march in compare
+            sk = SkParams(beta=params.beta, G_star=params.G_star,
+                          q_star=params.q_star, q_o=params.q_o)
+        except SpinbandError as e:
+            raise ValidationError(f"sk model rejected: {e}") from e
 
     return RunConfig(command=command, raw=raw, nu=nu, params=params, grid=grid,
-                     sim=sim, fdt=_block(raw, "fdt"), compare=_block(raw, "compare"))
+                     sk=sk, sim=sim, fdt=_block(raw, "fdt"), compare=compare)
 
 
 # --------------------------------------------------------------------------
@@ -522,19 +536,13 @@ def _run_fdt(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _sk_params(cfg: RunConfig):
-    from .sk import SkParams
-    p = cfg.params
-    return SkParams(beta=p.beta, G_star=p.G_star, q_star=p.q_star, q_o=p.q_o)
-
-
 def _run_sk(cfg: RunConfig, out: Path) -> int:
     import numpy as np
     from .sk import (resolvent_root, sk_asymptotics, solve_two_time,
                      superposition_gap)
 
     t0 = time.monotonic()
-    pars = _sk_params(cfg)
+    pars = cfg.sk
     sol = solve_two_time(pars, cfg.grid)
     _write_two_time(out, sol.R, sol.C)
     ones = np.ones(cfg.grid.n + 1)
@@ -559,7 +567,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
     from .simulate import (SimConfig, condition_disorder,
                            empirical_observables, error_functional,
-                           run_langevin, sample_disorder)
+                           limit_at_snapshots, run_langevin, sample_disorder)
     from .volterra import solve_soft
 
     t0 = time.monotonic()
@@ -597,7 +605,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     t3 = time.monotonic()
     extra = {}
     if cfg.grid is not None:
-        limit = solve_soft(cfg.params, cfg.nu, cfg.grid)
+        limit = limit_at_snapshots(emp.times, solve_soft(cfg.params, cfg.nu, cfg.grid))
         err = error_functional(emp, limit)
         per = error_functional(emp, limit, per_replica=True)
         extra["error_functional"] = err
@@ -628,6 +636,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_compare(cfg: RunConfig, out: Path) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     from .sk import solve_two_time
     from .volterra import check_bundle, compare_bundles, solve_hard, solve_soft
 
@@ -635,17 +645,20 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     tol = float(cfg.compare.get("tol", 5e-3))
     against = cfg.compare.get("against", "sk")
     if against == "sk":
-        a = (solve_soft if not cfg.params.confinement.is_hard
-             else solve_hard)(cfg.params, cfg.nu, cfg.grid)
-        b = solve_two_time(_sk_params(cfg), cfg.grid)
-    elif against == "soft":
-        if cfg.params.confinement.is_hard:
-            raise ValidationError("compare against=soft needs a soft constraint")
+        # the oracle makes no BLAS call, so it marches on a worker thread
+        # while this thread's march keeps its BLAS calls and their bits;
+        # leaving the block joins the worker, also when either side raises
+        with ThreadPoolExecutor(1) as pool:
+            oracle = pool.submit(solve_two_time, cfg.sk, cfg.grid)
+            a = (solve_soft if not cfg.params.confinement.is_hard
+                 else solve_hard)(cfg.params, cfg.nu, cfg.grid)
+            b = oracle.result()
+        del oracle  # it holds b as well
+    else:  # two BLAS marches, one after the other
         a = solve_hard(cfg.params, cfg.nu, cfg.grid)  # swaps in the hard constraint
         b = solve_soft(cfg.params, cfg.nu, cfg.grid)
-    else:
-        raise ParseError(f"'compare.against' must be sk|soft, got '{against}'")
     report = compare_bundles(a, b, tol)
+    del b  # two (n+1)^2 arrays fewer under the audit's temporaries
     report["against"] = against
     report["audit"] = check_bundle(a).as_dict()
     _write_json(out / "report.json", report)

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import (Blowup, GridMismatch, HardConstraint, RankDeficient,
                      SizeOverflow, ValidationError)
 from .model import MixingFunction, ModelParams, f_prime, validate, vstar_build
-from .volterra import TwoTimeBundle, integrated_response
+from .volterra import TwoTimeBundle, _cumtrapz
 
 __all__ = [
     "Disorder",
@@ -47,6 +47,7 @@ __all__ = [
     "sample_initial",
     "run_langevin",
     "empirical_observables",
+    "limit_at_snapshots",
     "error_functional",
     "conditional_hessian_spectrum",
 ]
@@ -584,18 +585,33 @@ def _snap_indices(times: np.ndarray, limit: TwoTimeBundle) -> np.ndarray:
     return idx
 
 
-def error_functional(emp: EmpiricalBundle, limit: TwoTimeBundle,
-                     per_replica: bool = False):
+def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
+    """(C, chi, q, H) of a limit solve at the snapshot times.
+
+    chi(s, t) = int_0^{min(s,t)} R(s, u) du is the cumulative trapezoid of
+    the snapshot rows of R only, read at min(s, t), with the bits of
+    integrated_response and no (n+1)^2 temporary.
+    """
+    idx = _snap_indices(times, limit)
+    cum = _cumtrapz(limit.R[idx], limit.grid.h)
+    chi = np.empty((idx.size, idx.size))
+    for a, i in enumerate(idx):
+        np.take(cum[a], np.minimum(idx, i), out=chi[a])
+    return limit.C[np.ix_(idx, idx)], chi, limit.q[idx], limit.H[idx]
+
+
+def error_functional(emp: EmpiricalBundle, limit, per_replica: bool = False):
     """Capped sup-norm discrepancy between empirical and limiting dynamics.
 
     Replica-averaged by default (the error of the averaged observables);
     with ``per_replica`` an array of one value per replica is returned.
+    ``limit`` is the TwoTimeBundle of the limit solve, or the
+    limit_at_snapshots(emp.times, bundle) tuple that a caller taking both
+    forms builds once.
     """
-    idx = _snap_indices(emp.times, limit)
-    Cl = limit.C[np.ix_(idx, idx)]
-    chil = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)]
-    ql = limit.q[idx]
-    Hl = limit.H[idx]
+    if isinstance(limit, TwoTimeBundle):
+        limit = limit_at_snapshots(emp.times, limit)
+    Cl, chil, ql, Hl = limit
 
     def err(Ce, chie, qe, He):
         return (min(np.abs(Ce - Cl).max(), 1.0)

@@ -20,6 +20,12 @@ its damped version, and the symmetric kernel M solves the linear system
 started from M(0) = q_star^2 - q_o^2.  Everything downstream (mu, H, the
 localized overlap alpha, the lag correlation) follows in closed form, giving
 independent targets for the general solver and the FDT analysis.
+
+The march (march_covariance) is a trapezoid predictor-corrector whose
+memory term is a convolution in the first time argument.  The rows that
+are final before a step are summed against the kernel once per step, not
+once per right-hand side, and the march makes no BLAS call, so its bits do
+not depend on the BLAS thread count or on the thread it runs on.
 """
 
 from __future__ import annotations
@@ -211,6 +217,11 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     ``m0`` is M(0,0) and ``qo_sq`` the constant source in the diagonal ODE.
     The equations are linear in (m0, qo_sq), and the discrete scheme
     preserves that linearity exactly, which the superposition audit uses.
+
+    Row r's memory sum sum_{j<=r} L_G(r-j) M[j, :r+1] is needed twice, on
+    the predicted and on the corrected row r.  Rows j < r are final by
+    then, so their share is summed once per step and only the row-r terms
+    are added per call; the sums are taken in the same order either way.
     """
     h, n = grid.h, grid.n
     b2 = beta * beta
@@ -218,14 +229,14 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
     M = np.zeros((n + 1, n + 1))
     M[0, 0] = m0
 
-    def rhs(r):
-        a = lg[r::-1]
-        blk = M[: r + 1, : r + 1]
-        # the reversed view a is not BLAS-able, and matmul's loop for it is
-        # unblocked; einsum (no optimize) sums over j in the same order,
-        # ten times faster, and with no BLAS call stays thread-independent
-        t1 = h * np.einsum("j,ji->i", a, blk)
-        t1 -= 0.5 * h * (a[0] * M[0, : r + 1] + M[r, : r + 1])  # a[r] = 1
+    def rhs(r, old):
+        # old = sum_{j<r} lg[r-j] M[j, :r], and the j = r term has lg[0] = 1;
+        # on the strided column einsum sums j in order, as the row sums do
+        t1 = np.empty(r + 1)
+        np.add(old, M[r, :r], out=t1[:r])
+        t1[r] = np.einsum("j,j->", lg[r::-1], M[: r + 1, r])
+        t1 *= h
+        t1 -= 0.5 * h * (lg[r] * M[0, : r + 1] + M[r, : r + 1])
         col = M[: r + 1, r]
         t2 = h * (_prefix_conv(lg[: r + 1], col)
                   - 0.5 * (lg[: r + 1] * col[0] + col))
@@ -233,12 +244,19 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
         f_diag = qo_sq + (1.0 - 2.0 * beta * G) * M[r, r] + b2 * t1[r]
         return f_off, f_diag
 
+    old = lg[:0]
     for i in range(n):
-        f1, f1d = rhs(i)
+        f1, f1d = rhs(i, old)
+        # rows j <= i are final: their share of row i + 1's sum serves both
+        # the predicted row here and the corrected one at the next step.
+        # einsum (no optimize) sums over j in order, ten times faster than
+        # matmul's unblocked loop for the reversed view, and with no BLAS
+        # call it stays thread-independent
+        old = np.einsum("j,ji->i", lg[i + 1:0:-1], M[: i + 1, : i + 1])
         M[i + 1, : i + 1] = M[i, : i + 1] + h * f1[: i + 1]
         M[i + 1, i + 1] = M[i, i] + h * f1d
         M[: i + 2, i + 1] = M[i + 1, : i + 2]
-        f2, f2d = rhs(i + 1)
+        f2, f2d = rhs(i + 1, old)
         M[i + 1, : i + 1] = M[i, : i + 1] + 0.5 * h * (f1[: i + 1] + f2[: i + 1])
         M[i + 1, i + 1] = M[i, i] + 0.5 * h * (f1d + f2d)
         M[: i + 2, i + 1] = M[i + 1, : i + 2]

@@ -140,6 +140,69 @@ def test_compare_soft_against_hard(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["compare", "sk"])
+def test_a_bad_sk_model_is_rejected_before_any_march(tmp_path, capsys,
+                                                     monkeypatch, command):
+    """G* <= 1 has no stable well for the closed form: parse_config raises
+    ValidationError, so compare exits 1 without running the general march."""
+    import spinband.sk
+    import spinband.volterra
+
+    def never(*args, **kwargs):
+        raise AssertionError("a march ran")
+
+    for module, name in ((spinband.volterra, "solve_hard"),
+                         (spinband.sk, "solve_two_time")):
+        monkeypatch.setattr(module, name, never)
+    payload = solve_cfg()
+    payload["model"] = {**SK_MODEL, "G_star": 0.9, "E_star": 0.45}
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    with pytest.raises(ValidationError, match="G_star > 1"):
+        parse_config(cfg, command=command)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: sk model rejected"), err
+
+
+@pytest.mark.parametrize("against, error, message", [
+    ("hard", ParseError, "must be sk|soft"),
+    ("soft", ValidationError, "needs a soft constraint")])
+def test_a_bad_compare_block_is_rejected_at_parse_time(tmp_path, against,
+                                                       error, message):
+    """An unknown 'against', or 'soft' with the hard constraint, raises
+    before any march."""
+    cfg = write_cfg(tmp_path, "cmp.json", solve_cfg(compare={"against": against}))
+    with pytest.raises(error, match=message):
+        parse_config(cfg, command="compare")
+
+
+@pytest.mark.parametrize("module, name, error", [
+    ("volterra", "solve_hard", "NotConverged"),
+    ("sk", "solve_two_time", "StepUnstable")])
+def test_compare_exits_1_when_either_march_raises(tmp_path, capsys, monkeypatch,
+                                                  module, name, error):
+    """The oracle runs on a worker thread beside the general march; when
+    either raises, compare prints its error line, writes no report and
+    leaves no thread behind."""
+    import threading
+
+    import spinband.errors
+    mod = importlib.import_module(f"spinband.{module}")
+
+    def fail(*args, **kwargs):
+        raise getattr(spinband.errors, error)("injected")
+
+    monkeypatch.setattr(mod, name, fail)
+    cfg = write_cfg(tmp_path, "cmp.json", solve_cfg())
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {error}: injected\n"
+    assert threading.active_count() == threads
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
 def test_report_reaudits_a_run(tmp_path):
     cfg = write_cfg(tmp_path, "run.json", solve_cfg())
     out = tmp_path / "out"
@@ -289,7 +352,6 @@ def test_report_rejects_a_run_with_the_old_matrix_files(tmp_path, capsys):
     ("sk", None)])
 def test_rc_npy_round_trips_bitwise(tmp_path, command, constraint):
     """read_two_time returns the solver's R and C bit for bit."""
-    from spinband.cli import _sk_params
     from spinband.sk import solve_two_time
     from spinband.volterra import solve_hard, solve_soft
     cfg = write_cfg(tmp_path, "run.json", solve_cfg(constraint=constraint))
@@ -297,7 +359,7 @@ def test_rc_npy_round_trips_bitwise(tmp_path, command, constraint):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     rc = parse_config(cfg, command=command)
     if command == "sk":
-        direct = solve_two_time(_sk_params(rc), rc.grid)
+        direct = solve_two_time(rc.sk, rc.grid)
     else:
         solve = solve_hard if command == "solve-hard" else solve_soft
         direct = solve(rc.params, rc.nu, rc.grid)

@@ -23,8 +23,9 @@ from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
                                hamiltonian_and_grad,
-                               hamiltonian_and_grad_batch, run_langevin,
-                               sample_disorder, sample_initial, star_point)
+                               hamiltonian_and_grad_batch, limit_at_snapshots,
+                               run_langevin, sample_disorder, sample_initial,
+                               star_point)
 from spinband.volterra import TwoTimeGrid, integrated_response, solve_soft
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -831,6 +832,26 @@ def test_error_functional_properties(sk_mixing):
     bad = _bundle_from_limit(limit, times + 0.013, idx)
     with pytest.raises(GridMismatch):
         error_functional(bad, limit)
+
+
+@pytest.mark.parametrize("idx", [
+    np.arange(0, 11, 2), np.arange(11), np.array([0, 7, 3, 10, 3]), np.array([4])])
+def test_limit_at_snapshots_reads_the_full_limit(sk_mixing, idx):
+    """The snapshot rows' trapezoid read at min(s, t) has the bytes of
+    integrated_response on the whole grid, also for unsorted snapshots."""
+    limit = solve_soft(soft_params(L=100.0), sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
+    C, chi, q, H = limit_at_snapshots(limit.grid.times()[idx], limit)
+    full = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)]
+    assert chi.tobytes() == full.tobytes()
+    assert C.tobytes() == limit.C[np.ix_(idx, idx)].tobytes()
+    assert q.tobytes() == limit.q[idx].tobytes()
+    assert H.tobytes() == limit.H[idx].tobytes()
+    emp = _bundle_from_limit(limit, limit.grid.times()[idx], idx)
+    emp.chi_avg = emp.chi_avg + 0.25
+    built = (C, chi, q, H)
+    assert error_functional(emp, built) == error_functional(emp, limit) > 0.2
+    assert error_functional(emp, built, per_replica=True).tobytes() == \
+        error_functional(emp, limit, per_replica=True).tobytes()
 
 
 def test_simulation_tracks_the_limit(sk_mixing):

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinband.errors import Delocalized, DomainError, StepUnstable
-from spinband.sk import (SkParams, damped_mgf, energy_from_mu,
+from spinband.sk import (SkParams, _prefix_conv, damped_mgf, energy_from_mu,
                          fdt_consistency, march_covariance, mgf_tail_integral,
                          resolvent_root, semicircle_mgf, sk_asymptotics,
                          solve_two_time, stationary_covariance,
@@ -223,6 +223,47 @@ def test_kernel_march_blowup_guard(ref):
                          TwoTimeGrid.from_T(1.0, 0.02), blowup=0.1)
 
 
+def _two_sum_march(beta, G, m0, qo_sq, grid):
+    """The kernel march with the full memory sum taken in every rhs call."""
+    h, n = grid.h, grid.n
+    b2 = beta * beta
+    lg = damped_mgf(grid.times(), beta, G)
+    M = np.zeros((n + 1, n + 1))
+    M[0, 0] = m0
+
+    def rhs(r):
+        a = lg[r::-1]
+        t1 = h * np.einsum("j,ji->i", a, M[: r + 1, : r + 1])
+        t1 -= 0.5 * h * (a[0] * M[0, : r + 1] + M[r, : r + 1])
+        col = M[: r + 1, r]
+        t2 = h * (_prefix_conv(lg[: r + 1], col)
+                  - 0.5 * (lg[: r + 1] * col[0] + col))
+        f_off = -beta * G * M[r, : r + 1] + 0.25 * b2 * (t1 + t2)
+        f_diag = qo_sq + (1.0 - 2.0 * beta * G) * M[r, r] + b2 * t1[r]
+        return f_off, f_diag
+
+    for i in range(n):
+        f1, f1d = rhs(i)
+        M[i + 1, : i + 1] = M[i, : i + 1] + h * f1[: i + 1]
+        M[i + 1, i + 1] = M[i, i] + h * f1d
+        M[: i + 2, i + 1] = M[i + 1, : i + 2]
+        f2, f2d = rhs(i + 1)
+        M[i + 1, : i + 1] = M[i, : i + 1] + 0.5 * h * (f1[: i + 1] + f2[: i + 1])
+        M[i + 1, i + 1] = M[i, i] + 0.5 * h * (f1d + f2d)
+        M[: i + 2, i + 1] = M[i + 1, : i + 2]
+    return M
+
+
+@pytest.mark.parametrize("G", [1.0, 1.25])
+@pytest.mark.parametrize("n", [1, 2, 7, 600])
+def test_frozen_row_sum_keeps_the_march_bits(n, G):
+    """Summing the final rows once per step gives the bytes of the march
+    that sums all rows in each rhs call; n = 600 crosses the FFT switch."""
+    grid = TwoTimeGrid(0.01, n)
+    M = march_covariance(1.0, G, 0.75, 0.25, grid)
+    assert M.tobytes() == _two_sum_march(1.0, G, 0.75, 0.25, grid).tobytes()
+
+
 def test_matches_general_solver(ref, sk_params, sk_mixing):
     """Closed-form quadratic solution vs the generic conditioned march."""
     grid = TwoTimeGrid.from_T(2.0, 0.02)
@@ -263,3 +304,35 @@ def test_oracle_is_bitwise_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_THREADED_DIGEST = _ORACLE_DIGEST + """
+from concurrent.futures import ThreadPoolExecutor
+from spinband.model import Confinement, MixingFunction, ModelParams
+from spinband.volterra import solve_hard
+mixed = ModelParams(beta=1.0, q_star=0.9, q_o=0.5, E_star=0.3, G_star=0.8,
+                    confinement=Confinement.hard())
+with ThreadPoolExecutor(1) as pool:
+    oracle = pool.submit(solve_two_time, SkParams(beta=1.0, G_star=1.25),
+                         TwoTimeGrid.from_T(10.0, 0.01))
+    solve_hard(mixed, MixingFunction((0.0625, 0.0625)), TwoTimeGrid.from_T(10.0, 0.01))
+    sol = oracle.result()
+d = hashlib.sha256()
+for name in ("q", "R", "C", "mu", "H"):
+    d.update(getattr(sol, name).tobytes())
+print(d.hexdigest())
+"""
+
+
+def test_oracle_on_a_worker_thread_keeps_its_bits():
+    """compare runs the oracle on a worker thread while the general march
+    makes its BLAS calls at 2 OpenBLAS threads; the oracle's bytes are the
+    standalone ones."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    proc = subprocess.run([sys.executable, "-c", _THREADED_DIGEST],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    standalone, threaded = proc.stdout.split()
+    assert threaded == standalone
