@@ -7,7 +7,10 @@ Commands:
 * ``fdt``       -- lag-grid solve plus the derived constants.
 * ``sk``        -- two-body closed-form solve; writes metadata.json, RC.npy,
   series.csv and constants.json.
-* ``simulate``  -- conditioned finite-N Langevin runs with snapshot dumps.
+* ``simulate``  -- conditioned finite-N Langevin runs; writes metadata.json,
+  snapshots.csv, per_replica.csv, C_N.npy and chi_N.npy (the replica-averaged
+  empirical C and chi, float64 (S, S) arrays for S snapshots, read back with
+  np.load) and, with a grid block, report.json.
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
 
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import (GridMismatch, ParseError, SpinbandError, ValidationError)
+from .errors import (GridMismatch, ParseError, SizeOverflow, SpinbandError,
+                     ValidationError)
 
 COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
             "compare", "report")
@@ -221,7 +225,9 @@ _FMT = "%.17g"  # 17 significant digits round-trip every float64
 def write_matrix_csv(path: Path, M) -> None:
     """Triplet dump of every entry: header then one 'i,j,value' row each.
 
-    Each matrix row is one %-format of a template holding its lines."""
+    Each matrix row is one %-format of a template holding its lines.  No
+    command writes one (simulate stores its matrices as .npy); it and
+    read_matrix_csv stay while perfbench/tracer.py wraps them."""
     import numpy as np
     M = np.asarray(M)
     cells = ["", *(f",{j},{_FMT}\n" for j in range(M.shape[-1]))]
@@ -565,9 +571,10 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
     import numpy as np
-    from .simulate import (SimConfig, condition_disorder,
-                           empirical_observables, error_functional,
-                           limit_at_snapshots, run_langevin, sample_disorder)
+    from .simulate import (_BUDGET, SimConfig, _snapshot_bytes,
+                           condition_disorder, empirical_observables,
+                           error_functional, limit_at_snapshots, run_langevin,
+                           sample_disorder)
     from .volterra import solve_soft
 
     t0 = time.monotonic()
@@ -588,6 +595,10 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         disorder_seed = int(sim.get("disorder_seed", seed))
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"sim block malformed: {e}") from None
+    need = _snapshot_bytes(scfg)
+    if need > _BUDGET:
+        raise SizeOverflow(f"snapshots and observables need {need} bytes "
+                           f"> budget {_BUDGET}")
     if disorder_seed < 0:
         raise ValidationError("sim.disorder_seed must be nonnegative")
     if cfg.grid is not None:  # checked before the run, not after it
@@ -618,8 +629,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     write_series_csv(out / "per_replica.csv", ("replica", "t", "q_N", "H_N", "K_N"),
                      (np.repeat(np.arange(reps), snaps), np.tile(traj.times, reps),
                       emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
-    write_matrix_csv(out / "C_N.csv", emp.C_avg)
-    write_matrix_csv(out / "chi_N.csv", emp.chi_avg)
+    np.save(out / "C_N.npy", emp.C_avg)
+    np.save(out / "chi_N.npy", emp.chi_avg)
     if cfg.grid is not None:
         _write_json(out / "report.json", {
             "error_functional": err,

@@ -52,7 +52,7 @@ __all__ = [
     "conditional_hessian_spectrum",
 ]
 
-_BUDGET = 2 << 30  # bytes of coupling storage while sampling
+_BUDGET = 2 << 30  # bytes of couplings while sampling, and of snapshots
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 _ROW_BLOCK = 1 << 14  # most store entries ranked per block while sampling
 _OBS_BLOCK = 32  # snapshot rows of C per einsum in empirical_observables
@@ -149,6 +149,14 @@ def _coupling_bytes(N: int, orders) -> int:
     draw = max((N * N if p == 2 else math.comb(N + p - 1, p) for p in orders),
                default=0)
     return 8 * (stores + draw)
+
+
+def _snapshot_bytes(config: SimConfig) -> int:
+    """Bytes a run's snapshots and observables hold: the X and B snapshots
+    (S x R x N each) and C and chi per replica plus their averages
+    ((R + 1) x S x S each), for S snapshots of R replicas."""
+    S, R = config.n_steps // config.snap_stride + 1, config.replicas
+    return 8 * (2 * S * R * config.N + 2 * (R + 1) * S * S)
 
 
 def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:

@@ -488,16 +488,72 @@ def test_simulate_run(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "snapshots.csv", "per_replica.csv", "C_N.csv",
-        "chi_N.csv", "report.json"}
+        "metadata.json", "snapshots.csv", "per_replica.csv", "C_N.npy",
+        "chi_N.npy", "report.json"}
     report = json.loads((out / "report.json").read_text())
     assert report["error_functional"] <= 1.5
     assert len(report["per_replica"]) == 4
     snaps = read_series_csv(out / "snapshots.csv")
     assert snaps["t"].size == 11
     assert abs(snaps["q_N"][0] - 0.5) <= 1e-12
-    C = read_matrix_csv(out / "C_N.csv", 10)
+    C = np.load(out / "C_N.npy")
     assert abs(C[0, 0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("model, grid", [
+    (SK_MODEL, {"T": 0.2, "h": 0.02}),
+    ({"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
+      "E_star": 0.2, "G_star": 0.6}, None),
+], ids=["p2-grid", "p3-no-grid"])
+def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid):
+    """C_N.npy and chi_N.npy hold, byte for byte, the replica-averaged C and
+    chi of the same run recomputed in-process: C-order float64 (S, S)
+    arrays, with C bitwise symmetric."""
+    from spinband.simulate import (SimConfig, condition_disorder,
+                                   empirical_observables, run_langevin,
+                                   sample_disorder)
+    sim = {"N": 12, "dt": 0.005, "T": 0.2, "seed": 4, "disorder_seed": 9,
+           "replicas": 3, "snap_stride": 4}
+    payload = {"model": model, "constraint": {"kind": "soft", "L": 100.0, "k": 1},
+               "sim": sim, **({"grid": grid} if grid else {})}
+    cfg_path = write_cfg(tmp_path, "sim.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = parse_config(cfg_path, "simulate")
+    J = condition_disorder(sample_disorder(12, cfg.nu, 9), cfg.params)
+    traj = run_langevin(J, cfg.params, SimConfig(N=12, dt=0.005, T=0.2, seed=4,
+                                                 replicas=3, snap_stride=4))
+    emp = empirical_observables(traj)
+    S = traj.times.size
+    assert S == 11
+    for name, want in (("C_N.npy", emp.C_avg), ("chi_N.npy", emp.chi_avg)):
+        with open(out / name, "rb") as f:
+            assert np.lib.format.read_magic(f) == (1, 0)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+        assert (shape, fortran, dtype) == ((S, S), False, np.float64)
+        assert np.load(out / name).tobytes() == want.tobytes()
+    C = np.load(out / "C_N.npy")
+    assert np.array_equal(C.view(np.uint64), C.T.view(np.uint64))
+
+
+def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
+                                                            monkeypatch):
+    """Snapshots and observables over the 2 GiB budget exit 1 with
+    SizeOverflow before any disorder is drawn: the simulate-p2 benchmark
+    config without its grid block (stride 1, 4001 snapshots, 2.51 GB)."""
+    import spinband.simulate
+
+    def never(*args, **kwargs):
+        raise AssertionError("sample_disorder ran")
+
+    monkeypatch.setattr(spinband.simulate, "sample_disorder", never)
+    payload = {"model": dict(SK_MODEL),
+               "constraint": {"kind": "soft", "L": 100.0, "k": 1},
+               "sim": {"N": 400, "dt": 5e-4, "T": 2.0, "seed": 1, "replicas": 8}}
+    cfg = write_cfg(tmp_path, "sim.json", payload)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeOverflow: ") and "2510003344 bytes" in err
 
 
 def test_simulate_records_phase_timings(tmp_path):

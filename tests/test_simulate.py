@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from spinband import simulate
@@ -834,6 +835,66 @@ def test_error_functional_properties(sk_mixing):
         error_functional(bad, limit)
 
 
+_OBSERVABLES = ("C", "chi", "q", "H")
+
+
+def _bundle_of(times, per, avg):
+    """An EmpiricalBundle from per-replica and averaged (C, chi, q, H)."""
+    return EmpiricalBundle(times=times, **dict(zip(_OBSERVABLES, per)),
+                           **{f"{k}_avg": a for k, a in zip(_OBSERVABLES, avg)})
+
+
+@given(data=st.data(), S=st.integers(min_value=1, max_value=6),
+       R=st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_error_functional_is_capped_exact_and_keeps_nan(data, S, R):
+    """Averaged and per replica: each sup-norm term is capped at 1, so the
+    value lies in [0, 4]; it is exactly 0 on the limit tuple itself; a NaN
+    in any empirical array gives NaN, never a capped 1.0."""
+    shapes = ((S, S), (S, S), (S,), (S,))
+    finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=finite))
+
+    times = np.arange(S) * 0.1
+    limit = tuple(draw(shape) for shape in shapes)
+    per = [draw((R, *shape)) for shape in shapes]
+    avg = [draw(shape) for shape in shapes]
+    emp = _bundle_of(times, per, avg)
+    value = error_functional(emp, limit)
+    values = error_functional(emp, limit, per_replica=True)
+    assert 0.0 <= value <= 4.0
+    assert values.shape == (R,) and np.all((0.0 <= values) & (values <= 4.0))
+
+    stacked = [np.repeat(a[None], R, axis=0) for a in limit]
+    exact = _bundle_of(times, stacked, limit)
+    assert error_functional(exact, limit) == 0.0
+    assert np.all(error_functional(exact, limit, per_replica=True) == 0.0)
+    far = _bundle_of(times, [a + 2.0 for a in stacked], [a + 2.0 for a in limit])
+    assert error_functional(far, limit) == 4.0
+    assert np.all(error_functional(far, limit, per_replica=True) == 4.0)
+    for k in range(4):  # one array off: its sup gap, capped at 1
+        one = _bundle_of(times, [per[j] if j == k else stacked[j] for j in range(4)],
+                         [avg[j] if j == k else limit[j] for j in range(4)])
+        gap = np.abs(avg[k] - limit[k]).max()
+        gaps = np.abs(per[k] - limit[k]).reshape(R, -1).max(axis=1)
+        assert error_functional(one, limit) == min(gap, 1.0)
+        assert np.array_equal(error_functional(one, limit, per_replica=True),
+                              np.minimum(gaps, 1.0))
+
+    k = data.draw(st.integers(0, 3), label="array")
+    i = data.draw(st.integers(0, limit[k].size - 1), label="entry")
+    r = data.draw(st.integers(0, R - 1), label="replica")
+    per[k][r].flat[i] = np.nan
+    avg[k].flat[i] = np.nan
+    emp = _bundle_of(times, per, avg)
+    assert math.isnan(error_functional(emp, limit))
+    values = error_functional(emp, limit, per_replica=True)
+    assert math.isnan(values[r])
+    assert not np.isnan(np.delete(values, r)).any()
+
+
 @pytest.mark.parametrize("idx", [
     np.arange(0, 11, 2), np.arange(11), np.array([0, 7, 3, 10, 3]), np.array([4])])
 def test_limit_at_snapshots_reads_the_full_limit(sk_mixing, idx):
@@ -912,6 +973,27 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
         SimConfig(N=8, dt=0.01, T=0.1, seed=0, snap_stride=3)
     with pytest.raises(ValidationError):
         SimConfig(N=8, dt=-0.01, T=0.1, seed=0)
+
+
+def test_snapshot_bytes_are_what_a_run_holds(sk_mixing):
+    """_snapshot_bytes counts the X and B snapshots and the per-replica and
+    averaged C and chi of a run: the nbytes of those arrays in a small run,
+    and at N = 400 with 8 replicas the budget holds 3688 snapshots but not
+    3689, checked without allocating them."""
+    cfg = SimConfig(N=12, dt=0.01, T=0.2, seed=3, replicas=3, snap_stride=4)
+    J = condition_disorder(sample_disorder(12, sk_mixing, 5), soft_params())
+    traj = run_langevin(J, soft_params(), cfg)
+    emp = empirical_observables(traj)
+    held = (traj.X, traj.B, emp.C, emp.chi, emp.C_avg, emp.chi_avg)
+    assert simulate._snapshot_bytes(cfg) == sum(a.nbytes for a in held)
+
+    def snapshot_bytes(steps):  # steps + 1 snapshots
+        return simulate._snapshot_bytes(
+            SimConfig(N=400, dt=1.0, T=float(steps), seed=0, replicas=8))
+    assert snapshot_bytes(3687) <= simulate._BUDGET < snapshot_bytes(3688)
+    # the simulate-p2 benchmark config without its grid, stride 1: 2.51 GB
+    assert simulate._snapshot_bytes(
+        SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)) == 2_510_003_344
 
 
 def test_radial_blowup_guard(pure3_mixing):
