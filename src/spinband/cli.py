@@ -14,7 +14,8 @@ Commands:
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
 
-Exit codes: 0 success, 2 an audit/tolerance gate failed, 1 any error.
+``run`` writes every metadata.json (a command body writes the rest) and
+returns 0, or 2 when an audit/tolerance gate failed; any error exits 1.
 
 The config file is JSON (layout documented in the README).  ``--seed``
 overrides the sim block's seed; ``--threads`` caps BLAS/OpenMP thread counts
@@ -31,12 +32,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import (GridMismatch, ParseError, SizeOverflow, SpinbandError,
-                     ValidationError)
+from .errors import ParseError, SizeOverflow, SpinbandError, ValidationError
 
 COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
             "compare", "report")
@@ -60,8 +60,8 @@ class RunConfig:
     grid: Any = None          # TwoTimeGrid or None
     sk: Any = None            # SkParams for sk and for compare against sk
     sim: dict | None = None
-    fdt: dict = field(default_factory=dict)
-    compare: dict = field(default_factory=dict)
+    gamma: float | None = None  # fdt.gamma, for fdt
+    tol: float | None = None    # compare.tol, for compare
     source: str | None = None
 
 
@@ -69,6 +69,15 @@ def _need(block: dict, path: str, key: str):
     if key not in block:
         raise ParseError(f"field '{path}.{key}' is missing")
     return block[key]
+
+
+def _number(value, name: str, kind: type):
+    """A finite JSON number as ``kind``, int (no fractional part) or float."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max \
+            and not (kind is int and value % 1):
+        return kind(value)
+    raise ParseError(f"field '{name}' must be "
+                     f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
 def _block(raw: dict, name: str) -> dict:
@@ -101,7 +110,7 @@ def _model_from_config(raw: dict):
         elif kind == "soft":
             confinement = Confinement.soft(
                 float(_need(cons, "constraint", "L")),
-                int(cons.get("k", 1)),
+                _number(cons.get("k", 1), "constraint.k", int),
                 None if cons.get("phi") is None else float(cons["phi"]))
         else:
             raise ParseError(f"'constraint.kind' must be hard|soft, got '{kind}'")
@@ -198,7 +207,7 @@ def parse_config(path: str | Path, command: str | None = None,
         raise ParseError(f"'compare.against' must be sk|soft, got '{against}'")
     if command == "compare" and against == "soft" and kind != "soft":
         raise ValidationError("compare against=soft needs a soft constraint")
-    sk = None
+    sk = None  # for compare: set iff against is sk
     if command == "sk" or (command == "compare" and against == "sk"):
         from .sk import SkParams
         if nu.coeffs_sq != (0.125,):
@@ -212,7 +221,11 @@ def parse_config(path: str | Path, command: str | None = None,
             raise ValidationError(f"sk model rejected: {e}") from e
 
     return RunConfig(command=command, raw=raw, nu=nu, params=params, grid=grid,
-                     sk=sk, sim=sim, fdt=_block(raw, "fdt"), compare=compare)
+                     sk=sk, sim=sim,
+                     gamma=(_number(_block(raw, "fdt").get("gamma", 0.5), "fdt.gamma",
+                                    float) if command == "fdt" else None),
+                     tol=(_number(compare.get("tol", 5e-3), "compare.tol", float)
+                          if command == "compare" else None))
 
 
 # --------------------------------------------------------------------------
@@ -311,10 +324,10 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
+def _meta(cfg: RunConfig, wall: float, extra: dict) -> dict:
     import numpy as np
     from . import __version__
-    meta = {
+    return {
         "command": cfg.command,
         "config": cfg.raw,
         "package_version": __version__,
@@ -322,10 +335,8 @@ def _meta(cfg: RunConfig, wall: float, extra: dict | None = None) -> dict:
         "python_version": sys.version.split()[0],
         "wall_time_s": round(wall, 3),
         "peak_rss_mb": _peak_rss_mb(),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _peak_rss_mb() -> float | None:
@@ -486,39 +497,34 @@ def load_bundle(rundir: str | Path):
 # command bodies
 # --------------------------------------------------------------------------
 
-def _run_solve(cfg: RunConfig, out: Path) -> int:
+def _run_solve(cfg: RunConfig, out: Path):
     from .volterra import check_bundle, solve_hard, solve_soft
 
     t0 = time.monotonic()
-    if cfg.command == "solve-hard":
-        bundle = solve_hard(cfg.params, cfg.nu, cfg.grid)
-    else:
-        bundle = solve_soft(cfg.params, cfg.nu, cfg.grid)
+    bundle = (solve_hard if cfg.params.confinement.is_hard
+              else solve_soft)(cfg.params, cfg.nu, cfg.grid)
     t1 = time.monotonic()
     audit = check_bundle(bundle).as_dict()
     t2 = time.monotonic()
     save_bundle(bundle, out)
     _write_json(out / "invariants.json", audit)
     t3 = time.monotonic()
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, {
+    return audit["passed"], {
         "constraint": bundle.constraint,
         "pc_gap": bundle.pc_gap,
         "timings": {"solve_s": round(t1 - t0, 3), "audit_s": round(t2 - t1, 3),
                     "write_s": round(t3 - t2, 3)},
-    }))
-    return 0 if audit["passed"] else 2
+    }
 
 
-def _run_fdt(cfg: RunConfig, out: Path) -> int:
+def _run_fdt(cfg: RunConfig, out: Path):
     from . import fdt as _fdt
 
-    t0 = time.monotonic()
-    gamma = float(cfg.fdt.get("gamma", 0.5))
-    sol = _fdt.solve_fdt(gamma, cfg.params.beta, cfg.nu, cfg.grid)
+    sol = _fdt.solve_fdt(cfg.gamma, cfg.params.beta, cfg.nu, cfg.grid)
     write_series_csv(out / "series.csv", ("tau", "D", "Dprime", "R_fdt"),
                      (cfg.grid.times(), sol.D, sol.Dprime, sol.R_fdt))
     constants = {
-        "gamma": gamma,
+        "gamma": cfg.gamma,
         "mu_infty": sol.mu,
         "D_inf": sol.D_inf,
         "I": sol.I,
@@ -538,16 +544,14 @@ def _run_fdt(cfg: RunConfig, out: Path) -> int:
         constants["kappa_quadrature"] = None
         constants["kappa_note"] = f"{type(e).__name__}: {e}"
     _write_json(out / "constants.json", constants)
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0))
-    return 0
+    return True, {}
 
 
-def _run_sk(cfg: RunConfig, out: Path) -> int:
+def _run_sk(cfg: RunConfig, out: Path):
     import numpy as np
     from .sk import (resolvent_root, sk_asymptotics, solve_two_time,
                      superposition_gap)
 
-    t0 = time.monotonic()
     pars = cfg.sk
     sol = solve_two_time(pars, cfg.grid)
     _write_two_time(out, sol.R, sol.C)
@@ -565,11 +569,10 @@ def _run_sk(cfg: RunConfig, out: Path) -> int:
         "superposition": superposition_gap(pars, cfg.grid),
     }
     _write_json(out / "constants.json", constants)
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0))
-    return 0
+    return True, {}
 
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
+def _run_simulate(cfg: RunConfig, out: Path):
     import numpy as np
     from .simulate import (_BUDGET, SimConfig, _snapshot_bytes,
                            condition_disorder, empirical_observables,
@@ -578,21 +581,21 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     from .volterra import solve_soft
 
     t0 = time.monotonic()
-    sim = dict(cfg.sim)
     try:  # every sim value is checked before any work is done
-        N = int(sim["N"])
-        dt = float(sim["dt"])
-        T = float(sim.get("T", cfg.grid.h * cfg.grid.n if cfg.grid else 0.0))
+        N = _number(cfg.sim["N"], "sim.N", int)
+        dt = float(cfg.sim["dt"])
+        T = float(cfg.sim.get("T", cfg.grid.T if cfg.grid else 0.0))
         if T <= 0:
             raise ValidationError("simulate needs sim.T (or a grid block)")
-        seed = int(sim.get("seed", 0))
-        stride = sim.get("snap_stride")
+        seed = _number(cfg.sim.get("seed", 0), "sim.seed", int)
+        stride = cfg.sim.get("snap_stride")
         if stride is None:
             stride = int(round(cfg.grid.h / dt)) if cfg.grid and dt > 0 else 1
         scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
-                         replicas=int(sim.get("replicas", SimConfig.replicas)),
-                         snap_stride=int(stride))
-        disorder_seed = int(sim.get("disorder_seed", seed))
+                         replicas=_number(cfg.sim.get("replicas", SimConfig.replicas),
+                                          "sim.replicas", int),
+                         snap_stride=_number(stride, "sim.snap_stride", int))
+        disorder_seed = _number(cfg.sim.get("disorder_seed", seed), "sim.disorder_seed", int)
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"sim block malformed: {e}") from None
     need = _snapshot_bytes(scfg)
@@ -602,11 +605,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     if disorder_seed < 0:
         raise ValidationError("sim.disorder_seed must be nonnegative")
     if cfg.grid is not None:  # checked before the run, not after it
-        try:
-            cfg.grid.index_of(scfg.snap_stride * dt)
-            cfg.grid.index_of(T)
-        except GridMismatch as e:
-            raise GridMismatch(f"snapshots miss the limit grid: {e}") from None
+        cfg.grid.index_of(scfg.times())
     # conditioned in place: the run holds one copy of the couplings
     J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed), cfg.params)
     t1 = time.monotonic()
@@ -635,27 +634,23 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         _write_json(out / "report.json", {
             "error_functional": err,
             "per_replica": [float(v) for v in per],
-            "grid": {"T": cfg.grid.h * cfg.grid.n, "h": cfg.grid.h},
+            "grid": {"T": cfg.grid.T, "h": cfg.grid.h},
         })
     t5 = time.monotonic()
     extra["timings"] = {
         "disorder_s": round(t1 - t0, 3), "langevin_s": round(t2 - t1, 3),
         "observables_s": round(t3 - t2, 3), "limit_s": round(t4 - t3, 3),
         "write_s": round(t5 - t4, 3)}
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
-    return 0
+    return True, extra
 
 
-def _run_compare(cfg: RunConfig, out: Path) -> int:
+def _run_compare(cfg: RunConfig, out: Path):
     from concurrent.futures import ThreadPoolExecutor
 
     from .sk import solve_two_time
     from .volterra import check_bundle, compare_bundles, solve_hard, solve_soft
 
-    t0 = time.monotonic()
-    tol = float(cfg.compare.get("tol", 5e-3))
-    against = cfg.compare.get("against", "sk")
-    if against == "sk":
+    if cfg.sk is not None:
         # the oracle makes no BLAS call, so it marches on a worker thread
         # while this thread's march keeps its BLAS calls and their bits;
         # leaving the block joins the worker, also when either side raises
@@ -665,22 +660,20 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
                  else solve_hard)(cfg.params, cfg.nu, cfg.grid)
             b = oracle.result()
         del oracle  # it holds b as well
-    else:  # two BLAS marches, one after the other
+    else:  # against soft: two BLAS marches, one after the other
         a = solve_hard(cfg.params, cfg.nu, cfg.grid)  # swaps in the hard constraint
         b = solve_soft(cfg.params, cfg.nu, cfg.grid)
-    report = compare_bundles(a, b, tol)
+    report = compare_bundles(a, b, cfg.tol)
     del b  # two (n+1)^2 arrays fewer under the audit's temporaries
-    report["against"] = against
+    report["against"] = "sk" if cfg.sk is not None else "soft"
     report["audit"] = check_bundle(a).as_dict()
     _write_json(out / "report.json", report)
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0))
-    return 0 if report["passed"] else 2
+    return report["passed"], {}
 
 
-def _run_report(cfg: RunConfig, out: Path) -> int:
+def _run_report(cfg: RunConfig, out: Path):
     from .volterra import check_bundle
 
-    t0 = time.monotonic()
     bundle, meta = load_bundle(cfg.source)
     audit = check_bundle(bundle).as_dict()
     _write_json(out / "report.json", {
@@ -688,8 +681,7 @@ def _run_report(cfg: RunConfig, out: Path) -> int:
         "source_command": meta.get("command"),
         "audit": audit,
     })
-    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0))
-    return 0 if audit["passed"] else 2
+    return audit["passed"], {}
 
 
 _DISPATCH = {
@@ -704,10 +696,13 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig, out: str | Path) -> int:
-    """Execute a parsed config, writing artifacts into ``out``."""
+    """Execute a parsed config into ``out``; 0, or 2 when a gate failed."""
+    t0 = time.monotonic()
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[cfg.command](cfg, out)
+    passed, extra = _DISPATCH[cfg.command](cfg, out)
+    _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
+    return 0 if passed else 2
 
 
 # --------------------------------------------------------------------------

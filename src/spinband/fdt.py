@@ -44,7 +44,6 @@ __all__ = [
 _N_SCAN = 10001  # sign-change scan points of the level-set and root searches
 _XTOL = 1e-10  # bisection width that ends the level-set search
 _TAIL_TOL = 1e-6  # kappa_values: how close D(T) must be to the plateau
-_BETA_TOL = 1e-8  # beta_c bisection width
 
 
 # ---------------------------------------------------------------------------
@@ -198,44 +197,28 @@ def d_star(beta: float, nu: MixingFunction) -> float | None:
     return _sup_level_set(f)
 
 
-def _gamma_half_excess(beta: float, nu: MixingFunction) -> float:
-    """max over x in (0,1] of (1/2 + 2 b^2 nu'(x))(1-x) - 1/2, refined locally."""
-    b2 = beta * beta
-
-    def f(x):  # cancellation-free excess, exact 0 at x = 0
-        return 2.0 * b2 * nu.nu(x, 1) * (1.0 - x) - 0.5 * x
-
-    lo, hi, best = 0.0, 1.0, -np.inf
-    for _ in range(4):  # three successive zooms around the scanned argmax
-        xs = np.linspace(lo, hi, 4001)[1:]  # exclude x = 0: always exactly 0 there
-        vals = f(xs)
-        j = int(np.argmax(vals))
-        best = max(best, float(vals[j]))
-        span = (hi - lo) / 4000.0
-        lo, hi = max(0.0, xs[j] - 2 * span), min(1.0, xs[j] + 2 * span)
-    return best
-
-
-def beta_c(nu: MixingFunction, hi: float = 100.0) -> float:
+def beta_c(nu: MixingFunction) -> float:
     """Critical inverse temperature: sup{beta : the gamma = 1/2 plateau is 0}.
 
-    Operationally: smallest beta at which (1/2 + 2 beta^2 nu'(x))(1 - x) >= 1/2
-    admits a solution x > 0, found by bisection on beta in (0, hi].
-    Raises NotBracketed when even beta = hi keeps the plateau at zero.
+    (1/2 + 2 beta^2 nu'(x))(1 - x) >= 1/2 at some x in (0, 1) iff beta^2 >=
+    x / (4 nu'(x) (1 - x)) there, so beta_c^2 is the smaller of that ratio's
+    x -> 0 limit 1/(4 nu''(0)) and its minimum over four 4001-point scans,
+    each zoomed around the last argmin.  NotBracketed for the zero mixture.
     """
     if nu.is_zero():
         raise NotBracketed("zero mixture has no finite critical temperature")
-    if _gamma_half_excess(hi, nu) < 0.0:
-        raise NotBracketed(f"no positive plateau up to beta = {hi}")
-    lo = 0.0
-    hi_b = hi
-    while hi_b - lo > _BETA_TOL:
-        mid = 0.5 * (lo + hi_b)
-        if _gamma_half_excess(mid, nu) >= 0.0:
-            hi_b = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi_b)
+    d2 = nu.nu(0.0, 2)
+    best = 1.0 / (4.0 * d2) if d2 > 0.0 else math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(4):
+        xs = np.linspace(lo, hi, 4001)[1:]  # x = 0 is the limit above
+        with np.errstate(divide="ignore", over="ignore"):  # +inf at x = 1
+            vals = xs / (4.0 * nu.nu(xs, 1) * (1.0 - xs))
+        j = int(np.argmin(vals))
+        best = min(best, float(vals[j]))
+        span = (hi - lo) / 4000.0
+        lo, hi = max(0.0, xs[j] - 2 * span), min(1.0, xs[j] + 2 * span)
+    return math.sqrt(best)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (Blowup, GridMismatch, HardConstraint, RankDeficient,
-                     SizeOverflow, ValidationError)
+from .errors import (Blowup, HardConstraint, RankDeficient, SizeOverflow,
+                     ValidationError)
 from .model import MixingFunction, ModelParams, f_prime, validate, vstar_build
 from .volterra import TwoTimeBundle, _cumtrapz
 
@@ -440,6 +440,9 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
 
+    def times(self) -> np.ndarray:  # the snapshot times, 0 through T
+        return np.arange(self.n_steps // self.snap_stride + 1) * (self.snap_stride * self.dt)
+
 
 @dataclass
 class Trajectory:
@@ -485,12 +488,11 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     X = np.stack([_initial_from_rng(rngs[r], N, prm.q_star, prm.q_o)
                   for r in range(R)])
     B = np.zeros((R, N))
-    n_snap = config.n_steps // config.snap_stride
-    times = np.arange(n_snap + 1) * (config.snap_stride * dt)
-    Xs = np.empty((n_snap + 1, R, N))
-    Bs = np.empty((n_snap + 1, R, N))
-    Ks = np.empty((n_snap + 1, R))
-    Hs = np.empty((n_snap + 1, R))
+    times = config.times()
+    Xs = np.empty((times.size, R, N))
+    Bs = np.empty((times.size, R, N))
+    Ks = np.empty((times.size, R))
+    Hs = np.empty((times.size, R))
     beta = prm.beta
     if noise is None:
         block = np.empty((R, _NOISE_BLOCK, N))
@@ -584,15 +586,6 @@ def _replica_products(X: np.ndarray, B: np.ndarray):
     return C, chi
 
 
-def _snap_indices(times: np.ndarray, limit: TwoTimeBundle) -> np.ndarray:
-    h = limit.grid.h
-    idx = np.rint(times / h).astype(int)
-    if np.any(idx < 0) or np.any(idx > limit.grid.n) or \
-            np.any(np.abs(idx * h - times) > 1e-9):
-        raise GridMismatch("snapshot times do not sit on the limit grid")
-    return idx
-
-
 def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
     """(C, chi, q, H) of a limit solve at the snapshot times.
 
@@ -600,7 +593,7 @@ def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
     the snapshot rows of R only, read at min(s, t), with the bits of
     integrated_response and no (n+1)^2 temporary.
     """
-    idx = _snap_indices(times, limit)
+    idx = limit.grid.index_of(times)
     cum = _cumtrapz(limit.R[idx], limit.grid.h)
     chi = np.empty((idx.size, idx.size))
     for a, i in enumerate(idx):

@@ -118,11 +118,15 @@ class TwoTimeGrid:
         w[0] = w[r] = 0.5 * self.h if r else 0.0
         return w
 
-    def index_of(self, t: float) -> int:
-        i = int(round(t / self.h))
-        if not (0 <= i <= self.n) or abs(i * self.h - t) > 1e-9 * max(1.0, self.T):
-            raise GridMismatch(f"time {t} is not on the grid")
-        return i
+    def index_of(self, t):
+        """Index (an int) of a time, or index array of an array of times, within
+        1e-9 max(1, T) of the grid; else GridMismatch names the first miss."""
+        t = np.asarray(t, dtype=float)
+        k = np.rint(t / self.h)
+        on = (0 <= k) & (k <= self.n) & (np.abs(k * self.h - t) <= 1e-9 * max(1.0, self.T))
+        if not on.all():
+            raise GridMismatch(f"time {float(t[~on][0])} is not on the grid")
+        return int(k) if k.ndim == 0 else k.astype(np.intp)
 
 
 @dataclass
@@ -310,7 +314,7 @@ class _March:
         kk = 2 * conf.k - 1
         kappa = guess
         for _ in range(50):
-            fp = 2.0 * conf.L * (kappa - 1.0) + 0.5 * conf.phi * kappa ** kk
+            fp = f_prime(self.params, kappa)
             dfp = 2.0 * conf.L + 0.5 * conf.phi * kk * kappa ** (kk - 1)
             g = kappa - (base - c * (fp * kappa))
             dg = 1.0 + c * (dfp * kappa + fp)

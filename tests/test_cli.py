@@ -607,6 +607,51 @@ def test_runs_record_their_peak_rss(tmp_path, monkeypatch):
     assert "peak_rss_mb" in meta and meta["peak_rss_mb"] is None
 
 
+_SOFT = {"kind": "soft", "L": 100.0, "k": 1}
+_RUN_CONFIGS = {
+    "solve-hard": solve_cfg(),
+    "solve-soft": solve_cfg(constraint=_SOFT),
+    "fdt": solve_cfg(fdt={"gamma": 0.5}),
+    "sk": solve_cfg(),
+    "simulate": solve_cfg(grid={"T": 0.2, "h": 0.05}, constraint=_SOFT,
+                          sim={"N": 16, "dt": 0.005, "seed": 7, "replicas": 2}),
+    "compare": solve_cfg(),
+    "report": None,  # a solve-hard run directory, made in the test
+}
+META_KEYS = {"command", "config", "package_version", "numpy_version",
+             "python_version", "wall_time_s", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("command", list(_RUN_CONFIGS))
+def test_every_command_writes_metadata_once(tmp_path, monkeypatch, command):
+    """Each command's run writes metadata.json exactly once, with the
+    common keys, and its wall time covers the recorded phase timings."""
+    import spinband.cli as cli
+    payload = _RUN_CONFIGS[command]
+    if payload is None:
+        source = tmp_path / "source"
+        assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "s.json",
+                     solve_cfg())), "--out", str(source)]) == 0
+        payload = {"report": {"source": str(source)}}
+    cfg = write_cfg(tmp_path, "run.json", payload)
+    writes = []
+    write_json = cli._write_json
+
+    def record(path, obj):
+        writes.append(path.name)
+        write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert writes.count("metadata.json") == 1
+    meta = json.loads((out / "metadata.json").read_text())
+    assert META_KEYS <= set(meta)
+    assert meta["command"] == command
+    assert meta["config"] == json.loads(cfg.read_text())
+    assert sum(meta.get("timings", {}).values()) <= meta["wall_time_s"] + 0.01
+
+
 def test_seed_override_is_echoed_and_deterministic(tmp_path):
     payload = solve_cfg(grid={"T": 0.5, "h": 0.05},
                         constraint={"kind": "soft", "L": 100.0, "k": 1},
@@ -702,6 +747,36 @@ def test_malformed_grid_and_sim_values_exit_1(tmp_path, capsys, grid, sim):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert re.match(r"error: (ParseError|ValidationError|GridMismatch): ", err), err
+
+
+@pytest.mark.parametrize("command, block, key, value", [
+    ("fdt", "fdt", "gamma", "abc"),
+    ("fdt", "fdt", "gamma", None),
+    ("compare", "compare", "tol", "abc"),
+    ("compare", "compare", "tol", math.inf),
+    ("solve-soft", "constraint", "k", 1.5),
+    ("simulate", "sim", "N", 16.5),
+    ("simulate", "sim", "replicas", 2.5),
+    ("simulate", "sim", "seed", 1.5),
+    ("simulate", "sim", "snap_stride", "2"),
+    ("simulate", "sim", "disorder_seed", 3.5),
+], ids=["fdt.gamma=abc", "fdt.gamma=null", "compare.tol=abc", "compare.tol=inf",
+        "constraint.k=1.5", "sim.N=16.5", "sim.replicas=2.5", "sim.seed=1.5",
+        "sim.snap_stride='2'", "sim.disorder_seed=3.5"])
+def test_unusable_numbers_are_parse_errors(tmp_path, capsys, command, block,
+                                           key, value):
+    """A number field that is not a finite number, or an integer field that
+    is not integral, exits 1 with a ParseError naming the field, and no
+    artifact is written."""
+    payload = json.loads(json.dumps(_RUN_CONFIGS[command]))
+    payload.setdefault(block, {})[key] = value
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: field '{block}.{key}' must be"), err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_parse_config_details(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinband.errors import (BelowCritical, NoBranch, NotBracketed,
@@ -52,12 +54,26 @@ def test_plateau_values(sk_mixing):
 
 
 def test_critical_temperature(sk_mixing, pure3_mixing):
-    assert abs(beta_c(sk_mixing) - 1.0) <= 2e-8
-    assert abs(beta_c(pure3_mixing) - math.sqrt(8.0 / 3.0)) <= 2e-8
+    # sk: the x -> 0 limit 1/(4 nu''(0)) = 1; pure p = 3: the ratio's minimum at x = 1/2
+    assert beta_c(sk_mixing) == 1.0
+    assert abs(beta_c(pure3_mixing) - math.sqrt(8.0 / 3.0)) <= 1e-12
     with pytest.raises(NotBracketed):
         beta_c(MixingFunction((0.0,)))
-    with pytest.raises(NotBracketed):
-        beta_c(sk_mixing, hi=0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(
+           lambda c: c[-1] > 0.0),
+       xs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=20))
+def test_critical_temperature_is_the_ratio_infimum(coeffs, xs):
+    """beta_c^2 is a lower bound of x / (4 nu'(x) (1 - x)) on (0, 1), and the
+    gamma = 1/2 plateau is 0 just below beta_c and positive just above it."""
+    nu = MixingFunction(tuple(coeffs))
+    bc = beta_c(nu)
+    for x in xs:
+        assert bc * bc <= x / (4.0 * nu.nu(x, 1) * (1.0 - x)) * (1.0 + 1e-12)
+    assert d_infty(0.5, 0.99 * bc, nu) == 0.0
+    assert d_infty(0.5, 1.01 * bc, nu) > 0.0
 
 
 def test_aging_constants_quadratic_case(sk_mixing):

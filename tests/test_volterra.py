@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def test_grid_construction():
         TwoTimeGrid.from_T(1.0, 0.3)
     with pytest.raises(GridMismatch):
         g.index_of(0.005)
+
+
+def test_index_of_takes_an_array_of_times():
+    """An array of times gives the index array; the first entry off the grid
+    (between points, past T or NaN) is named in the GridMismatch."""
+    g = TwoTimeGrid.from_T(2.0, 0.01)
+    idx = g.index_of(np.array([0.0, 0.03, 1.5, 2.0]))
+    assert idx.dtype == np.intp and idx.tolist() == [0, 3, 150, 200]
+    assert g.index_of(np.arange(5) * 0.05).tolist() == [0, 5, 10, 15, 20]
+    for times, named in (([0.5, 0.505, 0.515], "0.505"), ([1.0, 2.01], "2.01"),
+                         ([0.1, math.nan], "nan")):
+        with pytest.raises(GridMismatch, match=f"time {named} is not on the grid"):
+            g.index_of(np.array(times))
 
 
 def test_hard_run_structure(sk_hard_bundle, sk_params):
