@@ -462,8 +462,10 @@ def load_bundle(rundir: str | Path):
     Raises ParseError naming the first missing file or series column, so a
     directory written by another command is rejected cleanly, and naming the
     file for a damaged line, a short series or an RC.npy that read_two_time
-    rejects or that does not match the grid.
+    rejects, that does not match the grid, or whose diagonals are not the
+    R(s,s) = 1 and C(s,s) = K(s) (bit for bit) that every solve writes.
     """
+    import numpy as np
     from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
@@ -485,9 +487,16 @@ def load_bundle(rundir: str | Path):
     if R.shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
+    K = series["K"]
+    ok = (np.diag(R) == 1.0) & (np.diag(C).view(np.uint64) == K.view(np.uint64))
+    if not ok.all():
+        s = int(np.argmin(ok))
+        raise ParseError(f"{rundir / 'RC.npy'}: R({s}, {s}) = {float(R[s, s])} and "
+                         f"C({s}, {s}) = {float(C[s, s])}, but a solve writes 1 and "
+                         f"the series' K({s}) = {float(K[s])}")
     bundle = TwoTimeBundle(
         grid=grid, R=R, C=C,
-        q=series["q"], K=series["K"], mu=series["mu"],
+        q=series["q"], K=K, mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         pc_gap=float(_need(meta, "metadata", "pc_gap")), params=params, nu=nu)
     return bundle, meta
@@ -504,7 +513,7 @@ def _run_solve(cfg: RunConfig, out: Path):
     bundle = (solve_hard if cfg.params.confinement.is_hard
               else solve_soft)(cfg.params, cfg.nu, cfg.grid)
     t1 = time.monotonic()
-    audit = check_bundle(bundle).as_dict()
+    audit = check_bundle(bundle)
     t2 = time.monotonic()
     save_bundle(bundle, out)
     _write_json(out / "invariants.json", audit)
@@ -530,7 +539,6 @@ def _run_fdt(cfg: RunConfig, out: Path):
         "I": sol.I,
         "kappa1_closed": sol.kappa1,
         "kappa2_closed": sol.kappa2,
-        "kappa3_closed": sol.kappa3,
     }
     try:
         constants["beta_c"] = _fdt.beta_c(cfg.nu)
@@ -538,8 +546,7 @@ def _run_fdt(cfg: RunConfig, out: Path):
         constants["beta_c"] = None
         constants["beta_c_note"] = f"{type(e).__name__}: {e}"
     try:
-        kq = _fdt.kappa_values(sol, cfg.nu)
-        constants["kappa_quadrature"] = list(kq.quad)
+        constants["kappa_quadrature"] = list(_fdt.kappa_values(sol, cfg.nu))
     except SpinbandError as e:
         constants["kappa_quadrature"] = None
         constants["kappa_note"] = f"{type(e).__name__}: {e}"
@@ -666,7 +673,7 @@ def _run_compare(cfg: RunConfig, out: Path):
     report = compare_bundles(a, b, cfg.tol)
     del b  # two (n+1)^2 arrays fewer under the audit's temporaries
     report["against"] = "sk" if cfg.sk is not None else "soft"
-    report["audit"] = check_bundle(a).as_dict()
+    report["audit"] = check_bundle(a)
     _write_json(out / "report.json", report)
     return report["passed"], {}
 
@@ -675,7 +682,7 @@ def _run_report(cfg: RunConfig, out: Path):
     from .volterra import check_bundle
 
     bundle, meta = load_bundle(cfg.source)
-    audit = check_bundle(bundle).as_dict()
+    audit = check_bundle(bundle)
     _write_json(out / "report.json", {
         "source": str(cfg.source),
         "source_command": meta.get("command"),

@@ -8,7 +8,7 @@ the convolution equation
 
 with phi(x) = gamma + 2 beta^2 nu'(x).  The plateau D_inf, the constant
 gamma, the critical temperature, and the integrated-response constants
-kappa_1..kappa_3 feed the fixed-point analysis of where the special-direction
+kappa_1, kappa_2 feed the fixed-point analysis of where the special-direction
 overlap q(s) can converge, and the localized (no-aging) branch that exists
 for steep enough conditioned gradients G.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "d_star",
     "AgingConstants",
     "aging_constants",
-    "KappaValues",
     "kappa_values",
     "alpha_fixed_points",
     "no_aging_selfconsistent",
@@ -114,7 +113,6 @@ class FdtSolution:
     I: float | None
     kappa1: float | None
     kappa2: float | None
-    kappa3: float | None
 
 
 def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
@@ -124,22 +122,22 @@ def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
     dinf = d_infty(gamma, beta, nu)
     mu = gamma + 2.0 * beta * beta * nu.nu(1.0, 1)
     if dinf is None:
-        i_const = k1 = k2 = k3 = None
+        i_const = k1 = k2 = None
     else:
         i_const = gamma - 0.5 + 2.0 * beta * beta * dinf * nu.nu(dinf, 1)
-        k1, k2, k3 = _plateau_kappas(dinf, nu)
+        k1, k2 = _plateau_kappas(dinf, nu)
     sol = FdtSolution(grid=grid, gamma=gamma, beta=beta, D=D, Dprime=Dp,
                       R_fdt=-2.0 * Dp, mu=mu, D_inf=dinf, I=i_const,
-                      kappa1=k1, kappa2=k2, kappa3=k3)
+                      kappa1=k1, kappa2=k2)
     for arr in (sol.D, sol.Dprime, sol.R_fdt):
         arr.setflags(write=False)
     return sol
 
 
 def _plateau_kappas(d, nu: MixingFunction):
-    """Closed-form (kappa1, kappa2, kappa3) on the plateau d (scalar or array):
-    2 (nu'(1) - nu'(d)), 2 (1 - d) and 0."""
-    return (2.0 * (nu.nu(1.0, 1) - nu.nu(d, 1)), 2.0 * (1.0 - d), 0.0)
+    """Closed-form (kappa1, kappa2) on the plateau d (scalar or array):
+    2 (nu'(1) - nu'(d)) and 2 (1 - d)."""
+    return 2.0 * (nu.nu(1.0, 1) - nu.nu(d, 1)), 2.0 * (1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +258,13 @@ def aging_constants(beta: float, nu: MixingFunction) -> AgingConstants:
     return AgingConstants(gamma, dinf, i_const, resid, gamma > 0.5)
 
 
-@dataclass
-class KappaValues:
-    quad: tuple
-    closed: tuple
+def kappa_values(sol: FdtSolution, nu: MixingFunction) -> tuple:
+    """Integrated response constants (kappa1, kappa2) by grid quadrature.
 
-    def max_gap(self) -> float:
-        return max(abs(a - b) for a, b in zip(self.quad, self.closed))
-
-
-def kappa_values(sol: FdtSolution, nu: MixingFunction) -> KappaValues:
-    """Integrated response constants, by grid quadrature and in closed form.
-
-    kappa1 = int R nu''(D), kappa2 = int R, kappa3 = 0 in the lag regime;
-    closed forms 2(nu'(1) - nu'(D_inf)) and 2(1 - D_inf).  Raises
-    NotConverged unless |D(T) - D_inf| <= 1e-6; the quadrature is only
-    meaningful once the lag window has reached the plateau.
+    kappa1 = int R nu''(D) and kappa2 = int R over the lag window; their
+    closed forms 2(nu'(1) - nu'(D_inf)) and 2(1 - D_inf) are sol.kappa1 and
+    sol.kappa2.  Raises NotConverged unless |D(T) - D_inf| <= 1e-6; the
+    quadrature is only meaningful once the lag window has reached the plateau.
     """
     if sol.D_inf is None:
         raise NotConverged("no plateau value to converge to")
@@ -283,10 +272,7 @@ def kappa_values(sol: FdtSolution, nu: MixingFunction) -> KappaValues:
         raise NotConverged(
             f"|D(T) - D_inf| = {abs(sol.D[-1] - sol.D_inf):g} > {_TAIL_TOL:g}")
     h = sol.grid.h
-    k1 = _trapz_dot(h, sol.R_fdt * nu.nu(sol.D, 2))
-    k2 = _trapz_dot(h, sol.R_fdt)
-    return KappaValues(quad=(k1, k2, 0.0),
-                       closed=(sol.kappa1, sol.kappa2, sol.kappa3))
+    return _trapz_dot(h, sol.R_fdt * nu.nu(sol.D, 2)), _trapz_dot(h, sol.R_fdt)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +288,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
                     - beta^2 q*^2 nu''(alpha q*) nu'(alpha q*) kappa2 / D
                     + beta^2 alpha q* kappa1.
 
-    ``mu`` and ``kappas`` may be numbers (a fixed working point) or callables
+    ``mu`` and ``kappas`` = (kappa1, kappa2) may be fixed (a working point) or callables
     of alpha (self-consistent substitution, see no_aging_selfconsistent);
     callables must accept a numpy array of alphas as well as a scalar.
     Found by a sign-change scan on 10001 points, evaluated as one array,
@@ -325,7 +311,7 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
         raise ValidationError("mu must be positive")
 
     def resid(a):
-        k1, k2, _ = kap_fn(a)
+        k1, k2 = kap_fn(a)
         x = a * qs
         return (mu_fn(a) * x
                 - (beta * qs2 * v.derivative(x)

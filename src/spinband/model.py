@@ -38,6 +38,18 @@ __all__ = [
     "f_prime",
 ]
 
+
+def _horner(coeffs, r):
+    """sum_j coeffs[j] r^(len(coeffs) - 1 - j) by Horner's rule, top power
+    first: a float for a scalar r (Python floats round exactly as the array
+    path does), an array for an array."""
+    scalar = np.ndim(r) == 0
+    acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
+    for c in coeffs:
+        acc = acc * r + c
+    return float(acc) if scalar else acc
+
+
 def _falling(p: int, d: int) -> float:
     out = 1.0
     for j in range(d):
@@ -113,20 +125,19 @@ class MixingFunction:
     def nu(self, r, order: int = 0):
         """Evaluate nu^(order)(r) for order in {0, 1, 2, 3} (Horner form).
 
-        Accepts scalars (evaluated in Python floats, which round exactly as
-        the array path does) or numpy arrays.
+        Accepts scalars (returns a float) or numpy arrays.
         """
         if order not in (0, 1, 2, 3):
             raise ValueError("derivative order must be in 0..3")
-        # Coefficient of r^(p-order) is c_p * p! / (p-order)!.
+        # Coefficient of r^(p-order) is c_p * p! / (p-order)!; the powers
+        # below p_low are products, not zero coefficients, which would turn
+        # a -0.0 into +0.0.
         p_low = max(2, order)
-        scalar = np.ndim(r) == 0
-        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
-        for p in range(self.m, p_low - 1, -1):
-            acc = acc * r + self.coeffs_sq[p - 2] * _falling(p, order)
+        acc = _horner([self.coeffs_sq[p - 2] * _falling(p, order)
+                       for p in range(self.m, p_low - 1, -1)], r)
         for _ in range(p_low - order):
             acc = acc * r
-        return float(acc) if scalar else acc
+        return float(acc) if np.ndim(r) == 0 else acc
 
     def psi(self, r):
         """psi(r) = r nu''(r) + nu'(r)."""
@@ -208,20 +219,11 @@ class DriftPolynomial:
         return all(c == 0.0 for c in self.coeffs)
 
     def value(self, r):
-        scalar = np.ndim(r) == 0
-        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
-        for c in self.coeffs[::-1]:
-            acc = acc * r + c
-        return float(acc) if scalar else acc
+        return _horner(self.coeffs[::-1], r)
 
     def derivative(self, r):
         """v'(r); satisfies v'(q_star^2) = G by construction."""
-        n = len(self.coeffs)
-        scalar = np.ndim(r) == 0
-        acc = 0.0 if scalar else np.zeros_like(np.asarray(r, dtype=float))
-        for p in range(n - 1, 0, -1):
-            acc = acc * r + p * self.coeffs[p]
-        return float(acc) if scalar else acc
+        return _horner([p * self.coeffs[p] for p in range(len(self.coeffs) - 1, 0, -1)], r)
 
 
 def _moment_matrix(nu: MixingFunction, q_star: float) -> np.ndarray:

@@ -292,6 +292,20 @@ def _pack_for_another_grid(path):
     return "41 rows, the grid needs n + 1 = 51"
 
 
+def _r_diagonal_one_ulp_high(path):
+    RC = np.load(path)
+    RC[3, 3] = np.nextafter(1.0, 2.0)  # row 3 holds R[3, 0..3], then C[3, 3..50]
+    np.save(path, RC)
+    return "R(3, 3) = 1.0000000000000002 and C(3, 3) = 1.0, but a solve writes 1"
+
+
+def _c_diagonal_off_k(path):
+    RC = np.load(path)
+    RC[3, 4] = 0.5
+    np.save(path, RC)
+    return "C(3, 3) = 0.5, but a solve writes 1 and the series' K(3) = 1.0"
+
+
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     return "50 rows"
@@ -315,7 +329,8 @@ def _inf_in_a_row(path):
     ("RC.npy", _truncate_100_bytes), ("RC.npy", _resave_unpacked),
     ("RC.npy", _resave_as_float32), ("RC.npy", _resave_as_object),
     ("RC.npy", _nan_in_the_r_part), ("RC.npy", _nan_in_the_c_part),
-    ("RC.npy", _pack_for_another_grid), ("series.csv", _shorten_a_row),
+    ("RC.npy", _pack_for_another_grid), ("RC.npy", _r_diagonal_one_ulp_high),
+    ("RC.npy", _c_diagonal_off_k), ("series.csv", _shorten_a_row),
     ("series.csv", _drop_last_line), ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
@@ -419,12 +434,14 @@ def test_fdt_constants(tmp_path):
     out = tmp_path / "out"
     assert main(["fdt", "--config", str(cfg), "--out", str(out)]) == 0
     con = json.loads((out / "constants.json").read_text())
+    assert set(con) == {"gamma", "mu_infty", "D_inf", "I", "kappa1_closed",
+                        "kappa2_closed", "beta_c", "kappa_quadrature"}
     assert abs(con["beta_c"] - math.sqrt(8.0 / 3.0)) <= 1e-6
     assert con["D_inf"] == 0.0
     assert abs(con["mu_infty"] - 0.5675) <= 1e-12
     assert con["kappa1_closed"] == 0.75 and con["kappa2_closed"] == 2.0
     quad = con["kappa_quadrature"]
-    assert abs(quad[0] - 0.75) <= 1e-4 and abs(quad[1] - 2.0) <= 1e-4
+    assert len(quad) == 2 and abs(quad[0] - 0.75) <= 1e-4 and abs(quad[1] - 2.0) <= 1e-4
     series = read_series_csv(out / "series.csv")
     assert series["D"][0] == 1.0 and series["Dprime"][0] == -0.5
 

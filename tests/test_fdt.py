@@ -96,9 +96,9 @@ def test_aging_constants_above_threshold(pure3_mixing):
 
 def test_kappa_quadrature_matches_closed_form(pure3_mixing):
     sol = solve_fdt(0.5, 0.3, pure3_mixing, TwoTimeGrid.from_T(35.0, 0.005))
-    kv = kappa_values(sol, pure3_mixing)
-    assert kv.closed == (0.75, 2.0, 0.0)
-    assert kv.max_gap() <= 1e-4
+    k1, k2 = kappa_values(sol, pure3_mixing)
+    assert (sol.kappa1, sol.kappa2) == (0.75, 2.0)
+    assert max(abs(k1 - sol.kappa1), abs(k2 - sol.kappa2)) <= 1e-4
 
 
 def test_kappa_needs_a_settled_tail(pure3_mixing):
@@ -109,14 +109,14 @@ def test_kappa_needs_a_settled_tail(pure3_mixing):
 
 def test_overlap_fixed_points(sk_params, sk_mixing):
     # at a generic working point the only root is alpha = 0
-    roots = alpha_fixed_points(sk_params, sk_mixing, 2.0, (0.1, 0.2, 0.0))
+    roots = alpha_fixed_points(sk_params, sk_mixing, 2.0, (0.1, 0.2))
     assert len(roots) == 1 and abs(roots[0]) < 1e-9
     # quadratic degeneracy: mu = beta G - 0.25 beta^2 kappa2 + beta^2 kappa1
     # makes the identity vanish for every alpha
     with pytest.raises(ValidationError):
-        alpha_fixed_points(sk_params, sk_mixing, 1.25, (0.0, 0.0, 0.0))
+        alpha_fixed_points(sk_params, sk_mixing, 1.25, (0.0, 0.0))
     with pytest.raises(ValidationError):
-        alpha_fixed_points(sk_params, sk_mixing, -1.0, (0.1, 0.2, 0.0))
+        alpha_fixed_points(sk_params, sk_mixing, -1.0, (0.1, 0.2))
 
 
 def test_selfconsistent_localized_roots(sk_params, sk_mixing):
@@ -141,7 +141,7 @@ def test_selfconsistent_closure_is_elementwise(coeffs_sq, q_star, E_star,
     mu_fn, kap_fn = no_aging_selfconsistent(prm, nu)
     xs = np.linspace(-1.0, 1.0, 10001)
     assert np.array_equal(mu_fn(xs), [mu_fn(a) for a in xs])
-    k1, k2, _ = kap_fn(xs)
+    k1, k2 = kap_fn(xs)
     loop = [kap_fn(a) for a in xs]
     assert np.array_equal(k1, [k[0] for k in loop])
     assert np.array_equal(k2, [k[1] for k in loop])

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinband.errors import HardConstraint, PureInconsistent, ValidationError
-from spinband.model import (Confinement, MixingFunction, ModelParams,
-                            canonical_phi, f_prime, validate, vstar_build)
+from spinband.model import (Confinement, DriftPolynomial, MixingFunction,
+                            ModelParams, canonical_phi, f_prime, validate,
+                            vstar_build)
+from spinband.volterra import TwoTimeGrid, _March
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,34 @@ def test_g_definition(x, b2, b3):
 def test_nu_even_mixture_is_even(r):
     nu = MixingFunction((0.125,))
     assert nu.nu(r) == nu.nu(-r)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@given(lower=st.lists(_coeff, max_size=3), top=st.floats(1e-3, 1.0),
+       drift=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       r=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16))
+@settings(max_examples=100, deadline=None)
+def test_horner_rounds_scalars_as_arrays_and_as_the_march(lower, top, drift, r):
+    """nu's derivatives and the drift polynomial's value and slope give, on an
+    array, each entry's scalar result bit for bit (-0.0 kept); and the march's
+    fused nu'', nu', psi of a float are MixingFunction's, bit for bit."""
+    nu = MixingFunction((*lower, top))
+    v = DriftPolynomial((0.0, 0.0, *drift))
+    arr = np.array(r)
+    for f in (*(lambda x, k=k: nu.nu(x, k) for k in range(4)), v.value, v.derivative):
+        assert np.array_equal(_bits(f(arr)), _bits([f(x) for x in r]))
+    prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
+                      confinement=Confinement.hard())
+    march = _March(prm, nu, TwoTimeGrid(0.1, 1))
+    for x in r:
+        assert np.array_equal(_bits(march._nu_at(x)),
+                              _bits((nu.nu(x, 2), nu.nu(x, 1), nu.psi(x))))
 
 
 # ---------------------------------------------------------------------------

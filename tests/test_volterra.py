@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ def test_index_of_takes_an_array_of_times():
             g.index_of(np.array(times))
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_index_of_rejects_a_non_finite_time_without_a_warning(t):
+    g = TwoTimeGrid.from_T(2.0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridMismatch, match=rf"time {t} is not on the grid \(h=0.01, n=200\)"):
+            g.index_of(t)
+
+
 def test_hard_run_structure(sk_hard_bundle, sk_params):
     b = sk_hard_bundle
     assert_allclose(np.diag(b.R), 1.0, rtol=0, atol=0)
@@ -70,9 +80,36 @@ def test_energy_splits_into_memory_and_drift(sk_hard_bundle):
 
 def test_invariant_audit_passes(sk_hard_bundle):
     rep = check_bundle(sk_hard_bundle)
-    assert rep.passed
-    assert rep.psd_min_eig >= -1e-8
-    assert rep.c_excess is not None and rep.c_excess <= 1e-8
+    assert rep["passed"] is True
+    assert rep["psd_min_eig"] >= -1e-8
+    assert rep["c_excess"] is not None and rep["c_excess"] <= 1e-8
+    assert list(rep) == ["q_excess", "c_excess", "psd_min_eig",
+                         "response_bound_ratio", "tol", "passed"]
+
+
+def _damaged(b, name, *entries):
+    """A copy of bundle b with array ``name`` set at (index, value) entries."""
+    arr = getattr(b, name).copy()
+    for index, value in entries:
+        arr[index] = value
+    return dataclasses.replace(b, **{name: arr})
+
+
+@pytest.mark.parametrize("key, name, entries", [
+    # row 5 and column 3 lie off the audit's 21 times (multiples of 10)
+    ("q_excess", "q", [(5, 1.0 + 1e-6)]),
+    ("c_excess", "C", [((5, 3), 1.0 + 1e-6), ((3, 5), 1.0 + 1e-6)]),
+    # |C - q q^T / q*^2| >= 1 off the diagonal of a 2 x 2 minor with q > 0
+    ("psd_min_eig", "C", [((10, 20), -1.0), ((20, 10), -1.0)]),
+])
+def test_each_audit_key_can_fail(sk_hard_bundle, key, name, entries):
+    """Each gated key of a damaged copy fails, alone, and fails the audit."""
+    rep = check_bundle(_damaged(sk_hard_bundle, name, *entries))
+    fails = {"q_excess": rep["q_excess"] > 1e-8, "c_excess": rep["c_excess"] > 1e-8,
+             "psd_min_eig": rep["psd_min_eig"] < -1e-8,
+             "response_bound_ratio": rep["response_bound_ratio"] > 1 + 1e-8}
+    assert [k for k, bad in fails.items() if bad] == [key]
+    assert rep["passed"] is False
 
 
 def test_response_integral_bound(sk_hard_bundle):
@@ -112,14 +149,14 @@ def test_response_bound_fails_a_damaged_response(sk_hard_bundle):
     R3 = 3.0 * b.R
     np.fill_diagonal(R3, 1.0)
     bad = check_bundle(dataclasses.replace(b, R=R3))
-    assert bad.response_bound_ratio > 1.0
-    assert not bad.passed
-    assert check_bundle(b).passed is True
+    assert bad["response_bound_ratio"] > 1.0
+    assert not bad["passed"]
+    assert check_bundle(b)["passed"] is True
     Rnan = b.R.copy()
     Rnan[b.grid.n, 3] = np.nan
     nan = check_bundle(dataclasses.replace(b, R=Rnan))
-    assert np.isnan(nan.response_bound_ratio)
-    assert not nan.passed
+    assert np.isnan(nan["response_bound_ratio"])
+    assert not nan["passed"]
 
 
 def test_soft_solver_needs_soft_confinement(sk_params, sk_mixing):
