@@ -170,11 +170,25 @@ def _sup_level_set(f):
     return float(lo)
 
 
+def _rescaled(nu: MixingFunction):
+    """(nu / 4^h, h) with the largest coefficient of nu / 4^h in [1/2, 2).
+
+    Scaling by a power of two is exact, so beta^2 nu(x) equals
+    (2^h beta)^2 (nu / 4^h)(x) bit for bit wherever neither side leaves the
+    normal range; the rescaled form keeps beta_c^2 and beta^2 nu' finite for
+    coefficients down to the subnormals, where beta_c^2 exceeds the float range.
+    """
+    h = math.frexp(max(nu.coeffs_sq))[1] // 2
+    return MixingFunction(tuple(math.ldexp(c, -2 * h) for c in nu.coeffs_sq)), h
+
+
 def d_infty(gamma: float, beta: float, nu: MixingFunction) -> float | None:
     """Plateau sup{x in [0,1] : (gamma + 2 beta^2 nu'(x)) (1 - x) >= 1/2}.
 
     None when the set is empty (only possible for gamma < 1/2).
     """
+    nu, h = _rescaled(nu)
+    beta = math.ldexp(beta, h)
     b2 = beta * beta
 
     # expanded form: avoids (1/2 + small)(1 - small) - 1/2 cancellation,
@@ -187,6 +201,8 @@ def d_infty(gamma: float, beta: float, nu: MixingFunction) -> float | None:
 
 def d_star(beta: float, nu: MixingFunction) -> float | None:
     """sup{x in [0,1] : 4 beta^2 nu''(x) (1-x)^2 >= 1}; None if empty."""
+    nu, h = _rescaled(nu)
+    beta = math.ldexp(beta, h)
     b2 = beta * beta
 
     def f(x):
@@ -201,10 +217,12 @@ def beta_c(nu: MixingFunction) -> float:
     (1/2 + 2 beta^2 nu'(x))(1 - x) >= 1/2 at some x in (0, 1) iff beta^2 >=
     x / (4 nu'(x) (1 - x)) there, so beta_c^2 is the smaller of that ratio's
     x -> 0 limit 1/(4 nu''(0)) and its minimum over four 4001-point scans,
-    each zoomed around the last argmin.  NotBracketed for the zero mixture.
+    each zoomed around the last argmin, taken on the rescaled mixture.
+    NotBracketed for the zero mixture.
     """
     if nu.is_zero():
         raise NotBracketed("zero mixture has no finite critical temperature")
+    nu, h = _rescaled(nu)
     d2 = nu.nu(0.0, 2)
     best = 1.0 / (4.0 * d2) if d2 > 0.0 else math.inf
     lo, hi = 0.0, 1.0
@@ -216,7 +234,7 @@ def beta_c(nu: MixingFunction) -> float:
         best = min(best, float(vals[j]))
         span = (hi - lo) / 4000.0
         lo, hi = max(0.0, xs[j] - 2 * span), min(1.0, xs[j] + 2 * span)
-    return math.sqrt(best)
+    return math.ldexp(math.sqrt(best), -h)
 
 
 # ---------------------------------------------------------------------------

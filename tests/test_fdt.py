@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,11 +68,17 @@ def test_critical_temperature(sk_mixing, pure3_mixing):
        xs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=20))
 def test_critical_temperature_is_the_ratio_infimum(coeffs, xs):
     """beta_c^2 is a lower bound of x / (4 nu'(x) (1 - x)) on (0, 1), and the
-    gamma = 1/2 plateau is 0 just below beta_c and positive just above it."""
+    gamma = 1/2 plateau is 0 just below beta_c and positive just above it.
+
+    The ratio is taken in exact rationals: for subnormal coefficients nu'(x)
+    rounds coarsely or to 0 in floats, and the ratio and beta_c^2 overflow."""
     nu = MixingFunction(tuple(coeffs))
     bc = beta_c(nu)
-    for x in xs:
-        assert bc * bc <= x / (4.0 * nu.nu(x, 1) * (1.0 - x)) * (1.0 + 1e-12)
+    assert math.isfinite(bc) and bc > 0.0
+    for x in map(Fraction, xs):
+        d1 = sum(p * Fraction(c) * x ** (p - 1)
+                 for p, c in enumerate(nu.coeffs_sq, start=2))
+        assert Fraction(bc) ** 2 <= x / (4 * d1 * (1 - x)) * Fraction(1.0 + 1e-12)
     assert d_infty(0.5, 0.99 * bc, nu) == 0.0
     assert d_infty(0.5, 1.01 * bc, nu) > 0.0
 
