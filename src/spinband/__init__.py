@@ -24,6 +24,7 @@ _EXPORTS = {
     "vstar_build": "model",
     "canonical_phi": "model",
     "validate": "model",
+    "SimConfig": "model",
     "TwoTimeGrid": "volterra",
     "TwoTimeBundle": "volterra",
     "solve_hard": "volterra",
@@ -46,7 +47,6 @@ _EXPORTS = {
     "resolvent_root": "sk",
     "sk_asymptotics": "sk",
     "Disorder": "simulate",
-    "SimConfig": "simulate",
     "sample_disorder": "simulate",
     "condition_disorder": "simulate",
     "run_langevin": "simulate",

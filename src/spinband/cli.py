@@ -14,8 +14,11 @@ Commands:
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
 
-``run`` writes every metadata.json (a command body writes the rest) and
-returns 0, or 2 when an audit/tolerance gate failed; any error exits 1.
+``parse_config`` makes every config value a typed value under one number
+rule (``_number``) and runs every check, so a rejected config leaves no run
+directory.  ``run`` writes every metadata.json (a command body writes the
+rest) and returns 0, or 2 when an audit/tolerance gate failed; any error,
+a usage error included, exits 1.
 
 The config file is JSON (layout documented in the README).  ``--seed``
 overrides the sim block's seed; ``--threads`` caps BLAS/OpenMP thread counts
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError, SizeOverflow, SpinbandError, ValidationError
+from .errors import ParseError, SpinbandError, ValidationError
 
 COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
             "compare", "report")
@@ -59,25 +62,29 @@ class RunConfig:
     params: Any = None        # resolved ModelParams
     grid: Any = None          # TwoTimeGrid or None
     sk: Any = None            # SkParams for sk and for compare against sk
-    sim: dict | None = None
+    sim: Any = None           # SimConfig, for simulate
+    disorder_seed: int | None = None  # sim.disorder_seed, for simulate
     gamma: float | None = None  # fdt.gamma, for fdt
     tol: float | None = None    # compare.tol, for compare
     source: str | None = None
 
 
-def _need(block: dict, path: str, key: str):
-    if key not in block:
-        raise ParseError(f"field '{path}.{key}' is missing")
-    return block[key]
-
-
-def _number(value, name: str, kind: type):
-    """A finite JSON number as ``kind``, int (no fractional part) or float."""
+def _number(value, name: str, kind: type = float):
+    """A finite JSON number as ``kind``, int (no fractional part) or float:
+    the number rule of every config field (not a string, a boolean or null)."""
     if type(value) in (int, float) and abs(value) <= sys.float_info.max \
             and not (kind is int and value % 1):
         return kind(value)
     raise ParseError(f"field '{name}' must be "
                      f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
+
+
+def _field(block: dict, path: str, key: str, kind: type = float, default=None):
+    """``block[key]`` under the number rule, or ``default`` when the key is
+    absent (a ParseError when there is no default)."""
+    if default is None and key not in block:
+        raise ParseError(f"field '{path}.{key}' is missing")
+    return _number(block.get(key, default), f"{path}.{key}", kind)
 
 
 def _block(raw: dict, name: str) -> dict:
@@ -97,50 +104,67 @@ def _model_from_config(raw: dict):
     model = _block(raw, "model")
     if not model:
         raise ParseError("field 'model' is missing")
-    coeffs = _need(model, "model", "coeffs_sq")
-    if not isinstance(coeffs, (list, tuple)) or not coeffs:
+    coeffs = model.get("coeffs_sq")
+    if not isinstance(coeffs, list) or not coeffs:
         raise ParseError("'model.coeffs_sq' must be a non-empty list")
+    coeffs = [_number(c, f"model.coeffs_sq[{i}]") for i, c in enumerate(coeffs)]
 
     cons = _block(raw, "constraint")
     kind = cons.get("kind", "hard")
+    if kind == "hard":
+        confinement = Confinement.hard()
+    elif kind == "soft":
+        confinement = Confinement.soft(
+            _field(cons, "constraint", "L"), _field(cons, "constraint", "k", int, 1),
+            _field(cons, "constraint", "phi") if "phi" in cons else None)
+    else:
+        raise ParseError(f"'constraint.kind' must be hard|soft, got '{kind}'")
+    params = ModelParams(
+        beta=_field(model, "model", "beta"), q_star=_field(model, "model", "q_star"),
+        q_o=_field(model, "model", "q_o", default=0.0),
+        E_star=_field(model, "model", "E_star", default=0.0),
+        G_star=_field(model, "model", "G_star", default=0.0), confinement=confinement)
     try:
-        nu = MixingFunction(tuple(float(c) for c in coeffs))
-        if kind == "hard":
-            confinement = Confinement.hard()
-        elif kind == "soft":
-            confinement = Confinement.soft(
-                float(_need(cons, "constraint", "L")),
-                _number(cons.get("k", 1), "constraint.k", int),
-                None if cons.get("phi") is None else float(cons["phi"]))
-        else:
-            raise ParseError(f"'constraint.kind' must be hard|soft, got '{kind}'")
-        params = validate(ModelParams(
-            beta=float(_need(model, "model", "beta")),
-            q_star=float(_need(model, "model", "q_star")),
-            q_o=float(model.get("q_o", 0.0)),
-            E_star=float(model.get("E_star", 0.0)),
-            G_star=float(model.get("G_star", 0.0)),
-            confinement=confinement,
-        ), nu)
-    except (ParseError, ValidationError):
+        nu = MixingFunction(coeffs)
+        params = validate(params, nu)
+    except ValidationError:
         raise
     except SpinbandError as e:
         # surface module rejections (pure-model inconsistency etc.) uniformly
         raise ValidationError(f"model block rejected: {type(e).__name__}: {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"model/constraint block malformed: {e}") from None
 
     grid = None
     g = _block(raw, "grid")
     if g:
+        T, h = _field(g, "grid", "T"), _field(g, "grid", "h")
         try:
-            grid = TwoTimeGrid.from_T(float(_need(g, "grid", "T")),
-                                      float(_need(g, "grid", "h")))
+            grid = TwoTimeGrid.from_T(T, h)
         except SpinbandError as e:
             raise ValidationError(f"grid block rejected: {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"grid block malformed: {e}") from None
     return nu, params, grid
+
+
+def _sim_from_config(sim: dict, grid):
+    """(SimConfig, disorder seed) from a sim block.  T defaults to the
+    grid's horizon and snap_stride to h/dt; with a grid, every snapshot
+    time must lie on it (GridMismatch)."""
+    from .model import SimConfig
+
+    N, dt = _field(sim, "sim", "N", int), _field(sim, "sim", "dt")
+    T = _field(sim, "sim", "T", default=None if grid is None else grid.T)
+    seed = _field(sim, "sim", "seed", int, 0)
+    ratio = grid.h / dt if grid is not None and dt > 0 else 1.0
+    scfg = SimConfig(
+        N=N, dt=dt, T=T, seed=seed,
+        replicas=_field(sim, "sim", "replicas", int, SimConfig.replicas),
+        snap_stride=_field(sim, "sim", "snap_stride", int,
+                           round(ratio) if ratio < math.inf else 1))
+    disorder_seed = _field(sim, "sim", "disorder_seed", int, seed)
+    if disorder_seed < 0:
+        raise ValidationError("sim.disorder_seed must be nonnegative")
+    if grid is not None:  # checked before the run, not after it
+        grid.index_of(scfg.times())
+    return scfg, disorder_seed
 
 
 def parse_config(path: str | Path, command: str | None = None,
@@ -173,7 +197,7 @@ def parse_config(path: str | Path, command: str | None = None,
         raise ParseError(f"unknown command '{command}'")
 
     if seed is not None:
-        raw.setdefault("sim", {})["seed"] = int(seed)
+        raw["sim"] = {**_block(raw, "sim"), "seed": int(seed)}
 
     if command == "report":
         source = _block(raw, "report").get("source")
@@ -192,14 +216,11 @@ def parse_config(path: str | Path, command: str | None = None,
         raise ParseError(f"{command} needs a {command.removeprefix('solve-')} "
                          "'constraint' block")
 
-    sim = _block(raw, "sim") or None
+    sim = disorder_seed = None
     if command == "simulate":
-        if sim is None:
-            raise ParseError("command 'simulate' needs a 'sim' block")
-        for key in ("N", "dt"):
-            _need(sim, "sim", key)
         if kind != "soft":
             raise ParseError("simulate needs a soft 'constraint' block")
+        sim, disorder_seed = _sim_from_config(_block(raw, "sim"), grid)
 
     compare = _block(raw, "compare")
     against = compare.get("against", "sk")
@@ -221,10 +242,10 @@ def parse_config(path: str | Path, command: str | None = None,
             raise ValidationError(f"sk model rejected: {e}") from e
 
     return RunConfig(command=command, raw=raw, nu=nu, params=params, grid=grid,
-                     sk=sk, sim=sim,
-                     gamma=(_number(_block(raw, "fdt").get("gamma", 0.5), "fdt.gamma",
-                                    float) if command == "fdt" else None),
-                     tol=(_number(compare.get("tol", 5e-3), "compare.tol", float)
+                     sk=sk, sim=sim, disorder_seed=disorder_seed,
+                     gamma=(_field(_block(raw, "fdt"), "fdt", "gamma", default=0.5)
+                            if command == "fdt" else None),
+                     tol=(_field(compare, "compare", "tol", default=5e-3)
                           if command == "compare" else None))
 
 
@@ -498,7 +519,7 @@ def load_bundle(rundir: str | Path):
         grid=grid, R=R, C=C,
         q=series["q"], K=K, mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
-        pc_gap=float(_need(meta, "metadata", "pc_gap")), params=params, nu=nu)
+        pc_gap=_field(meta, "metadata", "pc_gap"), params=params, nu=nu)
     return bundle, meta
 
 
@@ -581,42 +602,17 @@ def _run_sk(cfg: RunConfig, out: Path):
 
 def _run_simulate(cfg: RunConfig, out: Path):
     import numpy as np
-    from .simulate import (_BUDGET, SimConfig, _snapshot_bytes,
-                           condition_disorder, empirical_observables,
+    from .simulate import (condition_disorder, empirical_observables,
                            error_functional, limit_at_snapshots, run_langevin,
                            sample_disorder)
     from .volterra import solve_soft
 
     t0 = time.monotonic()
-    try:  # every sim value is checked before any work is done
-        N = _number(cfg.sim["N"], "sim.N", int)
-        dt = float(cfg.sim["dt"])
-        T = float(cfg.sim.get("T", cfg.grid.T if cfg.grid else 0.0))
-        if T <= 0:
-            raise ValidationError("simulate needs sim.T (or a grid block)")
-        seed = _number(cfg.sim.get("seed", 0), "sim.seed", int)
-        stride = cfg.sim.get("snap_stride")
-        if stride is None:
-            stride = int(round(cfg.grid.h / dt)) if cfg.grid and dt > 0 else 1
-        scfg = SimConfig(N=N, dt=dt, T=T, seed=seed,
-                         replicas=_number(cfg.sim.get("replicas", SimConfig.replicas),
-                                          "sim.replicas", int),
-                         snap_stride=_number(stride, "sim.snap_stride", int))
-        disorder_seed = _number(cfg.sim.get("disorder_seed", seed), "sim.disorder_seed", int)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"sim block malformed: {e}") from None
-    need = _snapshot_bytes(scfg)
-    if need > _BUDGET:
-        raise SizeOverflow(f"snapshots and observables need {need} bytes "
-                           f"> budget {_BUDGET}")
-    if disorder_seed < 0:
-        raise ValidationError("sim.disorder_seed must be nonnegative")
-    if cfg.grid is not None:  # checked before the run, not after it
-        cfg.grid.index_of(scfg.times())
     # conditioned in place: the run holds one copy of the couplings
-    J = condition_disorder(sample_disorder(N, cfg.nu, disorder_seed), cfg.params)
+    J = condition_disorder(sample_disorder(cfg.sim.N, cfg.nu, cfg.disorder_seed),
+                           cfg.params)
     t1 = time.monotonic()
-    traj = run_langevin(J, cfg.params, scfg)
+    traj = run_langevin(J, cfg.params, cfg.sim)
     t2 = time.monotonic()
     emp = empirical_observables(traj)
     t3 = time.monotonic()
@@ -716,8 +712,13 @@ def run(cfg: RunConfig, out: str | Path) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 like any other error
+        raise ParseError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="spinband",
         description="Two-time dynamics near a conditioned critical point: "
                     "solvers, closed forms, and a finite-N simulator.")
@@ -728,13 +729,14 @@ def main(argv=None) -> int:
                     help="override the sim block's seed")
     ap.add_argument("--threads", type=int, default=None,
                     help="cap BLAS/OpenMP thread counts (set before numpy loads)")
-    args = ap.parse_args(argv)
-
-    if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
     try:
+        args = ap.parse_args(argv)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ParseError(f"argument --threads: must be at least 1, "
+                                 f"got {args.threads}")
+            for var in _THREAD_VARS:
+                os.environ[var] = str(args.threads)
         cfg = parse_config(args.config, command=args.command, seed=args.seed)
         return run(cfg, args.out)
     except SpinbandError as e:

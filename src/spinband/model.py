@@ -25,6 +25,7 @@ from .errors import (
     HardConstraint,
     PureInconsistent,
     SingularMatrix,
+    SizeOverflow,
     ValidationError,
 )
 
@@ -32,11 +33,14 @@ __all__ = [
     "MixingFunction",
     "Confinement",
     "ModelParams",
+    "SimConfig",
     "DriftPolynomial",
     "vstar_build",
     "validate",
     "f_prime",
 ]
+
+_BUDGET = 2 << 30  # bytes of couplings while sampling, and of snapshots
 
 
 def _horner(coeffs, r):
@@ -205,6 +209,53 @@ class ModelParams:
     confinement: Confinement
 
 
+def _snapshot_bytes(N: int, replicas: int, snapshots: int) -> int:
+    """Bytes a finite-N run's snapshots and observables hold: the X and B
+    snapshots (S x R x N each) and C and chi per replica plus their
+    averages ((R + 1) x S x S each), for S snapshots of R replicas."""
+    return 8 * (2 * snapshots * replicas * N + 2 * (replicas + 1) * snapshots ** 2)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """A finite-N run; SizeOverflow when its snapshots need over 2 GiB."""
+
+    N: int
+    dt: float
+    T: float
+    seed: int
+    replicas: int = 4
+    snap_stride: int = 1
+
+    def __post_init__(self):
+        if self.N < 2:
+            raise ValidationError("need N >= 2")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
+        if not 0 < self.T < math.inf:
+            raise ValidationError("T must be positive and finite")
+        if self.replicas < 1 or self.snap_stride < 1:
+            raise ValidationError("need replicas >= 1 and snap_stride >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        steps = self.T / self.dt  # an overflow to inf is no multiple either
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+            raise ValidationError("T must be an integer multiple of dt")
+        if round(steps) % self.snap_stride != 0:
+            raise ValidationError("snapshot stride must divide the step count")
+        need = _snapshot_bytes(self.N, self.replicas, self.n_steps // self.snap_stride + 1)
+        if need > _BUDGET:
+            raise SizeOverflow(f"snapshots and observables need {need} bytes "
+                               f"> budget {_BUDGET}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
+
+    def times(self) -> np.ndarray:  # the snapshot times, 0 through T
+        return np.arange(self.n_steps // self.snap_stride + 1) * (self.snap_stride * self.dt)
+
+
 @dataclass(frozen=True)
 class DriftPolynomial:
     """Radial drift profile v(r) = sum_p b_p^2 <v_p, (E, G)> r^p.
@@ -286,10 +337,15 @@ def canonical_phi(params: ModelParams, nu: MixingFunction) -> float:
 def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
     """Check parameter consistency and return the params with phi resolved.
 
-    Raises ValidationError / PureInconsistent as appropriate.  A soft
-    confinement comes back with a concrete phi (the canonical one when none
-    was given); a hard one has no phi and comes back unchanged.
+    Raises ValidationError / PureInconsistent as appropriate, ValidationError
+    for any non-finite number (a soft confinement's L, k and phi included).
+    A soft confinement comes back with a concrete phi (the canonical one
+    when none was given); a hard one has no phi and comes back unchanged.
     """
+    conf = params.confinement
+    for name, value in (vars(params) | ({} if conf.is_hard else vars(conf))).items():
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if not params.beta >= 0:
         raise ValidationError("beta must be >= 0")
     if not (0.0 < params.q_star <= 1.0):
@@ -305,7 +361,6 @@ def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
     # Pure-consistency (raises PureInconsistent if violated).
     vstar_build(nu, params.q_star, params.E_star, params.G_star)
 
-    conf = params.confinement
     if conf.is_hard:
         return params
     if conf.L is None or not conf.L > 0:

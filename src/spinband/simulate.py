@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (Blowup, HardConstraint, RankDeficient, SizeOverflow,
                      ValidationError)
-from .model import MixingFunction, ModelParams, f_prime, validate, vstar_build
+from .model import (_BUDGET, MixingFunction, ModelParams, SimConfig, f_prime,
+                    validate, vstar_build)
 from .volterra import TwoTimeBundle, _cumtrapz
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "conditional_hessian_spectrum",
 ]
 
-_BUDGET = 2 << 30  # bytes of couplings while sampling, and of snapshots
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 _ROW_BLOCK = 1 << 14  # most store entries ranked per block while sampling
 _OBS_BLOCK = 32  # snapshot rows of C per einsum in empirical_observables
@@ -149,14 +149,6 @@ def _coupling_bytes(N: int, orders) -> int:
     draw = max((N * N if p == 2 else math.comb(N + p - 1, p) for p in orders),
                default=0)
     return 8 * (stores + draw)
-
-
-def _snapshot_bytes(config: SimConfig) -> int:
-    """Bytes a run's snapshots and observables hold: the X and B snapshots
-    (S x R x N each) and C and chi per replica plus their averages
-    ((R + 1) x S x S each), for S snapshots of R replicas."""
-    S, R = config.n_steps // config.snap_stride + 1, config.replicas
-    return 8 * (2 * S * R * config.N + 2 * (R + 1) * S * S)
 
 
 def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
@@ -408,40 +400,6 @@ def _initial_from_rng(rng, N, q_star, q_o):
         return x
     x[1:] = g * math.sqrt(rad2 / nrm)
     return x
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    N: int
-    dt: float
-    T: float
-    seed: int
-    replicas: int = 4
-    snap_stride: int = 1
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValidationError("need N >= 2")
-        if not 0 < self.dt < math.inf:
-            raise ValidationError("dt must be positive and finite")
-        if not 0 < self.T < math.inf:
-            raise ValidationError("T must be positive and finite")
-        if self.replicas < 1 or self.snap_stride < 1:
-            raise ValidationError("need replicas >= 1 and snap_stride >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-            raise ValidationError("T must be an integer multiple of dt")
-        if round(steps) % self.snap_stride != 0:
-            raise ValidationError("snapshot stride must divide the step count")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
-
-    def times(self) -> np.ndarray:  # the snapshot times, 0 through T
-        return np.arange(self.n_steps // self.snap_stride + 1) * (self.snap_stride * self.dt)
 
 
 @dataclass

@@ -99,6 +99,11 @@ def test_load_bundle_rejects_a_malformed_config_echo(tmp_path):
     (out / "metadata.json").write_text(json.dumps(meta))
     with pytest.raises(ParseError, match="model.beta"):
         load_bundle(out)
+    # the echo is read under the config's number rule: a string is no number
+    meta["config"]["model"]["beta"] = "1.0"
+    (out / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(ParseError, match="field 'model.beta' must be a finite number"):
+        load_bundle(out)
 
 
 def test_rerun_from_metadata_echo(tmp_path):
@@ -556,8 +561,9 @@ def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid)
 def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
                                                             monkeypatch):
     """Snapshots and observables over the 2 GiB budget exit 1 with
-    SizeOverflow before any disorder is drawn: the simulate-p2 benchmark
-    config without its grid block (stride 1, 4001 snapshots, 2.51 GB)."""
+    SizeOverflow before any disorder is drawn or the run directory is made:
+    the simulate-p2 benchmark config without its grid block (stride 1, 4001
+    snapshots, 2.51 GB)."""
     import spinband.simulate
 
     def never(*args, **kwargs):
@@ -571,6 +577,7 @@ def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: SizeOverflow: ") and "2510003344 bytes" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_records_phase_timings(tmp_path):
@@ -748,11 +755,13 @@ _SIM = {"N": 16, "dt": 0.005, "seed": 7, "replicas": 2}
     (None, {**_SIM, "replicas": 0}),
     (None, {**_SIM, "snap_stride": 0}),
     (None, {**_SIM, "seed": -1}),
+    (None, {**_SIM, "dt": 5e-324}),
 ], ids=["grid.h=0", "grid.h=x", "grid.T=nan", "T/h-overflows", "sim.N=x",
-        "sim.replicas=0", "sim.snap_stride=0", "sim.seed=-1"])
+        "sim.replicas=0", "sim.snap_stride=0", "sim.seed=-1", "sim.T/dt-overflows"])
 def test_malformed_grid_and_sim_values_exit_1(tmp_path, capsys, grid, sim):
     """A grid or sim value that is not a usable number is an error line
-    naming a ParseError, ValidationError or GridMismatch, not a traceback."""
+    naming a ParseError, ValidationError or GridMismatch, not a traceback,
+    and it is found before the run directory is made."""
     if sim is None:
         command, payload = "solve-hard", solve_cfg(grid=grid)
     else:
@@ -764,36 +773,96 @@ def test_malformed_grid_and_sim_values_exit_1(tmp_path, capsys, grid, sim):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert re.match(r"error: (ParseError|ValidationError|GridMismatch): ", err), err
+    assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("command, block, key, value", [
-    ("fdt", "fdt", "gamma", "abc"),
-    ("fdt", "fdt", "gamma", None),
-    ("compare", "compare", "tol", "abc"),
-    ("compare", "compare", "tol", math.inf),
-    ("solve-soft", "constraint", "k", 1.5),
-    ("simulate", "sim", "N", 16.5),
-    ("simulate", "sim", "replicas", 2.5),
-    ("simulate", "sim", "seed", 1.5),
-    ("simulate", "sim", "snap_stride", "2"),
-    ("simulate", "sim", "disorder_seed", 3.5),
+_FLOAT_FIELDS = {"model.beta": "solve-hard", "model.q_o": "solve-hard",
+                 "model.coeffs_sq[0]": "solve-hard", "constraint.L": "solve-soft",
+                 "grid.h": "solve-hard", "sim.dt": "simulate", "sim.T": "simulate"}
+_NOT_NUMBERS = {"'1'": "1", "true": True, "null": None, "NaN": math.nan,
+                "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("fdt", "fdt.gamma", "abc"),
+    ("fdt", "fdt.gamma", None),
+    ("compare", "compare.tol", "abc"),
+    ("compare", "compare.tol", math.inf),
+    ("solve-soft", "constraint.k", 1.5),
+    ("simulate", "sim.N", 16.5),
+    ("simulate", "sim.replicas", 2.5),
+    ("simulate", "sim.seed", 1.5),
+    ("simulate", "sim.snap_stride", "2"),
+    ("simulate", "sim.disorder_seed", 3.5),
+    *((command, field, value) for field, command in _FLOAT_FIELDS.items()
+      for value in _NOT_NUMBERS.values()),
 ], ids=["fdt.gamma=abc", "fdt.gamma=null", "compare.tol=abc", "compare.tol=inf",
         "constraint.k=1.5", "sim.N=16.5", "sim.replicas=2.5", "sim.seed=1.5",
-        "sim.snap_stride='2'", "sim.disorder_seed=3.5"])
-def test_unusable_numbers_are_parse_errors(tmp_path, capsys, command, block,
-                                           key, value):
-    """A number field that is not a finite number, or an integer field that
-    is not integral, exits 1 with a ParseError naming the field, and no
-    artifact is written."""
+        "sim.snap_stride='2'", "sim.disorder_seed=3.5",
+        *(f"{field}={name}" for field in _FLOAT_FIELDS for name in _NOT_NUMBERS)])
+def test_unusable_numbers_are_parse_errors(tmp_path, capsys, command, field, value):
+    """A number field that is not a finite number (a string, a boolean,
+    null, NaN or an infinity), or an integer field that is not integral,
+    exits 1 with a ParseError naming the field, and no run directory is
+    made."""
     payload = json.loads(json.dumps(_RUN_CONFIGS[command]))
-    payload.setdefault(block, {})[key] = value
+    block, key = field.split(".")
+    if key.endswith("]"):  # a list entry, key[i]
+        key, i = key[:-1].split("[")
+        payload[block][key][int(i)] = value
+    else:
+        payload.setdefault(block, {})[key] = value
     cfg = write_cfg(tmp_path, "bad.json", payload)
     out = tmp_path / "x"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ParseError: field '{block}.{key}' must be"), err
+    assert err.startswith(f"error: ParseError: field '{field}' must be"), err
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_parsing_a_simulate_config_does_not_import_simulate(tmp_path):
+    """parse_config builds a simulate run's SimConfig without loading
+    spinband.simulate, which a config's set-up time would then pay for."""
+    cfg = write_cfg(tmp_path, "sim.json", _RUN_CONFIGS["simulate"])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinband.cli as cli; "
+         "rc = cli.parse_config(sys.argv[1], command='simulate'); "
+         "print(type(rc.sim).__name__, rc.sim.snap_stride, "
+         "'spinband.simulate' in sys.modules)", str(cfg)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert probe.stdout.split() == ["SimConfig", "10", "False"], probe.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "--config", "c.json", "--out", "o"],
+    ["solve-hard", "--out", "o"],
+    ["solve-hard", "--config", "c.json", "--out", "o", "--threads", "0"],
+    ["solve-hard", "--config", "c.json", "--out", "o", "--threads", "-1"],
+    ["solve-hard", "--config", "c.json", "--out", "o", "--threads", "x"],
+], ids=["unknown-command", "no-config", "threads=0", "threads=-1", "threads=x"])
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
+    """A command-line usage error exits 1 with an error line, as every
+    other error does (2 is reserved for a failed gate), and sets no thread
+    variable."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(var, "7")
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path, "c.json", solve_cfg())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
+    assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert "usage: spinband" in capsys.readouterr().out
 
 
 def test_parse_config_details(tmp_path):
@@ -913,7 +982,8 @@ def test_traced_layers_and_exports_resolve():
 ], ids=["off-grid-stride", "past-grid-T"])
 def test_simulate_rejects_off_grid_snapshots_before_sampling(tmp_path, capsys,
                                                              monkeypatch, sim):
-    """Snapshots that miss the limit grid exit 1 before any disorder is drawn."""
+    """Snapshots that miss the limit grid exit 1 before any disorder is drawn
+    and before the run directory is made."""
     import spinband.simulate
 
     def never(*args, **kwargs):
@@ -925,6 +995,7 @@ def test_simulate_rejects_off_grid_snapshots_before_sampling(tmp_path, capsys,
     cfg = write_cfg(tmp_path, "sim.json", payload)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "GridMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_readme_names_every_audit_and_diagnostic_key(tmp_path):

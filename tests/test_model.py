@@ -10,7 +10,7 @@ from spinband.errors import HardConstraint, PureInconsistent, ValidationError
 from spinband.model import (Confinement, DriftPolynomial, MixingFunction,
                             ModelParams, canonical_phi, f_prime, validate,
                             vstar_build)
-from spinband.volterra import TwoTimeGrid, _March
+from spinband.volterra import TwoTimeGrid, _March, solve_hard, solve_soft
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,30 @@ def test_validate_rejections(sk_mixing):
     with pytest.raises(ValidationError):
         validate(ModelParams(**{**good, "confinement": Confinement.soft(-5.0)}),
                  sk_mixing)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["beta", "q_star", "q_o", "E_star", "G_star",
+                                   "L", "k", "phi"])
+def test_validate_refuses_non_finite_values(sk_mixing, monkeypatch, field, bad):
+    """Every number of ModelParams and of a soft Confinement must be finite:
+    validate and the solve that calls it raise ValidationError naming the
+    field before the march is reached."""
+    monkeypatch.setattr(_March, "run", lambda self: pytest.fail("the march ran"))
+    good = dict(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625, G_star=1.25)
+    soft = dict(L=100.0, k=1, phi=1.5)
+    if field in soft:
+        params = ModelParams(**good, confinement=Confinement(
+            "soft", **{**soft, field: bad}))
+        solve = solve_soft
+    else:
+        params = ModelParams(**{**good, field: bad}, confinement=Confinement.hard())
+        solve = solve_hard
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        validate(params, sk_mixing)
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        solve(params, sk_mixing, TwoTimeGrid.from_T(0.1, 0.05))
 
 
 def test_zero_mixture_requires_zero_conditioning():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from spinband import simulate
+from spinband import model, simulate
 from spinband.errors import (Blowup, GridMismatch, HardConstraint,
                              SizeOverflow, SpinbandError, ValidationError)
 from spinband.model import (Confinement, MixingFunction, ModelParams,
@@ -973,27 +973,31 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
         SimConfig(N=8, dt=0.01, T=0.1, seed=0, snap_stride=3)
     with pytest.raises(ValidationError):
         SimConfig(N=8, dt=-0.01, T=0.1, seed=0)
+    with pytest.raises(ValidationError):  # T/dt overflows to inf
+        SimConfig(N=8, dt=5e-324, T=0.1, seed=0)
 
 
 def test_snapshot_bytes_are_what_a_run_holds(sk_mixing):
     """_snapshot_bytes counts the X and B snapshots and the per-replica and
     averaged C and chi of a run: the nbytes of those arrays in a small run,
     and at N = 400 with 8 replicas the budget holds 3688 snapshots but not
-    3689, checked without allocating them."""
+    3689, checked without allocating them.  SimConfig refuses a run over
+    the budget with SizeOverflow."""
     cfg = SimConfig(N=12, dt=0.01, T=0.2, seed=3, replicas=3, snap_stride=4)
     J = condition_disorder(sample_disorder(12, sk_mixing, 5), soft_params())
     traj = run_langevin(J, soft_params(), cfg)
     emp = empirical_observables(traj)
     held = (traj.X, traj.B, emp.C, emp.chi, emp.C_avg, emp.chi_avg)
-    assert simulate._snapshot_bytes(cfg) == sum(a.nbytes for a in held)
+    assert model._snapshot_bytes(12, 3, cfg.times().size) == sum(a.nbytes for a in held)
 
-    def snapshot_bytes(steps):  # steps + 1 snapshots
-        return simulate._snapshot_bytes(
-            SimConfig(N=400, dt=1.0, T=float(steps), seed=0, replicas=8))
-    assert snapshot_bytes(3687) <= simulate._BUDGET < snapshot_bytes(3688)
+    assert model._snapshot_bytes(400, 8, 3688) <= model._BUDGET \
+        < model._snapshot_bytes(400, 8, 3689)
+    SimConfig(N=400, dt=1.0, T=3687.0, seed=0, replicas=8)  # 3688 snapshots
+    with pytest.raises(SizeOverflow):
+        SimConfig(N=400, dt=1.0, T=3688.0, seed=0, replicas=8)
     # the simulate-p2 benchmark config without its grid, stride 1: 2.51 GB
-    assert simulate._snapshot_bytes(
-        SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)) == 2_510_003_344
+    with pytest.raises(SizeOverflow, match="need 2510003344 bytes"):
+        SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)
 
 
 def test_radial_blowup_guard(pure3_mixing):
