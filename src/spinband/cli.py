@@ -41,9 +41,6 @@ from typing import Any
 
 from .errors import ParseError, SpinbandError, ValidationError
 
-COMMANDS = ("solve-hard", "solve-soft", "fdt", "sk", "simulate",
-            "compare", "report")
-
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _PROC_STATUS = Path("/proc/self/status")  # Linux per-process counters
@@ -696,6 +693,7 @@ _DISPATCH = {
     "compare": _run_compare,
     "report": _run_report,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig, out: str | Path) -> int:

@@ -44,7 +44,7 @@ class GridMismatch(SpinbandError):
 # --- fdt -------------------------------------------------------------------
 
 class NotBracketed(SpinbandError):
-    """A root search found no sign change on its bracket."""
+    """No finite critical temperature: ``fdt.beta_c`` of the zero mixture."""
 
 
 class BelowCritical(SpinbandError):

@@ -10,7 +10,9 @@ with phi(x) = gamma + 2 beta^2 nu'(x).  The plateau D_inf, the constant
 gamma, the critical temperature, and the integrated-response constants
 kappa_1, kappa_2 feed the fixed-point analysis of where the special-direction
 overlap q(s) can converge, and the localized (no-aging) branch that exists
-for steep enough conditioned gradients G.
+for steep enough conditioned gradients G.  The plateaus and the overlap
+roots come from one sign-change search (_roots), which bisects down to
+adjacent floats; beta_c is a minimisation.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ __all__ = [
     "localized_no_aging",
 ]
 
-_N_SCAN = 10001  # sign-change scan points of the level-set and root searches
-_XTOL = 1e-10  # bisection width that ends the level-set search
+_N_SCAN = 10001  # scan points of the sign-change search (_roots)
 _TAIL_TOL = 1e-6  # kappa_values: how close D(T) must be to the plateau
 
 
@@ -144,30 +145,35 @@ def _plateau_kappas(d, nu: MixingFunction):
 # plateau / critical-temperature scans
 # ---------------------------------------------------------------------------
 
-def _sup_level_set(f):
-    """sup{x in [0,1] : f(x) >= 0} by dense scan + boundary bisection.
+def _roots(f, lo: float, hi: float):
+    """(sorted roots, scan values) of f on [lo, hi].
 
-    Returns None when no scanned point satisfies f >= 0.  f must be
-    vectorized over numpy arrays.
+    A _N_SCAN-point scan, evaluated as one array, keeps its exact zeros; each
+    scan interval whose ends have strictly opposite signs is bisected down
+    to adjacent floats (f = 0 counting as positive), and its root is the end
+    with the left scan point's sign.  f must accept arrays and scalars.
     """
-    xs = np.linspace(0.0, 1.0, _N_SCAN)
+    xs = np.linspace(lo, hi, _N_SCAN)
     vals = f(xs)
-    inside = np.flatnonzero(vals >= 0.0)
-    if inside.size == 0:
-        return None
-    k = inside[-1]
-    if k == _N_SCAN - 1:
-        return 1.0
-    lo, hi = xs[k], xs[k + 1]
-    for _ in range(200):
-        if hi - lo <= _XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+    sgn = np.sign(vals)
+    roots = [float(x) for x in xs[vals == 0.0]]
+    for j in np.flatnonzero(sgn[:-1] * sgn[1:] < 0.0):
+        a, b = float(xs[j]), float(xs[j + 1])
+        while a < (mid := 0.5 * (a + b)) < b:
+            if (f(mid) < 0.0) == (sgn[j] < 0.0):
+                a = mid
+            else:
+                b = mid
+        roots.append(a)
+    return sorted(roots), vals
+
+
+def _sup_level_set(f):
+    """sup{x in [0,1] : f(x) >= 0}: the last float x with f(x) >= 0 before
+    f turns negative (or an exact scan zero followed by f < 0), 1.0 when
+    f(1) >= 0, and None when no scan point has f >= 0."""
+    roots, vals = _roots(f, 0.0, 1.0)
+    return 1.0 if vals[-1] >= 0.0 else max(roots, default=None)
 
 
 def _rescaled(nu: MixingFunction):
@@ -246,8 +252,6 @@ class AgingConstants:
     gamma: float
     d_inf: float
     i_const: float
-    boundary_residual: float
-    gamma_above_half: bool  # the aging regime's expected sign; reported, not enforced
 
 
 def aging_constants(beta: float, nu: MixingFunction) -> AgingConstants:
@@ -257,8 +261,10 @@ def aging_constants(beta: float, nu: MixingFunction) -> AgingConstants:
     gamma = 2 beta^2 [nu''(D_inf)(1 - D_inf) - nu'(D_inf)],
     I     = gamma - 1/2 + 2 beta^2 D_inf nu'(D_inf).
 
-    ``boundary_residual`` is (gamma + 2 b^2 nu'(D_inf))(1 - D_inf) - 1/2,
-    which vanishes identically when D_inf sits on the 4 b^2 g = 1 boundary.
+    With this gamma, (gamma + 2 beta^2 nu'(D_inf))(1 - D_inf) equals
+    2 beta^2 g(D_inf), g(x) = nu''(x)(1-x)^2, so D_inf is on the gamma
+    plateau's boundary (value 1/2) exactly as far as d_star's last float
+    with 4 beta^2 g >= 1 is on 4 beta^2 g = 1.
     Raises BelowCritical for beta <= beta_c.
     """
     bc = beta_c(nu)
@@ -270,10 +276,7 @@ def aging_constants(beta: float, nu: MixingFunction) -> AgingConstants:
     b2 = beta * beta
     gamma = 2.0 * b2 * (nu.nu(dinf, 2) * (1.0 - dinf) - nu.nu(dinf, 1))
     i_const = gamma - 0.5 + 2.0 * b2 * dinf * nu.nu(dinf, 1)
-    resid = (gamma + 2.0 * b2 * nu.nu(dinf, 1)) * (1.0 - dinf) - 0.5
-    if dinf < 1.0 - 1e-9 and abs(resid) > 1e-8:
-        raise NotConverged(f"plateau boundary identity off by {resid:g}")
-    return AgingConstants(gamma, dinf, i_const, resid, gamma > 0.5)
+    return AgingConstants(gamma, dinf, i_const)
 
 
 def kappa_values(sol: FdtSolution, nu: MixingFunction) -> tuple:
@@ -309,10 +312,9 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
     ``mu`` and ``kappas`` = (kappa1, kappa2) may be fixed (a working point) or callables
     of alpha (self-consistent substitution, see no_aging_selfconsistent);
     callables must accept a numpy array of alphas as well as a scalar.
-    Found by a sign-change scan on 10001 points, evaluated as one array,
-    plus bisection of each bracket down to adjacent floats; exact grid
-    zeros are kept as roots.  Raises ValidationError when the identity is
-    degenerate (numerically zero over the whole scan) or when mu <= 0.
+    Found by _roots on [-1, 1]; roots within 1e-8 of each other count once.
+    Raises ValidationError when the identity is degenerate (numerically
+    zero over the whole scan) or when mu <= 0.
     """
     beta = params.beta
     qs = params.q_star
@@ -336,29 +338,9 @@ def alpha_fixed_points(params: ModelParams, nu: MixingFunction, mu, kappas) -> l
                    - b2 * qs2 * nu.nu(x, 2) * nu.nu(x, 1) * k2 / denom
                    + b2 * x * k1))
 
-    xs = np.linspace(-1.0, 1.0, _N_SCAN)
-    vals = resid(xs)
-    scale = float(abs(vals).max())
-    ref = max(1.0, abs(mu_fn(0.0)) * qs)
-    if scale <= 1e-12 * ref:
+    roots, vals = _roots(resid, -1.0, 1.0)
+    if float(abs(vals).max()) <= 1e-12 * max(1.0, abs(mu_fn(0.0)) * qs):
         raise ValidationError("identity degenerate: residual vanishes on [-1, 1]")
-
-    roots = [float(xs[j]) for j in np.flatnonzero(vals == 0.0)]
-    sgn = np.sign(vals)
-    for j in np.flatnonzero((sgn[:-1] * sgn[1:]) < 0.0):
-        lo, hi = float(xs[j]), float(xs[j + 1])
-        flo = vals[j]
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            fm = resid(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(mid)
-    roots.sort()
     out = []
     for r in roots:
         if not out or abs(r - out[-1]) > 1e-8:
@@ -414,14 +396,9 @@ class NoAgingReport:
     alpha_sq: float      # also the plateau of the lag correlation
     gamma: float
     h_inf: float
-    residuals: tuple     # stationarity / plateau identity residuals
     beta_plus: float | None = None       # pure case: branch threshold in beta
     tap_ok: bool | None = None           # mixed case: stability inequality
     g_alpha_residual: float | None = None  # mixed case: G identity residual
-
-    @property
-    def residual_max(self) -> float:
-        return max(abs(r) for r in self.residuals)
 
 
 def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport:
@@ -444,9 +421,8 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     alpha = q_star, and the stability inequality
     1/beta > 2 sqrt(nu''(q*^2)) (1 - q*^2).
 
-    Always reported: gamma (from the energy identity), the stationarity and
-    plateau identity residuals at (alpha, gamma), and the stationary limit
-    of the energy's memory integral,
+    Always reported: gamma (from the energy identity) and the stationary
+    limit of the energy's memory integral,
     H_inf = v(alpha q*) + 2 beta [nu(1) - nu(alpha^2)
                                   - (1 - alpha^2) nu'(alpha q*)^2 / nu'(q*^2)],
     which is v(alpha q*) + 2 beta theta(alpha^2) only where
@@ -456,7 +432,6 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     qs = params.q_star
     qs2 = qs * qs
     G = params.G_star
-    b2 = beta * beta
     nu2_qs2 = nu.nu(qs2, 2)
     if nu2_qs2 <= 0:
         raise Unstable("needs nu''(q_star^2) > 0")
@@ -487,15 +462,9 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     v = vstar_build(nu, qs, params.E_star, params.G_star)
     denom = nu.nu(qs2, 1)
     x = alpha * qs
-    gamma = _no_aging_gamma(alpha, beta, qs, v, nu, denom)
-    r1 = gamma * alpha - (beta * qs * v.derivative(x)
-                          - 2.0 * b2 * qs * nu.nu(x, 2) * nu.nu(x, 1) * (1.0 - a2) / denom
-                          - 2.0 * b2 * alpha * nu.nu(a2, 1))
     w = nu.nu(x, 1) ** 2 / denom  # nu'(alpha q*)^2 / nu'(q*^2)
-    r3_left = (gamma + 2.0 * b2 * w) * (1.0 - a2) - 0.5
     h_inf = v.value(x) + 2.0 * beta * (nu.nu(1.0) - nu.nu(a2) - (1.0 - a2) * w)
     return NoAgingReport(case=case, y=y, alpha=alpha, alpha_sq=a2,
-                         gamma=gamma, h_inf=h_inf,
-                         residuals=(r1, r3_left),
-                         beta_plus=beta_plus, tap_ok=tap_ok,
+                         gamma=_no_aging_gamma(alpha, beta, qs, v, nu, denom),
+                         h_inf=h_inf, beta_plus=beta_plus, tap_ok=tap_ok,
                          g_alpha_residual=g_alpha_residual)

@@ -93,6 +93,7 @@ class SkParams:
 
 _SERIES_CUT = 20.0
 _TAIL_TOL = 1e-12  # mgf_tail_integral truncation: bound on the dropped tail
+_LAG_GRID = TwoTimeGrid(0.005, 2000)  # default lag grid of the FDT closed forms
 
 
 def _mgf_series(z):
@@ -162,7 +163,7 @@ def resolvent_root(G: float) -> float:
 
 
 def mgf_tail_integral(tau, beta: float, G: float):
-    """int_tau^infty L_G(u) du for each tau (scalar or ascending array).
+    """int_tau^infty L_G(u) du for each tau (scalar or array in any order).
 
     Gauss-Legendre panels of width <= 2 up to the cutoff U where the
     exponential tail bound e^{-beta(G-1)U}/(beta(G-1)) drops below 1e-12
@@ -172,11 +173,8 @@ def mgf_tail_integral(tau, beta: float, G: float):
         raise DomainError("tail integral needs G > 1")
     rate = beta * (G - 1.0)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(np.diff(taus) < 0):
-        order = np.argsort(taus, kind="stable")
-    else:
-        order = None
-    ts = taus[order] if order is not None else taus
+    order = np.argsort(taus, kind="stable")
+    ts = taus[order]
     U = max(float(ts[-1]) + 1.0, math.log(1.0 / (_TAIL_TOL * rate)) / rate)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     # segment boundaries: the taus themselves plus a uniform fill up to U
@@ -187,11 +185,8 @@ def mgf_tail_integral(tau, beta: float, G: float):
     pts = mids[:, None] + half[:, None] * nodes[None, :]
     seg = (half * (damped_mgf(pts, beta, G) @ weights))
     suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    vals = np.interp(ts, bounds, suffix)  # exact at the tau entries of bounds
-    if order is not None:
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        vals = vals[inv]
+    vals = np.empty_like(ts)
+    vals[order] = np.interp(ts, bounds, suffix)  # exact at the tau entries of bounds
     return float(vals[0]) if np.isscalar(tau) or np.asarray(tau).ndim == 0 else vals
 
 
@@ -359,7 +354,7 @@ def stationary_covariance(tau, params: SkParams):
     return mgf_tail_integral(tau, params.beta, params.G_star) / c
 
 
-def sk_asymptotics(params: SkParams, grid: TwoTimeGrid | None = None):
+def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
     """(alpha_sq, C_fdt array on the lag grid, mu_inf, H_inf).
 
     alpha^2 = 1 - y/beta, C_fdt(tau) = 1 - (1/2) int_0^tau L_G(u) du,
@@ -368,8 +363,6 @@ def sk_asymptotics(params: SkParams, grid: TwoTimeGrid | None = None):
     y = resolvent_root(params.G_star)
     if params.beta <= y:
         raise Delocalized(f"beta = {params.beta:g} <= y = {y:g}")
-    if grid is None:
-        grid = TwoTimeGrid(0.005, 2000)
     alpha_sq = 1.0 - y / params.beta
     lg = damped_mgf(grid.times(), params.beta, params.G_star)
     c_fdt = 1.0 - 0.5 * _cumtrapz(lg, grid.h)
@@ -388,25 +381,20 @@ class FdtMatchReport:
     gap: float
     gamma: float
     mu_inf: float
-    phi_one: float
     grid: TwoTimeGrid = field(repr=False, default=None)
 
 
-def fdt_consistency(params: SkParams, grid: TwoTimeGrid | None = None) -> FdtMatchReport:
+def fdt_consistency(params: SkParams, grid: TwoTimeGrid = _LAG_GRID) -> FdtMatchReport:
     """Compare the closed-form lag correlation against the generic lag march.
 
     C_fdt equals D(tau) of the convolution equation with the affine
     phi(x) = beta G + (beta^2/2)(x - 1), i.e. gamma = beta G - beta^2 / 2
-    for the quadratic mixture.  Returns the sup gap on the grid plus the
-    phi(1) = beta G check (which is also mu_inf).
+    for the quadratic mixture.  Returns the sup gap on the grid, that
+    gamma, and mu_inf = beta G, which is that phi at 1.
     """
     from . import fdt as _fdt
-    if grid is None:
-        grid = TwoTimeGrid(0.005, 2000)
     gamma = params.beta * params.G_star - 0.5 * params.beta ** 2
     D, _ = _fdt.solve_D(gamma, params.beta, sk_mixing(), grid)
     _, c_fdt, mu_inf, _ = sk_asymptotics(params, grid)
-    nu = sk_mixing()
-    phi_one = gamma + 2.0 * params.beta ** 2 * nu.nu(1.0, 1)
     return FdtMatchReport(gap=float(np.abs(D - c_fdt).max()), gamma=gamma,
-                          mu_inf=mu_inf, phi_one=phi_one, grid=grid)
+                          mu_inf=mu_inf, grid=grid)

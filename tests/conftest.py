@@ -1,6 +1,7 @@
 import pytest
 
-from spinband.model import Confinement, MixingFunction, ModelParams, validate
+from spinband.model import (Confinement, MixingFunction, ModelParams, validate,
+                            vstar_build)
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,34 @@ def sk_params(sk_mixing):
                                 E_star=0.625, G_star=1.25,
                                 confinement=Confinement.hard()),
                     sk_mixing)
+
+
+@pytest.fixture(scope="session")
+def plateau_identity():
+    """(gamma + 2 beta^2 nu'(d)) (1 - d) - 1/2 of aging constants `con`:
+    zero when d_inf is on the boundary of the gamma plateau."""
+    def residual(con, beta, nu):
+        return (con.gamma + 2.0 * beta ** 2 * nu.nu(con.d_inf, 1)) * (1.0 - con.d_inf) - 0.5
+    return residual
+
+
+@pytest.fixture(scope="session")
+def no_aging_identities():
+    """(stationarity, plateau) identity residuals of a localized report,
+    recomputed from its alpha and gamma: mu = gamma + 2 beta^2 nu'(1) and
+    the closed-form kappas at the plateau alpha^2 in the stationarity
+    identity (divided by q_star), and
+    (gamma + 2 beta^2 nu'(alpha q*)^2 / nu'(q*^2)) (1 - alpha^2) - 1/2."""
+    def residuals(rep, params, nu):
+        beta, qs, a = params.beta, params.q_star, rep.alpha
+        b2, a2, x = beta * beta, a * a, a * qs
+        v = vstar_build(nu, qs, params.E_star, params.G_star)
+        denom = nu.nu(qs * qs, 1)
+        mu = rep.gamma + 2.0 * b2 * nu.nu(1.0, 1)
+        k1, k2 = 2.0 * (nu.nu(1.0, 1) - nu.nu(a2, 1)), 2.0 * (1.0 - a2)
+        stationarity = mu * a - (beta * qs * v.derivative(x)
+                                 - b2 * qs * nu.nu(x, 2) * nu.nu(x, 1) * k2 / denom
+                                 + b2 * a * k1)
+        plateau = (rep.gamma + 2.0 * b2 * nu.nu(x, 1) ** 2 / denom) * (1.0 - a2) - 0.5
+        return stationarity, plateau
+    return residuals

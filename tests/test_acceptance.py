@@ -203,13 +203,14 @@ def test_09_hessian_stability_threshold(pure3_mixing):
     assert soft >= 95, soft
 
 
-def test_10_fdt_constants(pure3_mixing, sk_params, sk_mixing):
+def test_10_fdt_constants(pure3_mixing, sk_params, sk_mixing, plateau_identity):
     sol = solve_fdt(0.5, 0.3, pure3_mixing, TwoTimeGrid.from_T(35.0, 0.005))
     k1, k2 = kappa_values(sol, pure3_mixing)
     assert max(abs(k1 - sol.kappa1), abs(k2 - sol.kappa2)) <= 1e-4
 
-    con = aging_constants(1.5 * beta_c(pure3_mixing), pure3_mixing)
-    assert abs(con.boundary_residual) <= 1e-8
+    beta = 1.5 * beta_c(pure3_mixing)
+    con = aging_constants(beta, pure3_mixing)
+    assert abs(plateau_identity(con, beta, pure3_mixing)) <= 1e-8
 
     rep = localized_no_aging(sk_params, sk_mixing)
     assert rep.beta_plus == rep.y
@@ -264,7 +265,8 @@ def test_13_long_time_march_off_the_g_identity():
 
 
 @pytest.mark.parametrize("G_star, beta", [(2.0, 1.0), (2.0, 1.3), (2.5, 0.8)])
-def test_14_h_inf_matches_the_extrapolated_march(G_star, beta):
+def test_14_h_inf_matches_the_extrapolated_march(G_star, beta,
+                                                no_aging_identities):
     """Off the G identity the no-aging limit is exact: the Richardson value
     (4 X(h/2) - X(h)) / 3 of the T = 30 march at h = 0.04 and 0.02 sits
     within 2e-5 of H_inf and within 3e-5 of alpha and mu = phi(1), and
@@ -279,7 +281,7 @@ def test_14_h_inf_matches_the_extrapolated_march(G_star, beta):
     def richardson(series):
         return (4.0 * series(fine) - series(coarse)) / 3.0
 
-    assert rep.residual_max <= 1e-12
+    assert max(map(abs, no_aging_identities(rep, fine.params, nu))) <= 1e-12
     assert abs(richardson(lambda b: b.H[-1]) - rep.h_inf) <= 2e-5
     assert abs(richardson(lambda b: b.q[-1]) / prm.q_star - rep.alpha) <= 3e-5
     mu_inf = rep.gamma + 2.0 * beta ** 2 * nu.nu(1.0, 1)

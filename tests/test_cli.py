@@ -1016,3 +1016,18 @@ def test_readme_names_every_audit_and_diagnostic_key(tmp_path):
     section = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
     missing = sorted(k for k in keys if f"`{k}`" not in section)
     assert not missing, missing
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    """Every ```python block of the README runs, in order and in one
+    namespace, from a directory where a small solve-hard run wrote the
+    `rundir` the reload examples read."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL)
+    assert len(blocks) >= 5
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
+    assert main(["solve-hard", "--config", str(cfg), "--out", "rundir"]) == 0
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)

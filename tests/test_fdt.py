@@ -83,22 +83,64 @@ def test_critical_temperature_is_the_ratio_infimum(coeffs, xs):
     assert d_infty(0.5, 1.01 * bc, nu) > 0.0
 
 
-def test_aging_constants_quadratic_case(sk_mixing):
+def test_aging_constants_quadratic_case(sk_mixing, plateau_identity):
     con = aging_constants(2.0, sk_mixing)
     assert abs(con.d_inf - 0.5) < 1e-9
     assert abs(con.gamma) < 1e-8
     assert abs(con.i_const) < 1e-8
-    assert abs(con.boundary_residual) < 1e-8
-    assert con.gamma_above_half is False
+    assert abs(plateau_identity(con, 2.0, sk_mixing)) < 1e-8
+    assert con.gamma <= 0.5
     with pytest.raises(BelowCritical):
         aging_constants(0.9, sk_mixing)
 
 
-def test_aging_constants_above_threshold(pure3_mixing):
+def test_aging_constants_above_threshold(pure3_mixing, plateau_identity):
     beta = 1.5 * beta_c(pure3_mixing)
     con = aging_constants(beta, pure3_mixing)
-    assert abs(con.boundary_residual) <= 1e-8
+    assert abs(plateau_identity(con, beta, pure3_mixing)) <= 1e-8
     assert 0.0 < con.d_inf < 1.0
+
+
+@pytest.mark.parametrize("beta, coeffs_sq", [
+    (100.0, (0.0, 0.125)),
+    (100.0, (0.0, 0.0, 0.125)),
+    (1000.0, (0.0625, 0.0625))], ids=["pure3", "pure4", "mixed"])
+def test_aging_constants_deep_in_the_aging_phase(beta, coeffs_sq):
+    """Far above beta_c, 4 beta^2 g is steep at the plateau: a boundary
+    search that stopped at width 1e-10 missed 4 beta^2 g(D_inf) = 1 by up to
+    1.7e-7 here, while the search down to adjacent floats meets it to 1e-12."""
+    nu = MixingFunction(coeffs_sq)
+    con = aging_constants(beta, nu)
+    assert 0.99 < con.d_inf < 1.0
+    assert abs(4.0 * beta ** 2 * nu.g(con.d_inf) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+       beta=st.floats(0.5, 50.0), gamma=st.floats(0.0, 3.0))
+def test_plateaus_end_on_the_last_float_of_their_level_sets(coeffs, beta,
+                                                            gamma):
+    """d_star and d_infty return the last float d with f(d) >= 0 before f
+    turns negative, for the expression f each one scans, unless d is an
+    exact zero of the scan (kept as it is: at beta = 0, d_infty(1/2) is 0
+    though f rounds to 0 at the next float too).  For coefficients in
+    [1e-3, 1] the power-of-two rescaling is exact, so f is evaluated on the
+    mixture and beta as given."""
+    nu = MixingFunction(tuple(coeffs))
+    b2 = beta * beta
+
+    def f_star(x):
+        return 4.0 * b2 * nu.g(x) - 1.0
+
+    def f_infty(x):
+        return (gamma - 0.5) + 2.0 * b2 * nu.nu(x, 1) * (1.0 - x) - gamma * x
+
+    for d, f in ((d_star(beta, nu), f_star),
+                 (d_infty(gamma, beta, nu), f_infty)):
+        if d is not None and d < 1.0:
+            assert f(d) >= 0.0
+            assert (f(float(np.nextafter(d, 2.0))) < 0.0
+                    or (f(d) == 0.0 and d in np.linspace(0.0, 1.0, 10001)))
 
 
 def test_kappa_quadrature_matches_closed_form(pure3_mixing):
@@ -154,7 +196,7 @@ def test_selfconsistent_closure_is_elementwise(coeffs_sq, q_star, E_star,
     assert np.array_equal(k2, [k[1] for k in loop])
 
 
-def test_localized_branch_quadratic(sk_params, sk_mixing):
+def test_localized_branch_quadratic(sk_params, sk_mixing, no_aging_identities):
     rep = localized_no_aging(sk_params, sk_mixing)
     assert rep.case == "pure"
     assert rep.y == 0.5
@@ -162,10 +204,10 @@ def test_localized_branch_quadratic(sk_params, sk_mixing):
     assert abs(rep.alpha_sq - 0.5) < 1e-9
     assert abs(rep.gamma - 0.75) < 1e-9
     assert abs(rep.h_inf - 0.375) < 1e-12
-    assert rep.residual_max <= 1e-9
+    assert max(map(abs, no_aging_identities(rep, sk_params, sk_mixing))) <= 1e-9
 
 
-def test_localized_branch_cubic():
+def test_localized_branch_cubic(no_aging_identities):
     nu = MixingFunction((0.0, 0.125))
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=2.0 / 3.0,
                       G_star=2.0, confinement=Confinement.hard())
@@ -173,7 +215,7 @@ def test_localized_branch_cubic():
     assert abs(rep.y - 1.0 / math.sqrt(3.0)) < 1e-12
     assert abs(rep.beta_plus - math.sqrt(3.0) / 2.0) < 1e-12
     assert 0.0 < rep.alpha < 1.0
-    assert rep.residual_max <= 1e-9
+    assert max(map(abs, no_aging_identities(rep, prm, nu))) <= 1e-9
 
     with pytest.raises(NoBranch):
         localized_no_aging(
@@ -188,7 +230,7 @@ def test_localized_branch_guards(sk_mixing):
         localized_no_aging(shallow, sk_mixing)
 
 
-def test_localized_branch_mixed(mixed_mixing):
+def test_localized_branch_mixed(mixed_mixing, no_aging_identities):
     """Off the G identity (G_star = 2.0) alpha is the largest self-consistent
     root, which the march reaches (test_13), not q_star."""
     prm = ModelParams(beta=1.0, q_star=0.8, q_o=0.0, E_star=0.3, G_star=2.0,
@@ -201,7 +243,7 @@ def test_localized_branch_mixed(mixed_mixing):
     assert rep.tap_ok is True
     assert rep.g_alpha_residual is not None
     assert rep.beta_plus is None
-    assert rep.residual_max <= 1e-12
+    assert max(map(abs, no_aging_identities(rep, prm, mixed_mixing))) <= 1e-12
 
 
 def test_localized_branch_closed_forms_check_the_root(pure3_mixing,
@@ -229,7 +271,8 @@ def test_localized_branch_closed_forms_check_the_root(pure3_mixing,
     assert abs(rep.g_alpha_residual) <= 1e-5
 
 
-def test_localized_branch_mixed_at_unit_q_star(mixed_mixing):
+def test_localized_branch_mixed_at_unit_q_star(mixed_mixing,
+                                               no_aging_identities):
     """q_star = 1 leaves no G identity to check: the diagnostics stay None,
     and where the only self-consistent root is 0 there is no branch."""
     flat = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.3, G_star=2.0,
@@ -241,4 +284,4 @@ def test_localized_branch_mixed_at_unit_q_star(mixed_mixing):
     rep = localized_no_aging(deep, mixed_mixing)
     assert 0.0 < rep.alpha < 1.0
     assert rep.tap_ok is None and rep.g_alpha_residual is None
-    assert rep.residual_max <= 1e-12
+    assert max(map(abs, no_aging_identities(rep, deep, mixed_mixing))) <= 1e-12

@@ -204,10 +204,11 @@ def test_long_time_constants(ref):
         sk_asymptotics(SkParams(beta=0.3, G_star=1.25))
 
 
-def test_lag_profile_agrees_with_generic_fdt_solver(ref):
+def test_lag_profile_agrees_with_generic_fdt_solver(ref, sk_mixing):
     rep = fdt_consistency(ref)
     assert rep.gamma == 0.75
-    assert rep.mu_inf == rep.phi_one == 1.25
+    phi_one = rep.gamma + 2.0 * ref.beta ** 2 * sk_mixing.nu(1.0, 1)
+    assert rep.mu_inf == phi_one == 1.25
     assert rep.gap <= 5e-4
 
 
