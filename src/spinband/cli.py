@@ -227,8 +227,8 @@ def parse_config(path: str | Path, command: str | None = None,
         raise ValidationError("compare against=soft needs a soft constraint")
     sk = None  # for compare: set iff against is sk
     if command == "sk" or (command == "compare" and against == "sk"):
-        from .sk import SkParams
-        if nu.coeffs_sq != (0.125,):
+        from .sk import SkParams, sk_mixing
+        if nu.coeffs_sq != sk_mixing().coeffs_sq:
             raise ValidationError(
                 "the closed form covers the two-body mixing r^2/8 only "
                 "(coeffs_sq == [0.125])")
@@ -467,21 +467,24 @@ def read_two_time(path: str | Path):
 
 
 def save_bundle(bundle, out: Path) -> None:
-    """Write RC.npy (R and C on the triangle) and series.csv for a bundle."""
+    """Write RC.npy (R and C on the triangle, so K = C(s, s) too) and
+    series.csv for a bundle."""
     _write_two_time(out, bundle.R, bundle.C)
-    write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H", "Hhat"),
-                     (bundle.grid.times(), bundle.q, bundle.K, bundle.mu,
-                      bundle.H, bundle.Hhat))
+    write_series_csv(out / "series.csv", ("t", "q", "mu", "H", "Hhat"),
+                     (bundle.grid.times(), bundle.q, bundle.mu, bundle.H,
+                      bundle.Hhat))
 
 
 def load_bundle(rundir: str | Path):
     """Rebuild a TwoTimeBundle (and its metadata) from a solve run directory.
 
-    Raises ParseError naming the first missing file or series column, so a
-    directory written by another command is rejected cleanly, and naming the
-    file for a damaged line, a short series or an RC.npy that read_two_time
-    rejects, that does not match the grid, or whose diagonals are not the
-    R(s,s) = 1 and C(s,s) = K(s) (bit for bit) that every solve writes.
+    K is C's diagonal; a series.csv column the bundle does not read (the
+    K of older runs) is ignored.  Raises ParseError naming the first
+    missing file or series column, so a directory written by another
+    command is rejected cleanly, and naming the file for a damaged line, a
+    short series or an RC.npy that read_two_time rejects, that does not
+    match the grid, or whose diagonal R(s,s) (and C(s,s) on the hard
+    sphere) is not the 1 that every solve writes, bit for bit.
     """
     import numpy as np
     from .volterra import TwoTimeBundle
@@ -495,7 +498,7 @@ def load_bundle(rundir: str | Path):
     if grid is None:
         raise ParseError(f"{rundir / 'metadata.json'}: the config echo has no 'grid' block")
     series = read_series_csv(rundir / "series.csv")
-    for col in ("q", "K", "mu", "H", "Hhat"):
+    for col in ("q", "mu", "H", "Hhat"):
         if col not in series:
             raise ParseError(f"{rundir / 'series.csv'}: no '{col}' column")
     if series["q"].shape[0] != grid.n + 1:
@@ -505,13 +508,15 @@ def load_bundle(rundir: str | Path):
     if R.shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
-    K = series["K"]
-    ok = (np.diag(R) == 1.0) & (np.diag(C).view(np.uint64) == K.view(np.uint64))
+    K, hard = C.diagonal().copy(), params.confinement.is_hard
+    ok = np.diag(R) == 1.0
+    if hard:  # |x|^2 = N: K = C(s, s) is 1
+        ok &= K == 1.0
     if not ok.all():
         s = int(np.argmin(ok))
-        raise ParseError(f"{rundir / 'RC.npy'}: R({s}, {s}) = {float(R[s, s])} and "
-                         f"C({s}, {s}) = {float(C[s, s])}, but a solve writes 1 and "
-                         f"the series' K({s}) = {float(K[s])}")
+        raise ParseError(f"{rundir / 'RC.npy'}: R({s}, {s}) = {float(R[s, s])}"
+                         + (f" and C({s}, {s}) = {float(C[s, s])}" if hard else "")
+                         + ", but a solve writes 1")
     bundle = TwoTimeBundle(
         grid=grid, R=R, C=C,
         q=series["q"], K=K, mu=series["mu"],
@@ -548,8 +553,8 @@ def _run_fdt(cfg: RunConfig, out: Path):
     from . import fdt as _fdt
 
     sol = _fdt.solve_fdt(cfg.gamma, cfg.params.beta, cfg.nu, cfg.grid)
-    write_series_csv(out / "series.csv", ("tau", "D", "Dprime", "R_fdt"),
-                     (cfg.grid.times(), sol.D, sol.Dprime, sol.R_fdt))
+    write_series_csv(out / "series.csv", ("tau", "D", "R_fdt"),
+                     (cfg.grid.times(), sol.D, sol.R_fdt))
     constants = {
         "gamma": cfg.gamma,
         "mu_infty": sol.mu,
@@ -573,16 +578,14 @@ def _run_fdt(cfg: RunConfig, out: Path):
 
 
 def _run_sk(cfg: RunConfig, out: Path):
-    import numpy as np
     from .sk import (resolvent_root, sk_asymptotics, solve_two_time,
                      superposition_gap)
 
     pars = cfg.sk
     sol = solve_two_time(pars, cfg.grid)
     _write_two_time(out, sol.R, sol.C)
-    ones = np.ones(cfg.grid.n + 1)
-    write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H"),
-                     (cfg.grid.times(), sol.q, ones, sol.mu, sol.H))
+    write_series_csv(out / "series.csv", ("t", "q", "mu", "H"),
+                     (cfg.grid.times(), sol.q, sol.mu, sol.H))
     y = resolvent_root(pars.G_star)
     alpha_sq, _, mu_inf, h_inf = sk_asymptotics(pars, cfg.grid)
     constants = {
@@ -590,7 +593,7 @@ def _run_sk(cfg: RunConfig, out: Path):
         "alpha_sq": alpha_sq,
         "mu_infty": mu_inf,
         "H_infty": h_inf,
-        "E_star": 0.5 * pars.G_star * pars.q_star ** 2,
+        "E_star": pars.E_star,
         "superposition": superposition_gap(pars, cfg.grid),
     }
     _write_json(out / "constants.json", constants)

@@ -15,10 +15,6 @@ class PureInconsistent(SpinbandError):
     """Pure model given (E, G) that violate G = m E / q*^2."""
 
 
-class SingularMatrix(SpinbandError):
-    """The 2x2 moment system for the drift polynomial is singular."""
-
-
 class HardConstraint(SpinbandError):
     """A soft-confinement quantity was requested under the hard constraint."""
 
@@ -31,10 +27,6 @@ class ValidationError(SpinbandError):
 
 class StepUnstable(SpinbandError):
     """A marched quantity left the configured stability window."""
-
-
-class PhiNonpositive(SpinbandError):
-    """Canonical phi <= 0: the soft-to-hard comparison is not defined."""
 
 
 class GridMismatch(SpinbandError):
@@ -77,10 +69,6 @@ class Delocalized(SpinbandError):
 
 class SizeOverflow(SpinbandError):
     """Requested disorder storage exceeds the configured memory budget."""
-
-
-class RankDeficient(SpinbandError):
-    """Conditioning constraints are degenerate for the given mixture."""
 
 
 class Blowup(SpinbandError):

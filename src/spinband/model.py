@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     HardConstraint,
     PureInconsistent,
-    SingularMatrix,
     SizeOverflow,
     ValidationError,
 )
@@ -296,7 +295,7 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
 
     Raises
     ------
-    PureInconsistent, SingularMatrix
+    PureInconsistent, ValidationError (zero mixture, singular moment system)
     """
     m_top = nu.m
     coeffs = [0.0] * (m_top + 1)
@@ -304,7 +303,7 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
         # Linearity in (E, G): zero data gives the zero polynomial for any mixture.
         return DriftPolynomial(tuple(coeffs))
     if nu.is_zero():
-        raise SingularMatrix("no interaction terms to condition on")
+        raise ValidationError("no interaction terms to condition on")
     if nu.is_pure():
         m = nu.pure_order()
         implied = m * E / (q_star * q_star)
@@ -319,7 +318,7 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     scale = max(abs(M).max() ** 2, 1e-300)
     if not np.isfinite(det) or abs(det) <= 1e-14 * scale:
-        raise SingularMatrix(f"moment system singular (det={det!r})")
+        raise ValidationError(f"moment system singular (det={det!r})")
     eg = np.array([E, G])
     r2 = q_star * q_star
     for p in nu.active_orders:

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (Blowup, HardConstraint, RankDeficient, SizeOverflow,
-                     ValidationError)
+from .errors import Blowup, HardConstraint, SizeOverflow, ValidationError
 from .model import (_BUDGET, MixingFunction, ModelParams, SimConfig, f_prime,
                     validate, vstar_build)
 from .volterra import TwoTimeBundle, _cumtrapz
@@ -43,9 +42,7 @@ __all__ = [
     "star_point",
     "sample_disorder",
     "condition_disorder",
-    "hamiltonian_and_grad",
     "hamiltonian_and_grad_batch",
-    "sample_initial",
     "run_langevin",
     "empirical_observables",
     "limit_at_snapshots",
@@ -264,7 +261,7 @@ def condition_disorder(J: Disorder, params: ModelParams,
             S = (A * vdiag) @ A.T
             det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
             if abs(det) <= 1e-14 * max(abs(S[0, 0] * S[1, 1]), 1e-300):
-                raise RankDeficient("constraint covariance is singular")
+                raise ValidationError("constraint covariance is singular")
             gap = A @ u - w_tgt
             lam = np.linalg.solve(S, gap)
             u_new = u - vdiag * (A.T @ lam)
@@ -276,7 +273,7 @@ def condition_disorder(J: Disorder, params: ModelParams,
     a_T = {p: bp[p] * root ** (p - 1) for p in active}
     denom = sum(var[p] * p * a_T[p] ** 2 for p in active)
     if denom <= 0:
-        raise RankDeficient("tangential constraint has zero variance")
+        raise ValidationError("tangential constraint has zero variance")
     # row m: positions of A at (0, ..., 0, i, 0, ..., 0), i = 1..N-1 at place m
     lines = {}
     for p in active:
@@ -344,12 +341,6 @@ class _Fold:
         return V
 
 
-def hamiltonian_and_grad(J: Disorder, x: np.ndarray):
-    """(H_J(x), grad H_J(x)) through the cyclic-pair kernel."""
-    H, g = hamiltonian_and_grad_batch(J, x[None, :])
-    return float(H[0]), g[0]
-
-
 def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
     """Vectorized over rows of X: returns (H values (R,), gradients (R, N)).
 
@@ -380,14 +371,10 @@ def hamiltonian_and_grad_batch(J: Disorder, X: np.ndarray):
     return H, grad
 
 
-def sample_initial(N: int, q_star: float, q_o: float, seed) -> np.ndarray:
+def _initial_from_rng(rng, N, q_star, q_o):
     """Uniform draw from the band {x on the sphere of radius sqrt(N) :
     <x, x_star>/N = q_o}: the first coordinate is pinned, the rest uniform
-    on the residual sphere."""
-    return _initial_from_rng(np.random.default_rng(seed), N, q_star, q_o)
-
-
-def _initial_from_rng(rng, N, q_star, q_o):
+    on the residual sphere, from the next N - 1 normals of ``rng``."""
     if abs(q_o) > q_star:
         raise ValidationError("|q_o| cannot exceed q_star")
     x = np.empty(N)

@@ -31,7 +31,7 @@ not depend on the BLAS thread count or on the thread it runs on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +49,8 @@ __all__ = [
     "SkSolution",
     "solve_two_time",
     "superposition_gap",
-    "stationary_covariance",
     "sk_asymptotics",
     "energy_from_mu",
-    "fdt_consistency",
-    "FdtMatchReport",
 ]
 
 
@@ -341,19 +338,6 @@ def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
 # stationary regime and long-time limits
 # ---------------------------------------------------------------------------
 
-def stationary_covariance(tau, params: SkParams):
-    """Gamma(tau) = (1/c) int_tau^infty L_G(u) du with c = 2 (1 - y/beta).
-
-    The translation-invariant limit of M(t+tau, t); only exists in the
-    localized regime beta > y (raises Delocalized otherwise).
-    """
-    y = resolvent_root(params.G_star)
-    if params.beta <= y:
-        raise Delocalized(f"beta = {params.beta:g} <= y = {y:g}")
-    c = 2.0 * (1.0 - y / params.beta)
-    return mgf_tail_integral(tau, params.beta, params.G_star) / c
-
-
 def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
     """(alpha_sq, C_fdt array on the lag grid, mu_inf, H_inf).
 
@@ -374,27 +358,3 @@ def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
 def energy_from_mu(mu, beta: float):
     """H = mu/(2 beta) - 1/(4 beta); works elementwise on arrays."""
     return mu / (2.0 * beta) - 0.25 / beta
-
-
-@dataclass
-class FdtMatchReport:
-    gap: float
-    gamma: float
-    mu_inf: float
-    grid: TwoTimeGrid = field(repr=False, default=None)
-
-
-def fdt_consistency(params: SkParams, grid: TwoTimeGrid = _LAG_GRID) -> FdtMatchReport:
-    """Compare the closed-form lag correlation against the generic lag march.
-
-    C_fdt equals D(tau) of the convolution equation with the affine
-    phi(x) = beta G + (beta^2/2)(x - 1), i.e. gamma = beta G - beta^2 / 2
-    for the quadratic mixture.  Returns the sup gap on the grid, that
-    gamma, and mu_inf = beta G, which is that phi at 1.
-    """
-    from . import fdt as _fdt
-    gamma = params.beta * params.G_star - 0.5 * params.beta ** 2
-    D, _ = _fdt.solve_D(gamma, params.beta, sk_mixing(), grid)
-    _, c_fdt, mu_inf, _ = sk_asymptotics(params, grid)
-    return FdtMatchReport(gap=float(np.abs(D - c_fdt).max()), gamma=gamma,
-                          mu_inf=mu_inf, grid=grid)

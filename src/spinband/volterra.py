@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NotConverged, PhiNonpositive, StepUnstable
+from .errors import GridMismatch, NotConverged, StepUnstable, ValidationError
 from .model import (
     Confinement,
     MixingFunction,
@@ -431,7 +431,8 @@ def check_bundle(bundle: TwoTimeBundle) -> dict:
     c_excess = None
     if bundle.constraint == "hard":
         c_excess = float(max(bundle.C.max(), -bundle.C.min()) - 1.0)
-    idx = np.unique(np.round(np.linspace(0, n, min(_AUDIT_TIMES, n + 1))).astype(int))
+    idx = np.round(np.linspace(0, n, min(_AUDIT_TIMES, n + 1))).astype(int)
+    idx = idx[np.r_[True, idx[1:] > idx[:-1]]]  # sorted: drop repeats
     q = bundle.q[idx]
     gram = bundle.C[np.ix_(idx, idx)] - np.outer(q, q) / (qs * qs)
     gram = 0.5 * (gram + gram.T)
@@ -476,7 +477,7 @@ def soft_hard_gap(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
     """Compare soft runs against the hard limit for each stiffness L.
 
     Uses the canonical phi throughout and k from params (or 1).  Raises
-    PhiNonpositive when the canonical phi is <= 0, in which case the
+    ValidationError when the canonical phi is <= 0, in which case the
     large-L normalization breaks down and no comparison is defined.
 
     Returns one record per L with sup|K - 1| and sup-norm gaps on R, C, q.
@@ -486,7 +487,7 @@ def soft_hard_gap(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
     resolved = validate(params, nu)
     phi = canonical_phi(resolved, nu)
     if phi <= 0:
-        raise PhiNonpositive(f"canonical phi = {phi:g} <= 0")
+        raise ValidationError(f"canonical phi = {phi:g} <= 0")
     k = params.confinement.k if (not params.confinement.is_hard
                                  and params.confinement.k) else 1
     hard = solve_hard(params, nu, grid)

@@ -1,7 +1,19 @@
+import warnings
+
 import pytest
 
 from spinband.model import (Confinement, MixingFunction, ModelParams, validate,
                             vstar_build)
+from spinband.simulate import hamiltonian_and_grad_batch
+from spinband.sk import mgf_tail_integral, resolvent_root
+
+# A failing @given test makes hypothesis import its patch writer, whose
+# libcst import warns; under filterwarnings = error that warning would end
+# the session before the falsifying example is printed, so import it here.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +72,23 @@ def no_aging_identities():
         plateau = (rep.gamma + 2.0 * b2 * nu.nu(x, 1) ** 2 / denom) * (1.0 - a2) - 0.5
         return stationarity, plateau
     return residuals
+
+
+@pytest.fixture(scope="session")
+def hamiltonian_and_grad():
+    """(H_J(x), grad H_J(x)) of one state x, as row 0 of the batch kernel."""
+    def one(J, x):
+        H, g = hamiltonian_and_grad_batch(J, x[None, :])
+        return float(H[0]), g[0]
+    return one
+
+
+@pytest.fixture(scope="session")
+def stationary_covariance():
+    """Oracle for the two-body stationary kernel, localized regime only:
+    Gamma(tau) = (1/c) int_tau^infty L_G(u) du with c = 2 (1 - y/beta),
+    the translation-invariant limit of M(t + tau, t)."""
+    def gamma(tau, params):
+        c = 2.0 * (1.0 - resolvent_root(params.G_star) / params.beta)
+        return mgf_tail_integral(tau, params.beta, params.G_star) / c
+    return gamma

@@ -19,11 +19,9 @@ from spinband.model import Confinement, MixingFunction, ModelParams
 from spinband.simulate import (SimConfig, condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
-                               hamiltonian_and_grad, run_langevin,
-                               sample_disorder, star_point)
+                               run_langevin, sample_disorder, star_point)
 from spinband.sk import (SkParams, damped_mgf, mgf_tail_integral,
-                         resolvent_root, sk_asymptotics,
-                         stationary_covariance, solve_two_time,
+                         resolvent_root, sk_asymptotics, solve_two_time,
                          superposition_gap)
 from spinband.volterra import (TwoTimeGrid, check_bundle,
                                response_integral_bound, soft_hard_gap,
@@ -103,7 +101,8 @@ def test_05_soft_to_hard_convergence(sk_params, sk_mixing):
         assert vals[0] > vals[1] > vals[2], (field, vals)
 
 
-def test_06_quadratic_analytic_identities(sk_params, sk_mixing):
+def test_06_quadratic_analytic_identities(sk_params, sk_mixing,
+                                          stationary_covariance):
     ref = SkParams(beta=1.0, G_star=1.25)
     beta, G = ref.beta, ref.G_star
     y = resolvent_root(G)
@@ -159,7 +158,7 @@ def test_07_finite_size_runs_track_the_limit(sk_mixing, pure3_mixing):
     assert err_3 <= 0.3, err_3
 
 
-def test_08_conditioning_exactness_and_mean(mixed_mixing):
+def test_08_conditioning_exactness_and_mean(mixed_mixing, hamiltonian_and_grad):
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
                       confinement=Confinement.hard())
     for N in (10, 100):

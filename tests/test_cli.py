@@ -304,11 +304,11 @@ def _r_diagonal_one_ulp_high(path):
     return "R(3, 3) = 1.0000000000000002 and C(3, 3) = 1.0, but a solve writes 1"
 
 
-def _c_diagonal_off_k(path):
+def _c_diagonal_one_ulp_low(path):
     RC = np.load(path)
-    RC[3, 4] = 0.5
+    RC[3, 4] = np.nextafter(1.0, 0.0)  # C(3, 3) = K(3), which is 1 on the sphere
     np.save(path, RC)
-    return "C(3, 3) = 0.5, but a solve writes 1 and the series' K(3) = 1.0"
+    return "C(3, 3) = 0.9999999999999999, but a solve writes 1"
 
 
 def _drop_last_line(path):
@@ -320,7 +320,7 @@ def _shorten_a_row(path):
     lines = path.read_text().splitlines(keepends=True)
     lines[10] = lines[10].rsplit(",", 1)[0] + "\n"
     path.write_text("".join(lines))
-    return "line 11: expected 6 comma-separated numbers"
+    return "line 11: expected 5 comma-separated numbers"
 
 
 def _inf_in_a_row(path):
@@ -335,7 +335,7 @@ def _inf_in_a_row(path):
     ("RC.npy", _resave_as_float32), ("RC.npy", _resave_as_object),
     ("RC.npy", _nan_in_the_r_part), ("RC.npy", _nan_in_the_c_part),
     ("RC.npy", _pack_for_another_grid), ("RC.npy", _r_diagonal_one_ulp_high),
-    ("RC.npy", _c_diagonal_off_k), ("series.csv", _shorten_a_row),
+    ("RC.npy", _c_diagonal_one_ulp_low), ("series.csv", _shorten_a_row),
     ("series.csv", _drop_last_line), ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     out = tmp_path / "out"
@@ -350,6 +350,27 @@ def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
     assert err.startswith(f"error: ParseError: {out / name}: "), err
     assert expected in err, err
     assert not (rep_out / "report.json").exists()
+
+
+@pytest.mark.parametrize("constraint", [None, {"kind": "soft", "L": 100.0, "k": 1}],
+                         ids=["hard", "soft"])
+def test_a_series_with_the_old_k_column_loads_bitwise(tmp_path, constraint):
+    """K is read from C's diagonal. A series.csv in the older
+    t,q,K,mu,H,Hhat layout (K the diagonal, as every solve wrote it) loads
+    to the same bits, its K column ignored."""
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg(constraint=constraint))
+    out = tmp_path / "out"
+    command = "solve-soft" if constraint else "solve-hard"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_series_csv(out / "series.csv").keys() == {"t", "q", "mu", "H", "Hhat"}
+    new, _ = load_bundle(out)
+    assert np.array_equal(new.K, np.diag(new.C))
+    assert (new.K != 1.0).any() == bool(constraint)  # 1 bit for bit on the sphere
+    write_series_csv(out / "series.csv", ("t", "q", "K", "mu", "H", "Hhat"),
+                     (new.grid.times(), new.q, new.K, new.mu, new.H, new.Hhat))
+    old, _ = load_bundle(out)
+    for name in ("R", "C", "q", "K", "mu", "H", "Hhat"):
+        assert getattr(old, name).tobytes() == getattr(new, name).tobytes(), name
 
 
 def test_report_rejects_a_run_with_the_old_matrix_files(tmp_path, capsys):
@@ -448,7 +469,8 @@ def test_fdt_constants(tmp_path):
     quad = con["kappa_quadrature"]
     assert len(quad) == 2 and abs(quad[0] - 0.75) <= 1e-4 and abs(quad[1] - 2.0) <= 1e-4
     series = read_series_csv(out / "series.csv")
-    assert series["D"][0] == 1.0 and series["Dprime"][0] == -0.5
+    assert list(series) == ["tau", "D", "R_fdt"]
+    assert series["D"][0] == 1.0 and series["R_fdt"][0] == 1.0
 
     # low temperature on a coarse lag grid: the march diverges and the run
     # must fail instead of writing inf/NaN
@@ -1000,18 +1022,27 @@ def test_simulate_rejects_off_grid_snapshots_before_sampling(tmp_path, capsys,
 
 def test_readme_names_every_audit_and_diagnostic_key(tmp_path):
     """The README's Artifacts section names, in backticks, every file a
-    solve-hard and an sk run write, every key of a solve run's
-    invariants.json and the diagnostic keys of its metadata.json, so a
-    renamed or added file or key cannot go undocumented."""
-    cfg = write_cfg(tmp_path, "run.json", solve_cfg(grid={"T": 0.2, "h": 0.02}))
-    out, sk = tmp_path / "out", tmp_path / "sk"
-    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["sk", "--config", str(cfg), "--out", str(sk)]) == 0
+    solve-hard, sk, fdt and simulate run write, every column of their CSV
+    files, every key of a solve run's invariants.json and the diagnostic
+    keys of its metadata.json, so a renamed or added file, column or key
+    cannot go undocumented."""
+    grid = {"T": 0.2, "h": 0.02}
+    cfg = write_cfg(tmp_path, "run.json", solve_cfg(grid=grid))
+    sim = write_cfg(tmp_path, "sim.json", solve_cfg(
+        grid=grid, constraint={"kind": "soft", "L": 100.0, "k": 1},
+        sim={"N": 8, "dt": 0.002, "seed": 1, "replicas": 2}))
+    out = tmp_path / "solve-hard"
+    dirs = [out, *(tmp_path / c for c in ("sk", "fdt", "simulate"))]
+    for d in dirs:
+        assert main([d.name, "--config", str(sim if d.name == "simulate" else cfg),
+                     "--out", str(d)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
     diagnostics = ("pc_gap", "peak_rss_mb", "timings")
     assert all(k in meta for k in diagnostics)
+    files = [p for d in dirs for p in d.iterdir()]
     keys = {*json.loads((out / "invariants.json").read_text()), *diagnostics,
-            *meta["timings"], *(p.name for d in (out, sk) for p in d.iterdir())}
+            *meta["timings"], *(p.name for p in files),
+            *(col for p in files if p.suffix == ".csv" for col in read_series_csv(p))}
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
     missing = sorted(k for k in keys if f"`{k}`" not in section)

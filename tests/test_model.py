@@ -241,3 +241,14 @@ def test_pure_consistency_enforced(pure3_mixing):
     assert abs(ok.value(qs * qs) - E) < 1e-13
     with pytest.raises(PureInconsistent):
         vstar_build(pure3_mixing, qs, E, 0.9)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.0,), "no interaction terms to condition on"),
+    ((1e-200, 1e-200), "moment system singular"),  # det underflows to 0
+], ids=["zero-mixture", "singular-moments"])
+def test_vstar_build_refuses_data_no_term_can_carry(coeffs, message):
+    """Nonzero (E, G) on the zero mixture, or on a mixture whose moment
+    system is singular, is a parameter error."""
+    with pytest.raises(ValidationError, match=message):
+        vstar_build(MixingFunction(coeffs), 0.9, 0.3, 0.8)

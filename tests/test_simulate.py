@@ -23,10 +23,8 @@ from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
                                condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
-                               hamiltonian_and_grad,
                                hamiltonian_and_grad_batch, limit_at_snapshots,
-                               run_langevin, sample_disorder, sample_initial,
-                               star_point)
+                               run_langevin, sample_disorder, star_point)
 from spinband.volterra import TwoTimeGrid, integrated_response, solve_soft
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,7 +151,7 @@ def test_sampling_a_mixture_keeps_the_draw_order():
         assert J.tensors[p].tobytes() == A.tobytes(), p
 
 
-def test_hand_worked_quadratic():
+def test_hand_worked_quadratic(hamiltonian_and_grad):
     A = np.array([[1.0, 0.5], [0.5, 2.0]])
     J = Disorder(N=2, coeffs_sq=(0.25,), tensors={2: A.copy()})
     assert J.coupling(2, (0, 0)) == 1.0
@@ -166,7 +164,7 @@ def test_hand_worked_quadratic():
     assert H0 == 0.0 and np.all(g0 == 0.0)
 
 
-def test_gradient_matches_finite_differences():
+def test_gradient_matches_finite_differences(hamiltonian_and_grad):
     nu = MixingFunction((0.04, 0.03, 0.02))
     J = sample_disorder(6, nu, 7)
     rng = np.random.default_rng(1)
@@ -277,8 +275,8 @@ def test_kernel_matches_a_dense_einsum_at_the_smallest_sizes(p, N):
        G=st.floats(min_value=-3.0, max_value=3.0),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_conditioning_is_exact_for_random_mixtures(weights, N, q_star, E, G,
-                                                   seed):
+def test_conditioning_is_exact_for_random_mixtures(hamiltonian_and_grad, weights,
+                                                   N, q_star, E, G, seed):
     """H(x*) = -N E* and grad H(x*) = -G* x* for any admissible mixture."""
     nu = _mixing(weights)
     if len(weights) == 1:  # a pure mixture admits one G* per E*
@@ -337,18 +335,29 @@ def test_simulate_is_bitwise_independent_of_blas_threads(N):
     assert digests[0] == digests[1]
 
 
+def _band_point(N, q_star, q_o, seed):
+    """Oracle for a replica's start: x_0 = sqrt(N) q_o/q*, and the first
+    N - 1 normals of the replica's stream scaled onto the residual sphere
+    of radius^2 N (1 - (q_o/q*)^2)."""
+    g = np.random.default_rng(seed).standard_normal(N - 1)
+    rad2 = N * (1.0 - (q_o / q_star) ** 2)
+    return np.r_[math.sqrt(N) * q_o / q_star, g * math.sqrt(rad2 / float(g @ g))]
+
+
 def test_initial_band_sampling():
-    x = sample_initial(50, 0.9, 0.45, 4)
+    def draw(N, q_star, q_o):
+        return simulate._initial_from_rng(np.random.default_rng(4), N, q_star, q_o)
+    x = draw(50, 0.9, 0.45)
     assert abs(x @ x - 50.0) <= 1e-9
     sigma = star_point(50, 0.9)
     assert abs(x @ sigma / 50.0 - 0.45) <= 1e-12
-    pinned = sample_initial(50, 1.0, 1.0, 4)
+    pinned = draw(50, 1.0, 1.0)
     assert_allclose(pinned, star_point(50, 1.0), rtol=0, atol=0)
     with pytest.raises(ValidationError):
-        sample_initial(50, 0.5, 0.6, 4)
+        draw(50, 0.5, 0.6)
 
 
-def test_conditioning_pins_the_critical_point(mixed_mixing):
+def test_conditioning_pins_the_critical_point(mixed_mixing, hamiltonian_and_grad):
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.0, E_star=0.3, G_star=0.8,
                       confinement=Confinement.hard())
     for N in (10, 50):
@@ -469,6 +478,21 @@ def test_couplings_near_the_float_limit_pack_and_restore():
     assert _digest(J) == before
 
 
+@pytest.mark.parametrize("coeffs, q_star, message", [
+    ((1.0, 1e-16), 0.9, "constraint covariance is singular"),
+    ((5e-324,), 0.5, "tangential constraint has zero variance"),  # underflows
+], ids=["singular-covariance", "zero-tangential-variance"])
+def test_conditioning_refuses_a_degenerate_system(coeffs, q_star, message):
+    """A value/gradient system whose covariance is numerically singular, or
+    a tangential constraint whose variance underflows, is a parameter
+    error; zero targets leave vstar_build nothing to refuse first."""
+    prm = ModelParams(beta=1.0, q_star=q_star, q_o=0.0, E_star=0.0, G_star=0.0,
+                      confinement=Confinement.hard())
+    J = sample_disorder(6, MixingFunction(coeffs), 1)
+    with pytest.raises(ValidationError, match=message):
+        condition_disorder(J, prm)
+
+
 def test_conditioning_zero_targets(sk_mixing):
     prm = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.hard())
@@ -507,7 +531,7 @@ def test_pinned_coupling_matches_conditional_mean(mixed_mixing):
             assert abs(Jc.coupling(p, (0,) * p) - expect) <= 1e-12
 
 
-def test_tangential_covariance_identity(mixed_mixing):
+def test_tangential_covariance_identity(mixed_mixing, hamiltonian_and_grad):
     """MC average of H(x)H(y)/N over tangentially pinned draws matches the
     conditional-covariance formula within 5e-2 relative."""
     N = 10
@@ -622,7 +646,7 @@ def test_increments_are_the_per_replica_streams(sk_mixing):
     traj = _replica_run(J, prm, seed, R, N)
     for r in range(R):
         assert np.array_equal(traj.X[0, r],
-                              sample_initial(N, prm.q_star, prm.q_o, (seed, r)))
+                              _band_point(N, prm.q_star, prm.q_o, (seed, r)))
         rng = np.random.default_rng((seed, r))
         rng.standard_normal(N - 1)          # the initial point's draw
         b = np.zeros(N)
@@ -758,7 +782,7 @@ def test_blowup_guard_trips_on_a_nan_in_a_later_replica(sk_mixing):
         run_langevin(J, prm, cfg, noise=noise)
 
 
-def test_rotations_about_the_conditioning_axis(sk_mixing):
+def test_rotations_about_the_conditioning_axis(sk_mixing, hamiltonian_and_grad):
     """Conjugating the conditioned couplings by a rotation fixing the first
     axis preserves the pinning exactly and the empirical laws statistically."""
     prm = soft_params()

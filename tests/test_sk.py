@@ -9,11 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinband.errors import Delocalized, DomainError, StepUnstable
-from spinband.sk import (SkParams, _prefix_conv, damped_mgf, energy_from_mu,
-                         fdt_consistency, march_covariance, mgf_tail_integral,
+from spinband.fdt import solve_D
+from spinband.sk import (_LAG_GRID, SkParams, _prefix_conv, damped_mgf,
+                         energy_from_mu, march_covariance, mgf_tail_integral,
                          resolvent_root, semicircle_mgf, sk_asymptotics,
-                         solve_two_time, stationary_covariance,
-                         superposition_gap)
+                         solve_two_time, superposition_gap)
 from spinband.volterra import TwoTimeGrid, solve_hard
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,7 +123,7 @@ def test_two_time_structure(ref, ref_solution):
     assert abs(sol.q[-1] - math.sqrt(0.5)) <= 5e-3
 
 
-def test_stationary_identity(ref):
+def test_stationary_identity(ref, stationary_covariance):
     """The tail-integral profile solves the time-translation-invariant system."""
     beta, G = ref.beta, ref.G_star
     gamma0 = stationary_covariance(0.0, ref)
@@ -141,11 +141,8 @@ def test_stationary_identity(ref):
     resid = 1.0 + (1.0 - 2.0 * beta * G) * gamma0 + beta * beta * integral
     assert abs(resid) <= 1e-6
 
-    with pytest.raises(Delocalized):
-        stationary_covariance(0.0, SkParams(beta=0.3, G_star=1.25))
 
-
-def test_kernel_becomes_stationary(ref, ref_solution):
+def test_kernel_becomes_stationary(ref, ref_solution, stationary_covariance):
     grid = ref_solution.grid
     M = _kernel(ref, grid)
     i0 = grid.index_of(10.0)
@@ -205,11 +202,16 @@ def test_long_time_constants(ref):
 
 
 def test_lag_profile_agrees_with_generic_fdt_solver(ref, sk_mixing):
-    rep = fdt_consistency(ref)
-    assert rep.gamma == 0.75
-    phi_one = rep.gamma + 2.0 * ref.beta ** 2 * sk_mixing.nu(1.0, 1)
-    assert rep.mu_inf == phi_one == 1.25
-    assert rep.gap <= 5e-4
+    """C_fdt is D(tau) of the lag equation with the affine
+    phi(x) = beta G + (beta^2/2)(x - 1), i.e. gamma = beta G - beta^2/2,
+    and mu_inf = beta G is that phi at 1."""
+    gamma = ref.beta * ref.G_star - 0.5 * ref.beta ** 2
+    assert gamma == 0.75
+    D, _ = solve_D(gamma, ref.beta, sk_mixing, _LAG_GRID)
+    _, c_fdt, mu_inf, _ = sk_asymptotics(ref)
+    phi_one = gamma + 2.0 * ref.beta ** 2 * sk_mixing.nu(1.0, 1)
+    assert mu_inf == phi_one == 1.25
+    assert np.abs(D - c_fdt).max() <= 5e-4
 
 
 def test_energy_conversion():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spinband.errors import GridMismatch, NotConverged, StepUnstable
+from spinband.errors import (GridMismatch, NotConverged, StepUnstable,
+                             ValidationError)
 from spinband.model import (Confinement, MixingFunction, ModelParams, f_prime,
                              vstar_build)
 from spinband.volterra import (_BOUND_ROWS, TwoTimeGrid, _March, check_bundle,
@@ -177,6 +178,15 @@ def test_soft_hard_gap_decreases_in_stiffness(sk_params, sk_mixing):
                          (10.0, 100.0))
     assert recs[0]["k_gap"] > recs[1]["k_gap"]
     assert recs[0]["C_gap"] > recs[1]["C_gap"]
+
+
+def test_soft_hard_gap_refuses_a_nonpositive_canonical_phi(pure3_mixing):
+    """Pure p = 3 started at q_o = -1/2: phi = 1 + 2 beta q_o v'(q_o)
+    = 1 - 3 E / 4 = -1/2 at E* = 2, and no large-L comparison exists."""
+    prm = ModelParams(beta=1.0, q_star=1.0, q_o=-0.5, E_star=2.0, G_star=6.0,
+                      confinement=Confinement.hard())
+    with pytest.raises(ValidationError, match="canonical phi = -0.5 <= 0"):
+        soft_hard_gap(prm, pure3_mixing, TwoTimeGrid.from_T(0.1, 0.05), (10.0,))
 
 
 def test_zero_start_reduces_to_unconditioned(sk_mixing):
