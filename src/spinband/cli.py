@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError, SpinbandError, ValidationError
+from .errors import NoBranch, ParseError, SpinbandError, ValidationError
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -121,24 +121,13 @@ def _model_from_config(raw: dict):
         q_o=_field(model, "model", "q_o", default=0.0),
         E_star=_field(model, "model", "E_star", default=0.0),
         G_star=_field(model, "model", "G_star", default=0.0), confinement=confinement)
-    try:
-        nu = MixingFunction(coeffs)
-        params = validate(params, nu)
-    except ValidationError:
-        raise
-    except SpinbandError as e:
-        # surface module rejections (pure-model inconsistency etc.) uniformly
-        raise ValidationError(f"model block rejected: {type(e).__name__}: {e}") from e
+    nu = MixingFunction(coeffs)
+    params = validate(params, nu)
 
-    grid = None
     g = _block(raw, "grid")
-    if g:
-        T, h = _field(g, "grid", "T"), _field(g, "grid", "h")
-        try:
-            grid = TwoTimeGrid.from_T(T, h)
-        except SpinbandError as e:
-            raise ValidationError(f"grid block rejected: {e}") from e
-    return nu, params, grid
+    if not g:
+        return nu, params, None
+    return nu, params, TwoTimeGrid.from_T(_field(g, "grid", "T"), _field(g, "grid", "h"))
 
 
 def _sim_from_config(sim: dict, grid):
@@ -232,11 +221,9 @@ def parse_config(path: str | Path, command: str | None = None,
             raise ValidationError(
                 "the closed form covers the two-body mixing r^2/8 only "
                 "(coeffs_sq == [0.125])")
-        try:  # rejected here, not after a general march in compare
-            sk = SkParams(beta=params.beta, G_star=params.G_star,
-                          q_star=params.q_star, q_o=params.q_o)
-        except SpinbandError as e:
-            raise ValidationError(f"sk model rejected: {e}") from e
+        # rejected here, not after a general march in compare
+        sk = SkParams(beta=params.beta, G_star=params.G_star,
+                      q_star=params.q_star, q_o=params.q_o)
 
     return RunConfig(command=command, raw=raw, nu=nu, params=params, grid=grid,
                      sk=sk, sim=sim, disorder_seed=disorder_seed,
@@ -508,10 +495,10 @@ def load_bundle(rundir: str | Path):
     if R.shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
-    K, hard = C.diagonal().copy(), params.confinement.is_hard
+    hard = params.confinement.is_hard
     ok = np.diag(R) == 1.0
     if hard:  # |x|^2 = N: K = C(s, s) is 1
-        ok &= K == 1.0
+        ok &= np.diag(C) == 1.0
     if not ok.all():
         s = int(np.argmin(ok))
         raise ParseError(f"{rundir / 'RC.npy'}: R({s}, {s}) = {float(R[s, s])}"
@@ -519,7 +506,7 @@ def load_bundle(rundir: str | Path):
                          + ", but a solve writes 1")
     bundle = TwoTimeBundle(
         grid=grid, R=R, C=C,
-        q=series["q"], K=K, mu=series["mu"],
+        q=series["q"], mu=series["mu"],
         H=series["H"], Hhat=series["Hhat"],
         pc_gap=_field(meta, "metadata", "pc_gap"), params=params, nu=nu)
     return bundle, meta
@@ -586,16 +573,17 @@ def _run_sk(cfg: RunConfig, out: Path):
     _write_two_time(out, sol.R, sol.C)
     write_series_csv(out / "series.csv", ("t", "q", "mu", "H"),
                      (cfg.grid.times(), sol.q, sol.mu, sol.H))
-    y = resolvent_root(pars.G_star)
-    alpha_sq, _, mu_inf, h_inf = sk_asymptotics(pars, cfg.grid)
     constants = {
-        "y": y,
-        "alpha_sq": alpha_sq,
-        "mu_infty": mu_inf,
-        "H_infty": h_inf,
+        "y": resolvent_root(pars.G_star),
         "E_star": pars.E_star,
         "superposition": superposition_gap(pars, cfg.grid),
     }
+    try:  # the delocalized phase (beta <= y) has no localized limit
+        (constants["alpha_sq"], _, constants["mu_infty"],
+         constants["H_infty"]) = sk_asymptotics(pars, cfg.grid)
+    except NoBranch as e:
+        constants.update(alpha_sq=None, mu_infty=None, H_infty=None,
+                         asymptotics_note=f"{type(e).__name__}: {e}")
     _write_json(out / "constants.json", constants)
     return True, {}
 

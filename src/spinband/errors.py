@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per way a caller would act.
 
 Every error raised on a documented failure path derives from SpinbandError,
 so callers can catch the package's failures with a single except clause.
@@ -9,73 +9,31 @@ class SpinbandError(Exception):
     """Base class for all spinband errors."""
 
 
-# --- model -----------------------------------------------------------------
-
-class PureInconsistent(SpinbandError):
-    """Pure model given (E, G) that violate G = m E / q*^2."""
-
-
-class HardConstraint(SpinbandError):
-    """A soft-confinement quantity was requested under the hard constraint."""
-
-
 class ValidationError(SpinbandError):
-    """Parameter set fails a structural validity check."""
+    """The arguments admit no answer, whatever the cause."""
 
 
-# --- volterra --------------------------------------------------------------
+class NoBranch(SpinbandError):
+    """The arguments are valid, but the long-time branch asked for does not
+    exist there (no aging at or below beta_c, no localized limit)."""
+
 
 class StepUnstable(SpinbandError):
-    """A marched quantity left the configured stability window."""
-
-
-class GridMismatch(SpinbandError):
-    """Two objects that must share a time grid do not."""
-
-
-# --- fdt -------------------------------------------------------------------
-
-class NotBracketed(SpinbandError):
-    """No finite critical temperature: ``fdt.beta_c`` of the zero mixture."""
-
-
-class BelowCritical(SpinbandError):
-    """Aging constants requested at or below the critical temperature."""
+    """A march or a simulated trajectory left its stability window."""
 
 
 class NotConverged(SpinbandError):
     """An integral or iteration did not reach its tail/tolerance target."""
 
 
-class Unstable(SpinbandError):
-    """Conditioned point is not a stable local minimum candidate (G too small)."""
+class GridMismatch(SpinbandError):
+    """A time grid is malformed, or a time or an object is not on the grid
+    it must share."""
 
-
-class NoBranch(SpinbandError):
-    """The localized no-aging branch does not exist at these parameters."""
-
-
-# --- sk --------------------------------------------------------------------
-
-class DomainError(SpinbandError):
-    """Argument outside the mathematical domain of the map."""
-
-
-class Delocalized(SpinbandError):
-    """Stationary localized quantities requested in the delocalized phase."""
-
-
-# --- simulate --------------------------------------------------------------
 
 class SizeOverflow(SpinbandError):
     """Requested disorder storage exceeds the configured memory budget."""
 
 
-class Blowup(SpinbandError):
-    """A simulated trajectory exceeded the divergence guard."""
-
-
-# --- cli -------------------------------------------------------------------
-
 class ParseError(SpinbandError):
-    """Config file could not be parsed."""
+    """Config file, command line or run directory could not be parsed."""

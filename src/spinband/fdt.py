@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BelowCritical, NoBranch, NotBracketed, NotConverged, Unstable, ValidationError
+from .errors import NoBranch, NotConverged, ValidationError
 from .model import MixingFunction, ModelParams, vstar_build
 from .volterra import TwoTimeGrid, _trapz_dot
 
@@ -98,6 +98,7 @@ def solve_D(gamma: float, beta: float, nu: MixingFunction, grid: TwoTimeGrid):
 class FdtSolution:
     """Lag-domain solution plus its derived constants.
 
+    ``R_fdt`` is the response -2 D' (solve_D returns D' itself).
     ``D_inf`` is None when the plateau set is empty (gamma < 1/2 and the
     landscape never compensates); then I and the closed-form kappas are
     None as well.
@@ -107,7 +108,6 @@ class FdtSolution:
     gamma: float
     beta: float
     D: np.ndarray
-    Dprime: np.ndarray
     R_fdt: np.ndarray
     mu: float
     D_inf: float | None
@@ -127,10 +127,9 @@ def solve_fdt(gamma: float, beta: float, nu: MixingFunction,
     else:
         i_const = gamma - 0.5 + 2.0 * beta * beta * dinf * nu.nu(dinf, 1)
         k1, k2 = _plateau_kappas(dinf, nu)
-    sol = FdtSolution(grid=grid, gamma=gamma, beta=beta, D=D, Dprime=Dp,
-                      R_fdt=-2.0 * Dp, mu=mu, D_inf=dinf, I=i_const,
-                      kappa1=k1, kappa2=k2)
-    for arr in (sol.D, sol.Dprime, sol.R_fdt):
+    sol = FdtSolution(grid=grid, gamma=gamma, beta=beta, D=D, R_fdt=-2.0 * Dp,
+                      mu=mu, D_inf=dinf, I=i_const, kappa1=k1, kappa2=k2)
+    for arr in (sol.D, sol.R_fdt):
         arr.setflags(write=False)
     return sol
 
@@ -224,10 +223,10 @@ def beta_c(nu: MixingFunction) -> float:
     x / (4 nu'(x) (1 - x)) there, so beta_c^2 is the smaller of that ratio's
     x -> 0 limit 1/(4 nu''(0)) and its minimum over four 4001-point scans,
     each zoomed around the last argmin, taken on the rescaled mixture.
-    NotBracketed for the zero mixture.
+    ValidationError for the zero mixture.
     """
     if nu.is_zero():
-        raise NotBracketed("zero mixture has no finite critical temperature")
+        raise ValidationError("zero mixture has no finite critical temperature")
     nu, h = _rescaled(nu)
     d2 = nu.nu(0.0, 2)
     best = 1.0 / (4.0 * d2) if d2 > 0.0 else math.inf
@@ -265,14 +264,14 @@ def aging_constants(beta: float, nu: MixingFunction) -> AgingConstants:
     2 beta^2 g(D_inf), g(x) = nu''(x)(1-x)^2, so D_inf is on the gamma
     plateau's boundary (value 1/2) exactly as far as d_star's last float
     with 4 beta^2 g >= 1 is on 4 beta^2 g = 1.
-    Raises BelowCritical for beta <= beta_c.
+    Raises NoBranch for beta <= beta_c.
     """
     bc = beta_c(nu)
     if beta <= bc:
-        raise BelowCritical(f"beta = {beta} <= beta_c = {bc}")
+        raise NoBranch(f"beta = {beta} <= beta_c = {bc}")
     dinf = d_star(beta, nu)
     if dinf is None:
-        raise BelowCritical(f"no positive plateau at beta = {beta}")
+        raise NoBranch(f"no positive plateau at beta = {beta}")
     b2 = beta * beta
     gamma = 2.0 * b2 * (nu.nu(dinf, 2) * (1.0 - dinf) - nu.nu(dinf, 1))
     i_const = gamma - 0.5 + 2.0 * b2 * dinf * nu.nu(dinf, 1)
@@ -405,7 +404,7 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     """Analyze the localized branch where q(s) -> alpha q_star without aging.
 
     Requires a steep conditioned gradient: G_star > 2 sqrt(nu''(q_star^2))
-    (raises Unstable at or below the threshold, where the conditioned point
+    (raises NoBranch at or below the threshold, where the conditioned point
     stops being a stable well).
 
     alpha is the largest root of alpha_fixed_points with the self-consistent
@@ -434,10 +433,10 @@ def localized_no_aging(params: ModelParams, nu: MixingFunction) -> NoAgingReport
     G = params.G_star
     nu2_qs2 = nu.nu(qs2, 2)
     if nu2_qs2 <= 0:
-        raise Unstable("needs nu''(q_star^2) > 0")
+        raise NoBranch("needs nu''(q_star^2) > 0")
     thr = 2.0 * math.sqrt(nu2_qs2)
     if G <= thr:
-        raise Unstable(f"G_star = {G:g} <= 2 sqrt(nu''(q*^2)) = {thr:g}")
+        raise NoBranch(f"G_star = {G:g} <= 2 sqrt(nu''(q*^2)) = {thr:g}")
     alpha = max(alpha_fixed_points(params, nu, *no_aging_selfconsistent(params, nu)),
                 default=0.0)
     if alpha <= 0.0:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    HardConstraint,
-    PureInconsistent,
-    SizeOverflow,
-    ValidationError,
-)
+from .errors import SizeOverflow, ValidationError
 
 __all__ = [
     "MixingFunction",
@@ -290,12 +285,12 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
     """Build the drift polynomial for conditioning data (E, G) at q_star.
 
     Pure mixtures use the closed form v(r) = E q_star^{-2m} r^m and require
-    G = m E / q_star^2 (raises PureInconsistent otherwise, relative 1e-12).
+    G = m E / q_star^2 (raises ValidationError otherwise, relative 1e-12).
     Mixed ones solve the 2x2 moment system M v_p = (q_star^2, p) per order.
 
     Raises
     ------
-    PureInconsistent, ValidationError (zero mixture, singular moment system)
+    ValidationError (pure inconsistency, zero mixture, singular moment system)
     """
     m_top = nu.m
     coeffs = [0.0] * (m_top + 1)
@@ -308,7 +303,7 @@ def vstar_build(nu: MixingFunction, q_star: float, E: float, G: float) -> DriftP
         m = nu.pure_order()
         implied = m * E / (q_star * q_star)
         if abs(G - implied) > 1e-12 * max(1.0, abs(G), abs(implied)):
-            raise PureInconsistent(
+            raise ValidationError(
                 f"pure order {m}: G={G!r} inconsistent with m E / q*^2 = {implied!r}"
             )
         coeffs[m] = E * q_star ** (-2 * m)
@@ -336,10 +331,10 @@ def canonical_phi(params: ModelParams, nu: MixingFunction) -> float:
 def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
     """Check parameter consistency and return the params with phi resolved.
 
-    Raises ValidationError / PureInconsistent as appropriate, ValidationError
-    for any non-finite number (a soft confinement's L, k and phi included).
-    A soft confinement comes back with a concrete phi (the canonical one
-    when none was given); a hard one has no phi and comes back unchanged.
+    Raises ValidationError for any failed check, a non-finite number (a
+    soft confinement's L, k and phi included) among them.  A soft
+    confinement comes back with a concrete phi (the canonical one when
+    none was given); a hard one has no phi and comes back unchanged.
     """
     conf = params.confinement
     for name, value in (vars(params) | ({} if conf.is_hard else vars(conf))).items():
@@ -357,7 +352,7 @@ def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
     else:
         if not nu.nu(params.q_star ** 2, 1) > 0.0:
             raise ValidationError("nu'(q_star^2) must be positive")
-    # Pure-consistency (raises PureInconsistent if violated).
+    # Pure-consistency (raises ValidationError if violated).
     vstar_build(nu, params.q_star, params.E_star, params.G_star)
 
     if conf.is_hard:
@@ -378,12 +373,12 @@ def validate(params: ModelParams, nu: MixingFunction) -> ModelParams:
 def f_prime(params: ModelParams, r):
     """Derivative of the soft confinement: f'(r) = 2 L (r - 1) + (phi/2) r^{2k-1}.
 
-    Raises HardConstraint when called under the hard-sphere constraint
+    Raises ValidationError when called under the hard-sphere constraint
     (there the Lagrange multiplier mu(s) replaces f'(K), see the solvers).
     """
     conf = params.confinement
     if conf.is_hard:
-        raise HardConstraint("f' undefined for the hard constraint; use mu(s)")
+        raise ValidationError("f' undefined for the hard constraint; use mu(s)")
     if conf.phi is None:
         raise ValidationError("confinement phi unresolved; run validate() first")
     return 2.0 * conf.L * (r - 1.0) + 0.5 * conf.phi * r ** (2 * conf.k - 1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Blowup, HardConstraint, SizeOverflow, ValidationError
+from .errors import SizeOverflow, StepUnstable, ValidationError
 from .model import (_BUDGET, MixingFunction, ModelParams, SimConfig, f_prime,
                     validate, vstar_build)
 from .volterra import TwoTimeBundle, _cumtrapz
@@ -421,7 +421,7 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     couplings are only read: the kernel contracts its stores as they are.
     """
     if params.confinement.kind != "soft":
-        raise HardConstraint("finite-N runs need a soft confinement")
+        raise ValidationError("finite-N runs need a soft confinement")
     prm = validate(params, MixingFunction(J.coeffs_sq))
     N, R = config.N, config.replicas
     if J.N != N:
@@ -446,8 +446,8 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     for step in range(config.n_steps + 1):
         K = np.einsum("ri,ri->r", X, X) / N
         if not K.max() <= 1e6:  # a NaN fails the comparison too
-            raise Blowup(f"radial blow-up after step {step}: "
-                         f"K = {K.max():g}")
+            raise StepUnstable(f"radial blow-up after step {step}: "
+                               f"K = {K.max():g}")
         Hv, grad = hamiltonian_and_grad_batch(J, X)
         if step % config.snap_stride == 0:
             k = step // config.snap_stride

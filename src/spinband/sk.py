@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Delocalized, DomainError, StepUnstable
+from .errors import NoBranch, StepUnstable, ValidationError
 from .volterra import _GAP_ROWS, TwoTimeGrid, _cumtrapz, _trapz_dot
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "semicircle_mgf",
     "damped_mgf",
     "resolvent_root",
-    "mgf_tail_integral",
     "march_covariance",
     "SkSolution",
     "solve_two_time",
@@ -71,13 +70,13 @@ class SkParams:
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise DomainError("beta must be positive")
+            raise ValidationError("beta must be positive")
         if not self.G_star > 1:
-            raise DomainError("needs G_star > 1 for a stable well")
+            raise ValidationError("needs G_star > 1 for a stable well")
         if not 0 < self.q_star <= 1:
-            raise DomainError("q_star must lie in (0, 1]")
+            raise ValidationError("q_star must lie in (0, 1]")
         if abs(self.q_o) > self.q_star:
-            raise DomainError("|q_o| cannot exceed q_star")
+            raise ValidationError("|q_o| cannot exceed q_star")
 
     @property
     def E_star(self) -> float:
@@ -89,7 +88,6 @@ class SkParams:
 # ---------------------------------------------------------------------------
 
 _SERIES_CUT = 20.0
-_TAIL_TOL = 1e-12  # mgf_tail_integral truncation: bound on the dropped tail
 _LAG_GRID = TwoTimeGrid(0.005, 2000)  # default lag grid of the FDT closed forms
 
 
@@ -134,7 +132,7 @@ def damped_mgf(theta, beta: float, G: float):
     th = np.asarray(theta, dtype=float)
     z = beta * th
     if np.any(z < 0):
-        raise DomainError("theta must be nonnegative")
+        raise ValidationError("theta must be nonnegative")
     small = z <= _SERIES_CUT
     out = np.where(small,
                    _mgf_series(np.where(small, z, 0.0))
@@ -152,39 +150,11 @@ def resolvent_root(G: float) -> float:
     """Smaller root y of 1 - 2 G y + y^2 = 0, i.e. y = G - sqrt(G^2 - 1).
 
     Computed as 1/(G + sqrt(G^2-1)) to stay accurate for large G.
-    Raises DomainError for G < 1.
+    Raises ValidationError for G < 1.
     """
     if G < 1.0:
-        raise DomainError(f"needs G >= 1, got {G}")
+        raise ValidationError(f"needs G >= 1, got {G}")
     return 1.0 / (G + math.sqrt(G * G - 1.0))
-
-
-def mgf_tail_integral(tau, beta: float, G: float):
-    """int_tau^infty L_G(u) du for each tau (scalar or array in any order).
-
-    Gauss-Legendre panels of width <= 2 up to the cutoff U where the
-    exponential tail bound e^{-beta(G-1)U}/(beta(G-1)) drops below 1e-12
-    (valid since L(u) <= e^{beta u}).  Requires G > 1.
-    """
-    if G <= 1.0:
-        raise DomainError("tail integral needs G > 1")
-    rate = beta * (G - 1.0)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    order = np.argsort(taus, kind="stable")
-    ts = taus[order]
-    U = max(float(ts[-1]) + 1.0, math.log(1.0 / (_TAIL_TOL * rate)) / rate)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    # segment boundaries: the taus themselves plus a uniform fill up to U
-    bounds = np.unique(np.concatenate([ts, np.linspace(float(ts[0]), U,
-                                                       int((U - ts[0]) / 2.0) + 2)]))
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    pts = mids[:, None] + half[:, None] * nodes[None, :]
-    seg = (half * (damped_mgf(pts, beta, G) @ weights))
-    suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    vals = np.empty_like(ts)
-    vals[order] = np.interp(ts, bounds, suffix)  # exact at the tau entries of bounds
-    return float(vals[0]) if np.isscalar(tau) or np.asarray(tau).ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +312,11 @@ def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
     """(alpha_sq, C_fdt array on the lag grid, mu_inf, H_inf).
 
     alpha^2 = 1 - y/beta, C_fdt(tau) = 1 - (1/2) int_0^tau L_G(u) du,
-    mu -> beta G, H -> G/2 - 1/(4 beta).  Raises Delocalized if beta <= y.
+    mu -> beta G, H -> G/2 - 1/(4 beta).  Raises NoBranch if beta <= y.
     """
     y = resolvent_root(params.G_star)
     if params.beta <= y:
-        raise Delocalized(f"beta = {params.beta:g} <= y = {y:g}")
+        raise NoBranch(f"beta = {params.beta:g} <= y = {y:g}")
     alpha_sq = 1.0 - y / params.beta
     lg = damped_mgf(grid.times(), params.beta, params.G_star)
     c_fdt = 1.0 - 0.5 * _cumtrapz(lg, grid.h)

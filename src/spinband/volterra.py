@@ -133,10 +133,10 @@ class TwoTimeBundle:
     """Solved two-time data on a grid.
 
     R and C are (n+1, n+1) arrays; R(s,t) lives in the lower triangle with
-    R[i, i] = 1 and zeros above the diagonal, C is symmetric with
-    C[i, i] = K[i].  ``pc_gap`` is the march's local error monitor, for
-    both constraints: the largest |corrected - predicted| entry over the
-    R, C and q of every row, which falls as h^2.  ``constraint`` is the
+    R[i, i] = 1 and zeros above the diagonal, C is symmetric, and K is a
+    read-only view of its diagonal.  ``pc_gap`` is the march's local error
+    monitor, for both constraints: the largest |corrected - predicted| entry
+    over the R, C and q of every row, which falls as h^2.  ``constraint`` is the
     kind of ``params.confinement``, "hard" or "soft".  The arrays are made
     read-only on construction; from solve_hard and solve_soft, R and C are
     read-only views into one stacked (2, n+1, n+1) array.
@@ -146,7 +146,6 @@ class TwoTimeBundle:
     R: np.ndarray
     C: np.ndarray
     q: np.ndarray
-    K: np.ndarray
     mu: np.ndarray
     H: np.ndarray
     Hhat: np.ndarray
@@ -155,8 +154,12 @@ class TwoTimeBundle:
     nu: MixingFunction
 
     def __post_init__(self):
-        for arr in (self.R, self.C, self.q, self.K, self.mu, self.H, self.Hhat):
+        for arr in (self.R, self.C, self.q, self.mu, self.H, self.Hhat):
             arr.setflags(write=False)
+
+    @property
+    def K(self) -> np.ndarray:
+        return self.C.diagonal()
 
     @property
     def constraint(self) -> str:
@@ -214,7 +217,6 @@ class _March:
         self.R, self.C = self.RC
         np.fill_diagonal(self.R, 1.0)  # R(s,s) = 1; rows only ever write u < s
         self.q = np.zeros(n + 1)
-        self.K = np.ones(n + 1)
         self.mu = np.zeros(n + 1)
         self.Hhat = np.zeros(n + 1)
         # nu'', nu', psi of the last written row of C and nu'(q) of the written q;
@@ -264,7 +266,7 @@ class _March:
         sub = self.corr * Iq / self.denom
         memory = self.b2 * (Ipsi - self.psi_qr * sub)
         drift = self.beta * self.q[r] * self.v1_qr
-        mu = 0.5 + memory + drift if self.hard else f_prime(self.params, self.K[r])
+        mu = 0.5 + memory + drift if self.hard else f_prime(self.params, self.C[r, r])
         return wR, Iq, mu, self.beta * (I1 - self.nu1_qr * sub), 2.0 * (memory + drift)
 
     def _row(self, r: int):
@@ -301,8 +303,7 @@ class _March:
         self._set_q(i + 1, self.q[i] + scale * Fq)
 
     def _set_diag(self, r: int, k: float) -> None:
-        """K[r] = C[r, r] = k, and C's column r mirrors its row r."""
-        self.K[r] = k
+        """K(t_r) = C[r, r] = k, and C's column r mirrors its row r."""
         self.C[r, r] = k
         self.C[:r, r] = self.C[r, :r]
         self.W[:3, r] = self.one if self.hard else self._nu_at(k)
@@ -327,7 +328,7 @@ class _March:
 
     def run(self) -> TwoTimeBundle:
         n, h = self.grid.n, self.grid.h
-        K, q = self.K, self.q
+        K, q = self.C.diagonal(), self.q
         pc_gap = 0.0
         self.mu[0], self.Hhat[0], S_i, F_i, Fq_i = self._row(0)  # Hhat[0] = 0
         for i in range(n):
@@ -353,14 +354,15 @@ class _March:
             # row i+1 is final: later rows only write C right of its diagonal
             self.mu[i + 1], self.Hhat[i + 1], S_i, F_i, Fq_i = self._row(i + 1)
 
-            sizes = abs(self.RC[:, i + 1, :i + 2]).max(), abs(q[i + 1]), abs(K[i + 1])
+            # the row's max covers K = C[i + 1, i + 1]
+            sizes = abs(self.RC[:, i + 1, :i + 2]).max(), abs(q[i + 1])
             if not all(size <= _BLOWUP for size in sizes):  # a NaN fails this too
                 raise StepUnstable(f"row {i + 1} (s={h * (i + 1):g}): "
                                    f"|value| = {np.max(sizes):g}")
 
         return TwoTimeBundle(
             grid=self.grid,
-            R=self.R, C=self.C, q=q, K=K, mu=self.mu,
+            R=self.R, C=self.C, q=q, mu=self.mu,
             H=self.Hhat + self.v.value(q), Hhat=self.Hhat,
             pc_gap=float(pc_gap), params=self.params, nu=self.nu,
         )
@@ -383,7 +385,7 @@ def solve_soft(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
                conditioned: bool = True) -> TwoTimeBundle:
     """March the soft-confinement system (K evolves, mu(s) = f'(K(s)))."""
     if params.confinement.is_hard:
-        raise GridMismatch("solve_soft needs a soft confinement in params")
+        raise ValidationError("solve_soft needs a soft confinement in params")
     return _March(params, nu, grid, conditioned=conditioned).run()
 
 

@@ -1,11 +1,13 @@
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from spinband.model import (Confinement, MixingFunction, ModelParams, validate,
                             vstar_build)
 from spinband.simulate import hamiltonian_and_grad_batch
-from spinband.sk import mgf_tail_integral, resolvent_root
+from spinband.sk import damped_mgf, resolvent_root
 
 # A failing @given test makes hypothesis import its patch writer, whose
 # libcst import warns; under filterwarnings = error that warning would end
@@ -83,6 +85,40 @@ def hamiltonian_and_grad():
     return one
 
 
+def _mgf_tail_integral(tau, beta, G):
+    """int_tau^infty L_G(u) du for each tau (scalar or array in any order).
+
+    Gauss-Legendre panels of width <= 2 up to the cutoff U where the
+    exponential tail bound e^{-beta(G-1)U}/(beta(G-1)) drops below 1e-12
+    (valid since L(u) <= e^{beta u}).  Requires G > 1.
+    """
+    if G <= 1.0:
+        raise ValueError("tail integral needs G > 1")
+    rate = beta * (G - 1.0)
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    order = np.argsort(taus, kind="stable")
+    ts = taus[order]
+    U = max(float(ts[-1]) + 1.0, math.log(1.0 / (1e-12 * rate)) / rate)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    # segment boundaries: the taus themselves plus a uniform fill up to U
+    bounds = np.unique(np.concatenate([ts, np.linspace(float(ts[0]), U,
+                                                       int((U - ts[0]) / 2.0) + 2)]))
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    half = 0.5 * (bounds[1:] - bounds[:-1])
+    pts = mids[:, None] + half[:, None] * nodes[None, :]
+    seg = (half * (damped_mgf(pts, beta, G) @ weights))
+    suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    vals = np.empty_like(ts)
+    vals[order] = np.interp(ts, bounds, suffix)  # exact at the tau entries of bounds
+    return float(vals[0]) if np.isscalar(tau) or np.asarray(tau).ndim == 0 else vals
+
+
+@pytest.fixture(scope="session")
+def mgf_tail_integral():
+    """Oracle int_tau^infty L_G(u) du of the damped semicircle kernel."""
+    return _mgf_tail_integral
+
+
 @pytest.fixture(scope="session")
 def stationary_covariance():
     """Oracle for the two-body stationary kernel, localized regime only:
@@ -90,5 +126,5 @@ def stationary_covariance():
     the translation-invariant limit of M(t + tau, t)."""
     def gamma(tau, params):
         c = 2.0 * (1.0 - resolvent_root(params.G_star) / params.beta)
-        return mgf_tail_integral(tau, params.beta, params.G_star) / c
+        return _mgf_tail_integral(tau, params.beta, params.G_star) / c
     return gamma

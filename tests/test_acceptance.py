@@ -20,9 +20,8 @@ from spinband.simulate import (SimConfig, condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
                                run_langevin, sample_disorder, star_point)
-from spinband.sk import (SkParams, damped_mgf, mgf_tail_integral,
-                         resolvent_root, sk_asymptotics, solve_two_time,
-                         superposition_gap)
+from spinband.sk import (SkParams, damped_mgf, resolvent_root, sk_asymptotics,
+                         solve_two_time, superposition_gap)
 from spinband.volterra import (TwoTimeGrid, check_bundle,
                                response_integral_bound, soft_hard_gap,
                                solve_hard, solve_soft)
@@ -102,7 +101,7 @@ def test_05_soft_to_hard_convergence(sk_params, sk_mixing):
 
 
 def test_06_quadratic_analytic_identities(sk_params, sk_mixing,
-                                          stationary_covariance):
+                                          stationary_covariance, mgf_tail_integral):
     ref = SkParams(beta=1.0, G_star=1.25)
     beta, G = ref.beta, ref.G_star
     y = resolvent_root(G)

@@ -15,7 +15,7 @@ import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
                           read_series_csv, read_two_time, save_bundle,
                           write_matrix_csv, write_series_csv)
-from spinband.errors import ParseError, ValidationError
+from spinband.errors import GridMismatch, ParseError, ValidationError
 
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.625, "G_star": 1.25}
@@ -167,7 +167,7 @@ def test_a_bad_sk_model_is_rejected_before_any_march(tmp_path, capsys,
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ValidationError: sk model rejected"), err
+    assert err.startswith("error: ValidationError: needs G_star > 1 for a stable well"), err
 
 
 @pytest.mark.parametrize("against, error, message", [
@@ -513,6 +513,34 @@ def test_sk_closed_form_run(tmp_path):
                  str(tmp_path / "b")]) == 1
 
 
+def test_sk_in_the_delocalized_phase_writes_null_asymptotics(tmp_path):
+    """At beta <= y there is no localized limit: the run still writes every
+    file and exits 0, with the asymptotic constants null and a note naming
+    the NoBranch."""
+    cfg = write_cfg(tmp_path, "sk.json", {**solve_cfg(), "model": {**SK_MODEL, "beta": 0.3}})
+    out = tmp_path / "out"
+    assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "metadata.json", "RC.npy", "series.csv", "constants.json"}
+    con = json.loads((out / "constants.json").read_text())
+    assert con["y"] == 0.5
+    assert con["alpha_sq"] is None and con["mu_infty"] is None and con["H_infty"] is None
+    assert con["asymptotics_note"] == "NoBranch: beta = 0.3 <= y = 0.5"
+    assert con["superposition"]["linear_gap"] <= 1e-8
+
+
+def test_fdt_zero_mixture_notes_the_missing_beta_c(tmp_path):
+    cfg = write_cfg(tmp_path, "fdt.json", {
+        "model": {"coeffs_sq": [0.0], "beta": 1.0, "q_star": 1.0},
+        "grid": {"T": 1.0, "h": 0.01}})
+    out = tmp_path / "out"
+    assert main(["fdt", "--config", str(cfg), "--out", str(out)]) == 0
+    con = json.loads((out / "constants.json").read_text())
+    assert con["beta_c"] is None
+    assert con["beta_c_note"] == ("ValidationError: zero mixture has no finite "
+                                  "critical temperature")
+
+
 def test_sk_gauge_audit_runs_at_late_times(tmp_path):
     """At T = 20 an undamped gauge reference grows like e^{2t} past the
     march's blow-up guard; the G = 1 reference stays bounded."""
@@ -734,7 +762,8 @@ def test_error_exits(tmp_path, capsys):
     cfg2 = write_cfg(tmp_path, "pure.json", pure_bad)
     assert main(["solve-hard", "--config", str(cfg2),
                  "--out", str(tmp_path / "x")]) == 1
-    assert "model block rejected: PureInconsistent" in capsys.readouterr().err
+    assert ("error: ValidationError: pure order 3: G=1.0 inconsistent with m E / q*^2"
+            in capsys.readouterr().err)
 
     soft_missing = write_cfg(tmp_path, "sm.json", solve_cfg())
     assert main(["solve-soft", "--config", str(soft_missing),
@@ -762,7 +791,7 @@ def test_error_exits(tmp_path, capsys):
     cfg4 = write_cfg(tmp_path, "blow.json", blow)
     assert main(["simulate", "--config", str(cfg4),
                  "--out", str(tmp_path / "x")]) == 1
-    assert "Blowup" in capsys.readouterr().err
+    assert "error: StepUnstable: radial blow-up after step" in capsys.readouterr().err
 
 
 _SIM = {"N": 16, "dt": 0.005, "seed": 7, "replicas": 2}
@@ -896,7 +925,7 @@ def test_parse_config_details(tmp_path):
     assert rc.params.E_star == 0.625
     with pytest.raises(ParseError):
         parse_config(tmp_path / "missing.json", command="solve-hard")
-    with pytest.raises(ValidationError):
+    with pytest.raises(GridMismatch, match=r"time 1.0 is not on the grid \(h=0.3, n=3\)"):
         parse_config(write_cfg(tmp_path, "neg.json", solve_cfg(
             grid={"T": 1.0, "h": 0.3})), command="solve-hard")
 

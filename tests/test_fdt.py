@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinband.errors import (BelowCritical, NoBranch, NotBracketed,
-                             NotConverged, Unstable, ValidationError)
+from spinband.errors import NoBranch, NotConverged, ValidationError
 from spinband.fdt import (aging_constants, alpha_fixed_points, beta_c,
                           d_infty, d_star, kappa_values, localized_no_aging,
                           no_aging_selfconsistent, solve_D, solve_fdt)
@@ -33,11 +32,14 @@ def test_diverging_lag_march_raises(pure3_mixing):
 
 
 def test_lag_profile_basics(sk_mixing):
-    sol = solve_fdt(0.5, 0.8, sk_mixing, TwoTimeGrid.from_T(10.0, 0.01))
+    grid = TwoTimeGrid.from_T(10.0, 0.01)
+    sol = solve_fdt(0.5, 0.8, sk_mixing, grid)
+    D, Dprime = solve_D(0.5, 0.8, sk_mixing, grid)
     assert sol.D[0] == 1.0
-    assert sol.Dprime[0] == -0.5
+    assert Dprime[0] == -0.5
     assert np.all(np.diff(sol.D) <= 1e-12)          # monotone decay
-    assert_allclose(sol.R_fdt, -2.0 * sol.Dprime, rtol=0, atol=0)
+    assert_allclose(sol.D, D, rtol=0, atol=0)
+    assert_allclose(sol.R_fdt, -2.0 * Dprime, rtol=0, atol=0)
     assert sol.mu == 0.5 + 2.0 * 0.8 ** 2 * sk_mixing.nu(1.0, 1)
     with pytest.raises(ValueError):
         sol.D[0] = 2.0
@@ -58,7 +60,7 @@ def test_critical_temperature(sk_mixing, pure3_mixing):
     # sk: the x -> 0 limit 1/(4 nu''(0)) = 1; pure p = 3: the ratio's minimum at x = 1/2
     assert beta_c(sk_mixing) == 1.0
     assert abs(beta_c(pure3_mixing) - math.sqrt(8.0 / 3.0)) <= 1e-12
-    with pytest.raises(NotBracketed):
+    with pytest.raises(ValidationError, match="zero mixture has no finite critical temperature"):
         beta_c(MixingFunction((0.0,)))
 
 
@@ -90,7 +92,7 @@ def test_aging_constants_quadratic_case(sk_mixing, plateau_identity):
     assert abs(con.i_const) < 1e-8
     assert abs(plateau_identity(con, 2.0, sk_mixing)) < 1e-8
     assert con.gamma <= 0.5
-    with pytest.raises(BelowCritical):
+    with pytest.raises(NoBranch, match="beta = 0.9 <= beta_c = 1.0"):
         aging_constants(0.9, sk_mixing)
 
 
@@ -217,7 +219,7 @@ def test_localized_branch_cubic(no_aging_identities):
     assert 0.0 < rep.alpha < 1.0
     assert max(map(abs, no_aging_identities(rep, prm, nu))) <= 1e-9
 
-    with pytest.raises(NoBranch):
+    with pytest.raises(NoBranch, match="largest self-consistent root"):
         localized_no_aging(
             ModelParams(beta=0.5, q_star=1.0, q_o=0.0, E_star=2.0 / 3.0,
                         G_star=2.0, confinement=Confinement.hard()), nu)
@@ -226,7 +228,7 @@ def test_localized_branch_cubic(no_aging_identities):
 def test_localized_branch_guards(sk_mixing):
     shallow = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
                           G_star=0.9, confinement=Confinement.hard())
-    with pytest.raises(Unstable):
+    with pytest.raises(NoBranch, match=r"G_star = 0.9 <= 2 sqrt\(nu''\(q\*\^2\)\) = 1"):
         localized_no_aging(shallow, sk_mixing)
 
 
@@ -257,7 +259,7 @@ def test_localized_branch_closed_forms_check_the_root(pure3_mixing,
         prm = ModelParams(beta=beta, q_star=1.0, q_o=0.0, E_star=2.0 / 3.0,
                           G_star=2.0, confinement=Confinement.hard())
         if beta <= beta_plus:
-            with pytest.raises(NoBranch):
+            with pytest.raises(NoBranch, match="largest self-consistent root"):
                 localized_no_aging(prm, pure3_mixing)
             continue
         rep = localized_no_aging(prm, pure3_mixing)
@@ -277,7 +279,7 @@ def test_localized_branch_mixed_at_unit_q_star(mixed_mixing,
     and where the only self-consistent root is 0 there is no branch."""
     flat = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=0.3, G_star=2.0,
                        confinement=Confinement.hard())
-    with pytest.raises(NoBranch):
+    with pytest.raises(NoBranch, match="largest self-consistent root"):
         localized_no_aging(flat, mixed_mixing)
     deep = ModelParams(beta=1.0, q_star=1.0, q_o=0.0, E_star=1.0, G_star=2.0,
                        confinement=Confinement.hard())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spinband.errors import HardConstraint, PureInconsistent, ValidationError
+from spinband.errors import ValidationError
 from spinband.model import (Confinement, DriftPolynomial, MixingFunction,
                             ModelParams, canonical_phi, f_prime, validate,
                             vstar_build)
@@ -204,7 +204,7 @@ def test_f_prime_soft_and_hard(sk_mixing):
                                 G_star=1.25, confinement=Confinement.hard()),
                     sk_mixing)
     assert hard.confinement == Confinement.hard()  # no phi to resolve
-    with pytest.raises(HardConstraint):
+    with pytest.raises(ValidationError, match="f' undefined for the hard constraint"):
         f_prime(hard, 1.0)
 
 
@@ -239,7 +239,7 @@ def test_pure_consistency_enforced(pure3_mixing):
     qs, E = 0.9, 0.2
     ok = vstar_build(pure3_mixing, qs, E, 3.0 * E / qs ** 2)
     assert abs(ok.value(qs * qs) - E) < 1e-13
-    with pytest.raises(PureInconsistent):
+    with pytest.raises(ValidationError, match=r"pure order 3: G=0.9 inconsistent with m E / q\*\^2"):
         vstar_build(pure3_mixing, qs, E, 0.9)
 
 

@@ -15,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from spinband import model, simulate
-from spinband.errors import (Blowup, GridMismatch, HardConstraint,
-                             SizeOverflow, SpinbandError, ValidationError)
+from spinband.errors import (GridMismatch, SizeOverflow, SpinbandError,
+                             StepUnstable, ValidationError)
 from spinband.model import (Confinement, MixingFunction, ModelParams,
                             f_prime, validate)
 from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
@@ -459,7 +459,7 @@ def test_runs_and_kernel_calls_restore_the_couplings(mixed_mixing,
                       confinement=Confinement.soft(0.001, 1))
     Jb = sample_disorder(8, pure3_mixing, 1)
     before = _digest(Jb)
-    with pytest.raises(Blowup, match="after step [1-9]"):
+    with pytest.raises(StepUnstable, match="radial blow-up after step [1-9]"):
         run_langevin(Jb, hot, SimConfig(N=8, dt=0.01, T=2.0, seed=2,
                                         replicas=2))
     assert _digest(Jb) == before
@@ -778,7 +778,7 @@ def test_blowup_guard_trips_on_a_nan_in_a_later_replica(sk_mixing):
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=8, replicas=R)
     noise = np.random.default_rng(2).standard_normal((20, R, N)) * 0.1
     noise[6, 2, 5] = np.nan
-    with pytest.raises(Blowup, match="after step 7"):
+    with pytest.raises(StepUnstable, match="radial blow-up after step 7"):
         run_langevin(J, prm, cfg, noise=noise)
 
 
@@ -987,7 +987,7 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
     J = sample_disorder(8, sk_mixing, 1)
     hard = ModelParams(beta=1.0, q_star=1.0, q_o=0.5, E_star=0.625,
                        G_star=1.25, confinement=Confinement.hard())
-    with pytest.raises(HardConstraint):
+    with pytest.raises(ValidationError, match="finite-N runs need a soft confinement"):
         run_langevin(J, hard, SimConfig(N=8, dt=0.01, T=0.1, seed=0))
     with pytest.raises(ValidationError):
         run_langevin(J, soft_params(), SimConfig(N=10, dt=0.01, T=0.1, seed=0))
@@ -1028,6 +1028,6 @@ def test_radial_blowup_guard(pure3_mixing):
     prm = ModelParams(beta=8.0, q_star=1.0, q_o=0.0, E_star=0.0, G_star=0.0,
                       confinement=Confinement.soft(0.001, 1))
     J = sample_disorder(8, pure3_mixing, 1)
-    with pytest.raises(Blowup):
+    with pytest.raises(StepUnstable, match="radial blow-up after step"):
         run_langevin(J, prm, SimConfig(N=8, dt=0.01, T=2.0, seed=2,
                                        replicas=2))

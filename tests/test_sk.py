@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinband.errors import Delocalized, DomainError, StepUnstable
+from spinband.errors import NoBranch, StepUnstable, ValidationError
 from spinband.fdt import solve_D
 from spinband.sk import (_LAG_GRID, SkParams, _prefix_conv, damped_mgf,
-                         energy_from_mu, march_covariance, mgf_tail_integral,
-                         resolvent_root, semicircle_mgf, sk_asymptotics,
+                         energy_from_mu, march_covariance, resolvent_root, semicircle_mgf, sk_asymptotics,
                          solve_two_time, superposition_gap)
 from spinband.volterra import TwoTimeGrid, solve_hard
 
@@ -45,7 +44,7 @@ def test_mgf_against_quadrature_oracle():
     arr = semicircle_mgf(np.array([1.0, 30.0]), 2.0)
     assert_allclose(arr, [_chebyshev_mgf(1.0, 2.0), _chebyshev_mgf(30.0, 2.0)],
                     rtol=1e-13)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="theta must be nonnegative"):
         semicircle_mgf(-1.0)
 
 
@@ -65,11 +64,11 @@ def test_resolvent_root():
     for G in (1.0, 1.7, 7.3, 1e8):
         y = resolvent_root(G)
         assert abs(1.0 - 2.0 * G * y + y * y) <= 1e-12
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="needs G >= 1, got 0.99"):
         resolvent_root(0.99)
 
 
-def test_tail_integral_and_y_identity():
+def test_tail_integral_and_y_identity(mgf_tail_integral):
     for beta, G in ((1.0, 1.25), (0.7, 2.0)):
         total = mgf_tail_integral(0.0, beta, G)
         assert abs(0.5 * beta * total - resolvent_root(G)) <= 1e-8
@@ -83,19 +82,19 @@ def test_tail_integral_and_y_identity():
     # order-insensitive on unsorted input
     shuffled = mgf_tail_integral(taus[::-1].copy(), 1.0, 1.25)
     assert_allclose(shuffled, vals[::-1], rtol=0, atol=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="tail integral needs G > 1"):
         mgf_tail_integral(0.0, 1.0, 1.0)
 
 
 def test_parameter_guards():
     assert SkParams(beta=1.0, G_star=1.25).E_star == 0.625
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="beta must be positive"):
         SkParams(beta=0.0, G_star=1.25)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="needs G_star > 1 for a stable well"):
         SkParams(beta=1.0, G_star=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"q_star must lie in \(0, 1\]"):
         SkParams(beta=1.0, G_star=1.25, q_star=1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"\|q_o\| cannot exceed q_star"):
         SkParams(beta=1.0, G_star=1.25, q_star=0.5, q_o=0.6)
 
 
@@ -197,7 +196,7 @@ def test_long_time_constants(ref):
     assert c_fdt[0] == 1.0
     assert np.all(np.diff(c_fdt) < 0.0)
     assert abs(c_fdt[-1] - alpha_sq) <= 1e-2   # plateau approached at T = 10
-    with pytest.raises(Delocalized):
+    with pytest.raises(NoBranch, match="beta = 0.3 <= y = 0.5"):
         sk_asymptotics(SkParams(beta=0.3, G_star=1.25))
 
 

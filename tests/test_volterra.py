@@ -161,7 +161,7 @@ def test_response_bound_fails_a_damaged_response(sk_hard_bundle):
 
 
 def test_soft_solver_needs_soft_confinement(sk_params, sk_mixing):
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValidationError, match="solve_soft needs a soft confinement"):
         solve_soft(sk_params, sk_mixing, TwoTimeGrid.from_T(1.0, 0.02))
 
 
@@ -232,14 +232,15 @@ def test_blowup_guard_trips():
 
 @pytest.mark.parametrize("where", ["R", "q", "K"])
 def test_blowup_guard_trips_on_a_nan_in_any_one_value(mixed_mixing, where):
-    """A NaN in only R's row, only q or only K of a finished row raises
-    StepUnstable (Python's max drops a NaN that is not its first argument)."""
+    """A NaN in only R's row, only q or only K = C(3, 3) of a finished row
+    raises StepUnstable (Python's max drops a NaN that is not its first
+    argument)."""
     class Poisoned(_March):
         def _row(self, r):
             out = super()._row(r)
             if r == 3:  # the corrector overwrites the predicted row's NaN
                 arr, idx = {"R": (self.R, (3, 1)), "q": (self.q, 3),
-                            "K": (self.K, 3)}[where]
+                            "K": (self.C, (3, 3))}[where]
                 arr[idx] = np.nan
             return out
 
