@@ -361,32 +361,39 @@ def _write_two_time(out: Path, R, C) -> None:
 
     A float64 array of shape (n+1, n+2) in numpy's .npy format whose row i
     holds R[i, 0..i] followed by C[i, i..n], so both diagonals are stored.
-    R must be exactly zero above the diagonal and C exactly symmetric (bit
-    for bit), or ValidationError names the first entry that would be lost
-    and no RC.npy is left behind.  No (n+1)^2 temporary is built.
+    R is an array, or a callable that builds the rows of a slice (such as
+    sk.SkSolution.R_rows), read one block at a time.  R must be exactly zero
+    above the diagonal and C exactly symmetric (bit for bit), or
+    ValidationError names the first entry that would be lost and no RC.npy
+    is left behind.  No (n+1)^2 temporary is built.
     """
     import numpy as np
-    R = np.asarray(R, dtype=np.float64)
+
+    from .volterra import _row_block
     C = np.asarray(C, dtype=np.float64)
-    m = R.shape[0]
-    if R.shape != (m, m) or C.shape != (m, m):
-        raise ValidationError(f"R {R.shape} and C {C.shape} must be one square shape")
-    Rbits, Cbits = R.view(np.uint64), C.view(np.uint64)  # -0.0 and NaN exactly
+    m = C.shape[0]
+    R = R if callable(R) else np.asarray(R, dtype=np.float64)
+    R_shape = (m, m) if callable(R) else R.shape
+    if R_shape != (m, m) or C.shape != (m, m):
+        raise ValidationError(f"R {R_shape} and C {C.shape} must be one square shape")
+    Cbits = C.view(np.uint64)  # -0.0 and NaN exactly
     path = out / "RC.npy"
     try:
         with open(path, "wb") as f:
             np.lib.format.write_array_header_1_0(f, {
-                "descr": np.lib.format.dtype_to_descr(R.dtype),
+                "descr": np.lib.format.dtype_to_descr(C.dtype),
                 "fortran_order": False, "shape": (m, m + 1)})
             buf = np.empty((min(_PACK_ROWS, m), m + 1))
             for b in range(0, m, _PACK_ROWS):
                 e = min(b + _PACK_ROWS, m)
+                Rblk = _row_block(R, slice(b, e))
+                Rbits = Rblk.view(np.uint64)
                 for k, i in enumerate(range(b, e)):
-                    if Rbits[i, i + 1:].any():
-                        j = i + 1 + int(Rbits[i, i + 1:].argmax())
+                    if Rbits[k, i + 1:].any():
+                        j = i + 1 + int(Rbits[k, i + 1:].argmax())
                         raise ValidationError(
-                            f"R({i}, {j}) = {float(R[i, j])!r} lies above the diagonal")
-                    buf[k, :i + 1] = R[i, :i + 1]
+                            f"R({i}, {j}) = {float(Rblk[k, j])!r} lies above the diagonal")
+                    buf[k, :i + 1] = Rblk[k, :i + 1]
                     buf[k, i + 1:] = C[i, i:]
                 # rows b..e-1 left of column e against their mirror, in square
                 # tiles: a transposed operand is buffered, so keep it small
@@ -570,9 +577,10 @@ def _run_sk(cfg: RunConfig, out: Path):
 
     pars = cfg.sk
     sol = solve_two_time(pars, cfg.grid)
-    _write_two_time(out, sol.R, sol.C)
+    _write_two_time(out, sol.R_rows, sol.C)
     write_series_csv(out / "series.csv", ("t", "q", "mu", "H"),
                      (cfg.grid.times(), sol.q, sol.mu, sol.H))
+    del sol  # the superposition audit holds three (n+1)^2 marches of its own
     constants = {
         "y": resolvent_root(pars.G_star),
         "E_star": pars.E_star,
@@ -655,7 +663,7 @@ def _run_compare(cfg: RunConfig, out: Path):
         a = solve_hard(cfg.params, cfg.nu, cfg.grid)  # swaps in the hard constraint
         b = solve_soft(cfg.params, cfg.nu, cfg.grid)
     report = compare_bundles(a, b, cfg.tol)
-    del b  # two (n+1)^2 arrays fewer under the audit's temporaries
+    del b  # one (n+1)^2 array (C) fewer under the audit's temporaries
     report["against"] = "sk" if cfg.sk is not None else "soft"
     report["audit"] = check_bundle(a)
     _write_json(out / "report.json", report)

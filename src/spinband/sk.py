@@ -21,6 +21,11 @@ started from M(0) = q_star^2 - q_o^2.  Everything downstream (mu, H, the
 localized overlap alpha, the lag correlation) follows in closed form, giving
 independent targets for the general solver and the FDT analysis.
 
+solve_two_time holds C (written over M in the kernel's buffer), Lambda and
+L_G, and no R: SkSolution.R_rows builds R's rows from the two vectors one
+row block at a time, and SkSolution.R builds the full (n+1)^2 array on
+access, so a caller that walks R by block holds one square array.
+
 The march (march_covariance) is a trapezoid predictor-corrector whose
 memory term is a convolution in the first time argument.  The rows that
 are final before a step are summed against the kernel once per step, not
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBranch, StepUnstable, ValidationError
-from .volterra import _GAP_ROWS, TwoTimeGrid, _cumtrapz, _trapz_dot
+from .volterra import TwoTimeGrid, _cumtrapz, _sup_gap, _trapz_dot
 
 __all__ = [
     "SkParams",
@@ -230,18 +235,46 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
 
 @dataclass
 class SkSolution:
+    """The closed-form two-body solution on a grid.  R is not stored, since
+    R(s, t) = L_G(s - t) Lambda(t) / Lambda(s) restates ``lg`` and ``lam``:
+    ``R_rows`` builds the rows of a slice, ``R`` the full array per access."""
+
     grid: TwoTimeGrid
     params: SkParams
     q: np.ndarray
-    R: np.ndarray
     C: np.ndarray
     mu: np.ndarray
     H: np.ndarray
+    lam: np.ndarray  # Lambda(s) = sqrt(q_o^2 + M(s))
+    lg: np.ndarray   # L_G(t_i), the damped kernel on the grid
+
+    def R_rows(self, r: slice) -> np.ndarray:
+        """Rows r of R, zero above the diagonal, each row built by the
+        expression solve_two_time uses for mu, so every entry keeps its bits."""
+        rows = range(*r.indices(self.grid.n + 1))
+        out = np.zeros((len(rows), self.grid.n + 1))
+        for k, i in enumerate(rows):
+            out[k, : i + 1] = _response_row(self.lg, self.lam, i)
+        return out
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.R_rows(slice(None))
+
+
+def _response_row(lg: np.ndarray, lam: np.ndarray, r: int) -> np.ndarray:
+    """R(t_r, t_j) for j = 0..r."""
+    return lg[r::-1] * (lam[: r + 1] / lam[r])
 
 
 def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
-    """March M and assemble q, R, C, mu, H by the closed formulas; C is
-    written over M row by row, since row r of M is read only at step r."""
+    """March M and assemble q, C, mu, H by the closed formulas.
+
+    C is written over M row by row, since row r of M is read only at step
+    r, so the solve holds one (n+1)^2 array.  R is not stored: each row is
+    built once here for mu, and again per row block by SkSolution.R_rows
+    (the ``R`` property builds the full array on access).
+    """
     beta, G, qs = params.beta, params.G_star, params.q_star
     qs2 = qs * qs
     qo2 = params.q_o ** 2
@@ -251,19 +284,19 @@ def solve_two_time(params: SkParams, grid: TwoTimeGrid) -> SkSolution:
     q = qs * params.q_o / lam
     lg = damped_mgf(grid.times(), beta, G)
     h = grid.h
-    R = np.zeros((n + 1, n + 1))
     cbar = np.empty(n + 1)  # row r of Cbar = M/(Lambda Lambda^T)
     mu = np.empty(n + 1)
     for r in range(n + 1):
-        R[r, : r + 1] = lg[r::-1] * (lam[: r + 1] / lam[r])
         np.divide(C[r], lam[r] * lam, out=cbar)
         np.add(cbar, q[r] * q / qs2, out=C[r])
-        mu[r] = 0.5 + 0.5 * beta * beta * _trapz_dot(h, R[r, : r + 1] * cbar[: r + 1]) \
+        mu[r] = 0.5 + 0.5 * beta * beta * _trapz_dot(
+            h, _response_row(lg, lam, r) * cbar[: r + 1]) \
             + beta * G * qo2 / (lam[r] * lam[r])
     H = energy_from_mu(mu, beta)
-    for arr in (q, R, C, mu, H):
+    for arr in (q, C, mu, H, lam, lg):
         arr.setflags(write=False)
-    return SkSolution(grid=grid, params=params, q=q, R=R, C=C, mu=mu, H=H)
+    return SkSolution(grid=grid, params=params, q=q, C=C, mu=mu, H=H,
+                      lam=lam, lg=lg)
 
 
 def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
@@ -284,23 +317,23 @@ def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
     beta, G, qs = params.beta, params.G_star, params.q_star
     qo2 = params.q_o ** 2
     t = grid.times()
-    rows = [slice(b, b + _GAP_ROWS) for b in range(0, grid.n + 1, _GAP_ROWS)]
+    m = grid.n + 1
     # at most three (n+1)^2 marches are live, and the gaps are taken by
     # row block: ref is dropped before full and src are marched
     hom = march_covariance(beta, G, 1.0, 0.0, grid)
     ref = march_covariance(beta, 1.0, 1.0, 0.0, grid)
     rate = -beta * (G - 1.0)
-    gauge = np.max([np.abs(hom[r] - np.exp(rate * (t[r, None] + t)) * ref[r])
-                    .max() for r in rows])
+    gauge = _sup_gap(hom, lambda r: np.exp(rate * (t[r, None] + t)) * ref[r], m)
     del ref
     full = march_covariance(beta, G, qs * qs - qo2, qo2, grid)
     src = march_covariance(beta, G, 0.0, 1.0, grid)
-    lin = []
-    for r in rows:
+
+    def superposed(r):
         d = (qs * qs - qo2) * hom[r]
         d += qo2 * src[r]
-        lin.append(np.abs(np.subtract(full[r], d, out=d), out=d).max())
-    lin = np.max(lin)
+        return d
+
+    lin = _sup_gap(full, superposed, m)
     return {"linear_gap": float(lin), "gauge_gap": float(gauge)}
 
 

@@ -447,13 +447,23 @@ def check_bundle(bundle: TwoTimeBundle) -> dict:
             "response_bound_ratio": ratio, "tol": tol, "passed": passed}
 
 
-def _sup_gap(x: np.ndarray, y: np.ndarray) -> float:
-    """max |x - y| over arrays of one shape, _GAP_ROWS rows at a time, so no
-    full difference array is built.  A NaN in either makes the return NaN."""
+def _row_block(x, r: slice) -> np.ndarray:
+    """Rows r of x: an array, or a callable that builds the rows of a slice
+    (such as sk.SkSolution.R_rows)."""
+    return x(r) if callable(x) else x[r]
+
+
+def _sup_gap(x, y, m: int) -> float:
+    """max |x - y| over the first m rows, _GAP_ROWS rows at a time, so no full
+    difference array is built.  Each operand is an array or a row builder
+    (see _row_block), so neither need be held whole.  A NaN in either makes
+    the return NaN."""
     block_max = [0.0]
-    for b in range(0, x.shape[0], _GAP_ROWS):
-        d = x[b:b + _GAP_ROWS] - y[b:b + _GAP_ROWS]
+    for b in range(0, m, _GAP_ROWS):
+        r = slice(b, min(b + _GAP_ROWS, m))
+        d = _row_block(x, r) - _row_block(y, r)
         block_max.append(np.abs(d, out=d).max())
+        del d  # not live while the next block is built
     return float(np.max(block_max))
 
 
@@ -461,13 +471,20 @@ def compare_bundles(a, b, tol: float) -> dict:
     """Sup-norm gaps of (R, C, q, mu, H) between two solves on one grid.
 
     ``a`` and ``b`` are bundles or anything with those arrays and a grid,
-    such as an sk.SkSolution.  Returns the gaps, each gap's pass flag
-    (gap <= tol) and ``passed``, their conjunction.
+    such as an sk.SkSolution, whose R is read through its row builder
+    ``R_rows`` one row block at a time, so the oracle's full R is never
+    built.  Returns the gaps, each gap's pass flag (gap <= tol) and
+    ``passed``, their conjunction.
     """
     if a.grid.n != b.grid.n or a.grid.h != b.grid.h:
         raise GridMismatch(f"grids differ: (h={a.grid.h}, n={a.grid.n}) vs "
                            f"(h={b.grid.h}, n={b.grid.n})")
-    gaps = {name: _sup_gap(getattr(a, name), getattr(b, name))
+
+    def operand(sol, name):
+        rows = getattr(sol, f"{name}_rows", None)
+        return getattr(sol, name) if rows is None else rows
+
+    gaps = {name: _sup_gap(operand(a, name), operand(b, name), a.grid.n + 1)
             for name in ("R", "C", "q", "mu", "H")}
     passed = {name: gap <= tol for name, gap in gaps.items()}
     return {"tol": tol, "gaps": gaps, "pass": passed,
@@ -501,8 +518,8 @@ def soft_hard_gap(params: ModelParams, nu: MixingFunction, grid: TwoTimeGrid,
         out.append({
             "L": float(L),
             "k_gap": float(abs(soft.K - 1.0).max()),
-            "R_gap": _sup_gap(soft.R, hard.R),
-            "C_gap": _sup_gap(soft.C, hard.C),
-            "q_gap": _sup_gap(soft.q, hard.q),
+            "R_gap": _sup_gap(soft.R, hard.R, grid.n + 1),
+            "C_gap": _sup_gap(soft.C, hard.C, grid.n + 1),
+            "q_gap": _sup_gap(soft.q, hard.q, grid.n + 1),
         })
     return out

@@ -431,6 +431,49 @@ def test_rc_writer_refuses_what_the_pack_would_drop(tmp_path, matrix, s, t,
     assert not (out / "RC.npy").exists()
 
 
+def test_rc_writer_refuses_a_row_builder_above_the_diagonal(tmp_path):
+    """R read through a row builder (SkSolution.R_rows, as the sk command
+    writes it) is checked as an array is: an entry above the diagonal is
+    refused and no RC.npy is left behind."""
+    from spinband.cli import _write_two_time
+    from spinband.sk import solve_two_time
+    rc = parse_config(write_cfg(tmp_path, "run.json", solve_cfg()), command="sk")
+    sol = solve_two_time(rc.sk, rc.grid)
+
+    def leaky(r):
+        block = sol.R_rows(r)
+        if r.start <= 3 < r.stop:
+            block[3 - r.start, 5] = 0.5
+        return block
+
+    with pytest.raises(ValidationError, match=r"R\(3, 5\) = 0.5 lies above"):
+        _write_two_time(tmp_path, leaky, sol.C)
+    assert not (tmp_path / "RC.npy").exists()
+
+
+def test_compare_against_sk_holds_three_square_arrays(tmp_path):
+    """compare against sk holds the general R and C and the oracle's C, and
+    reads the oracle's R by row block: traced peak below 3.6 (n+1)^2 floats
+    at n = 400."""
+    import tracemalloc
+    from spinband.cli import _run_compare
+    configs = {}
+    for name, T in (("warm", 0.1), ("run", 4.0)):
+        path = write_cfg(tmp_path, f"{name}.json", solve_cfg(grid={"T": T, "h": 0.01}))
+        configs[name] = parse_config(path, command="compare")
+        (tmp_path / name).mkdir()
+    _run_compare(configs["warm"], tmp_path / "warm")  # lazy imports
+    assert configs["run"].grid.n == 400
+    tracemalloc.start()
+    try:
+        passed, _ = _run_compare(configs["run"], tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak <= 3.6 * 8 * 401 ** 2, peak
+
+
 def test_save_bundle_streams_its_matrices(tmp_path):
     """save_bundle at n = 400 allocates less than a quarter of one (n+1)^2
     float64 array: RC.npy is written in row blocks, never assembled."""
