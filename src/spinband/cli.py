@@ -153,6 +153,20 @@ def _sim_from_config(sim: dict, grid):
     return scfg, disorder_seed
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in a file, or ParseError naming the file: a syntax
+    error with its line and column, non-UTF-8 bytes, or a non-object top level."""
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    return raw
+
+
 def parse_config(path: str | Path, command: str | None = None,
                  seed: int | None = None) -> RunConfig:
     """Read and validate a JSON run config.
@@ -165,12 +179,7 @@ def parse_config(path: str | Path, command: str | None = None,
     p = Path(path)
     if not p.exists():
         raise ParseError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{p}: line {e.lineno} column {e.colno}: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(f"{p}: top level must be a JSON object")
+    raw = _read_json_object(p)
 
     cfg_cmd = raw.get("command")
     if command is None:
@@ -475,8 +484,9 @@ def load_bundle(rundir: str | Path):
     K is C's diagonal; a series.csv column the bundle does not read (the
     K of older runs) is ignored.  Raises ParseError naming the first
     missing file or series column, so a directory written by another
-    command is rejected cleanly, and naming the file for a damaged line, a
-    short series or an RC.npy that read_two_time rejects, that does not
+    command is rejected cleanly, and naming the file for a metadata.json
+    that holds no JSON object, a damaged line, a short series or an
+    RC.npy that read_two_time rejects, that does not
     match the grid, or whose diagonal R(s,s) (and C(s,s) on the hard
     sphere) is not the 1 that every solve writes, bit for bit.
     """
@@ -487,7 +497,7 @@ def load_bundle(rundir: str | Path):
     for name in ("metadata.json", "series.csv", "RC.npy"):
         if not (rundir / name).exists():
             raise ParseError(f"{rundir}: no {name} (not a solve-hard/solve-soft run)")
-    meta = json.loads((rundir / "metadata.json").read_text())
+    meta = _read_json_object(rundir / "metadata.json")
     nu, params, grid = _model_from_config(_block(meta, "config"))
     if grid is None:
         raise ParseError(f"{rundir / 'metadata.json'}: the config echo has no 'grid' block")
@@ -588,7 +598,7 @@ def _run_sk(cfg: RunConfig, out: Path):
     }
     try:  # the delocalized phase (beta <= y) has no localized limit
         (constants["alpha_sq"], _, constants["mu_infty"],
-         constants["H_infty"]) = sk_asymptotics(pars, cfg.grid)
+         constants["H_infty"]) = sk_asymptotics(pars)
     except NoBranch as e:
         constants.update(alpha_sq=None, mu_infty=None, H_infty=None,
                          asymptotics_note=f"{type(e).__name__}: {e}")

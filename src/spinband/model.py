@@ -30,6 +30,7 @@ __all__ = [
     "SimConfig",
     "DriftPolynomial",
     "vstar_build",
+    "canonical_phi",
     "validate",
     "f_prime",
 ]
@@ -112,12 +113,6 @@ class MixingFunction:
             raise ValidationError("mixture is not pure")
         return terms[0][0]
 
-    def weight(self, p: int) -> float:
-        """b_p (positive square root of the stored squared coefficient)."""
-        if p < 2 or p - 2 >= len(self.coeffs_sq):
-            return 0.0
-        return math.sqrt(self.coeffs_sq[p - 2])
-
     # -- evaluation -----------------------------------------------------------
 
     def nu(self, r, order: int = 0):
@@ -140,10 +135,6 @@ class MixingFunction:
     def psi(self, r):
         """psi(r) = r nu''(r) + nu'(r)."""
         return r * self.nu(r, 2) + self.nu(r, 1)
-
-    def theta(self, q):
-        """theta(q) = nu(1) - nu(q) - nu'(q) (1 - q); one-sided energy gap."""
-        return self.nu(1.0) - self.nu(q) - self.nu(q, 1) * (1.0 - q)
 
     def g(self, x):
         """Landscape factor g(x) = nu''(x) (1 - x)^2."""
@@ -259,9 +250,6 @@ class DriftPolynomial:
     """
 
     coeffs: tuple
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
 
     def value(self, r):
         return _horner(self.coeffs[::-1], r)

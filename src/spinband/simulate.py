@@ -36,7 +36,6 @@ from .volterra import TwoTimeBundle, _cumtrapz
 
 __all__ = [
     "Disorder",
-    "SimConfig",
     "Trajectory",
     "EmpiricalBundle",
     "star_point",
@@ -86,7 +85,6 @@ class Disorder:
     N: int
     coeffs_sq: tuple
     tensors: dict
-    conditioned: bool = False
     folds: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -105,8 +103,7 @@ class Disorder:
 
     def copy(self) -> "Disorder":
         return Disorder(self.N, self.coeffs_sq,
-                        {p: a.copy() for p, a in self.tensors.items()},
-                        self.conditioned)
+                        {p: a.copy() for p, a in self.tensors.items()})
 
     def fold(self, X: np.ndarray) -> "_Fold":
         """The kernel's workspace for X's shape, loaded with X."""
@@ -289,7 +286,6 @@ def condition_disorder(J: Disorder, params: ModelParams,
         a_val = j_new / p
         for at in lines[p]:
             J.tensors[p].flat[at] = a_val
-    J.conditioned = True
     return J
 
 
@@ -534,9 +530,9 @@ def _replica_products(X: np.ndarray, B: np.ndarray):
 def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
     """(C, chi, q, H) of a limit solve at the snapshot times.
 
-    chi(s, t) = int_0^{min(s,t)} R(s, u) du is the cumulative trapezoid of
-    the snapshot rows of R only, read at min(s, t), with the bits of
-    integrated_response and no (n+1)^2 temporary.
+    chi(s, t) = int_0^{min(s,t)} R(s, u) du, the integrated response, is
+    the cumulative trapezoid of the snapshot rows of R only, read at
+    min(s, t), so no (n+1)^2 temporary is built.
     """
     idx = limit.grid.index_of(times)
     cum = _cumtrapz(limit.R[idx], limit.grid.h)

@@ -46,7 +46,6 @@ from .volterra import TwoTimeGrid, _cumtrapz, _sup_gap, _trapz_dot
 __all__ = [
     "SkParams",
     "sk_mixing",
-    "semicircle_mgf",
     "damped_mgf",
     "resolvent_root",
     "march_covariance",
@@ -93,7 +92,8 @@ class SkParams:
 # ---------------------------------------------------------------------------
 
 _SERIES_CUT = 20.0
-_LAG_GRID = TwoTimeGrid(0.005, 2000)  # default lag grid of the FDT closed forms
+_LAG_GRID = TwoTimeGrid(0.005, 2000)  # lag grid of the FDT closed forms
+_BLOWUP = 1e12  # largest |M(s, s)| the kernel march may reach
 
 
 def _mgf_series(z):
@@ -117,22 +117,14 @@ def _mgf_asym_factor(z):
     return s
 
 
-def semicircle_mgf(theta, beta: float = 1.0):
-    """L(theta) = (2/pi) int_{-1}^1 e^{beta theta x} sqrt(1-x^2) dx.
-
-    Evaluated as 2 I_1(z)/z at z = beta theta: an all-positive power series
-    up to z = 20 and the large-argument expansion beyond.  Accepts scalars or
-    arrays; theta must be >= 0.  Grows like e^z, so it overflows to inf for
-    beta*theta beyond ~700 -- use damped_mgf for large arguments.
-    """
-    return damped_mgf(theta, beta, 0.0)
-
-
 def damped_mgf(theta, beta: float, G: float):
     """L_G(theta) = e^{-beta G theta} L(theta), overflow-safe for G >= 1.
 
-    The exponent is combined before exponentiating, so only the net rate
-    -beta (G - 1) theta enters for the large-argument branch.
+    L(theta) is evaluated as 2 I_1(z)/z at z = beta theta: an all-positive
+    power series up to z = 20 and the large-argument expansion beyond.  The
+    exponent is combined before exponentiating, so only the net rate
+    -beta (G - 1) theta enters for the large-argument branch; G = 0 gives L,
+    which overflows to inf beyond z ~ 700.  theta (scalar or array) is >= 0.
     """
     th = np.asarray(theta, dtype=float)
     z = beta * th
@@ -178,10 +170,11 @@ def _prefix_conv(kernel: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 
 def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
-                     grid: TwoTimeGrid, blowup: float = 1e12):
+                     grid: TwoTimeGrid):
     """Predictor-corrector march of the linear M system; returns M.
 
     ``m0`` is M(0,0) and ``qo_sq`` the constant source in the diagonal ODE.
+    StepUnstable once a diagonal entry is non-finite or above _BLOWUP.
     The equations are linear in (m0, qo_sq), and the discrete scheme
     preserves that linearity exactly, which the superposition audit uses.
 
@@ -228,7 +221,7 @@ def march_covariance(beta: float, G: float, m0: float, qo_sq: float,
         M[i + 1, i + 1] = M[i, i] + 0.5 * h * (f1d + f2d)
         M[: i + 2, i + 1] = M[i + 1, : i + 2]
         mx = abs(M[i + 1, i + 1])
-        if not math.isfinite(mx) or mx > blowup:
+        if not math.isfinite(mx) or mx > _BLOWUP:
             raise StepUnstable(f"kernel march blew up at step {i + 1}: {mx:g}")
     return M
 
@@ -341,8 +334,8 @@ def superposition_gap(params: SkParams, grid: TwoTimeGrid) -> dict:
 # stationary regime and long-time limits
 # ---------------------------------------------------------------------------
 
-def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
-    """(alpha_sq, C_fdt array on the lag grid, mu_inf, H_inf).
+def sk_asymptotics(params: SkParams):
+    """(alpha_sq, C_fdt array on the lag grid _LAG_GRID, mu_inf, H_inf).
 
     alpha^2 = 1 - y/beta, C_fdt(tau) = 1 - (1/2) int_0^tau L_G(u) du,
     mu -> beta G, H -> G/2 - 1/(4 beta).  Raises NoBranch if beta <= y.
@@ -351,8 +344,8 @@ def sk_asymptotics(params: SkParams, grid: TwoTimeGrid = _LAG_GRID):
     if params.beta <= y:
         raise NoBranch(f"beta = {params.beta:g} <= y = {y:g}")
     alpha_sq = 1.0 - y / params.beta
-    lg = damped_mgf(grid.times(), params.beta, params.G_star)
-    c_fdt = 1.0 - 0.5 * _cumtrapz(lg, grid.h)
+    lg = damped_mgf(_LAG_GRID.times(), params.beta, params.G_star)
+    c_fdt = 1.0 - 0.5 * _cumtrapz(lg, _LAG_GRID.h)
     mu_inf = params.beta * params.G_star
     h_inf = 0.5 * params.G_star - 0.25 / params.beta
     return alpha_sq, c_fdt, mu_inf, h_inf

@@ -66,7 +66,6 @@ __all__ = [
     "TwoTimeBundle",
     "solve_hard",
     "solve_soft",
-    "integrated_response",
     "response_integral_bound",
     "check_bundle",
     "compare_bundles",
@@ -179,12 +178,6 @@ def _cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([np.zeros(f.shape[:-1] + (1,)), seg], axis=-1)
 
 
-def integrated_response(R: np.ndarray, h: float) -> np.ndarray:
-    """chi(s,t) = int_0^{min(s,t)} R(s,u) du on the grid, by trapezoid."""
-    rows = np.arange(R.shape[0])[:, None]
-    return _cumtrapz(R, h)[rows, np.minimum(rows.T, rows)]
-
-
 class _March:
     """Workspace for one solve; see the module docstring for the scheme."""
 
@@ -205,7 +198,8 @@ class _March:
         self.qs2 = self.params.q_star ** 2
         d = nu.nu(self.qs2, 1)
         self.denom = d if d > 0.0 else 1.0  # zero mixture: numerators vanish too
-        # Horner coefficients, top power first, of nu'', nu'/r and v' (as in model)
+        # Horner coefficients, top power first, of nu'', nu'/r and v' (as in model);
+        # kept here: MixingFunction.nu gives the same bits but solve_hard 9-12% slower
         c, v = nu.coeffs_sq, self.v.coeffs
         self.horner = [(c[p - 2] * (p * (p - 1)), c[p - 2] * p)
                        for p in range(nu.m, 1, -1)]

@@ -85,6 +85,18 @@ def hamiltonian_and_grad():
     return one
 
 
+@pytest.fixture(scope="session")
+def integrated_response():
+    """chi(s, t) = int_0^{min(s,t)} R(s, u) du on the whole grid, by trapezoid:
+    the reference simulate.limit_at_snapshots reads at its snapshot rows."""
+    def chi(R, h):
+        cum = np.zeros(R.shape)
+        cum[:, 1:] = np.cumsum(0.5 * h * (R[:, 1:] + R[:, :-1]), axis=-1)
+        rows = np.arange(R.shape[0])[:, None]
+        return cum[rows, np.minimum(rows.T, rows)]
+    return chi
+
+
 def _mgf_tail_integral(tau, beta, G):
     """int_tau^infty L_G(u) du for each tau (scalar or array in any order).
 

@@ -15,8 +15,8 @@ import pytest
 
 from spinband.fdt import (aging_constants, beta_c, kappa_values,
                           localized_no_aging, solve_fdt)
-from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.simulate import (SimConfig, condition_disorder,
+from spinband.model import Confinement, MixingFunction, ModelParams, SimConfig
+from spinband.simulate import (condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
                                run_langevin, sample_disorder, star_point)
@@ -183,7 +183,7 @@ def test_08_conditioning_exactness_and_mean(mixed_mixing, hamiltonian_and_grad):
             samples[p][k] = Jc.coupling(p, (0,) * p)
     for p in (2, 3, 4):
         vp = np.linalg.solve(M, np.array([qs2, float(p)]))
-        expect = (-mix.weight(p) * N ** (1 - p / 2.0) * prm.q_star ** p
+        expect = (-Jc.weight(p) * N ** (1 - p / 2.0) * prm.q_star ** p
                   * float(vp @ np.array([prm.E_star, prm.G_star])))
         se = samples[p].std(ddof=1) / math.sqrt(draws)
         assert abs(samples[p].mean() - expect) <= 3.0 * se, p

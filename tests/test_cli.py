@@ -256,6 +256,26 @@ def test_report_rejects_a_run_that_is_not_a_solve(tmp_path, capsys):
         assert not (rep_out / "report.json").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"{not json", "line 1 column 2: Expecting property name"),
+    (b"[1, 2]", "top level must be a JSON object"),
+    (b"\xff{}", "not UTF-8 text"),
+], ids=["not-json", "not-an-object", "not-utf-8"])
+def test_report_rejects_a_damaged_metadata_json(tmp_path, capsys, data, message):
+    """A source run whose metadata.json is not a JSON object exits 1 with a
+    ParseError naming the file, as a damaged config does, not a traceback."""
+    out = tmp_path / "out"
+    main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
+          "--out", str(out)])
+    (out / "metadata.json").write_bytes(data)
+    capsys.readouterr()
+    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
+    assert main(["report", "--config", str(rep_cfg), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out / 'metadata.json'}: {message}"), err
+    assert not (tmp_path / "rep" / "report.json").exists()
+
+
 def _truncate_100_bytes(path):
     path.write_bytes(path.read_bytes()[:-100])
     return "21244 bytes, the header's (51, 52) float64 array needs 21344"
@@ -624,9 +644,9 @@ def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid)
     """C_N.npy and chi_N.npy hold, byte for byte, the replica-averaged C and
     chi of the same run recomputed in-process: C-order float64 (S, S)
     arrays, with C bitwise symmetric."""
-    from spinband.simulate import (SimConfig, condition_disorder,
-                                   empirical_observables, run_langevin,
-                                   sample_disorder)
+    from spinband.model import SimConfig
+    from spinband.simulate import (condition_disorder, empirical_observables,
+                                   run_langevin, sample_disorder)
     sim = {"N": 12, "dt": 0.005, "T": 0.2, "seed": 4, "disorder_seed": 9,
            "replicas": 3, "snap_stride": 4}
     payload = {"model": model, "constraint": {"kind": "soft", "L": 100.0, "k": 1},
@@ -1047,15 +1067,20 @@ def test_console_script(tmp_path):
          "import sys, spinband.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert probe.stdout.strip() == "False", probe.stderr
+    # the submodules are the API: the package root serves no name of its own
+    probe = subprocess.run(
+        [sys.executable, "-c", "import spinband; "
+         "print([n for n in dir(spinband) if not n.startswith('_')])"],
+        capture_output=True, text=True, env=env)
+    assert probe.stdout.strip() == "[]", probe.stderr
     # the installed console script points at the same entry point
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert 'spinband = "spinband.cli:main"' in pyproject
 
 
-def test_traced_layers_and_exports_resolve():
+def test_traced_layers_resolve():
     """Every function perfbench/tracer.py wraps exists in its spinband
-    module, and every package-root re-export resolves: a rename that misses
-    either breaks traced benchmark runs or `spinband.<name>` silently."""
+    module: a rename that misses one breaks traced benchmark runs."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -1064,10 +1089,6 @@ def test_traced_layers_and_exports_resolve():
         module = importlib.import_module(f"spinband.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
-    for name, layer in spinband._EXPORTS.items():
-        module = importlib.import_module(f"spinband.{layer}")
-        assert hasattr(module, name), f"{layer}.{name}"
-        assert getattr(spinband, name) is getattr(module, name)
 
 
 @pytest.mark.parametrize("sim", [

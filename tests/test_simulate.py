@@ -18,14 +18,13 @@ from spinband import model, simulate
 from spinband.errors import (GridMismatch, SizeOverflow, SpinbandError,
                              StepUnstable, ValidationError)
 from spinband.model import (Confinement, MixingFunction, ModelParams,
-                            f_prime, validate)
-from spinband.simulate import (Disorder, EmpiricalBundle, SimConfig,
-                               condition_disorder,
+                            SimConfig, f_prime, validate)
+from spinband.simulate import (Disorder, EmpiricalBundle, condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
                                hamiltonian_and_grad_batch, limit_at_snapshots,
                                run_langevin, sample_disorder, star_point)
-from spinband.volterra import TwoTimeGrid, integrated_response, solve_soft
+from spinband.volterra import TwoTimeGrid, solve_soft
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +57,6 @@ def test_disorder_bookkeeping():
     J = sample_disorder(6, nu, 0)
     assert J.active_orders() == [3]
     assert J.weight(3) == math.sqrt(0.125)
-    assert J.conditioned is False
     # coupling is symmetric under index permutation
     assert J.coupling(3, (2, 0, 1)) == J.coupling(3, (0, 1, 2))
     dup = J.copy()
@@ -297,10 +295,9 @@ def test_conditioning_is_exact_for_random_mixtures(hamiltonian_and_grad, weights
 
 _SIMULATE_DIGEST = """
 import hashlib, sys
-from spinband.model import Confinement, MixingFunction, ModelParams
-from spinband.simulate import (SimConfig, condition_disorder,
-                               empirical_observables, run_langevin,
-                               sample_disorder)
+from spinband.model import Confinement, MixingFunction, ModelParams, SimConfig
+from spinband.simulate import (condition_disorder, empirical_observables,
+                               run_langevin, sample_disorder)
 N = int(sys.argv[1])
 nu = MixingFunction((0.0, 0.125))
 prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
@@ -369,7 +366,6 @@ def test_conditioning_pins_the_critical_point(mixed_mixing, hamiltonian_and_grad
             assert abs(H + N * prm.E_star) / N <= 1e-10
             scale = np.linalg.norm(prm.G_star * sigma)
             assert np.linalg.norm(g + prm.G_star * sigma) / scale <= 1e-10
-            assert Jc.conditioned and not J.conditioned
             # conditioning an already conditioned draw is a fixed point
             Jcc = condition_disorder(Jc.copy(), prm)
             for p in Jc.active_orders():
@@ -387,10 +383,9 @@ def test_conditioning_in_place_matches_the_copying_form(mixed_mixing,
     J = sample_disorder(40, mixed_mixing, 6)
     before = J.copy()
     Jc = condition_disorder(J.copy(), prm, tangential_only)
-    assert Jc.conditioned and not J.conditioned
     assert _digest(J) == _digest(before)
     Ji = condition_disorder(J, prm, tangential_only)
-    assert Ji is J and J.conditioned
+    assert Ji is J
     assert _digest(J) == _digest(Jc)
     for p in J.active_orders():
         bulk = (slice(1, None),) * p
@@ -526,7 +521,7 @@ def test_pinned_coupling_matches_conditional_mean(mixed_mixing):
         Jc = condition_disorder(sample_disorder(N, mixed_mixing, seed), prm)
         for p in (2, 3):
             vp = np.linalg.solve(M, np.array([qs2, float(p)]))
-            expect = (-mixed_mixing.weight(p) * N ** (1 - p / 2.0) * qs ** p
+            expect = (-Jc.weight(p) * N ** (1 - p / 2.0) * qs ** p
                       * float(vp @ np.array([E, G])))
             assert abs(Jc.coupling(p, (0,) * p) - expect) <= 1e-12
 
@@ -833,10 +828,8 @@ def test_empirical_identities(sk_mixing):
 
 
 def _bundle_from_limit(limit, times, idx):
-    C = limit.C[np.ix_(idx, idx)][None]
-    chi = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)][None]
-    q = limit.q[idx][None]
-    H = limit.H[idx][None]
+    """One replica equal to the limit at grid indices idx, stamped ``times``."""
+    C, chi, q, H = (a[None] for a in limit_at_snapshots(limit.grid.times()[idx], limit))
     return EmpiricalBundle(times=times, C=C, chi=chi, q=q, H=H,
                            C_avg=C[0], chi_avg=chi[0], q_avg=q[0], H_avg=H[0])
 
@@ -921,9 +914,9 @@ def test_error_functional_is_capped_exact_and_keeps_nan(data, S, R):
 
 @pytest.mark.parametrize("idx", [
     np.arange(0, 11, 2), np.arange(11), np.array([0, 7, 3, 10, 3]), np.array([4])])
-def test_limit_at_snapshots_reads_the_full_limit(sk_mixing, idx):
-    """The snapshot rows' trapezoid read at min(s, t) has the bytes of
-    integrated_response on the whole grid, also for unsorted snapshots."""
+def test_limit_at_snapshots_reads_the_full_limit(sk_mixing, integrated_response, idx):
+    """The snapshot rows' trapezoid read at min(s, t) has the bytes of the
+    integrated response on the whole grid, also for unsorted snapshots."""
     limit = solve_soft(soft_params(L=100.0), sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
     C, chi, q, H = limit_at_snapshots(limit.grid.times()[idx], limit)
     full = integrated_response(limit.R, limit.grid.h)[np.ix_(idx, idx)]

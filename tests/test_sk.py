@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from spinband.errors import NoBranch, StepUnstable, ValidationError
 from spinband.fdt import solve_D
 from spinband.sk import (_LAG_GRID, SkParams, _prefix_conv, damped_mgf,
-                         energy_from_mu, march_covariance, resolvent_root, semicircle_mgf, sk_asymptotics,
+                         energy_from_mu, march_covariance, resolvent_root, sk_asymptotics,
                          solve_two_time, superposition_gap)
 from spinband.model import Confinement, ModelParams
 from spinband.volterra import TwoTimeGrid, compare_bundles, solve_hard
@@ -43,23 +43,23 @@ def test_mgf_against_quadrature_oracle():
     # spans both evaluation branches (series below z = 20, expansion above)
     for theta in (0.0, 0.5, 3.0, 10.0, 19.5, 20.5, 40.0, 100.0):
         exact = _chebyshev_mgf(theta, 1.0)
-        assert abs(semicircle_mgf(theta, 1.0) - exact) <= 1e-13 * exact
-    arr = semicircle_mgf(np.array([1.0, 30.0]), 2.0)
+        assert abs(damped_mgf(theta, 1.0, 0.0) - exact) <= 1e-13 * exact
+    arr = damped_mgf(np.array([1.0, 30.0]), 2.0, 0.0)
     assert_allclose(arr, [_chebyshev_mgf(1.0, 2.0), _chebyshev_mgf(30.0, 2.0)],
                     rtol=1e-13)
     with pytest.raises(ValidationError, match="theta must be nonnegative"):
-        semicircle_mgf(-1.0)
+        damped_mgf(-1.0, 1.0, 0.0)
 
 
 def test_damped_mgf_is_overflow_safe():
     theta = 3.0
-    plain = math.exp(-1.0 * 1.25 * theta) * semicircle_mgf(theta, 1.0)
+    plain = math.exp(-1.0 * 1.25 * theta) * damped_mgf(theta, 1.0, 0.0)
     assert abs(damped_mgf(theta, 1.0, 1.25) - plain) <= 1e-12 * plain
     # the undamped form overflows long before this; the damped one cannot
     big = damped_mgf(1e5, 1.0, 1.5)
     assert 0.0 < big < 1e-300 or big == 0.0
     with np.errstate(over="ignore"):
-        assert semicircle_mgf(800.0, 1.0) == np.inf
+        assert damped_mgf(800.0, 1.0, 0.0) == np.inf
 
 
 def test_resolvent_root():
@@ -263,9 +263,10 @@ def test_energy_conversion():
 
 
 def test_kernel_march_blowup_guard(ref):
-    with pytest.raises(StepUnstable):
-        march_covariance(ref.beta, ref.G_star, 0.75, 0.25,
-                         TwoTimeGrid.from_T(1.0, 0.02), blowup=0.1)
+    """A diagonal past _BLOWUP = 1e12, or a NaN one, stops the march."""
+    for m0 in (1e13, math.nan):
+        with pytest.raises(StepUnstable, match="blew up at step 1"):
+            march_covariance(ref.beta, ref.G_star, m0, 0.25, TwoTimeGrid.from_T(1.0, 0.02))
 
 
 def _two_sum_march(beta, G, m0, qo_sq, grid):

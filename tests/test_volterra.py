@@ -12,9 +12,10 @@ from spinband.errors import (GridMismatch, NotConverged, StepUnstable,
                              ValidationError)
 from spinband.model import (Confinement, MixingFunction, ModelParams, f_prime,
                              vstar_build)
+from spinband.simulate import limit_at_snapshots
 from spinband.volterra import (_BOUND_ROWS, TwoTimeGrid, _March, check_bundle,
-                               integrated_response, response_integral_bound,
-                               soft_hard_gap, solve_hard, solve_soft)
+                               response_integral_bound, soft_hard_gap,
+                               solve_hard, solve_soft)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +218,7 @@ def test_free_dynamics_matches_ornstein_uhlenbeck():
     assert np.abs(b.C - C_exact).max() < 1e-6
     s, m = t[:, None], np.minimum(t[:, None], t[None, :])
     chi_exact = 2.0 * (np.exp(-0.5 * (s - m)) - np.exp(-0.5 * s))
-    assert np.abs(integrated_response(b.R, grid.h) - chi_exact).max() < 1e-6
+    assert np.abs(limit_at_snapshots(t, b)[1] - chi_exact).max() < 1e-6
     assert_allclose(b.mu, 0.5, rtol=0, atol=1e-12)
 
 
