@@ -154,14 +154,17 @@ def _sim_from_config(sim: dict, grid):
 
 
 def _read_json_object(path: Path) -> dict:
-    """The JSON object in a file, or ParseError naming the file: a syntax
-    error with its line and column, non-UTF-8 bytes, or a non-object top level."""
+    """The JSON object in a file, or ParseError naming the file: a file that
+    cannot be read (such as a directory), a syntax error with its line and
+    column, non-UTF-8 bytes, or a non-object top level."""
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except OSError as e:
+        raise ParseError(f"{path}: not readable: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return raw
@@ -619,16 +622,22 @@ def _run_simulate(cfg: RunConfig, out: Path):
                            cfg.params)
     t1 = time.monotonic()
     traj = run_langevin(J, cfg.params, cfg.sim)
+    del J  # the couplings are not read again
     t2 = time.monotonic()
-    emp = empirical_observables(traj)
-    t3 = time.monotonic()
-    extra = {}
+    # the limit first, so the observables' one pass also takes each replica's
+    # C and chi gaps to it, and no replica's pair is built a second time
+    limit = None
     if cfg.grid is not None:
-        limit = limit_at_snapshots(emp.times, solve_soft(cfg.params, cfg.nu, cfg.grid))
+        limit = limit_at_snapshots(traj.times, solve_soft(cfg.params, cfg.nu, cfg.grid))
+    t3 = time.monotonic()
+    emp = empirical_observables(traj, limit)
+    t4 = time.monotonic()
+    extra = {}
+    if limit is not None:
         err = error_functional(emp, limit)
         per = error_functional(emp, limit, per_replica=True)
         extra["error_functional"] = err
-    t4 = time.monotonic()
+    t5 = time.monotonic()
 
     K_avg = traj.K.mean(axis=1)
     write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N", "K_N"),
@@ -645,11 +654,11 @@ def _run_simulate(cfg: RunConfig, out: Path):
             "per_replica": [float(v) for v in per],
             "grid": {"T": cfg.grid.T, "h": cfg.grid.h},
         })
-    t5 = time.monotonic()
+    t6 = time.monotonic()
     extra["timings"] = {
         "disorder_s": round(t1 - t0, 3), "langevin_s": round(t2 - t1, 3),
-        "observables_s": round(t3 - t2, 3), "limit_s": round(t4 - t3, 3),
-        "write_s": round(t5 - t4, 3)}
+        "limit_s": round(t3 - t2, 3), "observables_s": round(t4 - t3, 3),
+        "error_s": round(t5 - t4, 3), "write_s": round(t6 - t5, 3)}
     return True, extra
 
 

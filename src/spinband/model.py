@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _BUDGET = 2 << 30  # bytes of couplings while sampling, and of snapshots
+_OBS_BLOCK = 32  # snapshot rows per tile of the empirical C and chi
 
 
 def _horner(coeffs, r):
@@ -195,10 +196,13 @@ class ModelParams:
 
 
 def _snapshot_bytes(N: int, replicas: int, snapshots: int) -> int:
-    """Bytes a finite-N run's snapshots and observables hold: the X and B
-    snapshots (S x R x N each) and C and chi per replica plus their
-    averages ((R + 1) x S x S each), for S snapshots of R replicas."""
-    return 8 * (2 * snapshots * replicas * N + 2 * (replicas + 1) * snapshots ** 2)
+    """Bytes a finite-N run's snapshots and observables hold, for S
+    snapshots of R replicas: the X and B snapshots (S x R x N each), the
+    replica means of C and chi and one replica's C and chi (S x S each),
+    and the two tiles the means are built in (min(_OBS_BLOCK, S) x S x R
+    each)."""
+    S, R = snapshots, replicas
+    return 8 * (2 * S * R * N + 4 * S * S + 2 * min(_OBS_BLOCK, S) * S * R)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import SizeOverflow, StepUnstable, ValidationError
-from .model import (_BUDGET, MixingFunction, ModelParams, SimConfig, f_prime,
-                    validate, vstar_build)
-from .volterra import TwoTimeBundle, _cumtrapz
+from .model import (_BUDGET, _OBS_BLOCK, MixingFunction, ModelParams,
+                    SimConfig, f_prime, validate, vstar_build)
+from .volterra import TwoTimeBundle, _cumtrapz, _row_block
 
 __all__ = [
     "Disorder",
@@ -51,7 +52,6 @@ __all__ = [
 
 _NOISE_BLOCK = 32  # steps of Brownian increments drawn per generator call
 _ROW_BLOCK = 1 << 14  # most store entries ranked per block while sampling
-_OBS_BLOCK = 32  # snapshot rows of C per einsum in empirical_observables
 
 
 def _multiplicity(idx: tuple) -> int:
@@ -472,59 +472,113 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
 
 @dataclass
 class EmpiricalBundle:
+    """Empirical observables of a run, per replica and replica-averaged.
+
+    ``C`` and ``chi`` are each an (R, S+1, S+1) array or a builder that
+    makes replica r's (S+1, S+1) array on call (``C(r)``); either is read
+    through volterra._row_block.  empirical_observables gives builders.
+    ``gaps``, when set, is a limit and the (R, 2) sup gaps of each
+    replica's C and chi against it (see empirical_observables)."""
+
     times: np.ndarray
-    C: np.ndarray       # (R, S+1, S+1) per replica
-    chi: np.ndarray     # (R, S+1, S+1)
+    C: np.ndarray | Callable[[int], np.ndarray]
+    chi: np.ndarray | Callable[[int], np.ndarray]
     q: np.ndarray       # (R, S+1)
     H: np.ndarray       # (R, S+1)
-    C_avg: np.ndarray
+    C_avg: np.ndarray   # (S+1, S+1)
     chi_avg: np.ndarray
     q_avg: np.ndarray
     H_avg: np.ndarray
+    gaps: tuple | None = None
 
 
-def empirical_observables(traj: Trajectory) -> EmpiricalBundle:
+def empirical_observables(traj: Trajectory, limit=None) -> EmpiricalBundle:
     """C_N, chi_N, q_N, H_N per replica plus their replica averages; q_N is
-    the overlap with the run's conditioning point x_star."""
-    N = traj.X.shape[2]
-    C, chi = _replica_products(traj.X, traj.B)
-    C /= N
-    chi /= N
+    the overlap with the run's conditioning point x_star.
+
+    The averages of C and chi are built here; the per-replica C and chi
+    are builders over views of traj.X and traj.B, which the bundle keeps
+    alive, so no (R, S+1, S+1) array is held.  With ``limit``, given as
+    error_functional takes it, the same pass also takes each replica's sup
+    gaps of C and chi to it into ``gaps``; error_functional given that same
+    limit object reads them and builds no replica's C or chi."""
+    X, B = traj.X, traj.B
+    N = X.shape[2]
+    snap = limit_at_snapshots(traj.times, limit) if isinstance(limit, TwoTimeBundle) else limit
+    C_avg, chi_avg, gaps = _replica_means(X, B, None if limit is None else snap[:2])
     sigma = star_point(N, traj.params.q_star)
-    q = np.einsum("sri,i->rs", traj.X, sigma) / N
+    q = np.einsum("sri,i->rs", X, sigma) / N
     H = traj.H.T.copy()  # row-major, so H.mean(axis=0) sums replicas in order
-    return EmpiricalBundle(times=traj.times, C=C, chi=chi, q=q, H=H,
-                           C_avg=C.mean(axis=0), chi_avg=chi.mean(axis=0),
-                           q_avg=q.mean(axis=0), H_avg=H.mean(axis=0))
+    return EmpiricalBundle(times=traj.times,
+                           C=lambda r: _replica_C(X[:, r]),
+                           chi=lambda r: np.einsum("si,ti->st", X[:, r], B[:, r]) / N,
+                           q=q, H=H, C_avg=C_avg, chi_avg=chi_avg,
+                           q_avg=q.mean(axis=0), H_avg=H.mean(axis=0),
+                           gaps=None if limit is None else (limit, gaps))
 
 
-def _replica_products(X: np.ndarray, B: np.ndarray):
-    """Per replica r, C[r] = X_r X_r^T and chi[r] = X_r B_r^T over snapshots.
+def _replica_C(x: np.ndarray) -> np.ndarray:
+    """One replica's C = x x^T / N from its (S, N) snapshots x.
 
-    Each replica's X and B are copied out once, contiguous, and every
-    product is a two-operand einsum over them: no BLAS, so the bytes do not
-    depend on the thread count.  C is symmetric bitwise (each entry sums
-    the same products in the same order), so only its lower triangle is
-    computed, _OBS_BLOCK rows at a time, and each block is mirrored.  Both
-    keep the replica axis innermost, as the three-operand einsum
-    "sri,tri->rst" lays its result out, so their replica means sum in the
-    order that einsum's result does.
-    """
+    C[r] = X_r X_r^T / N and chi[r] = X_r B_r^T / N, X_r = X[:, r], are
+    two-operand einsums on those strided views (their rows are contiguous):
+    no BLAS call, so the bytes do not depend on the thread count, and they
+    are those of the three-operand einsum "sri,tri->rst" divided by N.  C
+    is symmetric bitwise (each entry sums the same products in the same
+    order), so only its lower triangle is computed, _OBS_BLOCK rows at a
+    time, and each block is mirrored; _replica_means keeps this rule."""
+    S, N = x.shape
+    C = np.empty((S, S))
+    for lo in range(0, S, _OBS_BLOCK):
+        hi = min(lo + _OBS_BLOCK, S)
+        rows = np.einsum("si,ti->st", x[lo:hi], x[:hi])
+        C[lo:hi, :hi] = rows
+        C[:hi, lo:hi] = rows.T
+    C /= N
+    return C
+
+
+def _replica_means(X: np.ndarray, B: np.ndarray, against=None):
+    """The replica means of C and chi, in one pass over tiles of _OBS_BLOCK
+    snapshot rows, and with ``against`` = (C, chi) each replica's sup gaps
+    of C and chi against those, shape (R, 2), else None.
+
+    Each tile holds its rows of every replica in an (rows, S, R) buffer,
+    replica axis innermost as "sri,tri->rst" lays its result out, so the
+    mean over it sums replicas in that einsum's order.  An einsum writes a
+    fresh contiguous result that is copied in: into a strided out= it would
+    sum in another order.  Once a tile's means are taken, its buffers hold
+    the differences to the limit.  A tile of C holds columns up to its last
+    row, so its gaps are taken against both the limit's rows and, through
+    C's symmetry, its columns; the tiles together cover every entry.  A NaN
+    gives a NaN gap."""
     S, R, N = X.shape
-    C = np.empty((S, S, R)).transpose(2, 0, 1)
-    chi = np.empty((S, S, R)).transpose(2, 0, 1)
-    x, b = np.empty((S, N)), np.empty((S, N))
-    for r in range(R):
-        x[...], b[...] = X[:, r], B[:, r]
-        # fresh contiguous results, copied in: an einsum into a strided
-        # out= sums in another order
-        chi[r] = np.einsum("si,ti->st", x, b)
-        for lo in range(0, S, _OBS_BLOCK):
-            hi = min(lo + _OBS_BLOCK, S)
-            rows = np.einsum("si,ti->st", x[lo:hi], x[:hi])
-            C[r, lo:hi, :hi] = rows
-            C[r, :hi, lo:hi] = rows.T
-    return C, chi
+    C_avg, chi_avg = np.empty((S, S)), np.empty((S, S))
+    tile = min(_OBS_BLOCK, S)
+    C_tile, chi_tile = np.empty((tile, S, R)), np.empty((tile, S, R))
+    gaps = None if against is None else np.zeros((R, 2))
+    for lo in range(0, S, _OBS_BLOCK):
+        hi = min(lo + _OBS_BLOCK, S)
+        c, ch = C_tile[:hi - lo, :hi], chi_tile[:hi - lo]
+        for r in range(R):
+            x = X[:, r]
+            c[..., r] = np.einsum("si,ti->st", x[lo:hi], x[:hi])
+            ch[..., r] = np.einsum("si,ti->st", x[lo:hi], B[:, r])
+        c /= N
+        ch /= N
+        rows = c.mean(axis=-1)
+        C_avg[lo:hi, :hi] = rows
+        C_avg[:hi, lo:hi] = rows.T
+        ch.mean(axis=-1, out=chi_avg[lo:hi])
+        if against is not None:  # the tiles are spent: differences go in them
+            Cl, chil = against
+            for col, a, ref, d in ((1, ch, chil[lo:hi], ch),
+                                   (0, c, Cl[:hi, lo:hi].T, ch[:, :hi]),
+                                   (0, c, Cl[lo:hi, :hi], c)):
+                np.subtract(a, ref[..., None], out=d)
+                g = np.abs(d, out=d).max(axis=(0, 1))
+                np.maximum(gaps[:, col], g, out=gaps[:, col])
+    return C_avg, chi_avg, gaps
 
 
 def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
@@ -546,25 +600,32 @@ def error_functional(emp: EmpiricalBundle, limit, per_replica: bool = False):
     """Capped sup-norm discrepancy between empirical and limiting dynamics.
 
     Replica-averaged by default (the error of the averaged observables);
-    with ``per_replica`` an array of one value per replica is returned.
-    ``limit`` is the TwoTimeBundle of the limit solve, or the
+    with ``per_replica`` an array of one value per replica is returned,
+    from ``emp.gaps`` when they were taken against this same ``limit``
+    object, else from one replica's built C and chi at a time.  ``limit``
+    is the TwoTimeBundle of the limit solve, or the
     limit_at_snapshots(emp.times, bundle) tuple that a caller taking both
     forms builds once.
     """
-    if isinstance(limit, TwoTimeBundle):
-        limit = limit_at_snapshots(emp.times, limit)
-    Cl, chil, ql, Hl = limit
+    Cl, chil, ql, Hl = (limit_at_snapshots(emp.times, limit)
+                        if isinstance(limit, TwoTimeBundle) else limit)
 
-    def err(Ce, chie, qe, He):
-        return (min(np.abs(Ce - Cl).max(), 1.0)
-                + min(np.abs(chie - chil).max(), 1.0)
-                + min(np.abs(qe - ql).max(), 1.0)
-                + min(np.abs(He - Hl).max(), 1.0))
+    def sup(x, y):
+        return np.abs(x - y).max()
 
-    if per_replica:
-        return np.array([err(emp.C[r], emp.chi[r], emp.q[r], emp.H[r])
-                         for r in range(emp.C.shape[0])])
-    return err(emp.C_avg, emp.chi_avg, emp.q_avg, emp.H_avg)
+    def capped(*gaps):
+        return sum(min(g, 1.0) for g in gaps)
+
+    if not per_replica:
+        return capped(sup(emp.C_avg, Cl), sup(emp.chi_avg, chil),
+                      sup(emp.q_avg, ql), sup(emp.H_avg, Hl))
+    if emp.gaps is not None and emp.gaps[0] is limit:
+        pairs = emp.gaps[1]
+    else:  # one replica's C and chi at a time
+        pairs = [(sup(_row_block(emp.C, r), Cl), sup(_row_block(emp.chi, r), chil))
+                 for r in range(emp.q.shape[0])]
+    return np.array([capped(c, x, sup(emp.q[r], ql), sup(emp.H[r], Hl))
+                     for r, (c, x) in enumerate(pairs)])
 
 
 def conditional_hessian_spectrum(N: int, nu: MixingFunction, q_star: float,

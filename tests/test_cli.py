@@ -276,6 +276,29 @@ def test_report_rejects_a_damaged_metadata_json(tmp_path, capsys, data, message)
     assert not (tmp_path / "rep" / "report.json").exists()
 
 
+@pytest.mark.parametrize("which", ["config", "metadata"])
+def test_a_directory_in_place_of_a_json_file_is_a_parse_error(tmp_path, capsys, which):
+    """--config naming a directory, or a source run whose metadata.json is a
+    directory, exits 1 with a ParseError naming it, not a traceback."""
+    out = tmp_path / "out"
+    main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
+          "--out", str(out)])
+    if which == "config":
+        cfg, bad = tmp_path / "cfg.json", tmp_path / "cfg.json"
+        cfg.mkdir()
+    else:
+        bad = out / "metadata.json"
+        bad.unlink()
+        bad.mkdir()
+        cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {bad}: not readable: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "rep" / "report.json").exists()
+
+
 def _truncate_100_bytes(path):
     path.write_bytes(path.read_bytes()[:-100])
     return "21244 bytes, the header's (51, 52) float64 array needs 21344"
@@ -675,8 +698,8 @@ def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
                                                             monkeypatch):
     """Snapshots and observables over the 2 GiB budget exit 1 with
     SizeOverflow before any disorder is drawn or the run directory is made:
-    the simulate-p2 benchmark config without its grid block (stride 1, 4001
-    snapshots, 2.51 GB)."""
+    the simulate-p2 benchmark config without its grid block and at T = 4
+    (stride 1, 8001 snapshots, 2.49 GB)."""
     import spinband.simulate
 
     def never(*args, **kwargs):
@@ -685,25 +708,41 @@ def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
     monkeypatch.setattr(spinband.simulate, "sample_disorder", never)
     payload = {"model": dict(SK_MODEL),
                "constraint": {"kind": "soft", "L": 100.0, "k": 1},
-               "sim": {"N": 400, "dt": 5e-4, "T": 2.0, "seed": 1, "replicas": 8}}
+               "sim": {"N": 400, "dt": 5e-4, "T": 4.0, "seed": 1, "replicas": 8}}
     cfg = write_cfg(tmp_path, "sim.json", payload)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: SizeOverflow: ") and "2510003344 bytes" in err
+    assert err.startswith("error: SizeOverflow: ") and "2490935328 bytes" in err
     assert not (tmp_path / "x").exists()
 
 
-def test_simulate_records_phase_timings(tmp_path):
+def test_simulate_records_phase_timings(tmp_path, monkeypatch):
+    """The limit solve and the error calls are timed apart, and the error
+    calls build no replica's C or chi: the observables' pass took their
+    gaps to the limit."""
+    import spinband.simulate
+    observables = spinband.simulate.empirical_observables
+
+    def never(r):
+        raise AssertionError("a replica's C or chi was built")
+
+    def without_builders(traj, limit=None):
+        emp = observables(traj, limit)
+        emp.C = emp.chi = never
+        return emp
+
+    monkeypatch.setattr(spinband.simulate, "empirical_observables", without_builders)
     payload = solve_cfg(grid={"T": 0.2, "h": 0.05},
                         constraint={"kind": "soft", "L": 100.0, "k": 1},
                         sim={"N": 16, "dt": 0.005, "seed": 7, "replicas": 2})
     cfg = write_cfg(tmp_path, "sim.json", payload)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(json.loads((out / "report.json").read_text())["per_replica"]) == 2
     meta = json.loads((out / "metadata.json").read_text())
     timings = meta["timings"]
     assert set(timings) == {"disorder_s", "langevin_s", "observables_s",
-                            "limit_s", "write_s"}
+                            "limit_s", "error_s", "write_s"}
     assert all(v >= 0.0 for v in timings.values())
     assert sum(timings.values()) <= meta["wall_time_s"] + 0.01
 

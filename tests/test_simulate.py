@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -308,8 +308,11 @@ emp = empirical_observables(traj)
 d = hashlib.sha256()
 for name in ("X", "B", "K", "H"):
     d.update(getattr(traj, name).tobytes())
-for name in ("C", "chi"):
-    d.update(getattr(emp, name).tobytes())
+for r in range(8):
+    d.update(emp.C(r).tobytes())
+    d.update(emp.chi(r).tobytes())
+d.update(emp.C_avg.tobytes())
+d.update(emp.chi_avg.tobytes())
 print(d.hexdigest())
 """
 
@@ -748,20 +751,95 @@ def _trajectory(S, R, N, seed):
 @pytest.mark.parametrize("R", [1, 8])
 @pytest.mark.parametrize("S", [11, 201])
 def test_observables_are_the_three_operand_einsum(S, R):
-    """Per replica, C and chi have the bytes of the einsum "sri,tri->rst"
-    over all snapshots at once (divided by N), and so do the replica
-    means: 11 snapshots fit one row block of C, 201 make six full blocks
-    and a partial one."""
+    """Per replica, C and chi (read through the bundle's builders) have the
+    bytes of the einsum "sri,tri->rst" over all snapshots at once (divided
+    by N), and so do the replica means: 11 snapshots fit one row tile, 201
+    make six full tiles and a partial one."""
     N = 100
     traj = _trajectory(S, R, N, S * R)
     C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
     chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
     emp = empirical_observables(traj)
     for r in range(R):
-        assert emp.C[r].tobytes() == C[r].tobytes()
-        assert emp.chi[r].tobytes() == chi[r].tobytes()
+        assert emp.C(r).tobytes() == C[r].tobytes()
+        assert emp.chi(r).tobytes() == chi[r].tobytes()
     assert emp.C_avg.tobytes() == C.mean(axis=0).tobytes()
     assert emp.chi_avg.tobytes() == chi.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("in_pass", [False, True], ids=["built", "in-pass"])
+def test_observables_and_errors_hold_no_per_replica_arrays(in_pass):
+    """At S = 201, R = 8, N = 400 the observables and both error calls peak
+    under 3 MB of new allocations: the replica means (0.65 MB), their two
+    row tiles (0.82 MB) and one replica's C and chi at a time, or none when
+    the observables' pass takes the gaps, where every replica's C and chi
+    (5.2 MB) would not fit."""
+    S, R = 201, 8
+    traj = _trajectory(S, R, 400, 3)
+    rng = np.random.default_rng(4)
+    limit = (rng.random((S, S)), rng.random((S, S)), rng.random(S), rng.random(S))
+    tracemalloc.start()
+    try:
+        emp = empirical_observables(traj, limit) if in_pass else empirical_observables(traj)
+        err = error_functional(emp, limit)
+        per = error_functional(emp, limit, per_replica=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak / 1e6
+    assert math.isfinite(err) and per.shape == (R,)
+
+
+@pytest.mark.parametrize("R", [1, 8])
+@pytest.mark.parametrize("S", [11, 201])
+def test_gaps_taken_in_the_pass_are_the_built_replicas_gaps(S, R):
+    """Per-replica errors from the gaps the observables' pass takes have the
+    bytes of those from each built replica, against a limit that is not
+    symmetric and has one entry of C or chi far off, above or below the
+    diagonal, in the first, a middle or the last row tile; a NaN in a
+    replica's snapshots gives that replica NaN either way."""
+    N = 50
+    traj = _trajectory(S, R, N, S + R)
+    built = empirical_observables(traj)
+    rng = np.random.default_rng(S * R)
+    spikes = [(0, S - 1), (S - 1, 0), (S // 2, S - 1), (S - 1, S // 3)]
+    for (a, b), target in product(spikes, (0, 1)):
+        limit = (built.C_avg + 0.01 * rng.standard_normal((S, S)),
+                 built.chi_avg + 0.01 * rng.standard_normal((S, S)),
+                 built.q_avg, built.H_avg)
+        limit[target][a, b] += 0.3
+        emp = empirical_observables(traj, limit)
+        assert emp.gaps[0] is limit
+        assert emp.C_avg.tobytes() == built.C_avg.tobytes()
+        assert emp.chi_avg.tobytes() == built.chi_avg.tobytes()
+        fast = error_functional(emp, limit, per_replica=True)
+        slow = error_functional(built, limit, per_replica=True)
+        assert fast.tobytes() == slow.tobytes()
+        assert error_functional(emp, limit) == error_functional(built, limit)
+        # another limit object, of the same values, builds each replica
+        assert error_functional(emp, list(limit), per_replica=True).tobytes() \
+            == slow.tobytes()
+    traj.X[S // 2, R - 1, 3] = np.nan
+    emp = empirical_observables(traj, limit)
+    fast = error_functional(emp, limit, per_replica=True)
+    assert np.array_equal(np.isnan(fast), np.arange(R) == R - 1)
+    assert np.array_equal(np.isnan(error_functional(empirical_observables(traj), limit,
+                                                    per_replica=True)), np.isnan(fast))
+
+
+def test_gaps_to_a_limit_bundle_are_read_for_that_bundle(sk_mixing):
+    """A TwoTimeBundle passed to empirical_observables is read at the
+    snapshot times, and error_functional given that bundle uses the gaps:
+    equal bytes to the built replicas' errors."""
+    prm = soft_params()
+    J = condition_disorder(sample_disorder(16, sk_mixing, 3), prm)
+    traj = run_langevin(J, prm, SimConfig(N=16, dt=0.01, T=0.2, seed=9, replicas=3,
+                                          snap_stride=5))
+    limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.2, 0.05))
+    emp = empirical_observables(traj, limit)
+    assert emp.gaps[0] is limit and emp.gaps[1].shape == (3, 2)
+    assert error_functional(emp, limit, per_replica=True).tobytes() == \
+        error_functional(empirical_observables(traj), limit, per_replica=True).tobytes()
 
 
 def test_blowup_guard_trips_on_a_nan_in_a_later_replica(sk_mixing):
@@ -818,12 +896,13 @@ def test_empirical_identities(sk_mixing):
     traj = run_langevin(J, prm, cfg)
     emp = empirical_observables(traj)
     S1 = traj.times.size
-    assert emp.C.shape == (3, S1, S1)
+    C = np.stack([emp.C(r) for r in range(3)])
+    assert C.shape == (3, S1, S1)
     for r in range(3):
-        assert np.abs(np.diag(emp.C[r]) - traj.K[:, r]).max() <= 1e-12
-        assert np.all(emp.chi[r][:, 0] == 0.0)          # B(0) = 0
+        assert np.abs(np.diag(C[r]) - traj.K[:, r]).max() <= 1e-12
+        assert np.all(emp.chi(r)[:, 0] == 0.0)          # B(0) = 0
         assert abs(emp.q[r, 0] - prm.q_o) <= 1e-12
-    assert_allclose(emp.C_avg, emp.C.mean(axis=0), rtol=0, atol=0)
+    assert_allclose(emp.C_avg, C.mean(axis=0), rtol=0, atol=0)
     assert_allclose(emp.H_avg, emp.H.mean(axis=0), rtol=0, atol=0)
 
 
@@ -995,26 +1074,31 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
 
 
 def test_snapshot_bytes_are_what_a_run_holds(sk_mixing):
-    """_snapshot_bytes counts the X and B snapshots and the per-replica and
-    averaged C and chi of a run: the nbytes of those arrays in a small run,
-    and at N = 400 with 8 replicas the budget holds 3688 snapshots but not
-    3689, checked without allocating them.  SimConfig refuses a run over
-    the budget with SizeOverflow."""
+    """_snapshot_bytes counts the X and B snapshots, the replica means of C
+    and chi, one replica's C and chi and the two row tiles the means are
+    built in: the nbytes of those arrays in a small run, and at N = 400
+    with 8 replicas the budget holds 7373 snapshots but not 7374, checked
+    without allocating them.  SimConfig refuses a run over the budget with
+    SizeOverflow."""
     cfg = SimConfig(N=12, dt=0.01, T=0.2, seed=3, replicas=3, snap_stride=4)
     J = condition_disorder(sample_disorder(12, sk_mixing, 5), soft_params())
     traj = run_langevin(J, soft_params(), cfg)
     emp = empirical_observables(traj)
-    held = (traj.X, traj.B, emp.C, emp.chi, emp.C_avg, emp.chi_avg)
-    assert model._snapshot_bytes(12, 3, cfg.times().size) == sum(a.nbytes for a in held)
+    S = cfg.times().size
+    tile = np.empty((min(simulate._OBS_BLOCK, S), S, 3))
+    held = (traj.X, traj.B, emp.C_avg, emp.chi_avg, emp.C(0), emp.chi(0), tile, tile)
+    assert model._snapshot_bytes(12, 3, S) == sum(a.nbytes for a in held)
 
-    assert model._snapshot_bytes(400, 8, 3688) <= model._BUDGET \
-        < model._snapshot_bytes(400, 8, 3689)
-    SimConfig(N=400, dt=1.0, T=3687.0, seed=0, replicas=8)  # 3688 snapshots
+    assert model._snapshot_bytes(400, 8, 7373) <= model._BUDGET \
+        < model._snapshot_bytes(400, 8, 7374)
+    SimConfig(N=400, dt=1.0, T=7372.0, seed=0, replicas=8)  # 7373 snapshots
     with pytest.raises(SizeOverflow):
-        SimConfig(N=400, dt=1.0, T=3688.0, seed=0, replicas=8)
-    # the simulate-p2 benchmark config without its grid, stride 1: 2.51 GB
-    with pytest.raises(SizeOverflow, match="need 2510003344 bytes"):
-        SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)
+        SimConfig(N=400, dt=1.0, T=7373.0, seed=0, replicas=8)
+    # the simulate-p2 benchmark config without its grid, stride 1: 0.73 GB
+    # at T = 2, and 2.49 GB at T = 4
+    SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)
+    with pytest.raises(SizeOverflow, match="need 2490935328 bytes"):
+        SimConfig(N=400, dt=5e-4, T=4.0, seed=0, replicas=8)
 
 
 def test_radial_blowup_guard(pure3_mixing):
