@@ -624,8 +624,8 @@ def _run_simulate(cfg: RunConfig, out: Path):
     traj = run_langevin(J, cfg.params, cfg.sim)
     del J  # the couplings are not read again
     t2 = time.monotonic()
-    # the limit first, so the observables' one pass also takes each replica's
-    # C and chi gaps to it, and no replica's pair is built a second time
+    # the limit first: the observables' one pass takes each replica's C and
+    # chi gaps to it
     limit = None
     if cfg.grid is not None:
         limit = limit_at_snapshots(traj.times, solve_soft(cfg.params, cfg.nu, cfg.grid))
@@ -634,8 +634,8 @@ def _run_simulate(cfg: RunConfig, out: Path):
     t4 = time.monotonic()
     extra = {}
     if limit is not None:
-        err = error_functional(emp, limit)
-        per = error_functional(emp, limit, per_replica=True)
+        err = error_functional(emp)
+        per = error_functional(emp, per_replica=True)
         extra["error_functional"] = err
     t5 = time.monotonic()
 

@@ -198,11 +198,10 @@ class ModelParams:
 def _snapshot_bytes(N: int, replicas: int, snapshots: int) -> int:
     """Bytes a finite-N run's snapshots and observables hold, for S
     snapshots of R replicas: the X and B snapshots (S x R x N each), the
-    replica means of C and chi and one replica's C and chi (S x S each),
-    and the two tiles the means are built in (min(_OBS_BLOCK, S) x S x R
-    each)."""
+    replica means of C and chi (S x S each), and the two tiles the means
+    are built in (min(_OBS_BLOCK, S) x S x R each)."""
     S, R = snapshots, replicas
-    return 8 * (2 * S * R * N + 4 * S * S + 2 * min(_OBS_BLOCK, S) * S * R)
+    return 8 * (2 * S * R * N + 2 * S * S + 2 * min(_OBS_BLOCK, S) * S * R)
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import SizeOverflow, StepUnstable, ValidationError
+from .errors import GridMismatch, SizeOverflow, StepUnstable, ValidationError
 from .model import (_BUDGET, _OBS_BLOCK, MixingFunction, ModelParams,
                     SimConfig, f_prime, validate, vstar_build)
-from .volterra import TwoTimeBundle, _cumtrapz, _row_block
+from .volterra import TwoTimeBundle, _cumtrapz
 
 __all__ = [
     "Disorder",
@@ -472,70 +471,46 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
 
 @dataclass
 class EmpiricalBundle:
-    """Empirical observables of a run, per replica and replica-averaged.
-
-    ``C`` and ``chi`` are each an (R, S+1, S+1) array or a builder that
-    makes replica r's (S+1, S+1) array on call (``C(r)``); either is read
-    through volterra._row_block.  empirical_observables gives builders.
-    ``gaps``, when set, is a limit and the (R, 2) sup gaps of each
-    replica's C and chi against it (see empirical_observables)."""
+    """Empirical observables of a run: q and H per replica (R, S+1), the
+    replica means of C, chi, q and H, and, when built against a limit, that
+    limit's (C, chi, q, H) at the snapshot times and each replica's (R, 2)
+    sup gaps of C and chi to it."""
 
     times: np.ndarray
-    C: np.ndarray | Callable[[int], np.ndarray]
-    chi: np.ndarray | Callable[[int], np.ndarray]
     q: np.ndarray       # (R, S+1)
     H: np.ndarray       # (R, S+1)
     C_avg: np.ndarray   # (S+1, S+1)
     chi_avg: np.ndarray
     q_avg: np.ndarray
     H_avg: np.ndarray
-    gaps: tuple | None = None
+    limit: tuple | None = None
+    gaps: np.ndarray | None = None
 
 
 def empirical_observables(traj: Trajectory, limit=None) -> EmpiricalBundle:
-    """C_N, chi_N, q_N, H_N per replica plus their replica averages; q_N is
-    the overlap with the run's conditioning point x_star.
+    """q_N and H_N per replica plus the replica means of C_N, chi_N, q_N and
+    H_N; q_N is the overlap with the run's conditioning point x_star.
 
-    The averages of C and chi are built here; the per-replica C and chi
-    are builders over views of traj.X and traj.B, which the bundle keeps
-    alive, so no (R, S+1, S+1) array is held.  With ``limit``, given as
-    error_functional takes it, the same pass also takes each replica's sup
-    gaps of C and chi to it into ``gaps``; error_functional given that same
-    limit object reads them and builds no replica's C or chi."""
+    ``limit`` is the (C, chi, q, H) tuple of limit_at_snapshots at the
+    run's snapshot times, or None.  With it, the pass that builds the means
+    also takes each replica's sup gaps of C and chi to it, so no replica's
+    C or chi is held; a C or chi not (S, S), or a q or H not (S,), for S
+    snapshots raises GridMismatch."""
     X, B = traj.X, traj.B
-    N = X.shape[2]
-    snap = limit_at_snapshots(traj.times, limit) if isinstance(limit, TwoTimeBundle) else limit
-    C_avg, chi_avg, gaps = _replica_means(X, B, None if limit is None else snap[:2])
+    S, _, N = X.shape
+    if limit is not None:
+        for name, a, want in zip(("C", "chi", "q", "H"), limit,
+                                 ((S, S), (S, S), (S,), (S,)), strict=True):
+            if np.shape(a) != want:
+                raise GridMismatch(f"limit {name} has shape {np.shape(a)}, "
+                                   f"{S} snapshots need {want}")
+    C_avg, chi_avg, gaps = _replica_means(X, B, None if limit is None else limit[:2])
     sigma = star_point(N, traj.params.q_star)
     q = np.einsum("sri,i->rs", X, sigma) / N
     H = traj.H.T.copy()  # row-major, so H.mean(axis=0) sums replicas in order
-    return EmpiricalBundle(times=traj.times,
-                           C=lambda r: _replica_C(X[:, r]),
-                           chi=lambda r: np.einsum("si,ti->st", X[:, r], B[:, r]) / N,
-                           q=q, H=H, C_avg=C_avg, chi_avg=chi_avg,
-                           q_avg=q.mean(axis=0), H_avg=H.mean(axis=0),
-                           gaps=None if limit is None else (limit, gaps))
-
-
-def _replica_C(x: np.ndarray) -> np.ndarray:
-    """One replica's C = x x^T / N from its (S, N) snapshots x.
-
-    C[r] = X_r X_r^T / N and chi[r] = X_r B_r^T / N, X_r = X[:, r], are
-    two-operand einsums on those strided views (their rows are contiguous):
-    no BLAS call, so the bytes do not depend on the thread count, and they
-    are those of the three-operand einsum "sri,tri->rst" divided by N.  C
-    is symmetric bitwise (each entry sums the same products in the same
-    order), so only its lower triangle is computed, _OBS_BLOCK rows at a
-    time, and each block is mirrored; _replica_means keeps this rule."""
-    S, N = x.shape
-    C = np.empty((S, S))
-    for lo in range(0, S, _OBS_BLOCK):
-        hi = min(lo + _OBS_BLOCK, S)
-        rows = np.einsum("si,ti->st", x[lo:hi], x[:hi])
-        C[lo:hi, :hi] = rows
-        C[:hi, lo:hi] = rows.T
-    C /= N
-    return C
+    return EmpiricalBundle(times=traj.times, q=q, H=H, C_avg=C_avg,
+                           chi_avg=chi_avg, q_avg=q.mean(axis=0),
+                           H_avg=H.mean(axis=0), limit=limit, gaps=gaps)
 
 
 def _replica_means(X: np.ndarray, B: np.ndarray, against=None):
@@ -543,15 +518,19 @@ def _replica_means(X: np.ndarray, B: np.ndarray, against=None):
     snapshot rows, and with ``against`` = (C, chi) each replica's sup gaps
     of C and chi against those, shape (R, 2), else None.
 
-    Each tile holds its rows of every replica in an (rows, S, R) buffer,
-    replica axis innermost as "sri,tri->rst" lays its result out, so the
-    mean over it sums replicas in that einsum's order.  An einsum writes a
-    fresh contiguous result that is copied in: into a strided out= it would
-    sum in another order.  Once a tile's means are taken, its buffers hold
-    the differences to the limit.  A tile of C holds columns up to its last
-    row, so its gaps are taken against both the limit's rows and, through
-    C's symmetry, its columns; the tiles together cover every entry.  A NaN
-    gives a NaN gap."""
+    C[r] = X_r X_r^T / N and chi[r] = X_r B_r^T / N, X_r = X[:, r], are
+    two-operand einsum rows on those strided views: no BLAS call, so the
+    bytes do not depend on the thread count, and they are those of the
+    einsum "sri,tri->rst" divided by N.  C is symmetric bitwise, so a tile
+    of C holds its rows' lower triangle, and its mean is mirrored.  Each
+    tile holds its rows of every replica in an (rows, S, R) buffer, replica
+    axis innermost as that einsum lays its result out, so the mean over it
+    sums replicas in that einsum's order.  An einsum writes a fresh contiguous result that is
+    copied in: into a strided out= it would sum in another order.  Once a
+    tile's means are taken, its buffers hold the differences to the limit.
+    A tile of C holds columns up to its last row, so its gaps are taken
+    against both the limit's rows and, through C's symmetry, its columns;
+    the tiles together cover every entry.  A NaN gives a NaN gap."""
     S, R, N = X.shape
     C_avg, chi_avg = np.empty((S, S)), np.empty((S, S))
     tile = min(_OBS_BLOCK, S)
@@ -596,19 +575,18 @@ def limit_at_snapshots(times: np.ndarray, limit: TwoTimeBundle):
     return limit.C[np.ix_(idx, idx)], chi, limit.q[idx], limit.H[idx]
 
 
-def error_functional(emp: EmpiricalBundle, limit, per_replica: bool = False):
+def error_functional(emp: EmpiricalBundle, per_replica: bool = False):
     """Capped sup-norm discrepancy between empirical and limiting dynamics.
 
-    Replica-averaged by default (the error of the averaged observables);
-    with ``per_replica`` an array of one value per replica is returned,
-    from ``emp.gaps`` when they were taken against this same ``limit``
-    object, else from one replica's built C and chi at a time.  ``limit``
-    is the TwoTimeBundle of the limit solve, or the
-    limit_at_snapshots(emp.times, bundle) tuple that a caller taking both
-    forms builds once.
+    Against the limit the bundle was built with (see empirical_observables):
+    replica-averaged by default (the error of the averaged observables);
+    with ``per_replica`` an array of one value per replica, from the sup
+    gaps of C and chi that the observables' pass took.  A bundle built
+    without a limit raises ValidationError.
     """
-    Cl, chil, ql, Hl = (limit_at_snapshots(emp.times, limit)
-                        if isinstance(limit, TwoTimeBundle) else limit)
+    if emp.limit is None:
+        raise ValidationError("the observables were built without a limit")
+    Cl, chil, ql, Hl = emp.limit
 
     def sup(x, y):
         return np.abs(x - y).max()
@@ -619,13 +597,8 @@ def error_functional(emp: EmpiricalBundle, limit, per_replica: bool = False):
     if not per_replica:
         return capped(sup(emp.C_avg, Cl), sup(emp.chi_avg, chil),
                       sup(emp.q_avg, ql), sup(emp.H_avg, Hl))
-    if emp.gaps is not None and emp.gaps[0] is limit:
-        pairs = emp.gaps[1]
-    else:  # one replica's C and chi at a time
-        pairs = [(sup(_row_block(emp.C, r), Cl), sup(_row_block(emp.chi, r), chil))
-                 for r in range(emp.q.shape[0])]
     return np.array([capped(c, x, sup(emp.q[r], ql), sup(emp.H[r], Hl))
-                     for r, (c, x) in enumerate(pairs)])
+                     for r, (c, x) in enumerate(emp.gaps)])
 
 
 def conditional_hessian_spectrum(N: int, nu: MixingFunction, q_star: float,

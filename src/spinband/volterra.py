@@ -441,10 +441,9 @@ def check_bundle(bundle: TwoTimeBundle) -> dict:
             "response_bound_ratio": ratio, "tol": tol, "passed": passed}
 
 
-def _row_block(x, r: slice | int) -> np.ndarray:
-    """Rows r of x, a slice or one index: x is an array, or a callable that
-    builds those rows (such as sk.SkSolution.R_rows, or the per-replica C
-    and chi of a simulate.EmpiricalBundle)."""
+def _row_block(x, r: slice) -> np.ndarray:
+    """Rows r of x: x is an array, or a callable that builds those rows
+    (such as sk.SkSolution.R_rows)."""
     return x(r) if callable(x) else x[r]
 
 

@@ -19,7 +19,8 @@ from spinband.model import Confinement, MixingFunction, ModelParams, SimConfig
 from spinband.simulate import (condition_disorder,
                                conditional_hessian_spectrum,
                                empirical_observables, error_functional,
-                               run_langevin, sample_disorder, star_point)
+                               limit_at_snapshots, run_langevin,
+                               sample_disorder, star_point)
 from spinband.sk import (SkParams, damped_mgf, resolvent_root, sk_asymptotics,
                          solve_two_time, superposition_gap)
 from spinband.volterra import (TwoTimeGrid, check_bundle,
@@ -137,9 +138,9 @@ def _mc_error(params, nu, N, disorder_seed, sim_seed):
     cfg = SimConfig(N=N, dt=5e-4, T=2.0, seed=sim_seed, replicas=8,
                     snap_stride=20)
     traj = run_langevin(J, params, cfg)
-    emp = empirical_observables(traj)
     limit = solve_soft(params, nu, TwoTimeGrid.from_T(2.0, 0.01))
-    return error_functional(emp, limit)
+    emp = empirical_observables(traj, limit_at_snapshots(traj.times, limit))
+    return error_functional(emp)
 
 
 def test_07_finite_size_runs_track_the_limit(sk_mixing, pure3_mixing):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -295,6 +296,7 @@ def test_conditioning_is_exact_for_random_mixtures(hamiltonian_and_grad, weights
 
 _SIMULATE_DIGEST = """
 import hashlib, sys
+import numpy as np
 from spinband.model import Confinement, MixingFunction, ModelParams, SimConfig
 from spinband.simulate import (condition_disorder, empirical_observables,
                                run_langevin, sample_disorder)
@@ -304,23 +306,24 @@ prm = ModelParams(beta=0.3, q_star=0.9, q_o=0.5, E_star=0.2,
                   G_star=3.0 * 0.2 / 0.81, confinement=Confinement.soft(100.0, 1))
 J = condition_disorder(sample_disorder(N, nu, 11), prm)
 traj = run_langevin(J, prm, SimConfig(N=N, dt=5e-4, T=0.05, seed=3, replicas=8))
-emp = empirical_observables(traj)
+S = traj.times.size
+rng = np.random.default_rng(0)
+limit = (rng.random((S, S)), rng.random((S, S)), rng.random(S), rng.random(S))
+emp = empirical_observables(traj, limit)
 d = hashlib.sha256()
 for name in ("X", "B", "K", "H"):
     d.update(getattr(traj, name).tobytes())
-for r in range(8):
-    d.update(emp.C(r).tobytes())
-    d.update(emp.chi(r).tobytes())
-d.update(emp.C_avg.tobytes())
-d.update(emp.chi_avg.tobytes())
+for a in (emp.C_avg, emp.chi_avg, emp.gaps):
+    d.update(a.tobytes())
 print(d.hexdigest())
 """
 
 
 @pytest.mark.parametrize("N", [100, 160, 200])
 def test_simulate_is_bitwise_independent_of_blas_threads(N):
-    """A pure p = 3 run with 8 replicas and 100 steps, and its empirical C
-    and chi, give equal bytes under 1 and 2 OpenBLAS threads, at the
+    """A pure p = 3 run with 8 replicas and 100 steps, the replica means of
+    its empirical C and chi, and each replica's sup gaps of C and chi to a
+    fixed limit, give equal bytes under 1 and 2 OpenBLAS threads, at the
     simulate-p3 size N = 160 and at sizes on either side of it."""
     digests = []
     for threads in ("1", "2"):
@@ -748,41 +751,53 @@ def _trajectory(S, R, N, seed):
                            G_star=0.8, confinement=Confinement.soft(20.0, 1)))
 
 
+def _replica_gaps(traj, limit):
+    """Each replica's sup gaps of C and chi to ``limit``, shape (R, 2), from
+    its whole C and chi: the einsum "sri,tri->rst" divided by N."""
+    N = traj.X.shape[2]
+    C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
+    chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
+    return np.stack([np.abs(C - limit[0]).max(axis=(1, 2)),
+                     np.abs(chi - limit[1]).max(axis=(1, 2))], axis=1)
+
+
+def _random_limit(S, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random((S, S)), rng.random((S, S)), rng.random(S), rng.random(S)
+
+
 @pytest.mark.parametrize("R", [1, 8])
 @pytest.mark.parametrize("S", [11, 201])
 def test_observables_are_the_three_operand_einsum(S, R):
-    """Per replica, C and chi (read through the bundle's builders) have the
-    bytes of the einsum "sri,tri->rst" over all snapshots at once (divided
-    by N), and so do the replica means: 11 snapshots fit one row tile, 201
-    make six full tiles and a partial one."""
+    """The replica means of C and chi have the bytes of the einsum
+    "sri,tri->rst" over all snapshots at once (divided by N), and each
+    replica's sup gaps of C and chi to a limit are those of that einsum's
+    C and chi: 11 snapshots fit one row tile, 201 make six full tiles and a
+    partial one."""
     N = 100
     traj = _trajectory(S, R, N, S * R)
     C = np.einsum("sri,tri->rst", traj.X, traj.X) / N
     chi = np.einsum("sri,tri->rst", traj.X, traj.B) / N
-    emp = empirical_observables(traj)
-    for r in range(R):
-        assert emp.C(r).tobytes() == C[r].tobytes()
-        assert emp.chi(r).tobytes() == chi[r].tobytes()
+    limit = _random_limit(S, S + R)
+    emp = empirical_observables(traj, limit)
     assert emp.C_avg.tobytes() == C.mean(axis=0).tobytes()
     assert emp.chi_avg.tobytes() == chi.mean(axis=0).tobytes()
+    assert emp.gaps.tobytes() == _replica_gaps(traj, limit).tobytes()
 
 
-@pytest.mark.parametrize("in_pass", [False, True], ids=["built", "in-pass"])
-def test_observables_and_errors_hold_no_per_replica_arrays(in_pass):
+def test_observables_and_errors_hold_no_per_replica_arrays():
     """At S = 201, R = 8, N = 400 the observables and both error calls peak
-    under 3 MB of new allocations: the replica means (0.65 MB), their two
-    row tiles (0.82 MB) and one replica's C and chi at a time, or none when
-    the observables' pass takes the gaps, where every replica's C and chi
-    (5.2 MB) would not fit."""
+    under 3 MB of new allocations: the replica means (0.65 MB) and their two
+    row tiles (0.82 MB), where every replica's C and chi (5.2 MB) would not
+    fit."""
     S, R = 201, 8
     traj = _trajectory(S, R, 400, 3)
-    rng = np.random.default_rng(4)
-    limit = (rng.random((S, S)), rng.random((S, S)), rng.random(S), rng.random(S))
+    limit = _random_limit(S, 4)
     tracemalloc.start()
     try:
-        emp = empirical_observables(traj, limit) if in_pass else empirical_observables(traj)
-        err = error_functional(emp, limit)
-        per = error_functional(emp, limit, per_replica=True)
+        emp = empirical_observables(traj, limit)
+        err = error_functional(emp)
+        per = error_functional(emp, per_replica=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -793,53 +808,62 @@ def test_observables_and_errors_hold_no_per_replica_arrays(in_pass):
 @pytest.mark.parametrize("R", [1, 8])
 @pytest.mark.parametrize("S", [11, 201])
 def test_gaps_taken_in_the_pass_are_the_built_replicas_gaps(S, R):
-    """Per-replica errors from the gaps the observables' pass takes have the
-    bytes of those from each built replica, against a limit that is not
-    symmetric and has one entry of C or chi far off, above or below the
-    diagonal, in the first, a middle or the last row tile; a NaN in a
-    replica's snapshots gives that replica NaN either way."""
+    """The sup gaps the observables' pass takes, and the per-replica errors
+    read from them, have the bytes of those from each replica's whole C and
+    chi, against a limit that is not symmetric and has one entry of C or
+    chi far off, above or below the diagonal, in the first, a middle or the
+    last row tile; a NaN in a replica's snapshots gives that replica NaN."""
     N = 50
     traj = _trajectory(S, R, N, S + R)
-    built = empirical_observables(traj)
+    base = empirical_observables(traj)
     rng = np.random.default_rng(S * R)
     spikes = [(0, S - 1), (S - 1, 0), (S // 2, S - 1), (S - 1, S // 3)]
     for (a, b), target in product(spikes, (0, 1)):
-        limit = (built.C_avg + 0.01 * rng.standard_normal((S, S)),
-                 built.chi_avg + 0.01 * rng.standard_normal((S, S)),
-                 built.q_avg, built.H_avg)
+        limit = (base.C_avg + 0.01 * rng.standard_normal((S, S)),
+                 base.chi_avg + 0.01 * rng.standard_normal((S, S)),
+                 base.q_avg, base.H_avg)
         limit[target][a, b] += 0.3
         emp = empirical_observables(traj, limit)
-        assert emp.gaps[0] is limit
-        assert emp.C_avg.tobytes() == built.C_avg.tobytes()
-        assert emp.chi_avg.tobytes() == built.chi_avg.tobytes()
-        fast = error_functional(emp, limit, per_replica=True)
-        slow = error_functional(built, limit, per_replica=True)
-        assert fast.tobytes() == slow.tobytes()
-        assert error_functional(emp, limit) == error_functional(built, limit)
-        # another limit object, of the same values, builds each replica
-        assert error_functional(emp, list(limit), per_replica=True).tobytes() \
-            == slow.tobytes()
+        assert emp.limit is limit
+        assert emp.C_avg.tobytes() == base.C_avg.tobytes()
+        assert emp.chi_avg.tobytes() == base.chi_avg.tobytes()
+        gaps = _replica_gaps(traj, limit)
+        assert emp.gaps.tobytes() == gaps.tobytes()
+        assert gaps[:, target].max() >= 0.2
+        want = np.array([sum(min(g, 1.0) for g in (
+            c, x, np.abs(emp.q[r] - limit[2]).max(), np.abs(emp.H[r] - limit[3]).max()))
+            for r, (c, x) in enumerate(gaps)])
+        assert error_functional(emp, per_replica=True).tobytes() == want.tobytes()
     traj.X[S // 2, R - 1, 3] = np.nan
     emp = empirical_observables(traj, limit)
-    fast = error_functional(emp, limit, per_replica=True)
-    assert np.array_equal(np.isnan(fast), np.arange(R) == R - 1)
-    assert np.array_equal(np.isnan(error_functional(empirical_observables(traj), limit,
-                                                    per_replica=True)), np.isnan(fast))
+    values = error_functional(emp, per_replica=True)
+    assert np.array_equal(np.isnan(values), np.arange(R) == R - 1)
+    assert np.array_equal(np.isnan(emp.gaps), np.isnan(_replica_gaps(traj, limit)))
 
 
-def test_gaps_to_a_limit_bundle_are_read_for_that_bundle(sk_mixing):
-    """A TwoTimeBundle passed to empirical_observables is read at the
-    snapshot times, and error_functional given that bundle uses the gaps:
-    equal bytes to the built replicas' errors."""
-    prm = soft_params()
-    J = condition_disorder(sample_disorder(16, sk_mixing, 3), prm)
-    traj = run_langevin(J, prm, SimConfig(N=16, dt=0.01, T=0.2, seed=9, replicas=3,
-                                          snap_stride=5))
-    limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.2, 0.05))
-    emp = empirical_observables(traj, limit)
-    assert emp.gaps[0] is limit and emp.gaps[1].shape == (3, 2)
-    assert error_functional(emp, limit, per_replica=True).tobytes() == \
-        error_functional(empirical_observables(traj), limit, per_replica=True).tobytes()
+@pytest.mark.parametrize("bad", ["C", "chi", "q", "H"])
+def test_a_limit_of_another_shape_is_a_grid_mismatch(bad):
+    """A limit whose C or chi is not (S, S), or whose q or H is not (S,),
+    for the run's S snapshots is refused, naming the array and both shapes,
+    not read from a corner or broadcast."""
+    S, R = 11, 3
+    traj = _trajectory(S, R, 20, 5)
+    k = ("C", "chi", "q", "H").index(bad)
+    limit = list(_random_limit(S, 6))
+    limit[k] = np.zeros((S + 3, S + 3) if k < 2 else (1,))
+    want = (S, S) if k < 2 else (S,)
+    with pytest.raises(GridMismatch, match=rf"limit {bad} has shape "
+                       rf"{re.escape(str(limit[k].shape))}, 11 snapshots need "
+                       rf"{re.escape(str(want))}"):
+        empirical_observables(traj, tuple(limit))
+
+
+def test_error_functional_needs_a_limit():
+    """A bundle built without a limit has no error to report."""
+    emp = empirical_observables(_trajectory(5, 2, 10, 1))
+    assert emp.limit is None and emp.gaps is None
+    with pytest.raises(ValidationError, match="without a limit"):
+        error_functional(emp)
 
 
 def test_blowup_guard_trips_on_a_nan_in_a_later_replica(sk_mixing):
@@ -896,47 +920,51 @@ def test_empirical_identities(sk_mixing):
     traj = run_langevin(J, prm, cfg)
     emp = empirical_observables(traj)
     S1 = traj.times.size
-    C = np.stack([emp.C(r) for r in range(3)])
-    assert C.shape == (3, S1, S1)
+    assert emp.C_avg.shape == emp.chi_avg.shape == (S1, S1)
+    assert np.abs(np.diag(emp.C_avg) - traj.K.mean(axis=1)).max() <= 1e-12
+    assert np.all(emp.chi_avg[:, 0] == 0.0)             # B(0) = 0
     for r in range(3):
-        assert np.abs(np.diag(C[r]) - traj.K[:, r]).max() <= 1e-12
-        assert np.all(emp.chi(r)[:, 0] == 0.0)          # B(0) = 0
         assert abs(emp.q[r, 0] - prm.q_o) <= 1e-12
-    assert_allclose(emp.C_avg, C.mean(axis=0), rtol=0, atol=0)
     assert_allclose(emp.H_avg, emp.H.mean(axis=0), rtol=0, atol=0)
 
 
-def _bundle_from_limit(limit, times, idx):
-    """One replica equal to the limit at grid indices idx, stamped ``times``."""
-    C, chi, q, H = (a[None] for a in limit_at_snapshots(limit.grid.times()[idx], limit))
-    return EmpiricalBundle(times=times, C=C, chi=chi, q=q, H=H,
-                           C_avg=C[0], chi_avg=chi[0], q_avg=q[0], H_avg=H[0])
+def _bundle_from_limit(limit, times):
+    """One replica equal to the limit at ``times``, and built against it."""
+    snap = limit_at_snapshots(times, limit)
+    C, chi, q, H = snap
+    return EmpiricalBundle(times=times, q=q[None], H=H[None], C_avg=C,
+                           chi_avg=chi, q_avg=q, H_avg=H, limit=snap,
+                           gaps=np.zeros((1, 2)))
 
 
 def test_error_functional_properties(sk_mixing):
     prm = soft_params(L=100.0)
     limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
     times = limit.grid.times()[::2]
-    idx = np.arange(0, limit.grid.n + 1, 2)
-    emp = _bundle_from_limit(limit, times, idx)
-    assert error_functional(emp, limit) == 0.0
-    assert_allclose(error_functional(emp, limit, per_replica=True), [0.0])
-    far = _bundle_from_limit(limit, times, idx)
+    emp = _bundle_from_limit(limit, times)
+    assert error_functional(emp) == 0.0
+    assert_allclose(error_functional(emp, per_replica=True), [0.0])
+    far = _bundle_from_limit(limit, times)
     far.C_avg = far.C_avg + 100.0
     far.q_avg = far.q_avg - 50.0
-    capped = error_functional(far, limit)
+    capped = error_functional(far)
     assert 2.0 <= capped <= 4.0                     # each block saturates at 1
-    bad = _bundle_from_limit(limit, times + 0.013, idx)
-    with pytest.raises(GridMismatch):
-        error_functional(bad, limit)
+    with pytest.raises(GridMismatch):  # the limit is read on its own grid
+        limit_at_snapshots(times + 0.013, limit)
 
 
 _OBSERVABLES = ("C", "chi", "q", "H")
 
 
-def _bundle_of(times, per, avg):
-    """An EmpiricalBundle from per-replica and averaged (C, chi, q, H)."""
-    return EmpiricalBundle(times=times, **dict(zip(_OBSERVABLES, per)),
+def _bundle_of(times, per, avg, limit):
+    """An EmpiricalBundle against ``limit`` from per-replica and averaged
+    (C, chi, q, H): per replica it keeps q and H, and the sup gaps of C
+    and chi."""
+    R = per[0].shape[0]
+    gaps = np.stack([np.abs(per[k] - limit[k]).reshape(R, -1).max(axis=1)
+                     for k in (0, 1)], axis=1)
+    return EmpiricalBundle(times=times, q=per[2], H=per[3], limit=limit,
+                           gaps=gaps,
                            **{f"{k}_avg": a for k, a in zip(_OBSERVABLES, avg)})
 
 
@@ -957,26 +985,26 @@ def test_error_functional_is_capped_exact_and_keeps_nan(data, S, R):
     limit = tuple(draw(shape) for shape in shapes)
     per = [draw((R, *shape)) for shape in shapes]
     avg = [draw(shape) for shape in shapes]
-    emp = _bundle_of(times, per, avg)
-    value = error_functional(emp, limit)
-    values = error_functional(emp, limit, per_replica=True)
+    emp = _bundle_of(times, per, avg, limit)
+    value = error_functional(emp)
+    values = error_functional(emp, per_replica=True)
     assert 0.0 <= value <= 4.0
     assert values.shape == (R,) and np.all((0.0 <= values) & (values <= 4.0))
 
     stacked = [np.repeat(a[None], R, axis=0) for a in limit]
-    exact = _bundle_of(times, stacked, limit)
-    assert error_functional(exact, limit) == 0.0
-    assert np.all(error_functional(exact, limit, per_replica=True) == 0.0)
-    far = _bundle_of(times, [a + 2.0 for a in stacked], [a + 2.0 for a in limit])
-    assert error_functional(far, limit) == 4.0
-    assert np.all(error_functional(far, limit, per_replica=True) == 4.0)
+    exact = _bundle_of(times, stacked, limit, limit)
+    assert error_functional(exact) == 0.0
+    assert np.all(error_functional(exact, per_replica=True) == 0.0)
+    far = _bundle_of(times, [a + 2.0 for a in stacked], [a + 2.0 for a in limit], limit)
+    assert error_functional(far) == 4.0
+    assert np.all(error_functional(far, per_replica=True) == 4.0)
     for k in range(4):  # one array off: its sup gap, capped at 1
         one = _bundle_of(times, [per[j] if j == k else stacked[j] for j in range(4)],
-                         [avg[j] if j == k else limit[j] for j in range(4)])
+                         [avg[j] if j == k else limit[j] for j in range(4)], limit)
         gap = np.abs(avg[k] - limit[k]).max()
         gaps = np.abs(per[k] - limit[k]).reshape(R, -1).max(axis=1)
-        assert error_functional(one, limit) == min(gap, 1.0)
-        assert np.array_equal(error_functional(one, limit, per_replica=True),
+        assert error_functional(one) == min(gap, 1.0)
+        assert np.array_equal(error_functional(one, per_replica=True),
                               np.minimum(gaps, 1.0))
 
     k = data.draw(st.integers(0, 3), label="array")
@@ -984,9 +1012,9 @@ def test_error_functional_is_capped_exact_and_keeps_nan(data, S, R):
     r = data.draw(st.integers(0, R - 1), label="replica")
     per[k][r].flat[i] = np.nan
     avg[k].flat[i] = np.nan
-    emp = _bundle_of(times, per, avg)
-    assert math.isnan(error_functional(emp, limit))
-    values = error_functional(emp, limit, per_replica=True)
+    emp = _bundle_of(times, per, avg, limit)
+    assert math.isnan(error_functional(emp))
+    values = error_functional(emp, per_replica=True)
     assert math.isnan(values[r])
     assert not np.isnan(np.delete(values, r)).any()
 
@@ -1003,12 +1031,6 @@ def test_limit_at_snapshots_reads_the_full_limit(sk_mixing, integrated_response,
     assert C.tobytes() == limit.C[np.ix_(idx, idx)].tobytes()
     assert q.tobytes() == limit.q[idx].tobytes()
     assert H.tobytes() == limit.H[idx].tobytes()
-    emp = _bundle_from_limit(limit, limit.grid.times()[idx], idx)
-    emp.chi_avg = emp.chi_avg + 0.25
-    built = (C, chi, q, H)
-    assert error_functional(emp, built) == error_functional(emp, limit) > 0.2
-    assert error_functional(emp, built, per_replica=True).tobytes() == \
-        error_functional(emp, limit, per_replica=True).tobytes()
 
 
 def test_simulation_tracks_the_limit(sk_mixing):
@@ -1017,10 +1039,10 @@ def test_simulation_tracks_the_limit(sk_mixing):
     J = condition_disorder(sample_disorder(N, sk_mixing, 1234), prm)
     cfg = SimConfig(N=N, dt=2e-3, T=0.5, seed=777, replicas=4, snap_stride=25)
     traj = run_langevin(J, prm, cfg)
-    emp = empirical_observables(traj)
     limit = solve_soft(prm, sk_mixing, TwoTimeGrid.from_T(0.5, 0.05))
-    err = error_functional(emp, limit)
-    per = error_functional(emp, limit, per_replica=True)
+    emp = empirical_observables(traj, limit_at_snapshots(traj.times, limit))
+    err = error_functional(emp)
+    per = error_functional(emp, per_replica=True)
     assert err <= 0.5
     assert per.shape == (4,) and per.max() <= 1.0
 
@@ -1075,30 +1097,29 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
 
 def test_snapshot_bytes_are_what_a_run_holds(sk_mixing):
     """_snapshot_bytes counts the X and B snapshots, the replica means of C
-    and chi, one replica's C and chi and the two row tiles the means are
-    built in: the nbytes of those arrays in a small run, and at N = 400
-    with 8 replicas the budget holds 7373 snapshots but not 7374, checked
-    without allocating them.  SimConfig refuses a run over the budget with
-    SizeOverflow."""
+    and chi and the two row tiles the means are built in: the nbytes of
+    those arrays in a small run, and at N = 400 with 8 replicas the budget
+    holds 9985 snapshots but not 9986, checked without allocating them.
+    SimConfig refuses a run over the budget with SizeOverflow."""
     cfg = SimConfig(N=12, dt=0.01, T=0.2, seed=3, replicas=3, snap_stride=4)
     J = condition_disorder(sample_disorder(12, sk_mixing, 5), soft_params())
     traj = run_langevin(J, soft_params(), cfg)
     emp = empirical_observables(traj)
     S = cfg.times().size
     tile = np.empty((min(simulate._OBS_BLOCK, S), S, 3))
-    held = (traj.X, traj.B, emp.C_avg, emp.chi_avg, emp.C(0), emp.chi(0), tile, tile)
+    held = (traj.X, traj.B, emp.C_avg, emp.chi_avg, tile, tile)
     assert model._snapshot_bytes(12, 3, S) == sum(a.nbytes for a in held)
 
-    assert model._snapshot_bytes(400, 8, 7373) <= model._BUDGET \
-        < model._snapshot_bytes(400, 8, 7374)
-    SimConfig(N=400, dt=1.0, T=7372.0, seed=0, replicas=8)  # 7373 snapshots
+    assert model._snapshot_bytes(400, 8, 9985) <= model._BUDGET \
+        < model._snapshot_bytes(400, 8, 9986)
+    SimConfig(N=400, dt=1.0, T=9984.0, seed=0, replicas=8)  # 9985 snapshots
     with pytest.raises(SizeOverflow):
-        SimConfig(N=400, dt=1.0, T=7373.0, seed=0, replicas=8)
-    # the simulate-p2 benchmark config without its grid, stride 1: 0.73 GB
-    # at T = 2, and 2.49 GB at T = 4
-    SimConfig(N=400, dt=5e-4, T=2.0, seed=0, replicas=8)
-    with pytest.raises(SizeOverflow, match="need 2490935328 bytes"):
-        SimConfig(N=400, dt=5e-4, T=4.0, seed=0, replicas=8)
+        SimConfig(N=400, dt=1.0, T=9985.0, seed=0, replicas=8)
+    # the simulate-p2 benchmark config without its grid, stride 1: 1.47 GB
+    # at T = 4, and 2.97 GB at T = 6
+    SimConfig(N=400, dt=5e-4, T=4.0, seed=0, replicas=8)
+    with pytest.raises(SizeOverflow, match="need 2967991312 bytes"):
+        SimConfig(N=400, dt=5e-4, T=6.0, seed=0, replicas=8)
 
 
 def test_radial_blowup_guard(pure3_mixing):
