@@ -9,8 +9,10 @@ Commands:
   series.csv and constants.json.
 * ``simulate``  -- conditioned finite-N Langevin runs; writes metadata.json,
   snapshots.csv, per_replica.csv, C_N.npy and chi_N.npy (the replica-averaged
-  empirical C and chi, float64 (S, S) arrays for S snapshots, read back with
-  np.load) and, with a grid block, report.json.
+  empirical C and chi for S snapshots: C's lower triangle row by row, read
+  back with read_symmetric, and chi as a float64 (S, S) array, read back
+  with np.load) and, with a grid block, report.json.  The mean radius K_N
+  is C_N's diagonal, so only per_replica.csv stores K_N.
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
 
@@ -368,6 +370,39 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
+def _write_npy(path: Path, shape: tuple, blocks) -> None:
+    """A C-order float64 .npy of ``shape`` whose data are the arrays that
+    ``blocks`` yields, in order; a ValidationError raised while they are
+    made leaves no file behind."""
+    import numpy as np
+    try:
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                "fortran_order": False, "shape": shape})
+            for blk in blocks:
+                f.write(blk)
+    except ValidationError:
+        path.unlink()
+        raise
+
+
+def _check_mirror(C, b: int, e: int) -> None:
+    """Rows b..e-1 of C left of column e against their mirror, bit for bit
+    (-0.0 and NaN exactly), or ValidationError naming the first pair that
+    differs.  Square tiles: a transposed operand is buffered, so keep it
+    small."""
+    import numpy as np
+    bits = C.view(np.uint64)
+    for c in range(0, e, _PACK_ROWS):
+        bad = bits[b:e, c:c + _PACK_ROWS] != bits[c:c + _PACK_ROWS, b:e].T
+        if bad.any():
+            k, j = np.argwhere(bad)[0]
+            s, t = b + k, c + j
+            raise ValidationError(f"C({s}, {t}) = {float(C[s, t])!r} but "
+                                  f"C({t}, {s}) = {float(C[t, s])!r}")
+
+
 def _write_two_time(out: Path, R, C) -> None:
     """RC.npy: R and C packed on the triangle t <= s, streamed in row blocks.
 
@@ -388,38 +423,109 @@ def _write_two_time(out: Path, R, C) -> None:
     R_shape = (m, m) if callable(R) else R.shape
     if R_shape != (m, m) or C.shape != (m, m):
         raise ValidationError(f"R {R_shape} and C {C.shape} must be one square shape")
-    Cbits = C.view(np.uint64)  # -0.0 and NaN exactly
-    path = out / "RC.npy"
+
+    def rows():
+        buf = np.empty((min(_PACK_ROWS, m), m + 1))
+        for b in range(0, m, _PACK_ROWS):
+            e = min(b + _PACK_ROWS, m)
+            Rblk = _row_block(R, slice(b, e))
+            Rbits = Rblk.view(np.uint64)
+            for k, i in enumerate(range(b, e)):
+                if Rbits[k, i + 1:].any():
+                    j = i + 1 + int(Rbits[k, i + 1:].argmax())
+                    raise ValidationError(
+                        f"R({i}, {j}) = {float(Rblk[k, j])!r} lies above the diagonal")
+                buf[k, :i + 1] = Rblk[k, :i + 1]
+                buf[k, i + 1:] = C[i, i:]
+            _check_mirror(C, b, e)
+            yield buf[:e - b]
+
+    _write_npy(out / "RC.npy", (m, m + 1), rows())
+
+
+def _write_symmetric(path: Path, C) -> None:
+    """A symmetric C stored once: its entries C(s, t) for t <= s, row by
+    row, as a C-order float64 .npy of shape (S (S + 1) / 2,).
+
+    C must be square and exactly symmetric (bit for bit), or
+    ValidationError names the first entry that would be lost and no file is
+    left behind.  Each block of _PACK_ROWS rows is checked before its rows
+    are written, straight from C: no S x S temporary is built."""
+    import numpy as np
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    S = C.shape[0]
+    if C.shape != (S, S):
+        raise ValidationError(f"C {C.shape} must be square")
+
+    def rows():
+        for b in range(0, S, _PACK_ROWS):
+            e = min(b + _PACK_ROWS, S)
+            _check_mirror(C, b, e)
+            yield from (C[s, :s + 1] for s in range(b, e))
+
+    _write_npy(path, (S * (S + 1) // 2,), rows())
+
+
+def _read_pack(path: Path, layout: str, rows, start, name):
+    """Read a C-order float64 .npy pack of row-major rows: yield its row
+    count m, then (b, e, the flat entries of rows b..e-1) for blocks of
+    _PACK_ROWS rows, each in the one buffer that the next block overwrites.
+
+    ``rows(shape)`` is m for a shape of the pack's ``layout``, else None,
+    and row i starts at entry ``start(i, m)``.  The header (float64, C
+    order, that shape) and the file size are checked before anything is
+    allocated; ParseError names the file, and a non-finite entry by
+    ``name(row, index in its row)``.
+    """
+    import numpy as np
+    fmt = np.lib.format
     try:
-        with open(path, "wb") as f:
-            np.lib.format.write_array_header_1_0(f, {
-                "descr": np.lib.format.dtype_to_descr(C.dtype),
-                "fortran_order": False, "shape": (m, m + 1)})
-            buf = np.empty((min(_PACK_ROWS, m), m + 1))
+        with open(path, "rb") as f:
+            try:  # np.save writes a 1-D or 2-D array's header as version 1.0
+                version = fmt.read_magic(f)
+                if version != (1, 0):
+                    raise ValueError(f".npy version {version}, expected (1, 0)")
+                shape, fortran, dtype = fmt.read_array_header_1_0(f)
+            except ValueError as e:
+                raise ParseError(f"{path}: not a readable .npy header: {e}") from None
+            m = None if dtype != np.float64 or fortran else rows(shape)
+            if m is None:
+                raise ParseError(
+                    f"{path}: expected a C-order float64 {layout}, got {dtype} {shape}"
+                    + (" in Fortran order" if fortran else ""))
+            size, need = os.fstat(f.fileno()).st_size, f.tell() + 8 * start(m, m)
+            if size != need:
+                raise ParseError(f"{path}: {size} bytes, the header's {shape} "
+                                 f"float64 array needs {need}")
+            yield m
+            starts = start(np.arange(m + 1), m)
+            buf = np.empty(int(np.diff(starts[::_PACK_ROWS], append=starts[-1]).max()))
             for b in range(0, m, _PACK_ROWS):
                 e = min(b + _PACK_ROWS, m)
-                Rblk = _row_block(R, slice(b, e))
-                Rbits = Rblk.view(np.uint64)
-                for k, i in enumerate(range(b, e)):
-                    if Rbits[k, i + 1:].any():
-                        j = i + 1 + int(Rbits[k, i + 1:].argmax())
-                        raise ValidationError(
-                            f"R({i}, {j}) = {float(Rblk[k, j])!r} lies above the diagonal")
-                    buf[k, :i + 1] = Rblk[k, :i + 1]
-                    buf[k, i + 1:] = C[i, i:]
-                # rows b..e-1 left of column e against their mirror, in square
-                # tiles: a transposed operand is buffered, so keep it small
-                for c in range(0, e, _PACK_ROWS):
-                    bad = Cbits[b:e, c:c + _PACK_ROWS] != Cbits[c:c + _PACK_ROWS, b:e].T
-                    if bad.any():
-                        k, j = np.argwhere(bad)[0]
-                        s, t = b + k, c + j
-                        raise ValidationError(f"C({s}, {t}) = {float(C[s, t])!r} but "
-                                              f"C({t}, {s}) = {float(C[t, s])!r}")
-                f.write(buf[:e - b].data)
-    except ValidationError:
-        path.unlink()
-        raise
+                blk = buf[:starts[e] - starts[b]]
+                f.readinto(blk)
+                # min and max carry a NaN: no temporary the size of the block
+                if not (math.isfinite(blk.min()) and math.isfinite(blk.max())):
+                    i = int(starts[b] + np.argmax(~np.isfinite(blk)))
+                    s = int(np.searchsorted(starts, i, "right")) - 1
+                    raise ParseError(f"{path}: non-finite value {blk[i - starts[b]]} "
+                                     f"at {name(s, i - int(starts[s]))}")
+                yield b, e, blk
+    except OSError as e:
+        raise ParseError(f"{path}: not readable: {e}") from None
+
+
+def _pack_rows(shape):
+    """m for the (m, m + 1) pack of RC.npy, else None."""
+    return shape[0] if len(shape) == 2 and shape[1] == shape[0] + 1 >= 1 else None
+
+
+def _square_rows(shape):
+    """S for the (S (S + 1) / 2,) lower triangle of an (S, S) array, else None."""
+    if len(shape) != 1 or shape[0] < 0:
+        return None
+    S = (math.isqrt(8 * shape[0] + 1) - 1) // 2
+    return S if S * (S + 1) // 2 == shape[0] else None
 
 
 def read_two_time(path: str | Path):
@@ -431,45 +537,42 @@ def read_two_time(path: str | Path):
     and (s, t) index.
     """
     import numpy as np
-    fmt = np.lib.format
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            try:  # np.save writes a 2-D array's header as version 1.0
-                version = fmt.read_magic(f)
-                if version != (1, 0):
-                    raise ValueError(f".npy version {version}, expected (1, 0)")
-                shape, fortran, dtype = fmt.read_array_header_1_0(f)
-            except ValueError as e:
-                raise ParseError(f"{path}: not a readable .npy header: {e}") from None
-            m = shape[0] if len(shape) == 2 else -1
-            if dtype != np.float64 or fortran or shape != (m, m + 1):
-                raise ParseError(
-                    f"{path}: expected a C-order float64 (n + 1, n + 2) "
-                    f"triangle pack, got {dtype} {shape}"
-                    + (" in Fortran order" if fortran else ""))
-            size, need = os.fstat(f.fileno()).st_size, f.tell() + 8 * m * (m + 1)
-            if size != need:
-                raise ParseError(f"{path}: {size} bytes, the header's {shape} "
-                                 f"float64 array needs {need}")
-            R, C = np.zeros((m, m)), np.empty((m, m))
-            for b in range(0, m, _PACK_ROWS):
-                e = min(b + _PACK_ROWS, m)
-                blk = np.fromfile(f, dtype=np.float64, count=(e - b) * (m + 1))
-                blk = blk.reshape(e - b, m + 1)
-                if not np.isfinite(blk).all():
-                    k, j = np.argwhere(~np.isfinite(blk))[0]
-                    s = b + k
-                    where = f"R({s}, {j})" if j <= s else f"C({s}, {j - 1})"
-                    raise ParseError(f"{path}: non-finite value {blk[k, j]} at {where}")
-                for k, i in enumerate(range(b, e)):
-                    R[i, :i + 1] = blk[k, :i + 1]
-                    C[i, i:] = blk[k, i + 1:]
-                    C[i, b:i] = C[b:i, i]
-                C[b:e, :b] = C[:b, b:e].T
-    except OSError as e:
-        raise ParseError(f"{path}: not readable: {e}") from None
+    blocks = _read_pack(Path(path), "(n + 1, n + 2) triangle pack", _pack_rows,
+                        lambda i, m: i * (m + 1),
+                        lambda s, j: f"R({s}, {j})" if j <= s else f"C({s}, {j - 1})")
+    m = next(blocks)
+    R, C = np.zeros((m, m)), np.empty((m, m))
+    for b, e, blk in blocks:
+        blk = blk.reshape(e - b, m + 1)
+        for k, i in enumerate(range(b, e)):
+            R[i, :i + 1] = blk[k, :i + 1]
+            C[i, i:] = blk[k, i + 1:]
+            C[i, b:i] = C[b:i, i]
+        C[b:e, :b] = C[:b, b:e].T
     return R, C
+
+
+def read_symmetric(path: str | Path):
+    """The (S, S) symmetric C of a C_N.npy written by a simulate run, bit
+    for bit, or ParseError.
+
+    The file holds C(s, t) for t <= s, row by row (see _write_symmetric); it is
+    checked as read_two_time checks RC.npy, then unpacked block by block
+    and mirrored.
+    """
+    import numpy as np
+    blocks = _read_pack(Path(path), "(S (S + 1) / 2,) lower triangle", _square_rows,
+                        lambda i, m: i * (i + 1) // 2, "C({}, {})".format)
+    S = next(blocks)
+    C = np.empty((S, S))
+    for b, e, blk in blocks:
+        n = 0
+        for s in range(b, e):
+            C[s, :s + 1] = blk[n:n + s + 1]
+            C[b:s, s] = C[s, b:s]
+            n += s + 1
+        C[:b, b:e] = C[b:e, :b].T
+    return C
 
 
 def save_bundle(bundle, out: Path) -> None:
@@ -639,14 +742,13 @@ def _run_simulate(cfg: RunConfig, out: Path):
         extra["error_functional"] = err
     t5 = time.monotonic()
 
-    K_avg = traj.K.mean(axis=1)
-    write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N", "K_N"),
-                     (traj.times, emp.q_avg, emp.H_avg, K_avg))
+    write_series_csv(out / "snapshots.csv", ("t", "q_N", "H_N"),
+                     (traj.times, emp.q_avg, emp.H_avg))
     reps, snaps = emp.q.shape  # replica-major rows
     write_series_csv(out / "per_replica.csv", ("replica", "t", "q_N", "H_N", "K_N"),
                      (np.repeat(np.arange(reps), snaps), np.tile(traj.times, reps),
                       emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
-    np.save(out / "C_N.npy", emp.C_avg)
+    _write_symmetric(out / "C_N.npy", emp.C_avg)
     np.save(out / "chi_N.npy", emp.chi_avg)
     if cfg.grid is not None:
         _write_json(out / "report.json", {

@@ -13,12 +13,14 @@ import pytest
 
 import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
-                          read_series_csv, read_two_time, save_bundle,
-                          write_matrix_csv, write_series_csv)
+                          read_series_csv, read_symmetric, read_two_time,
+                          save_bundle, write_matrix_csv, write_series_csv)
 from spinband.errors import GridMismatch, ParseError, ValidationError
 
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.625, "G_star": 1.25}
+P3_MODEL = {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
+            "E_star": 0.2, "G_star": 0.6}
 
 SOLVE_FILES = {"metadata.json", "RC.npy", "series.csv", "invariants.json"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -654,19 +656,20 @@ def test_simulate_run(tmp_path):
     snaps = read_series_csv(out / "snapshots.csv")
     assert snaps["t"].size == 11
     assert abs(snaps["q_N"][0] - 0.5) <= 1e-12
-    C = np.load(out / "C_N.npy")
+    C = read_symmetric(out / "C_N.npy")
+    assert C.shape == (11, 11)
     assert abs(C[0, 0] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("model, grid", [
     (SK_MODEL, {"T": 0.2, "h": 0.02}),
-    ({"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
-      "E_star": 0.2, "G_star": 0.6}, None),
+    (P3_MODEL, None),
 ], ids=["p2-grid", "p3-no-grid"])
 def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid):
     """C_N.npy and chi_N.npy hold, byte for byte, the replica-averaged C and
-    chi of the same run recomputed in-process: C-order float64 (S, S)
-    arrays, with C bitwise symmetric."""
+    chi of the same run recomputed in-process: C's lower triangle row by
+    row, an (S (S + 1) / 2,) C-order float64 array that read_symmetric
+    mirrors, and chi as an (S, S) one."""
     from spinband.model import SimConfig
     from spinband.simulate import (condition_disorder, empirical_observables,
                                    run_langevin, sample_disorder)
@@ -684,14 +687,115 @@ def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid)
     emp = empirical_observables(traj)
     S = traj.times.size
     assert S == 11
-    for name, want in (("C_N.npy", emp.C_avg), ("chi_N.npy", emp.chi_avg)):
+    for name, size in (("C_N.npy", (S * (S + 1) // 2,)), ("chi_N.npy", (S, S))):
         with open(out / name, "rb") as f:
             assert np.lib.format.read_magic(f) == (1, 0)
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-        assert (shape, fortran, dtype) == ((S, S), False, np.float64)
-        assert np.load(out / name).tobytes() == want.tobytes()
-    C = np.load(out / "C_N.npy")
-    assert np.array_equal(C.view(np.uint64), C.T.view(np.uint64))
+        assert (shape, fortran, dtype) == (size, False, np.float64)
+    assert np.load(out / "C_N.npy").tobytes() == emp.C_avg[np.tril_indices(S)].tobytes()
+    assert read_symmetric(out / "C_N.npy").tobytes() == emp.C_avg.tobytes()
+    assert np.load(out / "chi_N.npy").tobytes() == emp.chi_avg.tobytes()
+
+
+@pytest.mark.parametrize("S", [11, 45])
+@pytest.mark.parametrize("model", [SK_MODEL, P3_MODEL], ids=["p2", "p3"])
+def test_c_n_diagonal_is_the_mean_radius(tmp_path, model, S):
+    """snapshots.csv stores no K_N, because C_N.npy's diagonal is the
+    replica mean of the run's radii |x|^2/N bit for bit: at 11 snapshots
+    (one row tile) and at 45 (a second, partial tile).  per_replica.csv
+    keeps each replica's K_N."""
+    from spinband.model import SimConfig
+    from spinband.simulate import condition_disorder, run_langevin, sample_disorder
+    sim = {"N": 40, "dt": 0.005, "T": 0.005 * (S - 1), "seed": 4, "disorder_seed": 9,
+           "replicas": 3, "snap_stride": 1}
+    cfg_path = write_cfg(tmp_path, "sim.json", {
+        "model": model, "constraint": {"kind": "soft", "L": 100.0, "k": 1}, "sim": sim})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = parse_config(cfg_path, "simulate")
+    J = condition_disorder(sample_disorder(40, cfg.nu, 9), cfg.params)
+    traj = run_langevin(J, cfg.params, SimConfig(**{k: v for k, v in sim.items()
+                                                    if k != "disorder_seed"}))
+    assert traj.times.size == S
+    K_N = np.diag(read_symmetric(out / "C_N.npy"))
+    assert K_N.tobytes() == traj.K.mean(axis=1).tobytes()
+    assert list(read_series_csv(out / "snapshots.csv")) == ["t", "q_N", "H_N"]
+    assert read_series_csv(out / "per_replica.csv")["K_N"].tobytes() == traj.K.T.tobytes()
+
+
+def _not_symmetric(path, C):
+    from spinband.cli import _write_symmetric
+    C[7, 2] = 0.25
+    _write_symmetric(path, C)
+
+
+def _square(path, C):
+    np.save(path, C)  # the old layout
+
+
+def _one_entry_short(path, C):
+    np.save(path, np.load(path)[:-1])
+
+
+def _truncated(path, C):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _nan_entry(path, C):
+    lower = np.load(path)
+    lower[7 * 8 // 2 + 3] = np.nan  # row 7 starts at entry 7 * 8 / 2
+    np.save(path, lower)
+
+
+@pytest.mark.parametrize("damage, error, message", [
+    (_not_symmetric, ValidationError, "but C(7, 2) = 0.25"),
+    (_square, ParseError, "expected a C-order float64 (S (S + 1) / 2,) lower "
+                          "triangle, got float64 (11, 11)"),
+    (_one_entry_short, ParseError, "lower triangle, got float64 (65,)"),
+    (_truncated, ParseError, "556 bytes, the header's (66,) float64 array needs 656"),
+    (_nan_entry, ParseError, "non-finite value nan at C(7, 3)")])
+def test_c_n_pack_refuses_what_it_cannot_restore(tmp_path, damage, error, message):
+    """The writer refuses a C that is not bitwise symmetric and leaves no
+    file; the reader rejects, naming the file, what read_two_time rejects
+    in an RC.npy: another layout (the old (S, S) square among them), a
+    size the header does not give, and a non-finite entry."""
+    from spinband.cli import _write_symmetric
+    path = tmp_path / "C_N.npy"
+    x = np.random.default_rng(5).standard_normal(11)
+    C = np.add.outer(x, x)
+    _write_symmetric(path, C)
+    assert read_symmetric(path).tobytes() == C.tobytes()
+    with pytest.raises(error, match=re.escape(message)) as info:
+        damage(path, C)
+        read_symmetric(path)
+    if error is ParseError:
+        assert str(info.value).startswith(f"{path}: ")
+    else:
+        assert not path.exists()
+
+
+def test_c_n_pack_streams_at_3001_snapshots(tmp_path):
+    """Writing the C_N of 3001 snapshots (a T = 30 run at h = 0.01) and
+    reading it back allocate at most one _PACK_ROWS row block beyond the
+    input and the returned square, and the file holds half the square."""
+    import tracemalloc
+    from spinband.cli import _PACK_ROWS, _write_symmetric
+    S, path = 3001, tmp_path / "C_N.npy"
+    x = np.random.default_rng(3).standard_normal(S)
+    C = np.add.outer(x, x)
+    tracemalloc.start()
+    try:
+        _write_symmetric(path, C)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_symmetric(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - back.nbytes
+    finally:
+        tracemalloc.stop()
+    block = 8 * _PACK_ROWS * S
+    assert write_peak <= block and read_peak <= block, (write_peak, read_peak, block)
+    assert back.tobytes() == C.tobytes()
+    assert path.stat().st_size == 128 + 8 * S * (S + 1) // 2  # 36 MB, the square 72
 
 
 def test_simulate_refuses_oversize_snapshots_before_sampling(tmp_path, capsys,
@@ -1170,13 +1274,18 @@ def test_readme_names_every_audit_and_diagnostic_key(tmp_path):
 def test_readme_python_examples_run(tmp_path, monkeypatch):
     """Every ```python block of the README runs, in order and in one
     namespace, from a directory where a small solve-hard run wrote the
-    `rundir` the reload examples read."""
+    `rundir` and a small simulate run the `simdir` that the reload
+    examples read."""
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
                         flags=re.DOTALL)
-    assert len(blocks) >= 5
+    assert len(blocks) >= 6
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, "run.json", solve_cfg())
     assert main(["solve-hard", "--config", str(cfg), "--out", "rundir"]) == 0
+    sim = write_cfg(tmp_path, "sim.json", solve_cfg(
+        grid={"T": 0.1, "h": 0.02}, constraint={"kind": "soft", "L": 100.0, "k": 1},
+        sim={"N": 8, "dt": 0.002, "seed": 1, "replicas": 2}))
+    assert main(["simulate", "--config", str(sim), "--out", "simdir"]) == 0
     namespace = {"__name__": "readme"}
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
