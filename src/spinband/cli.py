@@ -2,19 +2,23 @@
 
 Commands:
 
-* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes four files
-  (metadata.json, RC.npy, series.csv, invariants.json).
+* ``solve-hard`` / ``solve-soft`` -- two-time solve; writes five files
+  (metadata.json, R.npy, C.npy, series.csv, invariants.json).
 * ``fdt``       -- lag-grid solve plus the derived constants.
-* ``sk``        -- two-body closed-form solve; writes metadata.json, RC.npy,
-  series.csv and constants.json.
+* ``sk``        -- two-body closed-form solve; writes metadata.json, R.npy,
+  C.npy, series.csv and constants.json.
 * ``simulate``  -- conditioned finite-N Langevin runs; writes metadata.json,
   snapshots.csv, per_replica.csv, C_N.npy and chi_N.npy (the replica-averaged
-  empirical C and chi for S snapshots: C's lower triangle row by row, read
-  back with read_symmetric, and chi as a float64 (S, S) array, read back
-  with np.load) and, with a grid block, report.json.  The mean radius K_N
-  is C_N's diagonal, so only per_replica.csv stores K_N.
+  empirical C and chi for S snapshots; chi as a float64 (S, S) array, read
+  back with np.load) and, with a grid block, report.json.  The mean radius
+  K_N is C_N's diagonal, so only per_replica.csv stores K_N.
 * ``compare``   -- two solves on one grid, sup-norm gap report.
 * ``report``    -- reload a finished run directory and re-audit it.
+
+Every two-time matrix (R.npy, C.npy, C_N.npy) is stored once, as its lower
+triangle t <= s row by row: R is zero above the diagonal and C symmetric.
+``_write_triangle`` writes that layout and ``read_triangle`` reads it back
+bit for bit.
 
 ``parse_config`` makes every config value a typed value under one number
 rule (``_number``) and runs every check, so a rejected config leaves no run
@@ -46,7 +50,7 @@ from .errors import NoBranch, ParseError, SpinbandError, ValidationError
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _PROC_STATUS = Path("/proc/self/status")  # Linux per-process counters
-_PACK_ROWS = 64  # RC.npy rows written or read per block
+_PACK_ROWS = 64  # rows of a two-time matrix written or read per block
 
 
 # --------------------------------------------------------------------------
@@ -370,21 +374,12 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
-def _write_npy(path: Path, shape: tuple, blocks) -> None:
-    """A C-order float64 .npy of ``shape`` whose data are the arrays that
-    ``blocks`` yields, in order; a ValidationError raised while they are
-    made leaves no file behind."""
-    import numpy as np
-    try:
-        with open(path, "wb") as f:
-            np.lib.format.write_array_header_1_0(f, {
-                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-                "fortran_order": False, "shape": shape})
-            for blk in blocks:
-                f.write(blk)
-    except ValidationError:
-        path.unlink()
-        raise
+def _blocks(S: int):
+    """(b, e, lo, hi) for each block of _PACK_ROWS rows b..e-1 of an S-row
+    lower triangle: stored row by row, those rows are entries lo..hi-1."""
+    for b in range(0, S, _PACK_ROWS):
+        e = min(b + _PACK_ROWS, S)
+        yield b, e, b * (b + 1) // 2, e * (e + 1) // 2
 
 
 def _check_mirror(C, b: int, e: int) -> None:
@@ -403,121 +398,45 @@ def _check_mirror(C, b: int, e: int) -> None:
                                   f"C({t}, {s}) = {float(C[t, s])!r}")
 
 
-def _write_two_time(out: Path, R, C) -> None:
-    """RC.npy: R and C packed on the triangle t <= s, streamed in row blocks.
+def _write_triangle(path: Path, M, symmetric: bool) -> None:
+    """An (S, S) two-time matrix stored once: its entries M(s, t) for
+    t <= s, row by row, as a C-order float64 .npy of shape (S (S + 1) / 2,).
 
-    A float64 array of shape (n+1, n+2) in numpy's .npy format whose row i
-    holds R[i, 0..i] followed by C[i, i..n], so both diagonals are stored.
-    R is an array, or a callable that builds the rows of a slice (such as
-    sk.SkSolution.R_rows), read one block at a time.  R must be exactly zero
-    above the diagonal and C exactly symmetric (bit for bit), or
-    ValidationError names the first entry that would be lost and no RC.npy
-    is left behind.  No (n+1)^2 temporary is built.
+    M is an array, or (for R) a callable that builds the rows of a slice,
+    such as sk.SkSolution.R_rows.  It is read and written one block of
+    _PACK_ROWS rows at a time, so no S x S temporary is built.  The half
+    left out must be what read_triangle restores, bit for bit: the mirror
+    for a ``symmetric`` M (C), else zeros (R).  Otherwise ValidationError
+    names the first entry that would be lost and no file is left behind.
     """
     import numpy as np
 
     from .volterra import _row_block
-    C = np.asarray(C, dtype=np.float64)
-    m = C.shape[0]
-    R = R if callable(R) else np.asarray(R, dtype=np.float64)
-    R_shape = (m, m) if callable(R) else R.shape
-    if R_shape != (m, m) or C.shape != (m, m):
-        raise ValidationError(f"R {R_shape} and C {C.shape} must be one square shape")
-
-    def rows():
-        buf = np.empty((min(_PACK_ROWS, m), m + 1))
-        for b in range(0, m, _PACK_ROWS):
-            e = min(b + _PACK_ROWS, m)
-            Rblk = _row_block(R, slice(b, e))
-            Rbits = Rblk.view(np.uint64)
-            for k, i in enumerate(range(b, e)):
-                if Rbits[k, i + 1:].any():
-                    j = i + 1 + int(Rbits[k, i + 1:].argmax())
-                    raise ValidationError(
-                        f"R({i}, {j}) = {float(Rblk[k, j])!r} lies above the diagonal")
-                buf[k, :i + 1] = Rblk[k, :i + 1]
-                buf[k, i + 1:] = C[i, i:]
-            _check_mirror(C, b, e)
-            yield buf[:e - b]
-
-    _write_npy(out / "RC.npy", (m, m + 1), rows())
-
-
-def _write_symmetric(path: Path, C) -> None:
-    """A symmetric C stored once: its entries C(s, t) for t <= s, row by
-    row, as a C-order float64 .npy of shape (S (S + 1) / 2,).
-
-    C must be square and exactly symmetric (bit for bit), or
-    ValidationError names the first entry that would be lost and no file is
-    left behind.  Each block of _PACK_ROWS rows is checked before its rows
-    are written, straight from C: no S x S temporary is built."""
-    import numpy as np
-    C = np.ascontiguousarray(C, dtype=np.float64)
-    S = C.shape[0]
-    if C.shape != (S, S):
-        raise ValidationError(f"C {C.shape} must be square")
-
-    def rows():
-        for b in range(0, S, _PACK_ROWS):
-            e = min(b + _PACK_ROWS, S)
-            _check_mirror(C, b, e)
-            yield from (C[s, :s + 1] for s in range(b, e))
-
-    _write_npy(path, (S * (S + 1) // 2,), rows())
-
-
-def _read_pack(path: Path, layout: str, rows, start, name):
-    """Read a C-order float64 .npy pack of row-major rows: yield its row
-    count m, then (b, e, the flat entries of rows b..e-1) for blocks of
-    _PACK_ROWS rows, each in the one buffer that the next block overwrites.
-
-    ``rows(shape)`` is m for a shape of the pack's ``layout``, else None,
-    and row i starts at entry ``start(i, m)``.  The header (float64, C
-    order, that shape) and the file size are checked before anything is
-    allocated; ParseError names the file, and a non-finite entry by
-    ``name(row, index in its row)``.
-    """
-    import numpy as np
-    fmt = np.lib.format
+    M = M if callable(M) else np.asarray(M, dtype=np.float64)
+    S = _row_block(M, slice(0, 0)).shape[-1]
+    if not callable(M) and M.shape != (S, S):
+        raise ValidationError(f"{path.name}: {M.shape} is not a square shape")
     try:
-        with open(path, "rb") as f:
-            try:  # np.save writes a 1-D or 2-D array's header as version 1.0
-                version = fmt.read_magic(f)
-                if version != (1, 0):
-                    raise ValueError(f".npy version {version}, expected (1, 0)")
-                shape, fortran, dtype = fmt.read_array_header_1_0(f)
-            except ValueError as e:
-                raise ParseError(f"{path}: not a readable .npy header: {e}") from None
-            m = None if dtype != np.float64 or fortran else rows(shape)
-            if m is None:
-                raise ParseError(
-                    f"{path}: expected a C-order float64 {layout}, got {dtype} {shape}"
-                    + (" in Fortran order" if fortran else ""))
-            size, need = os.fstat(f.fileno()).st_size, f.tell() + 8 * start(m, m)
-            if size != need:
-                raise ParseError(f"{path}: {size} bytes, the header's {shape} "
-                                 f"float64 array needs {need}")
-            yield m
-            starts = start(np.arange(m + 1), m)
-            buf = np.empty(int(np.diff(starts[::_PACK_ROWS], append=starts[-1]).max()))
-            for b in range(0, m, _PACK_ROWS):
-                e = min(b + _PACK_ROWS, m)
-                blk = buf[:starts[e] - starts[b]]
-                f.readinto(blk)
-                # min and max carry a NaN: no temporary the size of the block
-                if not (math.isfinite(blk.min()) and math.isfinite(blk.max())):
-                    i = int(starts[b] + np.argmax(~np.isfinite(blk)))
-                    s = int(np.searchsorted(starts, i, "right")) - 1
-                    raise ParseError(f"{path}: non-finite value {blk[i - starts[b]]} "
-                                     f"at {name(s, i - int(starts[s]))}")
-                yield b, e, blk
-    except OSError as e:
-        raise ParseError(f"{path}: not readable: {e}") from None
-
-
-def _pack_rows(shape):
-    """m for the (m, m + 1) pack of RC.npy, else None."""
-    return shape[0] if len(shape) == 2 and shape[1] == shape[0] + 1 >= 1 else None
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                "fortran_order": False, "shape": (S * (S + 1) // 2,)})
+            for b, e, _, _ in _blocks(S):
+                rows = _row_block(M, slice(b, e))
+                if symmetric:
+                    _check_mirror(M, b, e)
+                bits = rows.view(np.uint64)
+                for k, s in enumerate(range(b, e)):
+                    if not symmetric and bits[k, s + 1:].any():
+                        t = s + 1 + int(bits[k, s + 1:].argmax())
+                        raise ValidationError(
+                            f"R({s}, {t}) = {float(rows[k, t])!r} lies above the diagonal")
+                # one write per block, not one per row; the block's buffer is
+                # made after its checks, so their temporaries are gone
+                f.write(np.concatenate([row[:s + 1] for s, row in enumerate(rows, b)]))
+    except ValidationError:
+        path.unlink()
+        raise
 
 
 def _square_rows(shape):
@@ -528,57 +447,65 @@ def _square_rows(shape):
     return S if S * (S + 1) // 2 == shape[0] else None
 
 
-def read_two_time(path: str | Path):
-    """(R, C) from an RC.npy written by a solve or sk run, or ParseError.
+def read_triangle(path: str | Path, symmetric: bool):
+    """The (S, S) matrix of an R.npy, C.npy or C_N.npy, bit for bit, or
+    ParseError naming the file.
 
-    Checks the header (float64, C order, shape (m, m+1)) and the file size
-    before reading, then unpacks block by block: R with zeros above the
-    diagonal, C mirrored.  A non-finite entry is rejected with its matrix
-    and (s, t) index.
+    The file holds M(s, t) for t <= s, row by row (see _write_triangle).
+    The header (float64, C order, shape (S (S + 1) / 2,)) and the file size
+    are checked before anything is allocated, then the rows are read block
+    by block: a ``symmetric`` M (C, C_N) is mirrored, any other (R) is zero
+    above the diagonal.  A non-finite entry is rejected with its (s, t).
     """
     import numpy as np
-    blocks = _read_pack(Path(path), "(n + 1, n + 2) triangle pack", _pack_rows,
-                        lambda i, m: i * (m + 1),
-                        lambda s, j: f"R({s}, {j})" if j <= s else f"C({s}, {j - 1})")
-    m = next(blocks)
-    R, C = np.zeros((m, m)), np.empty((m, m))
-    for b, e, blk in blocks:
-        blk = blk.reshape(e - b, m + 1)
-        for k, i in enumerate(range(b, e)):
-            R[i, :i + 1] = blk[k, :i + 1]
-            C[i, i:] = blk[k, i + 1:]
-            C[i, b:i] = C[b:i, i]
-        C[b:e, :b] = C[:b, b:e].T
-    return R, C
-
-
-def read_symmetric(path: str | Path):
-    """The (S, S) symmetric C of a C_N.npy written by a simulate run, bit
-    for bit, or ParseError.
-
-    The file holds C(s, t) for t <= s, row by row (see _write_symmetric); it is
-    checked as read_two_time checks RC.npy, then unpacked block by block
-    and mirrored.
-    """
-    import numpy as np
-    blocks = _read_pack(Path(path), "(S (S + 1) / 2,) lower triangle", _square_rows,
-                        lambda i, m: i * (i + 1) // 2, "C({}, {})".format)
-    S = next(blocks)
-    C = np.empty((S, S))
-    for b, e, blk in blocks:
-        n = 0
-        for s in range(b, e):
-            C[s, :s + 1] = blk[n:n + s + 1]
-            C[b:s, s] = C[s, b:s]
-            n += s + 1
-        C[:b, b:e] = C[b:e, :b].T
-    return C
+    fmt = np.lib.format
+    path = Path(path)
+    try:
+        with open(path, "rb") as f:
+            try:  # np.save writes a 1-D or 2-D array's header as version 1.0
+                version = fmt.read_magic(f)
+                if version != (1, 0):
+                    raise ValueError(f".npy version {version}, expected (1, 0)")
+                shape, fortran, dtype = fmt.read_array_header_1_0(f)
+            except ValueError as e:
+                raise ParseError(f"{path}: not a readable .npy header: {e}") from None
+            S = None if dtype != np.float64 or fortran else _square_rows(shape)
+            if S is None:
+                raise ParseError(
+                    f"{path}: expected a C-order float64 (S (S + 1) / 2,) lower "
+                    f"triangle, got {dtype} {shape}" + (" in Fortran order" if fortran else ""))
+            size, need = os.fstat(f.fileno()).st_size, f.tell() + 8 * shape[0]
+            if size != need:
+                raise ParseError(f"{path}: {size} bytes, the header's {shape} "
+                                 f"float64 array needs {need}")
+            M = np.empty((S, S)) if symmetric else np.zeros((S, S))
+            buf = np.empty(max((hi - lo for _, _, lo, hi in _blocks(S)), default=0))
+            for b, e, lo, hi in _blocks(S):
+                blk = buf[:hi - lo]
+                f.readinto(blk)
+                # min and max carry a NaN: no temporary the size of the block
+                if not (math.isfinite(blk.min()) and math.isfinite(blk.max())):
+                    i = lo + int(np.argmax(~np.isfinite(blk)))
+                    s = (math.isqrt(8 * i + 1) - 1) // 2
+                    raise ParseError(f"{path}: non-finite value {blk[i - lo]} at "
+                                     f"{'C' if symmetric else 'R'}({s}, {i - s * (s + 1) // 2})")
+                for s in range(b, e):
+                    o = s * (s + 1) // 2 - lo  # row s starts at entry s (s + 1) / 2
+                    M[s, :s + 1] = blk[o:o + s + 1]
+                    if symmetric:
+                        M[b:s, s] = M[s, b:s]
+                if symmetric:
+                    M[:b, b:e] = M[b:e, :b].T
+    except OSError as e:
+        raise ParseError(f"{path}: not readable: {e}") from None
+    return M
 
 
 def save_bundle(bundle, out: Path) -> None:
-    """Write RC.npy (R and C on the triangle, so K = C(s, s) too) and
-    series.csv for a bundle."""
-    _write_two_time(out, bundle.R, bundle.C)
+    """Write R.npy and C.npy (each its lower triangle, so K = C(s, s) too)
+    and series.csv for a bundle."""
+    _write_triangle(out / "R.npy", bundle.R, False)
+    _write_triangle(out / "C.npy", bundle.C, True)
     write_series_csv(out / "series.csv", ("t", "q", "mu", "H", "Hhat"),
                      (bundle.grid.times(), bundle.q, bundle.mu, bundle.H,
                       bundle.Hhat))
@@ -591,16 +518,16 @@ def load_bundle(rundir: str | Path):
     K of older runs) is ignored.  Raises ParseError naming the first
     missing file or series column, so a directory written by another
     command is rejected cleanly, and naming the file for a metadata.json
-    that holds no JSON object, a damaged line, a short series or an
-    RC.npy that read_two_time rejects, that does not
-    match the grid, or whose diagonal R(s,s) (and C(s,s) on the hard
-    sphere) is not the 1 that every solve writes, bit for bit.
+    that holds no JSON object, a damaged line, a short series, or an
+    R.npy or C.npy that read_triangle rejects, that does not match the
+    grid, or whose diagonal R(s,s) (and C(s,s) on the hard sphere) is not
+    the 1 that every solve writes, bit for bit.
     """
     import numpy as np
     from .volterra import TwoTimeBundle
 
     rundir = Path(rundir)
-    for name in ("metadata.json", "series.csv", "RC.npy"):
+    for name in ("metadata.json", "series.csv", "R.npy", "C.npy"):
         if not (rundir / name).exists():
             raise ParseError(f"{rundir}: no {name} (not a solve-hard/solve-soft run)")
     meta = _read_json_object(rundir / "metadata.json")
@@ -614,19 +541,19 @@ def load_bundle(rundir: str | Path):
     if series["q"].shape[0] != grid.n + 1:
         raise ParseError(f"{rundir / 'series.csv'}: {series['q'].shape[0]} rows, "
                          f"the grid needs n + 1 = {grid.n + 1}")
-    R, C = read_two_time(rundir / "RC.npy")
-    if R.shape[0] != grid.n + 1:
-        raise ParseError(f"{rundir / 'RC.npy'}: {R.shape[0]} rows, "
-                         f"the grid needs n + 1 = {grid.n + 1}")
-    hard = params.confinement.is_hard
-    ok = np.diag(R) == 1.0
-    if hard:  # |x|^2 = N: K = C(s, s) is 1
-        ok &= np.diag(C) == 1.0
-    if not ok.all():
-        s = int(np.argmin(ok))
-        raise ParseError(f"{rundir / 'RC.npy'}: R({s}, {s}) = {float(R[s, s])}"
-                         + (f" and C({s}, {s}) = {float(C[s, s])}" if hard else "")
-                         + ", but a solve writes 1")
+    R = read_triangle(rundir / "R.npy", False)
+    C = read_triangle(rundir / "C.npy", True)
+    # R(s, s) is 1, and on the hard sphere |x|^2 = N: K = C(s, s) is 1
+    for name, M, unit in (("R", R, True), ("C", C, params.confinement.is_hard)):
+        path = rundir / f"{name}.npy"
+        if M.shape[0] != grid.n + 1:
+            raise ParseError(f"{path}: {M.shape[0]} rows, "
+                             f"the grid needs n + 1 = {grid.n + 1}")
+        ok = np.diag(M) == 1.0
+        if unit and not ok.all():
+            s = int(np.argmin(ok))
+            raise ParseError(f"{path}: {name}({s}, {s}) = {float(M[s, s])}, "
+                             "but a solve writes 1")
     bundle = TwoTimeBundle(
         grid=grid, R=R, C=C,
         q=series["q"], mu=series["mu"],
@@ -693,7 +620,8 @@ def _run_sk(cfg: RunConfig, out: Path):
 
     pars = cfg.sk
     sol = solve_two_time(pars, cfg.grid)
-    _write_two_time(out, sol.R_rows, sol.C)
+    _write_triangle(out / "R.npy", sol.R_rows, False)
+    _write_triangle(out / "C.npy", sol.C, True)
     write_series_csv(out / "series.csv", ("t", "q", "mu", "H"),
                      (cfg.grid.times(), sol.q, sol.mu, sol.H))
     del sol  # the superposition audit holds three (n+1)^2 marches of its own
@@ -748,7 +676,7 @@ def _run_simulate(cfg: RunConfig, out: Path):
     write_series_csv(out / "per_replica.csv", ("replica", "t", "q_N", "H_N", "K_N"),
                      (np.repeat(np.arange(reps), snaps), np.tile(traj.times, reps),
                       emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
-    _write_symmetric(out / "C_N.npy", emp.C_avg)
+    _write_triangle(out / "C_N.npy", emp.C_avg, True)
     np.save(out / "chi_N.npy", emp.chi_avg)
     if cfg.grid is not None:
         _write_json(out / "report.json", {
@@ -820,7 +748,10 @@ def run(cfg: RunConfig, out: str | Path) -> int:
     """Execute a parsed config into ``out``; 0, or 2 when a gate failed."""
     t0 = time.monotonic()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file, or a path under one
+        raise ParseError(f"{out}: not a usable output directory: {e}") from None
     passed, extra = _DISPATCH[cfg.command](cfg, out)
     _write_json(out / "metadata.json", _meta(cfg, time.monotonic() - t0, extra))
     return 0 if passed else 2

@@ -13,8 +13,8 @@ import pytest
 
 import spinband
 from spinband.cli import (load_bundle, main, parse_config, read_matrix_csv,
-                          read_series_csv, read_symmetric, read_two_time,
-                          save_bundle, write_matrix_csv, write_series_csv)
+                          read_series_csv, read_triangle, save_bundle,
+                          write_matrix_csv, write_series_csv)
 from spinband.errors import GridMismatch, ParseError, ValidationError
 
 SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
@@ -22,7 +22,7 @@ SK_MODEL = {"coeffs_sq": [0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
 P3_MODEL = {"coeffs_sq": [0.0, 0.125], "beta": 1.0, "q_star": 1.0, "q_o": 0.5,
             "E_star": 0.2, "G_star": 0.6}
 
-SOLVE_FILES = {"metadata.json", "RC.npy", "series.csv", "invariants.json"}
+SOLVE_FILES = {"metadata.json", "R.npy", "C.npy", "series.csv", "invariants.json"}
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,11 +55,13 @@ def test_solve_hard_run(tmp_path):
     assert meta["command"] == "solve-hard"
     assert meta["constraint"] == "hard"
     assert meta["config"]["model"]["beta"] == 1.0
-    # one float64 .npy, row i = R[i, 0..i] then C[i, i..n]: both diagonals
-    RC = np.load(out / "RC.npy", allow_pickle=False)
-    assert RC.dtype == np.float64 and RC.shape == (51, 52)
+    # R and C each a 1-D float64 .npy of M(s, 0..s), row by row; row s
+    # ends at its diagonal, entry s (s + 3) / 2
     rows = np.arange(51)
-    assert (RC[rows, rows] == 1.0).all() and (RC[rows, rows + 1] == 1.0).all()
+    for name in ("R.npy", "C.npy"):
+        tri = np.load(out / name, allow_pickle=False)
+        assert tri.dtype == np.float64 and tri.shape == (51 * 52 // 2,)
+        assert (tri[rows * (rows + 3) // 2] == 1.0).all()
 
 
 def test_solve_records_phase_timings(tmp_path):
@@ -82,7 +84,7 @@ def test_artifacts_roundtrip_bitwise(tmp_path):
     again = tmp_path / "again"
     again.mkdir()
     save_bundle(bundle, again)
-    for name in ("RC.npy", "series.csv"):
+    for name in ("R.npy", "C.npy", "series.csv"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
     # .npy and the 17-digit series dump reproduce every float64 exactly
     from spinband.volterra import solve_hard
@@ -116,7 +118,7 @@ def test_rerun_from_metadata_echo(tmp_path):
     cfg2 = write_cfg(tmp_path, "echo.json", echo)
     out2 = tmp_path / "two"
     assert main(["solve-hard", "--config", str(cfg2), "--out", str(out2)]) == 0
-    for name in ("RC.npy", "series.csv", "invariants.json"):
+    for name in ("R.npy", "C.npy", "series.csv", "invariants.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -301,58 +303,23 @@ def test_a_directory_in_place_of_a_json_file_is_a_parse_error(tmp_path, capsys, 
     assert not (tmp_path / "rep" / "report.json").exists()
 
 
-def _truncate_100_bytes(path):
-    path.write_bytes(path.read_bytes()[:-100])
-    return "21244 bytes, the header's (51, 52) float64 array needs 21344"
-
-
-def _resave_unpacked(path):
-    np.save(path, read_two_time(path)[1])  # the old layout: full (n+1, n+1) C
-    return "expected a C-order float64 (n + 1, n + 2) triangle pack, got float64 (51, 51)"
-
-
-def _resave_as_float32(path):
-    np.save(path, np.load(path).astype(np.float32))
-    return "triangle pack, got float32 (51, 52)"
-
-
-def _resave_as_object(path):
-    np.save(path, np.load(path).astype(object))
-    return "triangle pack, got object (51, 52)"
-
-
-def _nan_in_the_r_part(path):
-    RC = np.load(path)
-    RC[7, 3] = np.nan
-    np.save(path, RC)
-    return "non-finite value nan at R(7, 3)"
-
-
-def _nan_in_the_c_part(path):
-    RC = np.load(path)
-    RC[3, 7] = np.nan  # row 3 holds C[3, 3..50] from column 4 on
-    np.save(path, RC)
-    return "non-finite value nan at C(3, 6)"
-
-
-def _pack_for_another_grid(path):
-    R, C = read_two_time(path)
-    from spinband.cli import _write_two_time
-    _write_two_time(path.parent, R[:41, :41], C[:41, :41])
+def _triangle_for_another_grid(path):
+    from spinband.cli import _write_triangle
+    _write_triangle(path, read_triangle(path, False)[:41, :41], False)
     return "41 rows, the grid needs n + 1 = 51"
 
 
 def _r_diagonal_one_ulp_high(path):
-    RC = np.load(path)
-    RC[3, 3] = np.nextafter(1.0, 2.0)  # row 3 holds R[3, 0..3], then C[3, 3..50]
-    np.save(path, RC)
-    return "R(3, 3) = 1.0000000000000002 and C(3, 3) = 1.0, but a solve writes 1"
+    tri = np.load(path)
+    tri[3 * 4 // 2 + 3] = np.nextafter(1.0, 2.0)  # R(3, 3): row 3 starts at entry 6
+    np.save(path, tri)
+    return "R(3, 3) = 1.0000000000000002, but a solve writes 1"
 
 
 def _c_diagonal_one_ulp_low(path):
-    RC = np.load(path)
-    RC[3, 4] = np.nextafter(1.0, 0.0)  # C(3, 3) = K(3), which is 1 on the sphere
-    np.save(path, RC)
+    tri = np.load(path)
+    tri[3 * 4 // 2 + 3] = np.nextafter(1.0, 0.0)  # C(3, 3) = K(3), 1 on the sphere
+    np.save(path, tri)
     return "C(3, 3) = 0.9999999999999999, but a solve writes 1"
 
 
@@ -376,13 +343,14 @@ def _inf_in_a_row(path):
 
 
 @pytest.mark.parametrize("name, damage", [
-    ("RC.npy", _truncate_100_bytes), ("RC.npy", _resave_unpacked),
-    ("RC.npy", _resave_as_float32), ("RC.npy", _resave_as_object),
-    ("RC.npy", _nan_in_the_r_part), ("RC.npy", _nan_in_the_c_part),
-    ("RC.npy", _pack_for_another_grid), ("RC.npy", _r_diagonal_one_ulp_high),
-    ("RC.npy", _c_diagonal_one_ulp_low), ("series.csv", _shorten_a_row),
+    ("R.npy", _triangle_for_another_grid), ("R.npy", _r_diagonal_one_ulp_high),
+    ("C.npy", _c_diagonal_one_ulp_low), ("series.csv", _shorten_a_row),
     ("series.csv", _drop_last_line), ("series.csv", _inf_in_a_row)])
 def test_report_rejects_a_damaged_file(tmp_path, capsys, name, damage):
+    """A damaged solve directory is rejected naming the file: a series.csv
+    line that does not parse or is missing, and load_bundle's checks past
+    read_triangle's (tested on each triangle file below), the grid's row
+    count and the unit diagonals a solve writes."""
     out = tmp_path / "out"
     assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
                  "--out", str(out)]) == 0
@@ -419,25 +387,52 @@ def test_a_series_with_the_old_k_column_loads_bitwise(tmp_path, constraint):
 
 
 def test_report_rejects_a_run_with_the_old_matrix_files(tmp_path, capsys):
+    """No reader is kept for the older layouts: a run holding the full
+    (n + 1, n + 1) R.npy and C.npy is rejected by R.npy's header, and one
+    holding only the (n + 1, n + 2) RC.npy pack by its missing R.npy."""
     out = tmp_path / "out"
     assert main(["solve-hard", "--config", str(write_cfg(tmp_path, "run.json", solve_cfg())),
                  "--out", str(out)]) == 0
-    R, C = read_two_time(out / "RC.npy")
+    R, C = read_triangle(out / "R.npy", False), read_triangle(out / "C.npy", True)
+    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
     np.save(out / "R.npy", R)
     np.save(out / "C.npy", C)
-    (out / "RC.npy").unlink()
     capsys.readouterr()
-    rep_cfg = write_cfg(tmp_path, "rep.json", {"report": {"source": str(out)}})
     assert main(["report", "--config", str(rep_cfg), "--out", str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ParseError: {out}: no RC.npy"), err
+    assert err.startswith(f"error: ParseError: {out / 'R.npy'}: expected a C-order float64 "
+                          "(S (S + 1) / 2,) lower triangle, got float64 (51, 51)"), err
+    # row i of the pack: R(i, 0..i), then C(i, i..n)
+    np.save(out / "RC.npy", [np.concatenate([R[i, :i + 1], C[i, i:]]) for i in range(51)])
+    (out / "R.npy").unlink()
+    (out / "C.npy").unlink()
+    assert main(["report", "--config", str(rep_cfg), "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out}: no R.npy"), err
+
+
+# --------------------------------------------------------------------------
+# two-time storage: R.npy and C.npy (solve, sk) and C_N.npy (simulate), one
+# lower-triangle layout through _write_triangle and read_triangle
+# --------------------------------------------------------------------------
+
+TRIANGLES = [("R.npy", False), ("C.npy", True), ("C_N.npy", True)]
+
+
+def _two_time(symmetric):
+    """An 11 x 11 test matrix: a symmetric C, or an R that is zero above the
+    diagonal."""
+    x = np.random.default_rng(5).standard_normal(11)
+    return np.add.outer(x, x) if symmetric else np.tril(np.subtract.outer(x, x) + 1.0)
 
 
 @pytest.mark.parametrize("command, constraint", [
     ("solve-hard", None), ("solve-soft", {"kind": "soft", "L": 100.0, "k": 1}),
     ("sk", None)])
-def test_rc_npy_round_trips_bitwise(tmp_path, command, constraint):
-    """read_two_time returns the solver's R and C bit for bit."""
+def test_two_time_files_round_trip_bitwise(tmp_path, command, constraint):
+    """R.npy and C.npy hold the solver's R and C on t <= s, row by row, and
+    read_triangle returns both bit for bit.  (simulate's C_N.npy:
+    test_simulate_matrices_are_the_in_process_observables.)"""
     from spinband.sk import solve_two_time
     from spinband.volterra import solve_hard, solve_soft
     cfg = write_cfg(tmp_path, "run.json", solve_cfg(constraint=constraint))
@@ -449,51 +444,101 @@ def test_rc_npy_round_trips_bitwise(tmp_path, command, constraint):
     else:
         solve = solve_hard if command == "solve-hard" else solve_soft
         direct = solve(rc.params, rc.nu, rc.grid)
-    R, C = read_two_time(out / "RC.npy")
-    assert R.tobytes() == direct.R.tobytes()
-    assert C.tobytes() == direct.C.tobytes()
+    lower = np.tril_indices(rc.grid.n + 1)
+    for name, M in (("R", direct.R), ("C", direct.C)):
+        assert np.load(out / f"{name}.npy").tobytes() == M[lower].tobytes()
+        assert read_triangle(out / f"{name}.npy", name == "C").tobytes() == M.tobytes()
 
 
-@pytest.mark.parametrize("matrix, s, t, value, message", [
-    ("R", 3, 5, 0.5, r"R\(3, 5\) = 0.5 lies above the diagonal"),
-    ("R", 3, 5, -0.0, r"R\(3, 5\) = -0.0 lies above the diagonal"),
-    ("C", 7, 2, 0.25, r"C\(2, 7\) = .* but C\(7, 2\) = 0.25")])
-def test_rc_writer_refuses_what_the_pack_would_drop(tmp_path, matrix, s, t,
-                                                    value, message):
-    """The pack keeps R for t <= s and C for t >= s only, so the writer
-    refuses (and leaves no RC.npy) when the dropped half is not exactly
-    R's zeros or C's mirror, signed zeros included."""
-    from spinband.cli import _write_two_time
-    cfg = write_cfg(tmp_path, "run.json", solve_cfg())
-    out = tmp_path / "out"
-    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 0
-    bundle, _ = load_bundle(out)
-    arrays = {"R": bundle.R.copy(), "C": bundle.C.copy()}
-    arrays[matrix][s, t] = value
-    (out / "RC.npy").unlink()
+def _above_the_diagonal(value):
+    def damage(M):
+        M[3, 5] = value
+        return M
+    return damage
+
+
+def _through_a_row_builder(M):
+    """R as the sk command passes it, a callable that builds row blocks."""
+    M[3, 5] = 0.5
+    return lambda r: M[r].copy()
+
+
+def _asymmetric(M):
+    M[7, 2] = 0.25
+    return M
+
+
+@pytest.mark.parametrize("name, symmetric, damage, message", [
+    ("R.npy", False, _above_the_diagonal(0.5), r"R\(3, 5\) = 0.5 lies above the diagonal"),
+    ("R.npy", False, _above_the_diagonal(-0.0), r"R\(3, 5\) = -0.0 lies above the diagonal"),
+    ("R.npy", False, _through_a_row_builder, r"R\(3, 5\) = 0.5 lies above the diagonal"),
+    ("C.npy", True, _asymmetric, r"C\(2, 7\) = .* but C\(7, 2\) = 0.25"),
+    ("C_N.npy", True, _asymmetric, r"C\(2, 7\) = .* but C\(7, 2\) = 0.25")],
+    ids=["R-above", "R-negative-zero-above", "R-row-builder", "C-asymmetric",
+         "C_N-asymmetric"])
+def test_triangle_writer_refuses_what_the_reader_cannot_restore(tmp_path, name, symmetric,
+                                                               damage, message):
+    """The file keeps t <= s only, so the writer refuses, bit for bit, an R
+    that is not zero above the diagonal (-0.0 included, and R read through
+    a row builder) and a C that is not its own mirror, and leaves no file,
+    also where a good one stood."""
+    from spinband.cli import _write_triangle
+    path = tmp_path / name
+    _write_triangle(path, _two_time(symmetric), symmetric)
     with pytest.raises(ValidationError, match=message):
-        _write_two_time(out, arrays["R"], arrays["C"])
-    assert not (out / "RC.npy").exists()
+        _write_triangle(path, damage(_two_time(symmetric)), symmetric)
+    assert not path.exists()
 
 
-def test_rc_writer_refuses_a_row_builder_above_the_diagonal(tmp_path):
-    """R read through a row builder (SkSolution.R_rows, as the sk command
-    writes it) is checked as an array is: an entry above the diagonal is
-    refused and no RC.npy is left behind."""
-    from spinband.cli import _write_two_time
-    from spinband.sk import solve_two_time
-    rc = parse_config(write_cfg(tmp_path, "run.json", solve_cfg()), command="sk")
-    sol = solve_two_time(rc.sk, rc.grid)
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-100])
+    return "556 bytes, the header's (66,) float64 array needs 656"
 
-    def leaky(r):
-        block = sol.R_rows(r)
-        if r.start <= 3 < r.stop:
-            block[3 - r.start, 5] = 0.5
-        return block
 
-    with pytest.raises(ValidationError, match=r"R\(3, 5\) = 0.5 lies above"):
-        _write_two_time(tmp_path, leaky, sol.C)
-    assert not (tmp_path / "RC.npy").exists()
+def _as_float32(path):
+    np.save(path, np.load(path).astype(np.float32))
+    return "lower triangle, got float32 (66,)"
+
+
+def _as_object(path):
+    np.save(path, np.load(path).astype(object))
+    return "lower triangle, got object (66,)"
+
+
+def _as_the_full_square(path):
+    np.save(path, read_triangle(path, path.name != "R.npy"))  # the layout before
+    return "expected a C-order float64 (S (S + 1) / 2,) lower triangle, got float64 (11, 11)"
+
+
+def _one_entry_short(path):
+    np.save(path, np.load(path)[:-1])
+    return "lower triangle, got float64 (65,)"
+
+
+def _nan_entry(path):
+    tri = np.load(path)
+    tri[7 * 8 // 2 + 3] = np.nan  # row 7 starts at entry 7 * 8 / 2
+    np.save(path, tri)
+    return f"non-finite value nan at {'R' if path.name == 'R.npy' else 'C'}(7, 3)"
+
+
+@pytest.mark.parametrize("damage", [_truncated, _as_float32, _as_object,
+                                    _as_the_full_square, _one_entry_short, _nan_entry])
+@pytest.mark.parametrize("name, symmetric", TRIANGLES, ids=[n for n, _ in TRIANGLES])
+def test_triangle_reader_rejects_a_damaged_file(tmp_path, name, symmetric, damage):
+    """read_triangle returns what the writer stored bit for bit, and rejects
+    with a ParseError naming the file another dtype or layout (the full
+    square of older runs among them), a length that is not S (S + 1) / 2, a
+    size the header does not give, and a non-finite entry by its (s, t)."""
+    from spinband.cli import _write_triangle
+    path = tmp_path / name
+    M = _two_time(symmetric)
+    _write_triangle(path, M, symmetric)
+    assert read_triangle(path, symmetric).tobytes() == M.tobytes()
+    message = damage(path)
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        read_triangle(path, symmetric)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_compare_against_sk_holds_three_square_arrays(tmp_path):
@@ -521,7 +566,8 @@ def test_compare_against_sk_holds_three_square_arrays(tmp_path):
 
 def test_save_bundle_streams_its_matrices(tmp_path):
     """save_bundle at n = 400 allocates less than a quarter of one (n+1)^2
-    float64 array: RC.npy is written in row blocks, never assembled."""
+    float64 array: R.npy and C.npy are written in row blocks, never
+    assembled."""
     import tracemalloc
     from spinband.volterra import solve_hard
     rc = parse_config(write_cfg(tmp_path, "run.json", solve_cfg(grid={"T": 4.0, "h": 0.01})),
@@ -535,8 +581,8 @@ def test_save_bundle_streams_its_matrices(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 401 ** 2 / 4, peak
-    R, C = read_two_time(tmp_path / "RC.npy")
-    assert R.tobytes() == bundle.R.tobytes() and C.tobytes() == bundle.C.tobytes()
+    assert read_triangle(tmp_path / "R.npy", False).tobytes() == bundle.R.tobytes()
+    assert read_triangle(tmp_path / "C.npy", True).tobytes() == bundle.C.tobytes()
 
 
 def test_fdt_constants(tmp_path):
@@ -584,7 +630,7 @@ def test_sk_closed_form_run(tmp_path):
     out = tmp_path / "out"
     assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "RC.npy", "series.csv", "constants.json"}
+        "metadata.json", "R.npy", "C.npy", "series.csv", "constants.json"}
     con = json.loads((out / "constants.json").read_text())
     assert con["y"] == 0.5
     assert con["alpha_sq"] == 0.5
@@ -609,7 +655,7 @@ def test_sk_in_the_delocalized_phase_writes_null_asymptotics(tmp_path):
     out = tmp_path / "out"
     assert main(["sk", "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == {
-        "metadata.json", "RC.npy", "series.csv", "constants.json"}
+        "metadata.json", "R.npy", "C.npy", "series.csv", "constants.json"}
     con = json.loads((out / "constants.json").read_text())
     assert con["y"] == 0.5
     assert con["alpha_sq"] is None and con["mu_infty"] is None and con["H_infty"] is None
@@ -656,7 +702,7 @@ def test_simulate_run(tmp_path):
     snaps = read_series_csv(out / "snapshots.csv")
     assert snaps["t"].size == 11
     assert abs(snaps["q_N"][0] - 0.5) <= 1e-12
-    C = read_symmetric(out / "C_N.npy")
+    C = read_triangle(out / "C_N.npy", True)
     assert C.shape == (11, 11)
     assert abs(C[0, 0] - 1.0) <= 1e-12
 
@@ -668,7 +714,7 @@ def test_simulate_run(tmp_path):
 def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid):
     """C_N.npy and chi_N.npy hold, byte for byte, the replica-averaged C and
     chi of the same run recomputed in-process: C's lower triangle row by
-    row, an (S (S + 1) / 2,) C-order float64 array that read_symmetric
+    row, an (S (S + 1) / 2,) C-order float64 array that read_triangle
     mirrors, and chi as an (S, S) one."""
     from spinband.model import SimConfig
     from spinband.simulate import (condition_disorder, empirical_observables,
@@ -693,7 +739,7 @@ def test_simulate_matrices_are_the_in_process_observables(tmp_path, model, grid)
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
         assert (shape, fortran, dtype) == (size, False, np.float64)
     assert np.load(out / "C_N.npy").tobytes() == emp.C_avg[np.tril_indices(S)].tobytes()
-    assert read_symmetric(out / "C_N.npy").tobytes() == emp.C_avg.tobytes()
+    assert read_triangle(out / "C_N.npy", True).tobytes() == emp.C_avg.tobytes()
     assert np.load(out / "chi_N.npy").tobytes() == emp.chi_avg.tobytes()
 
 
@@ -717,61 +763,10 @@ def test_c_n_diagonal_is_the_mean_radius(tmp_path, model, S):
     traj = run_langevin(J, cfg.params, SimConfig(**{k: v for k, v in sim.items()
                                                     if k != "disorder_seed"}))
     assert traj.times.size == S
-    K_N = np.diag(read_symmetric(out / "C_N.npy"))
+    K_N = np.diag(read_triangle(out / "C_N.npy", True))
     assert K_N.tobytes() == traj.K.mean(axis=1).tobytes()
     assert list(read_series_csv(out / "snapshots.csv")) == ["t", "q_N", "H_N"]
     assert read_series_csv(out / "per_replica.csv")["K_N"].tobytes() == traj.K.T.tobytes()
-
-
-def _not_symmetric(path, C):
-    from spinband.cli import _write_symmetric
-    C[7, 2] = 0.25
-    _write_symmetric(path, C)
-
-
-def _square(path, C):
-    np.save(path, C)  # the old layout
-
-
-def _one_entry_short(path, C):
-    np.save(path, np.load(path)[:-1])
-
-
-def _truncated(path, C):
-    path.write_bytes(path.read_bytes()[:-100])
-
-
-def _nan_entry(path, C):
-    lower = np.load(path)
-    lower[7 * 8 // 2 + 3] = np.nan  # row 7 starts at entry 7 * 8 / 2
-    np.save(path, lower)
-
-
-@pytest.mark.parametrize("damage, error, message", [
-    (_not_symmetric, ValidationError, "but C(7, 2) = 0.25"),
-    (_square, ParseError, "expected a C-order float64 (S (S + 1) / 2,) lower "
-                          "triangle, got float64 (11, 11)"),
-    (_one_entry_short, ParseError, "lower triangle, got float64 (65,)"),
-    (_truncated, ParseError, "556 bytes, the header's (66,) float64 array needs 656"),
-    (_nan_entry, ParseError, "non-finite value nan at C(7, 3)")])
-def test_c_n_pack_refuses_what_it_cannot_restore(tmp_path, damage, error, message):
-    """The writer refuses a C that is not bitwise symmetric and leaves no
-    file; the reader rejects, naming the file, what read_two_time rejects
-    in an RC.npy: another layout (the old (S, S) square among them), a
-    size the header does not give, and a non-finite entry."""
-    from spinband.cli import _write_symmetric
-    path = tmp_path / "C_N.npy"
-    x = np.random.default_rng(5).standard_normal(11)
-    C = np.add.outer(x, x)
-    _write_symmetric(path, C)
-    assert read_symmetric(path).tobytes() == C.tobytes()
-    with pytest.raises(error, match=re.escape(message)) as info:
-        damage(path, C)
-        read_symmetric(path)
-    if error is ParseError:
-        assert str(info.value).startswith(f"{path}: ")
-    else:
-        assert not path.exists()
 
 
 def test_c_n_pack_streams_at_3001_snapshots(tmp_path):
@@ -779,16 +774,16 @@ def test_c_n_pack_streams_at_3001_snapshots(tmp_path):
     reading it back allocate at most one _PACK_ROWS row block beyond the
     input and the returned square, and the file holds half the square."""
     import tracemalloc
-    from spinband.cli import _PACK_ROWS, _write_symmetric
+    from spinband.cli import _PACK_ROWS, _write_triangle
     S, path = 3001, tmp_path / "C_N.npy"
     x = np.random.default_rng(3).standard_normal(S)
     C = np.add.outer(x, x)
     tracemalloc.start()
     try:
-        _write_symmetric(path, C)
+        _write_triangle(path, C, True)
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        back = read_symmetric(path)
+        back = read_triangle(path, True)
         read_peak = tracemalloc.get_traced_memory()[1] - back.nbytes
     finally:
         tracemalloc.stop()
@@ -1099,6 +1094,27 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
     assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "7"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_is_a_parse_error(tmp_path, capsys,
+                                                         monkeypatch, under):
+    """--out naming an existing file, or a path under one, exits 1 with a
+    ParseError naming it, not a traceback, before any march runs."""
+    import spinband.volterra
+
+    def never(*args, **kwargs):
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(spinband.volterra, "solve_hard", never)
+    cfg = write_cfg(tmp_path, "c.json", solve_cfg())
+    out = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+    (tmp_path / "taken").write_text("not a directory\n")
+    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert (tmp_path / "taken").read_text() == "not a directory\n"
 
 
 def test_help_exits_0(capsys):

@@ -205,8 +205,8 @@ def test_superposition_audit_holds_three_square_arrays(ref):
 
 
 def test_sk_command_holds_three_square_arrays(tmp_path):
-    """The sk command writes RC.npy from the oracle's C and R row blocks,
-    then drops the solution before the superposition audit marches: traced
+    """The sk command writes R.npy from the oracle's R row blocks and C.npy
+    from its C, then drops the solution before the superposition audit marches: traced
     peak below 3.5 (n+1)^2 floats at n = 400."""
     import json
     import tracemalloc

@@ -64,11 +64,20 @@ MUTANTS = (
            # restates the closure; the q, mu and H gates pass
            ("tests/test_acceptance.py::test_13_long_time_march_off_the_g_identity",),
            survivor="direction 17 (a gate on the late-time C and R lag profiles)"),
-    Mutant("C_N.npy reader without its mirror", "cli.py",
-           "C[b:s, s] = C[s, b:s]",
+    Mutant("triangle reader without its mirror", "cli.py",
+           "M[b:s, s] = M[s, b:s]",
            "pass",
-           ("tests/test_cli.py::test_simulate_matrices_are_the_in_process_observables",
+           ("tests/test_cli.py::test_two_time_files_round_trip_bitwise",
+            "tests/test_cli.py::test_simulate_matrices_are_the_in_process_observables",
             "tests/test_cli.py::test_c_n_pack_streams_at_3001_snapshots")),
+    Mutant("triangle writer without its mirror check", "cli.py",
+           "_check_mirror(M, b, e)",
+           "pass",
+           ("tests/test_cli.py::test_triangle_writer_refuses_what_the_reader_cannot_restore",)),
+    Mutant("triangle writer without its above-diagonal check", "cli.py",
+           "if not symmetric and bits[k, s + 1:].any():",
+           "if False:",
+           ("tests/test_cli.py::test_triangle_writer_refuses_what_the_reader_cannot_restore",)),
 )
 
 
