@@ -35,6 +35,7 @@ import in this file is local to the function that needs it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -258,6 +259,18 @@ def parse_config(path: str | Path, command: str | None = None,
 _FMT = "%.17g"  # 17 significant digits round-trip every float64
 
 
+@contextlib.contextmanager
+def _writing(path: Path, mode: str = "w"):
+    """The artifact file ``path`` opened for writing.  An OSError from
+    opening or writing it (a directory in its place, a full disk) becomes
+    a ParseError naming it."""
+    try:
+        with open(path, mode) as f:
+            yield f
+    except OSError as e:
+        raise ParseError(f"{path}: not writable: {e}") from None
+
+
 def write_matrix_csv(path: Path, M) -> None:
     """Triplet dump of every entry: header then one 'i,j,value' row each.
 
@@ -267,7 +280,7 @@ def write_matrix_csv(path: Path, M) -> None:
     import numpy as np
     M = np.asarray(M)
     cells = ["", *(f",{j},{_FMT}\n" for j in range(M.shape[-1]))]
-    with open(path, "w") as f:
+    with _writing(path) as f:
         f.write("i,j,value\n")
         for i, row in enumerate(M):
             f.write(str(i).join(cells) % tuple(row.tolist()))
@@ -297,7 +310,7 @@ def write_series_csv(path: Path, names, columns) -> None:
     """One header line, then one line per row of the equal-length columns,
     each one %-format (numpy scalars format as the floats they hold)."""
     line = ",".join([_FMT] * len(columns)) + "\n"
-    with open(path, "w") as f:
+    with _writing(path) as f:
         f.write(",".join(names) + "\n")
         for row in zip(*columns, strict=True):
             f.write(line % row)
@@ -344,7 +357,8 @@ def _raise_at_first_bad_line(path: Path, width: int):
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _writing(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(cfg: RunConfig, wall: float, extra: dict) -> dict:
@@ -417,7 +431,7 @@ def _write_triangle(path: Path, M, symmetric: bool) -> None:
     if not callable(M) and M.shape != (S, S):
         raise ValidationError(f"{path.name}: {M.shape} is not a square shape")
     try:
-        with open(path, "wb") as f:
+        with _writing(path, "wb") as f:
             np.lib.format.write_array_header_1_0(f, {
                 "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
                 "fortran_order": False, "shape": (S * (S + 1) // 2,)})
@@ -677,7 +691,8 @@ def _run_simulate(cfg: RunConfig, out: Path):
                      (np.repeat(np.arange(reps), snaps), np.tile(traj.times, reps),
                       emp.q.ravel(), emp.H.ravel(), traj.K.T.ravel()))
     _write_triangle(out / "C_N.npy", emp.C_avg, True)
-    np.save(out / "chi_N.npy", emp.chi_avg)
+    with _writing(out / "chi_N.npy", "wb") as f:
+        np.save(f, emp.chi_avg)
     if cfg.grid is not None:
         _write_json(out / "report.json", {
             "error_functional": err,

@@ -36,4 +36,5 @@ class SizeOverflow(SpinbandError):
 
 
 class ParseError(SpinbandError):
-    """Config file, command line or run directory could not be parsed."""
+    """Config file, command line or run directory could not be parsed, or
+    an output path or artifact could not be written."""

@@ -135,13 +135,18 @@ def star_point(N: int, q_star: float) -> np.ndarray:
 
 
 def _coupling_bytes(N: int, orders) -> int:
-    """Bytes sampling holds at its peak: every order's store, plus the
-    largest draw (N^2 values at p = 2, one per sorted tuple for p >= 3)."""
+    """Bytes a run's couplings need at their peak: every order's store,
+    plus the larger of the largest draw while sampling (N^2 values at
+    p = 2, one per sorted tuple for p >= 3) and, for a quadratic mixture,
+    what run_langevin's eigenframe holds while eigh runs: Q and eigh's copy
+    of A (N^2 each), two sets of N eigenvalues, and LAPACK dsyevd's
+    workspace of 2N^2 + 6N + 1 floats and 5N + 3 integers."""
     stores = sum(N * N if p == 2 else N ** (p - 1) * (N // 2 + 1)
                  for p in orders)
     draw = max((N * N if p == 2 else math.comb(N + p - 1, p) for p in orders),
                default=0)
-    return 8 * (stores + draw)
+    frame = 4 * N * N + 13 * N + 4 if list(orders) == [2] else 0
+    return 8 * (stores + max(draw, frame))
 
 
 def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
@@ -154,9 +159,10 @@ def sample_disorder(N: int, nu: MixingFunction, seed) -> Disorder:
     gathers it into the store position of every permutation of t.  That is
     the law of the permutation mean of an i.i.d. N(0, N^{1-p}) tensor: the
     sorted-tuple law with the multiplicity variance correction (variance
-    N^{1-p}/mult for A, hence N^{1-p} mult for J).  Raises SizeOverflow
-    when the stores and the largest draw together need more than 2 GiB:
-    that is the coupling peak of a whole run.
+    N^{1-p}/mult for A, hence N^{1-p} mult for J).  Raises SizeOverflow,
+    before drawing, when the couplings of a whole run need more than 2 GiB
+    at their peak (see _coupling_bytes): the stores plus the largest draw,
+    or for a quadratic mixture the store plus run_langevin's eigenframe.
     """
     if N < 2:
         raise ValidationError("need N >= 2")
@@ -412,8 +418,15 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     single fixed Brownian path possible: sum fine increments pairwise to get
     the coarse ones.
 
-    H comes from the run's own gradient calls, n_steps + 1 of them.  J's
-    couplings are only read: the kernel contracts its stores as they are.
+    A quadratic mixture with beta > 0 steps in the eigenframe of its
+    couplings: with A = Q diag(lam) Q^T (one eigh) the state is Y = X Q,
+    the gradient is 2 b lam * Y and the energy b sum lam y^2, so no step
+    multiplies by A.  Each block of increments is rotated into the frame by
+    one product, B is summed from the increments as drawn, snapshot 0 is
+    the drawn initial point, and the later X snapshots are rotated back
+    after the run, K taken from them.  Any other run takes H and the
+    gradient from hamiltonian_and_grad_batch, n_steps + 1 calls.  J's
+    couplings are only read.
     """
     if params.confinement.kind != "soft":
         raise ValidationError("finite-N runs need a soft confinement")
@@ -427,13 +440,24 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
     rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
     X = np.stack([_initial_from_rng(rngs[r], N, prm.q_star, prm.q_o)
                   for r in range(R)])
+    beta = prm.beta
+    # at beta = 0 there is no landscape drift to diagonalise
+    frame = beta > 0 and J.active_orders() == [2]
+    if frame:
+        lam, Q = np.linalg.eigh(J.tensors[2])
+        lam *= J.weight(2)  # H = sum_i lam_i y_i^2
+        # grad H = slope * y, mode by mode
+        slope = 2 * lam
+        X0, X = X, X @ Q
+        rot = np.empty((R, _NOISE_BLOCK, N))
+        rincs = rot.transpose(1, 0, 2)
+        grad = np.empty((R, N))
     B = np.zeros((R, N))
     times = config.times()
     Xs = np.empty((times.size, R, N))
     Bs = np.empty((times.size, R, N))
     Ks = np.empty((times.size, R))
     Hs = np.empty((times.size, R))
-    beta = prm.beta
     if noise is None:
         block = np.empty((R, _NOISE_BLOCK, N))
         incs = block.transpose(1, 0, 2)  # step-major, as ``noise`` is
@@ -443,9 +467,14 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
         if not K.max() <= 1e6:  # a NaN fails the comparison too
             raise StepUnstable(f"radial blow-up after step {step}: "
                                f"K = {K.max():g}")
-        Hv, grad = hamiltonian_and_grad_batch(J, X)
+        if frame:
+            np.multiply(slope, X, out=grad)
+        else:
+            Hv, grad = hamiltonian_and_grad_batch(J, X)
         if step % config.snap_stride == 0:
             k = step // config.snap_stride
+            if frame:
+                Hv = np.einsum("ri,i,ri->r", X, lam, X)
             Xs[k], Bs[k], Ks[k], Hs[k] = X, B, K, -Hv / N
         if step == config.n_steps:
             break
@@ -457,14 +486,24 @@ def run_langevin(J: Disorder, params: ModelParams, config: SimConfig,
                 block *= math.sqrt(dt)
             else:
                 incs = noise[step:step + _NOISE_BLOCK]
+            if frame and noise is None:
+                np.matmul(block.reshape(-1, N), Q, out=rot.reshape(-1, N))
+            elif frame:
+                rincs[:len(incs)] = (incs.reshape(-1, N) @ Q).reshape(incs.shape)
         # X + dt (-f'(K) X - beta grad) + dB, rounded in that order
         np.multiply(-f_prime(prm, K)[:, None], X, out=drift)
         grad *= beta
         drift -= grad
         drift *= dt
         X += drift
-        X += incs[j]
+        X += rincs[j] if frame else incs[j]
         B += incs[j]
+    if frame:  # snapshot 0 is the drawn point, the rest are rotated back
+        Xs[0] = X0
+        for k, x in enumerate(Xs):
+            if k:
+                x[...] = x @ Q.T
+            Ks[k] = np.einsum("ri,ri->r", x, x) / N
     return Trajectory(times=times, X=Xs, B=Bs, K=Ks, H=Hs, config=config,
                       params=prm)
 

@@ -1117,6 +1117,20 @@ def test_out_that_cannot_be_a_directory_is_a_parse_error(tmp_path, capsys,
     assert (tmp_path / "taken").read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("name", ["R.npy", "series.csv", "metadata.json"])
+def test_an_artifact_that_cannot_be_written_is_a_parse_error(tmp_path, capsys, name):
+    """A directory where solve-hard writes R.npy (_write_triangle),
+    series.csv (write_series_csv) or metadata.json (_write_json) exits 1
+    with a ParseError naming that path, not a traceback."""
+    cfg = write_cfg(tmp_path, "c.json", solve_cfg())
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert main(["solve-hard", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out / name}: not writable: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--help"])

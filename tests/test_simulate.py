@@ -658,48 +658,68 @@ def test_increments_are_the_per_replica_streams(sk_mixing):
                 assert np.array_equal(traj.B[step // cfg.snap_stride, r], b)
 
 
-def test_recorded_energies_match_the_kernel(mixed_mixing, monkeypatch):
-    """Trajectory.H is the energy density -H_J/N of each snapshot, taken from
-    the run's own gradient calls: n_steps + 1 of them, none per snapshot."""
-    prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3, G_star=0.8,
-                      confinement=Confinement.soft(20.0, 1))
+def test_recorded_energies_match_the_kernel(mixed_mixing, sk_mixing, monkeypatch):
+    """Trajectory.H is the energy density -H_J/N of each snapshot.  A mixed
+    run takes it from its own gradient calls, n_steps + 1 of them and none
+    per snapshot, so it is the kernel's bit for bit.  A quadratic run makes
+    no kernel call: its energies come from the eigenframe and agree with
+    the kernel's to 1e-12 relative."""
     N = 10
-    J = condition_disorder(sample_disorder(N, mixed_mixing, 4), prm)
     cfg = SimConfig(N=N, dt=0.01, T=0.2, seed=8, replicas=3, snap_stride=5)
-    calls = []
     kernel = simulate.hamiltonian_and_grad_batch
-    monkeypatch.setattr(simulate, "hamiltonian_and_grad_batch",
-                        lambda J, X: calls.append(1) or kernel(J, X))
-    traj = run_langevin(J, prm, cfg)
-    monkeypatch.undo()
-    assert len(calls) == cfg.n_steps + 1
-    assert traj.H.shape == (traj.times.size, 3)
-    for s in range(traj.times.size):
-        assert np.array_equal(traj.H[s],
-                              -hamiltonian_and_grad_batch(J, traj.X[s])[0] / N)
-    emp = empirical_observables(traj)
-    assert np.array_equal(emp.H, traj.H.T)
+    # G* = 2 E*/q*^2, as the pure p = 2 model needs
+    for nu, G_star in ((mixed_mixing, 0.8), (sk_mixing, 0.6 / 0.81)):
+        prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
+                          G_star=G_star, confinement=Confinement.soft(20.0, 1))
+        J = condition_disorder(sample_disorder(N, nu, 4), prm)
+        calls = []
+        monkeypatch.setattr(simulate, "hamiltonian_and_grad_batch",
+                            lambda J, X: calls.append(1) or kernel(J, X))
+        traj = run_langevin(J, prm, cfg)
+        monkeypatch.undo()
+        quadratic = J.active_orders() == [2]
+        assert len(calls) == (0 if quadratic else cfg.n_steps + 1)
+        assert traj.H.shape == (traj.times.size, 3)
+        want = np.array([-hamiltonian_and_grad_batch(J, x)[0] / N for x in traj.X])
+        if quadratic:
+            assert np.abs(traj.H - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert np.array_equal(traj.H, want)
+        emp = empirical_observables(traj)
+        assert np.array_equal(emp.H, traj.H.T)
 
 
-def _allocating_run(J, prm, config, noise=None):
-    """run_langevin's step loop with a fresh array for every operation, and
-    the kernel's allocating gradient sum (orders 2 and 3): the reference
-    the in-place loop must match bitwise."""
+def _allocating_run(J, prm, config, noise=None, frame=False):
+    """run_langevin's step loop with a fresh array for every operation.
+
+    By default it takes the dense kernel's allocating gradient sum (orders
+    2 and 3): the reference a mixed run must match bitwise, and a tolerance
+    oracle for a quadratic one.  With ``frame`` (a p = 2 disorder) it steps
+    in the eigenframe Y = X Q of A = Q diag(lam) Q^T, as run_langevin does
+    for a quadratic mixture at beta > 0: the reference such a run must
+    match bitwise."""
     prm = validate(prm, MixingFunction(J.coeffs_sq))
     N, R, dt = config.N, config.replicas, config.dt
     rngs = [np.random.default_rng((config.seed, r)) for r in range(R)]
     X = np.stack([simulate._initial_from_rng(g, N, prm.q_star, prm.q_o)
                   for g in rngs])
+    if frame:
+        lam, Q = np.linalg.eigh(J.tensors[2])
+        lam = lam * J.weight(2)
+        X0, X = X, X @ Q
     B = np.zeros((R, N))
     Xs, Bs, Ks, Hs = [], [], [], []
     for step in range(config.n_steps + 1):
         K = np.einsum("ri,ri->r", X, X) / N
-        H, grad = np.zeros(R), np.zeros((R, N))
-        for p in J.active_orders():
-            b = J.weight(p)
-            V = X @ J.tensors[2] if p == 2 else J.fold(X)(X, J.tensors[3])
-            H += b * np.einsum("ri,ri->r", V, X)
-            grad += (b * p) * V
+        if frame:
+            H, grad = np.einsum("ri,i,ri->r", X, lam, X), (2 * lam) * X
+        else:
+            H, grad = np.zeros(R), np.zeros((R, N))
+            for p in J.active_orders():
+                b = J.weight(p)
+                V = X @ J.tensors[2] if p == 2 else J.fold(X)(X, J.tensors[3])
+                H += b * np.einsum("ri,ri->r", V, X)
+                grad += (b * p) * V
         if step % config.snap_stride == 0:
             Xs.append(X), Bs.append(B), Ks.append(K), Hs.append(-H / N)
         if step == config.n_steps:
@@ -711,9 +731,17 @@ def _allocating_run(J, prm, config, noise=None):
                                  for g in rngs], axis=1) * math.sqrt(dt)
             else:
                 incs = noise[step:step + simulate._NOISE_BLOCK]
+            if frame and noise is None:  # one product over replica-major rows
+                rows = incs.transpose(1, 0, 2).reshape(-1, N) @ Q
+                dY = rows.reshape(R, -1, N).transpose(1, 0, 2)
+            elif frame:
+                dY = (incs.reshape(-1, N) @ Q).reshape(incs.shape)
         drift = -f_prime(prm, K)[:, None] * X - prm.beta * grad
-        X = X + dt * drift + incs[j]
+        X = X + dt * drift + (dY if frame else incs)[j]
         B = B + incs[j]
+    if frame:
+        Xs = [X0] + [y @ Q.T for y in Xs[1:]]
+        Ks = [np.einsum("ri,ri->r", x, x) / N for x in Xs]
     return [np.array(a) for a in (Xs, Bs, Ks, Hs)]
 
 
@@ -722,7 +750,8 @@ def _allocating_run(J, prm, config, noise=None):
 def test_in_place_steps_match_the_allocating_loop(weights, supplied):
     """45 steps (the last noise block partial), snapshots every 5: X, B, K
     and H equal the allocating loop's bytes, with generator noise and with
-    supplied increments, at p = 2 and for the (2, 3) mixture."""
+    supplied increments, for the (2, 3) mixture and, against the loop in
+    the eigenframe of A, at p = 2."""
     # G* = 2 E*/q*^2, as the pure p = 2 model needs
     prm = ModelParams(beta=1.0, q_star=0.9, q_o=0.3, E_star=0.3,
                       G_star=0.6 / 0.81, confinement=Confinement.soft(20.0, 1))
@@ -734,10 +763,34 @@ def test_in_place_steps_match_the_allocating_loop(weights, supplied):
     if supplied:
         noise = np.random.default_rng(5).standard_normal((45, R, N)) * 0.1
     traj = run_langevin(J, prm, cfg, noise=noise)
-    ref = _allocating_run(J, prm, cfg, noise)
+    ref = _allocating_run(J, prm, cfg, noise, frame=len(weights) == 1)
     for name, want in zip(("X", "B", "K", "H"), ref):
         got = getattr(traj, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("supplied", [False, True])
+def test_frame_run_matches_the_dense_loop(sk_mixing, supplied):
+    """A p = 2 run steps in the eigenframe of its couplings.  At N = 40 with
+    3 replicas over 200 steps its X, K and H agree with the dense-kernel
+    loop to 1e-12 relative (sup norms), with generator noise and with
+    supplied increments, and B, summed from the increments as drawn, is
+    the loop's bit for bit."""
+    prm = soft_params()
+    N, R = 40, 3
+    J = condition_disorder(sample_disorder(N, sk_mixing, 6), prm)
+    cfg = SimConfig(N=N, dt=0.01, T=2.0, seed=9, replicas=R, snap_stride=10)
+    assert cfg.n_steps == 200
+    noise = None
+    if supplied:
+        noise = np.random.default_rng(2).standard_normal((200, R, N)) * 0.1
+    traj = run_langevin(J, prm, cfg, noise=noise)
+    X, B, K, H = _allocating_run(J, prm, cfg, noise)
+    assert traj.B.tobytes() == B.tobytes()
+    assert np.array_equal(traj.X[0], X[0])
+    for name, want in (("X", X), ("K", K), ("H", H)):
+        got = getattr(traj, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def _trajectory(S, R, N, seed):
@@ -1093,6 +1146,21 @@ def test_resource_and_mode_guards(sk_mixing, pure3_mixing):
         SimConfig(N=8, dt=-0.01, T=0.1, seed=0)
     with pytest.raises(ValidationError):  # T/dt overflows to inf
         SimConfig(N=8, dt=5e-324, T=0.1, seed=0)
+
+
+def test_the_coupling_budget_counts_the_eigenframe(sk_mixing, monkeypatch):
+    """A quadratic mixture's coupling peak is run_langevin's eigenframe: the
+    store, Q, eigh's copy of A and LAPACK's workspace.  Its store and draw
+    (2 N^2 floats) fit the budget up to N = 11585, the frame only up to
+    N = 7325, so sample_disorder refuses N = 7326 before it draws."""
+    budget = simulate._BUDGET
+    assert 8 * 2 * 11585 ** 2 <= budget < 8 * 2 * 11586 ** 2
+    assert simulate._coupling_bytes(7325, [2]) <= budget \
+        < simulate._coupling_bytes(7326, [2])
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: pytest.fail("sampled before the budget check"))
+    with pytest.raises(SizeOverflow, match="couplings need"):
+        sample_disorder(7326, sk_mixing, 0)
 
 
 def test_snapshot_bytes_are_what_a_run_holds(sk_mixing):

@@ -49,7 +49,16 @@ MUTANTS = (
     Mutant("noise variance x 1.1", "simulate.py",
            "block *= math.sqrt(dt)",
            "block *= math.sqrt(1.1 * dt)",
+           # test_07's p = 2 run steps in the eigenframe, its p = 3 run does not
            ("tests/test_acceptance.py::test_07_finite_size_runs_track_the_limit",)),
+    Mutant("eigenframe drift without its factor 2", "simulate.py",
+           "slope = 2 * lam",
+           "slope = lam",
+           ("tests/test_simulate.py::test_frame_run_matches_the_dense_loop",)),
+    Mutant("eigenframe increments added unrotated", "simulate.py",
+           "X += rincs[j] if frame else incs[j]",
+           "X += incs[j]",
+           ("tests/test_simulate.py::test_frame_run_matches_the_dense_loop",)),
     Mutant("conditioning correction x 0.99", "volterra.py",
            "sub = self.corr * Iq / self.denom",
            "sub = 0.99 * self.corr * Iq / self.denom",
